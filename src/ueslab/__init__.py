@@ -19,10 +19,8 @@ from .analysis import (
 from .averaging import (
     ProbeConfig,
     ProbeRow,
-    averaged_asymptotic_rhs,
     averaged_closed_loop,
     averaged_drift_term,
-    averaged_exponential_rhs,
     lie_bracket,
     practical_stability_probe,
     probe_rows_csv,
@@ -31,14 +29,10 @@ from .averaging import (
 from .config import ExperimentConfig, config_from_text, load_config
 from .controllers import (
     EsParams,
-    EsState,
-    TransformedState,
     assemble,
     default_omega_hat,
     es_closed_loop,
-    es_rhs,
     transformed_closed_loop,
-    transformed_rhs,
 )
 from .errors import (
     AssemblyError,
@@ -60,6 +54,6 @@ from .maps import (
     verify_power_bounds,
 )
 from .schedules import Schedule
-from .sim import Lemma1Params, Trajectory, integrate, lemma1_rhs, lemma1_solution
+from .sim import Lemma1Params, Trajectory, dither_step_bound, integrate, lemma1_rhs, lemma1_solution
 
 __version__ = "0.1.0"

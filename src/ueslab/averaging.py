@@ -20,15 +20,15 @@ import numpy as np
 
 from .controllers import (
     EsParams,
-    TransformedState,
+    _require_transformable,
     es_closed_loop,
     growth_drift,
-    transformed_geometry,
+    transformed_drift,
 )
 from .errors import CapabilityError, IntegrationDiverged
 from .maps import CostMap
-from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL
-from .sim import STEPS_PER_PERIOD, integrate
+from .schedules import EXPONENTIAL
+from .sim import STEPS_PER_PERIOD, dither_step_bound, integrate
 
 Array = np.ndarray
 
@@ -68,90 +68,54 @@ def transformed_b_fields(p: EsParams, map: CostMap):
     dither-paired fields carry the cos/sin of the per-channel phase; only b0
     touches eta_f.
     """
-    n = p.n
+    _require_transformable(p, map)
     sqrt_alpha = np.sqrt(p.alpha)
 
     def b0(z: Array, t: float) -> Array:
-        g, _, xi2k, jf, _ = transformed_geometry(p, map, z[:n], z[n], t)
-        out = np.empty(n + 1)
-        out[:n] = g * z[:n]
-        out[n] = (2.0 * map.kappa * g - p.omega_h) * z[n] + p.omega_h * xi2k * jf
-        return out
+        return transformed_drift(p, map, z, t)[0]
 
-    def make_pair(i: int):
-        def b_c(z: Array, t: float) -> Array:
-            _, _, _, _, phase = transformed_geometry(p, map, z[:n], z[n], t)
-            out = np.zeros(n + 1)
-            out[i] = sqrt_alpha[i] * math.cos(phase[i])
+    def dither_field(i: int, trig: Callable) -> Callable:
+        def b(z: Array, t: float) -> Array:
+            out = np.zeros(p.n + 1)
+            out[i] = sqrt_alpha[i] * trig(transformed_drift(p, map, z, t)[1][i])
             return out
 
-        def b_s(z: Array, t: float) -> Array:
-            _, _, _, _, phase = transformed_geometry(p, map, z[:n], z[n], t)
-            out = np.zeros(n + 1)
-            out[i] = sqrt_alpha[i] * math.sin(phase[i])
-            return out
+        return b
 
-        return b_c, b_s
-
-    return b0, [make_pair(i) for i in range(n)]
-
-
-def grad_jf(p: EsParams, map: CostMap, theta_f: Array, t: float) -> Array:
-    """d J_f / d theta_f = grad J(theta_f/xi + theta*) / xi."""
-    xi = p.schedule.xi(t)
-    return map.gradient(map.optimum + theta_f / xi) / xi
+    return b0, [(dither_field(i, math.cos), dither_field(i, math.sin)) for i in range(p.n)]
 
 
 def averaged_drift_term(p: EsParams, map: CostMap, theta_f: Array, t: float) -> Array:
-    """The bracket sum (1/2) sum_i k_i alpha_i phi(t) (dJ_f/dtheta_f_i) e_i."""
-    return 0.5 * p.k * p.alpha * p.schedule.phi(t) * grad_jf(p, map, theta_f, t)
-
-
-def _averaged_rates(p: EsParams, map: CostMap, theta_f: Array, eta_f: float, t: float):
-    g = growth_drift(p.schedule, t)
-    log_xi = p.schedule.log_xi(t)
-    xi2k = math.exp(2.0 * map.kappa * log_xi)
-    jf = map.centered_value(map.optimum + theta_f * math.exp(-log_xi))
-    theta_f_dot = g * theta_f - averaged_drift_term(p, map, theta_f, t)
-    eta_f_dot = (2.0 * map.kappa * g - p.omega_h) * eta_f + p.omega_h * xi2k * jf
-    return theta_f_dot, eta_f_dot
-
-
-def averaged_asymptotic_rhs(p: EsParams, map: CostMap, s: TransformedState, t: float):
-    """Averaged transformed dynamics under a power-law schedule."""
-    if p.schedule.kind != ASYMPTOTIC:
-        raise CapabilityError(f"asymptotic averaged dynamics need an asymptotic schedule, got '{p.schedule.kind}'")
-    if map.optimum is None or map.optimal_value is None:
-        raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value")
-    return _averaged_rates(p, map, s.theta_f, s.eta_f, t)
-
-
-def averaged_exponential_rhs(p: EsParams, map: CostMap, s: TransformedState, t: float):
-    """Averaged transformed dynamics under an exponential schedule; strongly convex maps only."""
-    if p.schedule.kind != EXPONENTIAL:
-        raise CapabilityError(f"exponential averaged dynamics need an exponential schedule, got '{p.schedule.kind}'")
-    if map.kappa != 1:
-        raise CapabilityError(f"exponential averaged dynamics cover kappa = 1 maps, got kappa = {map.kappa}")
-    if map.optimum is None or map.optimal_value is None:
-        raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value")
-    return _averaged_rates(p, map, s.theta_f, s.eta_f, t)
+    """The bracket sum (1/2) sum_i k_i alpha_i phi(t) (dJ_f/dtheta_f_i) e_i,
+    with dJ_f/dtheta_f = grad J(theta_f/xi + theta*) / xi."""
+    gain = 0.5 * p.k * p.alpha * p.schedule.phi(t)
+    xi = p.schedule.xi(t)
+    return gain * (map.gradient(map.optimum + theta_f / xi) / xi)
 
 
 def averaged_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) of the averaged system over x = [theta_f..., eta_f].
 
     Covers all three schedule kinds; the nominal case degenerates to the
-    classic constant-gain averaged loop (xi = 1, zero growth drift).
+    classic constant-gain averaged loop (xi = 1, zero growth drift).  Under
+    an exponential schedule the averaged dynamics are only defined for
+    strongly convex (kappa = 1) maps.
     """
     if map.optimum is None or map.optimal_value is None:
         raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value")
+    if p.schedule.kind == EXPONENTIAL and map.kappa != 1:
+        raise CapabilityError(f"exponential averaged dynamics cover kappa = 1 maps, got kappa = {map.kappa}")
     n = p.n
 
     def rhs(x: Array, t: float) -> Array:
-        theta_f_dot, eta_f_dot = _averaged_rates(p, map, x[:n], x[n], t)
+        theta_f = x[:n]
+        g = growth_drift(p.schedule, t)
+        log_xi = p.schedule.log_xi(t)
+        xi2k = math.exp(2.0 * map.kappa * log_xi)
+        jf = map.centered_value(map.optimum + theta_f * math.exp(-log_xi))
         out = np.empty(n + 1)
-        out[:n] = theta_f_dot
-        out[n] = eta_f_dot
+        out[:n] = g * theta_f - averaged_drift_term(p, map, theta_f, t)
+        out[n] = (2.0 * map.kappa * g - p.omega_h) * x[n] + p.omega_h * xi2k * jf
         return out
 
     return rhs
@@ -232,8 +196,8 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     finite-sample only: it can refute but never prove the semi-global claim.
     Diverged integrations are recorded as rows with inf markers, not raised.
     """
-    if map.optimum is None or map.optimal_value is None:
-        raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value; the probe needs both")
+    # the averaged system reads neither omega nor omega_hat: one for all trials
+    averaged = averaged_closed_loop(p, map)
     star = map.optimum
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.standard_normal((cfg.trials, map.dim))
@@ -244,18 +208,18 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     t0 = p.schedule.t0
     rows: List[ProbeRow] = []
     for omega in cfg.omega_values:
-        pw = p.with_omega(omega)
-        dt = (2.0 * math.pi / float(np.max(pw.omegas))) / STEPS_PER_PERIOD
+        full_rhs = es_closed_loop(p.with_omega(omega), map)
+        dt = dither_step_bound(full_rhs.dither_omega_max)
         for trial in range(cfg.trials):
             theta0 = theta0s[trial]
             eta0 = map(theta0)
             x0 = np.append(theta0, eta0)
             try:
                 full = integrate(
-                    es_closed_loop(pw, map), x0, t0, t0 + cfg.horizon, dt,
+                    full_rhs, x0, t0, t0 + cfg.horizon, dt,
                     record_every=STEPS_PER_PERIOD, n=map.dim,
                 )
-            except (IntegrationDiverged, OverflowError, FloatingPointError):
+            except IntegrationDiverged:
                 rows.append(ProbeRow(omega, trial, math.inf, False, math.inf))
                 continue
 
@@ -273,13 +237,13 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
             xf0 = np.append(theta0 - star, eta0 - map.optimal_value)
             try:
                 avg = integrate(
-                    averaged_closed_loop(pw, map), xf0, t0, t0 + cfg.horizon, dt,
+                    averaged, xf0, t0, t0 + cfg.horizon, dt,
                     record_every=STEPS_PER_PERIOD, n=map.dim,
                 )
-                xi_vals = np.array([pw.schedule.xi(t) for t in avg.times])
+                xi_vals = np.array([p.schedule.xi(t) for t in avg.times])
                 theta_bar = star + avg.theta / xi_vals[:, None]
                 sup_gap = float(np.max(np.linalg.norm(full.theta - theta_bar, axis=1)))
-            except (IntegrationDiverged, OverflowError, FloatingPointError):
+            except IntegrationDiverged:
                 sup_gap = math.inf
             rows.append(ProbeRow(omega, trial, entry_time, stayed, sup_gap))
     return rows

@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Verbs:
-    run <config>      integrate the closed loop, write CSV/SVG artifacts, fit rates
+    run <config>...   integrate each closed loop in turn, write CSV/SVG artifacts,
+                      fit rates; stops at the first config that does not exit 0
     sweep <config>    run the practical-stability probe over its omega grid
     lemma-check ...   compare the comparison-ODE closed form against RK4
 
@@ -71,7 +72,14 @@ def _write_run_artifacts(cfg: ExperimentConfig, out: Path, traj: Trajectory, fit
 
 
 def cmd_run(args) -> int:
-    cfg = resolve_config(args.config)
+    for arg in args.configs:
+        code = _run_one(resolve_config(arg))
+        if code != EXIT_OK:
+            return code
+    return EXIT_OK
+
+
+def _run_one(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     p, map_ = cfg.params, cfg.map
     n = p.n
@@ -158,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ueslab", description="Extremum-seeking simulation lab")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_run = sub.add_parser("run", help="integrate a closed-loop experiment and write artifacts")
-    p_run.add_argument("config", help="config file path or bundled config name")
+    p_run = sub.add_parser("run", help="integrate closed-loop experiments in order and write artifacts")
+    p_run.add_argument("configs", nargs="+", metavar="config", help="config file path or bundled config name")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the practical-stability probe over its omega grid")
@@ -182,10 +190,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, AssemblyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except IntegrationDiverged as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (FloatingPointError, OverflowError) as e:
+    except (IntegrationDiverged, FloatingPointError, OverflowError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -15,12 +15,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .averaging import ProbeConfig
+from .averaging import ProbeConfig, averaged_closed_loop
 from .controllers import EsParams, assemble
-from .errors import AssemblyError, ConfigError
+from .errors import AssemblyError, CapabilityError, ConfigError
 from .maps import CostMap, named_map
 from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Schedule
-from .sim import STEPS_PER_PERIOD
+from .sim import STEPS_PER_PERIOD, dither_step_bound
 
 Array = np.ndarray
 
@@ -75,9 +75,12 @@ class _Reader:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{self.source}: key '{key}': '{raw}' is not a number") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.source}: key '{key}': '{raw}' is not a finite number")
+        return value
 
     def int_(self, key: str, default=_REQUIRED):
         raw = self._raw(key, default)
@@ -93,9 +96,12 @@ class _Reader:
         if raw is None:
             return default
         try:
-            return [float(part) for part in raw.split(",")]
+            values = [float(part) for part in raw.split(",")]
         except ValueError:
             raise ConfigError(f"{self.source}: key '{key}': '{raw}' is not a comma-separated number list") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{self.source}: key '{key}': '{raw}' holds a non-finite number")
+        return values
 
     def reject_unknown(self):
         unknown = sorted(set(self.data) - self.seen)
@@ -207,7 +213,7 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
     horizon = r.float_("sim.horizon")
     if horizon <= 0.0:
         raise ConfigError(f"{r.source}: sim.horizon must be positive, got {horizon}")
-    dt_max = (2.0 * math.pi / float(np.max(params.omegas))) / STEPS_PER_PERIOD
+    dt_max = dither_step_bound(float(np.max(params.omegas)))
     dt = r.float_("sim.dt", dt_max)
     if dt <= 0.0 or dt > dt_max * (1.0 + 1e-12):
         raise ConfigError(
@@ -228,6 +234,11 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
         raise ConfigError(f"{r.source}: analysis.tail_fraction must lie in (0, 1], got {tail_fraction}")
 
     probe = _build_probe(r)
+    if probe is not None:
+        try:
+            averaged_closed_loop(params, map_)
+        except CapabilityError as e:
+            raise ConfigError(f"{r.source}: schedule.kind = {schedule.kind} leaves the probe no averaged system: {e}") from None
     out_dir = r.str_("out.dir", "out")
     r.reject_unknown()
 

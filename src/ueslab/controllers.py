@@ -1,16 +1,18 @@
 """Closed-loop extremum-seeking dynamics.
 
-Two coordinate frames are implemented.  ``es_rhs`` is the controller as
-deployed:
+Two coordinate frames are implemented, each as a right-hand side over a
+packed state.  ``es_closed_loop`` is the controller as deployed, over
+x = [theta_1..theta_n, eta]:
 
     theta_dot_i = nu(t) sqrt(alpha_i w_i) cos(w_i t + k_i phi(t) (J(theta) - eta))
     eta_dot     = -omega_h eta + omega_h J(theta)
 
 with w_i = omega * omega_hat_i and the washout state eta tracking the DC
-component of the measured cost.  ``transformed_rhs`` is the same loop in the
-scaled error coordinates theta_f = xi(theta - theta*),
-eta_f = xi^(2 kappa) (eta - J(theta*)) used by the stability analysis; the two
-are related by exact algebra, which the test suite checks by chain rule.
+component of the measured cost.  ``transformed_closed_loop`` is the same loop
+in the scaled error coordinates theta_f = xi(theta - theta*),
+eta_f = xi^(2 kappa) (eta - J(theta*)) used by the stability analysis, over
+x = [theta_f_1..theta_f_n, eta_f]; the two are related by exact algebra, which
+the test suite checks by chain rule.
 """
 
 from __future__ import annotations
@@ -144,36 +146,6 @@ def assemble(
     return p
 
 
-@dataclass(frozen=True)
-class EsState:
-    """Loop state: controller input theta and washout state eta."""
-
-    theta: Array
-    eta: float
-
-    def __post_init__(self):
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "eta", float(self.eta))
-        if not (np.all(np.isfinite(theta)) and math.isfinite(self.eta)):
-            raise ValueError("state entries must be finite")
-
-
-@dataclass(frozen=True)
-class TransformedState:
-    """Scaled error coordinates theta_f, eta_f."""
-
-    theta_f: Array
-    eta_f: float
-
-    def __post_init__(self):
-        theta_f = np.atleast_1d(np.asarray(self.theta_f, dtype=float))
-        object.__setattr__(self, "theta_f", theta_f)
-        object.__setattr__(self, "eta_f", float(self.eta_f))
-        if not (np.all(np.isfinite(theta_f)) and math.isfinite(self.eta_f)):
-            raise ValueError("state entries must be finite")
-
-
 def gain_error_term(schedule: Schedule, k: Array, err: float, t: float) -> Array:
     """Per-channel phase k_i phi(t) err.
 
@@ -189,20 +161,6 @@ def gain_error_term(schedule: Schedule, k: Array, err: float, t: float) -> Array
     return k * (schedule.phi(t) * err)
 
 
-def es_rhs(p: EsParams, map: CostMap, s: EsState, t: float):
-    """Time derivative of the deployed loop; returns (theta_dot, eta_dot)."""
-    theta_dot, eta_dot = _es_rates(p, map, s.theta, s.eta, t)
-    return theta_dot, eta_dot
-
-
-def _es_rates(p: EsParams, map: CostMap, theta: Array, eta: float, t: float):
-    y = map(theta)
-    err = y - eta
-    phase = gain_error_term(p.schedule, p.k, err, t)
-    theta_dot = p.schedule.nu(t) * p._amp * np.cos(p._omegas * t + phase)
-    return theta_dot, p.omega_h * err
-
-
 def es_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over the packed state x = [theta_1..theta_n, eta].
 
@@ -212,10 +170,11 @@ def es_closed_loop(p: EsParams, map: CostMap):
     n = p.n
 
     def rhs(x: Array, t: float) -> Array:
-        theta_dot, eta_dot = _es_rates(p, map, x[:n], x[n], t)
+        err = map(x[:n]) - x[n]
+        phase = gain_error_term(p.schedule, p.k, err, t)
         out = np.empty(n + 1)
-        out[:n] = theta_dot
-        out[n] = eta_dot
+        out[:n] = p.schedule.nu(t) * p._amp * np.cos(p._omegas * t + phase)
+        out[n] = p.omega_h * err
         return out
 
     rhs.dither_omega_max = float(np.max(p._omegas))
@@ -238,30 +197,29 @@ def growth_drift(schedule: Schedule, t: float) -> float:
     return 0.0
 
 
-def transformed_geometry(p: EsParams, map: CostMap, theta_f: Array, eta_f: float, t: float):
-    """Shared algebra at (theta_f, eta_f, t): returns (g, xi, xi2k, jf, phase).
+def transformed_drift(p: EsParams, map: CostMap, z: Array, t: float):
+    """Dither-free part b0(z, t) of the transformed loop, and its phase.
 
-    g     growth drift d(log xi)/dt
-    xi    growth function value
-    xi2k  xi^(2 kappa), the filter-state scaling
-    jf    centered cost J(theta_f/xi + theta*) - J(theta*)
-    phase per-channel k_i phi(t) (jf - eta_f / xi2k)
+    Over z = [theta_f..., eta_f], with g = d(log xi)/dt, xi2k = xi^(2 kappa)
+    and jf = J(theta_f/xi + theta*) - J(theta*):
+
+        b0    = [g theta_f, (2 kappa g - omega_h) eta_f + omega_h xi2k jf]
+        phase = k_i phi(t) (jf - eta_f / xi2k), per channel
+
+    Callers check the frame once, with _require_transformable, when they
+    assemble their fields.
     """
-    _require_transformable(p, map)
+    n = p.n
     log_xi = p.schedule.log_xi(t)
     xi = math.exp(log_xi)
     xi2k = math.exp(2.0 * map.kappa * log_xi)
-    jf = map.centered_value(map.optimum + theta_f / xi)
-    phase = gain_error_term(p.schedule, p.k, jf - eta_f / xi2k, t)
-    return growth_drift(p.schedule, t), xi, xi2k, jf, phase
-
-
-def transformed_rhs(p: EsParams, map: CostMap, s: TransformedState, t: float):
-    """Time derivative in scaled error coordinates; returns (theta_f_dot, eta_f_dot)."""
-    g, _, xi2k, jf, phase = transformed_geometry(p, map, s.theta_f, s.eta_f, t)
-    theta_f_dot = g * s.theta_f + p._amp * np.cos(p._omegas * t + phase)
-    eta_f_dot = (2.0 * map.kappa * g - p.omega_h) * s.eta_f + p.omega_h * xi2k * jf
-    return theta_f_dot, eta_f_dot
+    jf = map.centered_value(map.optimum + z[:n] / xi)
+    phase = gain_error_term(p.schedule, p.k, jf - z[n] / xi2k, t)
+    g = growth_drift(p.schedule, t)
+    b0 = np.empty(n + 1)
+    b0[:n] = g * z[:n]
+    b0[n] = (2.0 * map.kappa * g - p.omega_h) * z[n] + p.omega_h * xi2k * jf
+    return b0, phase
 
 
 def transformed_closed_loop(p: EsParams, map: CostMap):
@@ -270,10 +228,8 @@ def transformed_closed_loop(p: EsParams, map: CostMap):
     n = p.n
 
     def rhs(x: Array, t: float) -> Array:
-        g, _, xi2k, jf, phase = transformed_geometry(p, map, x[:n], x[n], t)
-        out = np.empty(n + 1)
-        out[:n] = g * x[:n] + p._amp * np.cos(p._omegas * t + phase)
-        out[n] = (2.0 * map.kappa * g - p.omega_h) * x[n] + p.omega_h * xi2k * jf
+        out, phase = transformed_drift(p, map, x, t)
+        out[:n] += p._amp * np.cos(p._omegas * t + phase)
         return out
 
     rhs.dither_omega_max = float(np.max(p._omegas))

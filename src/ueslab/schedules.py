@@ -3,7 +3,7 @@
 Three kinds.  Nominal keeps nu = phi = 1 (the constant-gain baseline).
 Asymptotic decays the amplitude like a power law and grows the gain like
 xi(t)^r with xi(t) = (1 + beta (t - t0))^(1/v).  Exponential decays like
-exp(-lambda t) and grows the gain like zeta(t)^2 with zeta = exp(lambda t).
+exp(-lambda t) and grows the gain like xi(t)^2 with xi = exp(lambda t).
 All evaluations go through the log domain so phi stays accurate and overflow
 surfaces as an explicit error instead of inf.
 """
@@ -89,10 +89,6 @@ class Schedule:
         """Growth function: (1+beta(t-t0))^(1/v), e^(lam(t-t0)), or 1."""
         return math.exp(self.log_xi(t))
 
-    def zeta(self, t: float) -> float:
-        """Alias of xi under its exponential-case name."""
-        return self.xi(t)
-
     def nu(self, t: float) -> float:
         """Amplitude decay multiplier; reciprocal of the growth function."""
         return math.exp(-self.log_xi(t))
@@ -107,7 +103,7 @@ class Schedule:
         return 2.0 * self.lam * tau
 
     def phi(self, t: float) -> float:
-        """Gain growth multiplier: xi^r (asymptotic), zeta^2 (exponential), or 1."""
+        """Gain growth multiplier: xi^r (asymptotic), xi^2 (exponential), or 1."""
         lp = self.log_phi(t)
         if lp > _LOG_MAX:
             raise OverflowError(f"gain multiplier phi exceeds double range at t = {t:g} ({self.kind} schedule)")

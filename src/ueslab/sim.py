@@ -3,8 +3,8 @@
 The integrator is deliberately fixed-step: dither terms have known frequency
 content, and a step tied to the fastest dither keeps phase error deterministic
 and runs byte-for-byte reproducible.  Right-hand sides that carry a
-``dither_omega_max`` attribute get their step checked against 40 samples per
-fastest period.
+``dither_omega_max`` attribute get their step checked against
+``dither_step_bound``: 40 samples per fastest period.
 
 ``lemma1_rhs`` / ``lemma1_solution`` form a self-oracle pair: a scalar
 comparison ODE with a known closed-form solution, used to validate the
@@ -24,6 +24,11 @@ from .errors import IntegrationDiverged
 Array = np.ndarray
 
 STEPS_PER_PERIOD = 40
+
+
+def dither_step_bound(omega_max: float) -> float:
+    """Largest RK4 step allowed under a dither of angular frequency omega_max."""
+    return (2.0 * math.pi / omega_max) / STEPS_PER_PERIOD
 
 
 @dataclass
@@ -107,7 +112,8 @@ def integrate(
     preserved across steps.  Samples are recorded every ``record_every`` steps;
     the initial and final states are always recorded.  ``y_fn(x, t)``, when
     given, fills the trajectory's y column at recorded samples.  A non-finite
-    state aborts with the partial trajectory attached to the error.
+    state, or an OverflowError/FloatingPointError raised by rhs, aborts with
+    IntegrationDiverged carrying the trajectory recorded so far.
     """
     if t1 <= t0:
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
@@ -117,7 +123,7 @@ def integrate(
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     omega_max = getattr(rhs, "dither_omega_max", None)
     if omega_max is not None:
-        dt_max = (2.0 * math.pi / omega_max) / STEPS_PER_PERIOD
+        dt_max = dither_step_bound(omega_max)
         if dt > dt_max * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {dt:g} too coarse for dither frequency {omega_max:g}; need dt <= {dt_max:g} "
@@ -146,33 +152,37 @@ def integrate(
     rows = [record(x)]
     ys = [float(y_fn(x, t0))] if y_fn is not None else None
 
+    def recorded() -> Trajectory:
+        return Trajectory(
+            np.asarray(times), np.asarray(rows), n,
+            None if ys is None else np.asarray(ys), meta or {},
+        )
+
     t = t0
     for step in range(1, n_steps + 1):
         # uniform steps of dt; the final step lands exactly on t1
         t_next = t1 if step == n_steps else t0 + step * dt
         h = t_next - t
-        k1 = rhs(x, t)
-        k2 = rhs(x + (0.5 * h) * k1, t + 0.5 * h)
-        k3 = rhs(x + (0.5 * h) * k2, t + 0.5 * h)
-        k4 = rhs(x + h * k3, t_next)
+        try:
+            k1 = rhs(x, t)
+            k2 = rhs(x + (0.5 * h) * k1, t + 0.5 * h)
+            k3 = rhs(x + (0.5 * h) * k2, t + 0.5 * h)
+            k4 = rhs(x + h * k3, t_next)
+        except (OverflowError, FloatingPointError) as e:
+            raise IntegrationDiverged(
+                f"right-hand side failed in the step from t = {t:g}: {e}", t_last=times[-1], trajectory=recorded()
+            ) from e
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_next
         if not finite(x):
-            partial = Trajectory(
-                np.asarray(times), np.asarray(rows), n,
-                None if ys is None else np.asarray(ys), meta or {},
-            )
-            raise IntegrationDiverged(f"state became non-finite at t = {t:g}", t_last=times[-1], trajectory=partial)
+            raise IntegrationDiverged(f"state became non-finite at t = {t:g}", t_last=times[-1], trajectory=recorded())
         if step % record_every == 0 or step == n_steps:
             times.append(t)
             rows.append(record(x))
             if ys is not None:
                 ys.append(float(y_fn(x, t)))
 
-    return Trajectory(
-        np.asarray(times), np.asarray(rows), n,
-        None if ys is None else np.asarray(ys), meta or {},
-    )
+    return recorded()
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
-from ueslab.averaging import averaged_asymptotic_rhs, averaged_exponential_rhs, transformed_b_fields
+from ueslab.averaging import transformed_b_fields
 from ueslab.errors import CapabilityError
 
 
@@ -52,24 +52,20 @@ def test_bracket_sum_matches_closed_form(quartic, fig3_params):
 
 
 def test_averaged_rhs_pinned_values(quartic, fig3_params, exp_map, exp_params):
-    s = u.TransformedState(theta_f=[1.0], eta_f=0.0)
-    td, ed = averaged_asymptotic_rhs(fig3_params, quartic, s, 0.0)
-    assert td[0] == pytest.approx(-0.3, rel=1e-12)
+    z = np.array([1.0, 0.0])
+    td, ed = u.averaged_closed_loop(fig3_params, quartic)(z, 0.0)
+    assert td == pytest.approx(-0.3, rel=1e-12)
     assert ed == pytest.approx(3.0, rel=1e-12)
-    td, ed = averaged_exponential_rhs(exp_params, exp_map, s, 0.0)
-    assert td[0] == pytest.approx(-0.9, rel=1e-12)
+    td, ed = u.averaged_closed_loop(exp_params, exp_map)(z, 0.0)
+    assert td == pytest.approx(-0.9, rel=1e-12)
     assert ed == pytest.approx(3.0, rel=1e-12)
 
 
-def test_averaged_rhs_kind_checks(quartic, fig3_params, exp_map, exp_params):
-    s = u.TransformedState(theta_f=[1.0], eta_f=0.0)
-    with pytest.raises(CapabilityError, match="asymptotic"):
-        averaged_asymptotic_rhs(exp_params, exp_map, s, 0.0)
-    with pytest.raises(CapabilityError, match="exponential"):
-        averaged_exponential_rhs(fig3_params, quartic, s, 0.0)
+def test_averaged_rhs_kind_checks(quartic):
+    # the exponential-schedule averaged system is only defined for kappa = 1
     p_flat = u.assemble(quartic, u.Schedule.exponential(lam=0.1), alpha=1.0, k=1.0, omega=50.0, omega_h=3.0)
     with pytest.raises(CapabilityError, match="kappa"):
-        averaged_exponential_rhs(p_flat, quartic, s, 0.0)
+        u.averaged_closed_loop(p_flat, quartic)
 
 
 def test_averaged_loop_nominal_degenerates(quartic):

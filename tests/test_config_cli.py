@@ -86,11 +86,25 @@ def test_config_defaults():
         ("analysis.fit_window = 9\n", "fit_window"),
         ("analysis.tail_fraction = 1.5\n", "tail_fraction"),
         ("sim.record_every = 0\n", "record_every"),
+        ("es.omega = nan\n", "'es.omega'.*finite"),
+        ("sim.horizon = nan\n", "'sim.horizon'.*finite"),
+        ("es.k = inf\n", "'es.k'.*finite"),
+        (
+            "schedule.kind = asymptotic\nschedule.beta = nan\nschedule.v = 0.5\nschedule.r = 4\n",
+            "'schedule.beta'.*finite",
+        ),
+        (
+            "probe.omegas = 10\nprobe.epsilon = nan\nprobe.delta = 1\nprobe.horizon = 4\nprobe.trials = 1\n",
+            "'probe.epsilon'.*finite",
+        ),
     ],
 )
 def test_config_rejects(extra, fragment):
+    # keys of MINIMAL that extra sets again take extra's value
+    keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+    kept = "".join(line + "\n" for line in MINIMAL.splitlines() if line.split("=")[0].strip() not in keys)
     with pytest.raises(ConfigError, match=fragment):
-        config_from_text(MINIMAL + extra, name="bad")
+        config_from_text(kept + extra, name="bad")
 
 
 def test_config_requires_gain():
@@ -155,6 +169,30 @@ def test_cli_run_writes_artifacts(tmp_path, monkeypatch, capsys):
     assert header == "t,theta_1,eta,y"
 
 
+def test_cli_run_stops_at_first_failing_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
+    assert cli.main(["run", "fig2_nominal_a", str(tmp_path / "missing.conf")]) == 2
+    assert "no config file" in capsys.readouterr().err
+    for suffix in (".trajectory.csv", ".fits.csv", ".svg"):
+        assert (tmp_path / "o" / f"fig2_nominal_a{suffix}").exists()
+
+
+def test_cli_run_overflow_writes_partial_artifacts(tmp_path, monkeypatch, capsys):
+    # phi = e^(2 t) leaves double range at t = 354.9, before the horizon
+    conf = tmp_path / "overflow.conf"
+    conf.write_text(
+        "map.name = quadratic\nmap.theta_star = 1\nschedule.kind = exponential\nschedule.lambda = 1\n"
+        "es.k = 3\nes.omega = 5\nes.omega_h = 3\nsim.horizon = 400\nsim.record_every = 40\n"
+    )
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
+    assert cli.main(["run", str(conf)]) == 3
+    assert "partial artifacts" in capsys.readouterr().err
+    rows = (tmp_path / "o" / "overflow.trajectory.csv").read_text().splitlines()
+    assert rows[0] == "t,theta_1,eta,y"
+    assert 300.0 < float(rows[-1].split(",")[0]) < 355.0
+    assert (tmp_path / "o" / "overflow.svg").exists()
+
+
 def test_cli_out_dir_from_config(tmp_path, monkeypatch):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_ASYMPTOTIC + f"out.dir = {tmp_path / 'alt'}\n")
@@ -193,6 +231,14 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     )
     assert cli.main(["run", str(bad)]) == 2
     assert "distinct" in capsys.readouterr().err
+    # the probe's averaged system is undefined for an exponential schedule on a kappa = 2 map
+    expo = tmp_path / "expo_probe.conf"
+    expo.write_text(SMALL_PROBE.replace(
+        "schedule.kind = asymptotic\nschedule.beta = 0.1\nschedule.v = 0.3333333333333333\nschedule.r = 4\n",
+        "schedule.kind = exponential\nschedule.lambda = 0.1\n",
+    ))
+    assert cli.main(["sweep", str(expo)]) == 2
+    assert "schedule.kind" in capsys.readouterr().err
 
 
 def test_cli_lemma_check_verdicts(capsys):

@@ -66,19 +66,20 @@ def test_exponential_gain_condition(exp_map):
 
 def test_deployed_rhs_pinned_value(quartic):
     p = u.assemble(quartic, u.Schedule.nominal(), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0, omega_hat=[1.0])
-    theta_dot, eta_dot = u.es_rhs(p, quartic, u.EsState(theta=[0.0], eta=0.0), 0.0)
-    assert theta_dot[0] == pytest.approx(math.sqrt(5.0) * math.cos(0.3 * 17.0), rel=1e-12)
+    theta_dot, eta_dot = u.es_closed_loop(p, quartic)(np.array([0.0, 0.0]), 0.0)
+    assert theta_dot == pytest.approx(math.sqrt(5.0) * math.cos(0.3 * 17.0), rel=1e-12)
     assert eta_dot == pytest.approx(3.0 * 17.0, rel=1e-12)
 
 
 def test_phase_term_vanishes_at_optimum(quartic, fig3_params):
     # at theta = theta*, eta = J(theta*) the feedback phase is zero: pure
     # dither at the scheduled amplitude, and no washout drift
+    rhs = u.es_closed_loop(fig3_params, quartic)
     for t in (0.0, 3.7, 12.0):
-        td, ed = u.es_rhs(fig3_params, quartic, u.EsState(theta=[2.0], eta=1.0), t)
+        td, ed = rhs(np.array([2.0, 1.0]), t)
         s = fig3_params.schedule
         expected = s.nu(t) * math.sqrt(5.0) * math.cos(5.0 * t)
-        assert td[0] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert td == pytest.approx(expected, rel=1e-12, abs=1e-15)
         assert ed == 0.0
 
 
@@ -86,8 +87,8 @@ def test_closed_loop_packing(quartic, fig3_params):
     rhs = u.es_closed_loop(fig3_params, quartic)
     assert rhs.dither_omega_max == 5.0
     out = rhs(np.array([0.0, 0.0]), 0.0)
-    td, ed = u.es_rhs(fig3_params, quartic, u.EsState(theta=[0.0], eta=0.0), 0.0)
-    np.testing.assert_allclose(out, [td[0], ed])
+    # x = [theta, eta]: at t = 0, nu = phi = 1 and J(0) = 17
+    np.testing.assert_allclose(out, [math.sqrt(5.0) * math.cos(0.3 * 17.0), 3.0 * 17.0], rtol=1e-12)
 
 
 def test_growth_drift_values():
@@ -111,11 +112,11 @@ def test_gain_error_term_log_domain():
     np.testing.assert_array_equal(gain_error_term(s, k, 0.0, 400.0), [0.0])
 
 
-def test_transformed_rhs_at_origin(quartic, fig3_params):
+def test_transformed_loop_at_origin(quartic, fig3_params):
     # zero transformed error: no cost offset, so the washout rate vanishes and
     # the dither enters at full strength
-    td, ed = u.transformed_rhs(fig3_params, quartic, u.TransformedState(theta_f=[0.0], eta_f=0.0), 0.0)
-    assert td[0] == pytest.approx(math.sqrt(5.0), rel=1e-12)
+    td, ed = u.transformed_closed_loop(fig3_params, quartic)(np.array([0.0, 0.0]), 0.0)
+    assert td == pytest.approx(math.sqrt(5.0), rel=1e-12)
     assert ed == 0.0
 
 
@@ -123,6 +124,9 @@ def test_transformed_frame_needs_growth_and_optimum(quartic):
     p_nom = u.assemble(quartic, u.Schedule.nominal(), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
     with pytest.raises(CapabilityError, match="nominal"):
         u.transformed_closed_loop(p_nom, quartic)
+    # the vector-field decomposition checks the frame when it is assembled
+    with pytest.raises(CapabilityError, match="nominal"):
+        u.transformed_b_fields(p_nom, quartic)
     blind = u.CostMap(dim=1, eval=lambda th: 1.0 + (th[0] - 2.0) ** 4, kappa=2)
     p = u.assemble(blind, u.Schedule.asymptotic(beta=0.1, v=1.0 / 3.0, r=4.0), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
     with pytest.raises(CapabilityError, match="optimum"):
@@ -132,6 +136,9 @@ def test_transformed_frame_needs_growth_and_optimum(quartic):
 def _chain_rule_worst_error(map_, params, schedule, rng, trials=50):
     """Largest deviation between the scaled-frame rates and the derivative of
     the coordinate change applied to the deployed-frame rates."""
+    deployed = u.es_closed_loop(params, map_)
+    scaled = u.transformed_closed_loop(params, map_)
+    n = map_.dim
     worst = 0.0
     for _ in range(trials):
         t = rng.uniform(0.0, 20.0)
@@ -141,17 +148,19 @@ def _chain_rule_worst_error(map_, params, schedule, rng, trials=50):
         x2k = math.exp(2.0 * map_.kappa * schedule.log_xi(t))
         theta = map_.optimum + theta_f / xi
         eta = map_.optimal_value + eta_f / x2k
-        td, ed = u.es_rhs(params, map_, u.EsState(theta=theta, eta=eta), t)
+        dx = deployed(np.append(theta, eta), t)
+        td, ed = dx[:n], dx[n]
         h = 1e-5 * max(1.0, abs(t))
         dlogxi = (schedule.log_xi(t + h) - schedule.log_xi(t - h)) / (2.0 * h)
         td_ref = dlogxi * xi * (theta - map_.optimum) + xi * td
         ed_ref = 2.0 * map_.kappa * dlogxi * x2k * (eta - map_.optimal_value) + x2k * ed
-        tf, ef = u.transformed_rhs(params, map_, u.TransformedState(theta_f=theta_f, eta_f=eta_f), t)
+        dz = scaled(np.append(theta_f, eta_f), t)
+        tf, ef = dz[:n], dz[n]
         worst = max(worst, float(np.max(np.abs(tf - td_ref))), abs(ef - ed_ref))
     return worst
 
 
-def test_transformed_rhs_consistent_by_chain_rule(quartic, fig3_params, exp_map, exp_params):
+def test_transformed_loop_consistent_by_chain_rule(quartic, fig3_params, exp_map, exp_params):
     rng = np.random.default_rng(3)
     err_asym = _chain_rule_worst_error(quartic, fig3_params, fig3_params.schedule, rng)
     err_expo = _chain_rule_worst_error(exp_map, exp_params, exp_params.schedule, rng)

@@ -41,7 +41,6 @@ def test_asymptotic_pinned_values():
 def test_exponential_pinned_values():
     s = Schedule.exponential(lam=0.1)
     assert s.xi(10.0) == pytest.approx(math.e, rel=1e-12)
-    assert s.zeta(10.0) == s.xi(10.0)
     assert s.nu(10.0) == pytest.approx(1.0 / math.e, rel=1e-12)
     assert s.phi(10.0) == pytest.approx(math.e**2, rel=1e-12)
 
@@ -90,7 +89,7 @@ def test_asymptotic_gain_is_growth_power(s, t):
 @given(lam=st.floats(0.01, 1.0), t=st.floats(0.0, 100.0))
 def test_exponential_gain_is_growth_squared(lam, t):
     s = Schedule.exponential(lam=lam)
-    assert s.phi(t) == pytest.approx(s.zeta(t) ** 2, rel=1e-12)
+    assert s.phi(t) == pytest.approx(s.xi(t) ** 2, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

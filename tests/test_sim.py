@@ -62,6 +62,24 @@ def test_divergence_carries_partial_trajectory():
     assert np.all(np.isfinite(err.trajectory.states))
 
 
+@pytest.mark.parametrize("error", [OverflowError, FloatingPointError])
+def test_rhs_failure_carries_partial_trajectory(error):
+    t_fail, dt = 0.503, 0.01
+
+    def rhs(x, t):
+        if t > t_fail:
+            raise error("rhs out of range")
+        return -x
+
+    with pytest.raises(IntegrationDiverged) as exc:
+        u.integrate(rhs, np.array([1.0]), 0.0, 1.0, dt)
+    err = exc.value
+    assert isinstance(err.__cause__, error)
+    assert t_fail - dt < err.trajectory.times[-1] < t_fail
+    assert err.trajectory.times[-1] == err.t_last
+    np.testing.assert_allclose(err.trajectory.states[:, 0], np.exp(-err.trajectory.times), rtol=1e-9)
+
+
 def test_basic_argument_validation():
     with pytest.raises(ValueError):
         u.integrate(lambda x, t: x, 1.0, 1.0, 1.0, 0.1)  # empty span
