@@ -160,10 +160,4 @@ def oscillation_amplitude(traj: Trajectory, tail_fraction: float) -> Tuple[Array
 def window_slice(traj: Trajectory, t_a: float, t_b: float) -> Trajectory:
     """Sub-trajectory restricted to samples with t_a <= t <= t_b."""
     mask = _window_mask(traj.times, (t_a, t_b))
-    return Trajectory(
-        traj.times[mask],
-        traj.states[mask],
-        traj.n,
-        None if traj.y is None else traj.y[mask],
-        dict(traj.meta),
-    )
+    return Trajectory(traj.times[mask], traj.states[mask], traj.n, None if traj.y is None else traj.y[mask])

@@ -4,8 +4,9 @@ The transformed loop has the control-affine shape
 
     dz/dt = b0(z, t) + sum_i sqrt(w_i) (b_c_i(z, t) cos(w_i t) - b_s_i(z, t) sin(w_i t))
 
-and its Lie-bracket average is b0 - (1/2) sum_i [b_c_i, b_s_i].  The averaged
-right-hand sides below are the closed forms of that bracket sum; the numeric
+and its Lie-bracket average is b0 - (1/2) sum_i [b_c_i, b_s_i].  The rhs of
+``averaged_closed_loop`` is ``transformed_drift``'s b0 minus
+``averaged_drift_term``, the closed form of that bracket sum; the numeric
 ``lie_bracket`` operator exists so tests can confirm the identity instead of
 trusting the algebra.
 """
@@ -22,7 +23,7 @@ from .controllers import (
     EsParams,
     _require_transformable,
     es_closed_loop,
-    growth_drift,
+    gain_error_term,
     transformed_drift,
 )
 from .errors import CapabilityError, IntegrationDiverged
@@ -35,27 +36,25 @@ Array = np.ndarray
 JACOBIAN_STEP = 1e-6
 
 
-def _jacobian(field: Callable, x: Array, t: float, h: float) -> Array:
-    """Central-difference Jacobian d(field)/dx, column j with step h*max(1,|x_j|)."""
+def _jacobian(field: Callable, x: Array, t: float) -> Array:
+    """Central-difference Jacobian d(field)/dx, column j with step JACOBIAN_STEP * max(1, |x_j|)."""
     cols = []
     for j in range(x.size):
-        hj = h * max(1.0, abs(x[j]))
+        hj = JACOBIAN_STEP * max(1.0, abs(x[j]))
         e = np.zeros(x.size)
         e[j] = hj
         cols.append((np.asarray(field(x + e, t), dtype=float) - np.asarray(field(x - e, t), dtype=float)) / (2.0 * hj))
     return np.column_stack(cols)
 
 
-def lie_bracket(f: Callable, g: Callable, x, t: float, h: float = JACOBIAN_STEP) -> Array:
+def lie_bracket(f: Callable, g: Callable, x, t: float) -> Array:
     """[f, g](x, t) = (dg/dx) f - (df/dx) g with finite-difference Jacobians."""
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     fv = np.asarray(f(x, t), dtype=float)
     gv = np.asarray(g(x, t), dtype=float)
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
         raise FloatingPointError(f"non-finite vector field value at x = {x}, t = {t}")
-    out = _jacobian(g, x, t, h) @ fv - _jacobian(f, x, t, h) @ gv
+    out = _jacobian(g, x, t) @ fv - _jacobian(f, x, t) @ gv
     if not np.all(np.isfinite(out)):
         raise FloatingPointError(f"non-finite Lie bracket at x = {x}, t = {t}")
     return out
@@ -77,7 +76,8 @@ def transformed_b_fields(p: EsParams, map: CostMap):
     def dither_field(i: int, trig: Callable) -> Callable:
         def b(z: Array, t: float) -> Array:
             out = np.zeros(p.n + 1)
-            out[i] = sqrt_alpha[i] * trig(transformed_drift(p, map, z, t)[1][i])
+            err = transformed_drift(p, map, z, t)[1]
+            out[i] = sqrt_alpha[i] * trig(gain_error_term(p.schedule, p.k, err, t)[i])
             return out
 
         return b
@@ -108,14 +108,8 @@ def averaged_closed_loop(p: EsParams, map: CostMap):
     n = p.n
 
     def rhs(x: Array, t: float) -> Array:
-        theta_f = x[:n]
-        g = growth_drift(p.schedule, t)
-        log_xi = p.schedule.log_xi(t)
-        xi2k = math.exp(2.0 * map.kappa * log_xi)
-        jf = map.centered_value(map.optimum + theta_f * math.exp(-log_xi))
-        out = np.empty(n + 1)
-        out[:n] = g * theta_f - averaged_drift_term(p, map, theta_f, t)
-        out[n] = (2.0 * map.kappa * g - p.omega_h) * x[n] + p.omega_h * xi2k * jf
+        out = transformed_drift(p, map, x, t)[0]
+        out[:n] -= averaged_drift_term(p, map, x[:n], t)
         return out
 
     return rhs

@@ -89,7 +89,7 @@ def _run_one(cfg: ExperimentConfig) -> int:
     y_fn = lambda x, t: map_.eval(x[:n])
 
     try:
-        traj = integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, cfg.record_every, y_fn=y_fn, n=n, meta={"config": cfg.name})
+        traj = integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, cfg.record_every, y_fn=y_fn, n=n)
     except IntegrationDiverged as e:
         if e.trajectory is not None:
             _write_run_artifacts(cfg, out, e.trajectory, [])

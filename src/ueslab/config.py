@@ -166,10 +166,7 @@ def _build_map(r: _Reader) -> CostMap:
 
 def _build_probe(r: _Reader) -> Optional[ProbeConfig]:
     group = ("probe.omegas", "probe.epsilon", "probe.delta", "probe.horizon", "probe.trials", "probe.seed")
-    present = [key for key in group if r.has(key)]
-    if not present:
-        for key in group:
-            r.seen.add(key)
+    if not any(r.has(key) for key in group):
         return None
     try:
         return ProbeConfig(
@@ -213,6 +210,10 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
     horizon = r.float_("sim.horizon")
     if horizon <= 0.0:
         raise ConfigError(f"{r.source}: sim.horizon must be positive, got {horizon}")
+    try:
+        schedule.phi(schedule.t0 + horizon)
+    except OverflowError as e:
+        raise ConfigError(f"{r.source}: sim.horizon = {horizon:g} is too long: {e}") from None
     dt_max = dither_step_bound(float(np.max(params.omegas)))
     dt = r.float_("sim.dt", dt_max)
     if dt <= 0.0 or dt > dt_max * (1.0 + 1e-12):

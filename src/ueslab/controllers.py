@@ -198,28 +198,28 @@ def growth_drift(schedule: Schedule, t: float) -> float:
 
 
 def transformed_drift(p: EsParams, map: CostMap, z: Array, t: float):
-    """Dither-free part b0(z, t) of the transformed loop, and its phase.
+    """Dither-free part b0(z, t) of the transformed loop, and its error.
 
     Over z = [theta_f..., eta_f], with g = d(log xi)/dt, xi2k = xi^(2 kappa)
-    and jf = J(theta_f/xi + theta*) - J(theta*):
+    and jf = J(theta* + theta_f/xi) - J(theta*):
 
-        b0    = [g theta_f, (2 kappa g - omega_h) eta_f + omega_h xi2k jf]
-        phase = k_i phi(t) (jf - eta_f / xi2k), per channel
+        b0  = [g theta_f, (2 kappa g - omega_h) eta_f + omega_h xi2k jf]
+        err = jf - eta_f / xi2k
 
+    err is the deployed loop's J(theta) - eta; the transformed loop's phase is
+    gain_error_term(schedule, k, err, t), and the averaged loop reads b0 only.
     Callers check the frame once, with _require_transformable, when they
     assemble their fields.
     """
     n = p.n
+    eta_f = z[n]
     log_xi = p.schedule.log_xi(t)
-    xi = math.exp(log_xi)
     xi2k = math.exp(2.0 * map.kappa * log_xi)
-    jf = map.centered_value(map.optimum + z[:n] / xi)
-    phase = gain_error_term(p.schedule, p.k, jf - z[n] / xi2k, t)
+    jf = map.centered_value(map.optimum + z[:n] * math.exp(-log_xi))
     g = growth_drift(p.schedule, t)
-    b0 = np.empty(n + 1)
-    b0[:n] = g * z[:n]
-    b0[n] = (2.0 * map.kappa * g - p.omega_h) * z[n] + p.omega_h * xi2k * jf
-    return b0, phase
+    b0 = g * z
+    b0[n] = (2.0 * map.kappa * g - p.omega_h) * eta_f + p.omega_h * xi2k * jf
+    return b0, jf - eta_f / xi2k
 
 
 def transformed_closed_loop(p: EsParams, map: CostMap):
@@ -228,8 +228,8 @@ def transformed_closed_loop(p: EsParams, map: CostMap):
     n = p.n
 
     def rhs(x: Array, t: float) -> Array:
-        out, phase = transformed_drift(p, map, x, t)
-        out[:n] += p._amp * np.cos(p._omegas * t + phase)
+        out, err = transformed_drift(p, map, x, t)
+        out[:n] += p._amp * np.cos(p._omegas * t + gain_error_term(p.schedule, p.k, err, t))
         return out
 
     rhs.dither_omega_max = float(np.max(p._omegas))

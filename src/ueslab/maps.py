@@ -114,27 +114,23 @@ class CostMap:
         return hess_fd(self, th)
 
 
-def grad_fd(map: CostMap, theta, h: float = GRAD_STEP) -> Array:
-    """Central-difference gradient with per-component step h * max(1, |theta_i|)."""
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
+def grad_fd(map: CostMap, theta) -> Array:
+    """Central-difference gradient with per-component step GRAD_STEP * max(1, |theta_i|)."""
     th = map._as_input(theta)
     g = np.empty(map.dim)
     for i in range(map.dim):
-        hi = h * max(1.0, abs(th[i]))
+        hi = GRAD_STEP * max(1.0, abs(th[i]))
         e = np.zeros(map.dim)
         e[i] = hi
         g[i] = (map.eval(th + e) - map.eval(th - e)) / (2.0 * hi)
     return g
 
 
-def hess_fd(map: CostMap, theta, h: float = HESS_STEP) -> Array:
-    """Symmetric central-difference Hessian with per-component step h * max(1, |theta_i|)."""
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
+def hess_fd(map: CostMap, theta) -> Array:
+    """Symmetric central-difference Hessian with per-component step HESS_STEP * max(1, |theta_i|)."""
     th = map._as_input(theta)
     n = map.dim
-    steps = np.array([h * max(1.0, abs(th[i])) for i in range(n)])
+    steps = np.array([HESS_STEP * max(1.0, abs(th[i])) for i in range(n)])
     H = np.empty((n, n))
     f0 = float(map.eval(th))
     for i in range(n):

@@ -7,12 +7,13 @@ eyeballs.  Pure text generation, byte-stable for identical inputs.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+WIDTH, HEIGHT = 760, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 14.0, 34.0, 42.0
 
 
@@ -37,35 +38,22 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def line_plot(
-    series: Sequence[Tuple[np.ndarray, np.ndarray, str]],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    log_y: bool = False,
-    width: int = 760,
-    height: int = 440,
-) -> str:
-    """SVG text for one axes with several (x, y, label) polylines.
+def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str = "", xlabel: str = "") -> str:
+    """SVG text for one WIDTH x HEIGHT axes with several (x, y, label) polylines.
 
-    log_y plots log10 of the positive part of each series; non-finite and
-    (in log mode) non-positive samples are dropped.
+    Non-finite samples are dropped.
     """
     if not series:
         raise ValueError("need at least one series")
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = HEIGHT - _MARGIN_T - _MARGIN_B
 
     prepared = []
     for x, y, label in series:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         keep = np.isfinite(x) & np.isfinite(y)
-        if log_y:
-            keep &= y > 0.0
         x, y = x[keep], y[keep]
-        if log_y:
-            y = np.log10(y)
         if x.size:
             prepared.append((x, y, label))
     if not prepared:
@@ -89,38 +77,29 @@ def line_plot(
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="monospace" font-size="11">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
     ]
     if title:
-        parts.append(f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" font-size="13">{_esc(title)}</text>')
+        parts.append(f'<text x="{WIDTH / 2:.2f}" y="20" text-anchor="middle" font-size="13">{_esc(title)}</text>')
 
     for tick in _nice_ticks(x_lo, x_hi):
         X = px(tick)
         parts.append(f'<line x1="{X:.2f}" y1="{_MARGIN_T + plot_h:.2f}" x2="{X:.2f}" y2="{_MARGIN_T + plot_h + 5:.2f}" stroke="#444"/>')
         parts.append(f'<text x="{X:.2f}" y="{_MARGIN_T + plot_h + 17:.2f}" text-anchor="middle">{_fmt(tick)}</text>')
-    if log_y:
-        y_ticks = [float(k) for k in range(math.ceil(y_lo), math.floor(y_hi) + 1)] or _nice_ticks(y_lo, y_hi)
-        tick_label = lambda v: f"1e{int(v)}" if float(v).is_integer() else _fmt(v)
-    else:
-        y_ticks = _nice_ticks(y_lo, y_hi)
-        tick_label = _fmt
-    for tick in y_ticks:
+    for tick in _nice_ticks(y_lo, y_hi):
         Y = py(tick)
         parts.append(f'<line x1="{_MARGIN_L - 5:.2f}" y1="{Y:.2f}" x2="{_MARGIN_L:.2f}" y2="{Y:.2f}" stroke="#444"/>')
-        parts.append(f'<text x="{_MARGIN_L - 8:.2f}" y="{Y + 3.5:.2f}" text-anchor="end">{tick_label(tick)}</text>')
+        parts.append(f'<text x="{_MARGIN_L - 8:.2f}" y="{Y + 3.5:.2f}" text-anchor="end">{_fmt(tick)}</text>')
         parts.append(
             f'<line x1="{_MARGIN_L:.2f}" y1="{Y:.2f}" x2="{_MARGIN_L + plot_w:.2f}" y2="{Y:.2f}" '
             'stroke="#ddd" stroke-width="0.5"/>'
         )
     if xlabel:
-        parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 8:.2f}" text-anchor="middle">{_esc(xlabel)}</text>')
-    if ylabel:
-        Yc = _MARGIN_T + plot_h / 2
-        parts.append(f'<text x="14" y="{Yc:.2f}" text-anchor="middle" transform="rotate(-90 14 {Yc:.2f})">{_esc(ylabel)}</text>')
+        parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 8:.2f}" text-anchor="middle">{_esc(xlabel)}</text>')
 
     for idx, (x, y, label) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]

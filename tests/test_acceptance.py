@@ -13,7 +13,6 @@ import numpy as np
 import ueslab as u
 from ueslab import cli
 from ueslab.averaging import transformed_b_fields
-from ueslab.sim import STEPS_PER_PERIOD
 
 
 def _verdict(report, num, name, ok, detail):
@@ -36,10 +35,10 @@ def test_criterion_01_comparison_ode_oracle(acceptance_report):
     )
 
 
-def test_criterion_02_power_law_convergence(acceptance_report, fig3_run):
+def test_criterion_02_power_law_convergence(acceptance_report, fig3_timed):
+    fig3_run, wall = fig3_timed
     gap = abs(fig3_run.theta[-1, 0] - 2.0)
     fit = u.fit_power_rate(fig3_run, [2.0], 0.1, 0.0, (10.0, 100.0))
-    wall = fig3_run.meta["wall_s"]
     ok = gap < 0.05 and abs(fit.estimate - 3.0) <= 0.6 and wall < 30.0
     _verdict(
         acceptance_report, 2, "power-law schedule reaches the optimum at the stated rate",
@@ -85,7 +84,7 @@ def test_criterion_05_averaging_gap_shrinks_with_frequency(acceptance_report, qu
     gaps = []
     for omega in (10.0, 50.0, 250.0):
         p = fig3_params.with_omega(omega)
-        dt = (2.0 * np.pi / omega) / STEPS_PER_PERIOD
+        dt = u.dither_step_bound(omega)
         x0 = np.array([1.0, 0.0])
         full = u.integrate(u.transformed_closed_loop(p, quartic), x0, 0.0, 20.0, dt)
         avg = u.integrate(u.averaged_closed_loop(p, quartic), x0, 0.0, 20.0, dt)

@@ -97,6 +97,12 @@ def test_config_defaults():
             "probe.omegas = 10\nprobe.epsilon = nan\nprobe.delta = 1\nprobe.horizon = 4\nprobe.trials = 1\n",
             "'probe.epsilon'.*finite",
         ),
+        (
+            # phi = e^(2 t) leaves double range at t = 354.9, before the horizon
+            "map.name = quadratic\nmap.theta_star = 1\nschedule.kind = exponential\nschedule.lambda = 1\n"
+            "es.k = 3\nsim.horizon = 400\n",
+            "sim.horizon = 400 is too long.*phi",
+        ),
     ],
 )
 def test_config_rejects(extra, fragment):
@@ -177,20 +183,20 @@ def test_cli_run_stops_at_first_failing_config(tmp_path, monkeypatch, capsys):
         assert (tmp_path / "o" / f"fig2_nominal_a{suffix}").exists()
 
 
+@pytest.mark.filterwarnings("ignore:.*(overflow|invalid value):RuntimeWarning")
 def test_cli_run_overflow_writes_partial_artifacts(tmp_path, monkeypatch, capsys):
-    # phi = e^(2 t) leaves double range at t = 354.9, before the horizon
+    # a washout far too fast for the dither step: eta leaves double range after t = 0.565
     conf = tmp_path / "overflow.conf"
-    conf.write_text(
-        "map.name = quadratic\nmap.theta_star = 1\nschedule.kind = exponential\nschedule.lambda = 1\n"
-        "es.k = 3\nes.omega = 5\nes.omega_h = 3\nsim.horizon = 400\nsim.record_every = 40\n"
-    )
+    conf.write_text(MINIMAL.replace("es.omega_h = 3", "es.omega_h = 1e6"))
     monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
     assert cli.main(["run", str(conf)]) == 3
-    assert "partial artifacts" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "diverged at t = 0.565" in err and "partial artifacts" in err
     rows = (tmp_path / "o" / "overflow.trajectory.csv").read_text().splitlines()
     assert rows[0] == "t,theta_1,eta,y"
-    assert 300.0 < float(rows[-1].split(",")[0]) < 355.0
-    assert (tmp_path / "o" / "overflow.svg").exists()
+    assert 0.5 < float(rows[-1].split(",")[0]) < 0.6
+    for suffix in (".fits.csv", ".svg"):
+        assert (tmp_path / "o" / f"overflow{suffix}").exists()
 
 
 def test_cli_out_dir_from_config(tmp_path, monkeypatch):

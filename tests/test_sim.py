@@ -52,6 +52,16 @@ def test_dither_tag_enforces_step_bound():
     u.integrate(rhs, 1.0, 0.0, 1.0, (2.0 * math.pi / 5.0) / 40.0)
 
 
+def test_scalar_and_array_states_agree():
+    # the float path and the 1-element array path integrate the same ODE
+    p = u.Lemma1Params(beta=0.5, eps1=0.2, eps2=0.3, p=0.5, q=2.0, v0=1.0)
+    rhs = lambda V, t: u.lemma1_rhs(p, V, t)
+    scalar = u.integrate(rhs, p.v0, 0.0, 10.0, 1e-2)
+    array = u.integrate(rhs, np.array([p.v0]), 0.0, 10.0, 1e-2)
+    np.testing.assert_array_equal(scalar.times, array.times)
+    np.testing.assert_allclose(scalar.states, array.states, rtol=1e-12, atol=0)
+
+
 def test_divergence_carries_partial_trajectory():
     # finite-time blowup of dx/dt = x^2 at t = 1
     with pytest.raises(IntegrationDiverged) as exc:
