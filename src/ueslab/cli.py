@@ -186,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging state is reported once, as exit 3, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, AssemblyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,6 +24,9 @@ from .sim import STEPS_PER_PERIOD, dither_step_bound
 
 Array = np.ndarray
 
+# most RK4 steps a config may ask of one integration, so that every config that loads also ends
+MAX_STEPS = 10**7
+
 _REQUIRED = object()
 
 
@@ -181,6 +184,14 @@ def _build_probe(r: _Reader) -> Optional[ProbeConfig]:
         raise ConfigError(f"{r.source}: probe.*: {e}") from None
 
 
+def _check_steps(r: _Reader, key: str, horizon: float, dt: float) -> None:
+    steps = horizon / dt
+    if steps > MAX_STEPS:
+        raise ConfigError(
+            f"{r.source}: {key} = {horizon:g} needs {steps:.3g} RK4 steps of dt = {dt:g}; at most {MAX_STEPS:g} are allowed"
+        )
+
+
 def config_from_text(text: str, name: str, source: str = "<config>") -> ExperimentConfig:
     r = _Reader(parse_kv_text(text, source), source)
 
@@ -221,6 +232,7 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
             f"{r.source}: sim.dt = {dt:g} must lie in (0, {dt_max:g}] "
             f"({STEPS_PER_PERIOD} steps per fastest dither period)"
         )
+    _check_steps(r, "sim.horizon", horizon, dt)
     record_every = r.int_("sim.record_every", 1)
     if record_every < 1:
         raise ConfigError(f"{r.source}: sim.record_every must be >= 1, got {record_every}")
@@ -240,6 +252,8 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
             averaged_closed_loop(params, map_)
         except CapabilityError as e:
             raise ConfigError(f"{r.source}: schedule.kind = {schedule.kind} leaves the probe no averaged system: {e}") from None
+        fastest = float(np.max(params.with_omega(probe.omega_values[-1]).omegas))
+        _check_steps(r, "probe.horizon", probe.horizon, dither_step_bound(fastest))
     out_dir = r.str_("out.dir", "out")
     r.reject_unknown()
 

@@ -17,11 +17,15 @@ WIDTH, HEIGHT = 760, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 14.0, 34.0, 42.0
 
 
+def _too_narrow(lo: float, hi: float) -> bool:
+    """Whether [lo, hi] is too narrow to tick: at most 1e-9 of its magnitude, or near underflow."""
+    return not hi - lo > 1e-9 * max(abs(lo), abs(hi), 1e-290)
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> List[float]:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    """Round tick values over [lo, hi], which line_plot has widened past _too_narrow; none for an infinite span."""
+    if not math.isfinite(hi - lo):
         return []
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / max(1, target - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag + 1e-15 * mag)
@@ -63,10 +67,12 @@ def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str =
     x_hi = max(float(x.max()) for x, _, _ in prepared)
     y_lo = min(float(y.min()) for _, y, _ in prepared)
     y_hi = max(float(y.max()) for _, y, _ in prepared)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    # widen a flat axis far enough past the rounding of its values to tick it
+    if _too_narrow(x_lo, x_hi):
+        x_hi = x_lo + max(1.0, 1e-6 * abs(x_lo))
+    if _too_narrow(y_lo, y_hi):
+        half = max(0.5, 1e-6 * abs(y_lo))
+        y_lo, y_hi = y_lo - half, y_hi + half
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

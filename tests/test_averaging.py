@@ -1,13 +1,19 @@
 """Averaged dynamics, bracket computations, and the stability probe."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
-from ueslab.averaging import transformed_b_fields
-from ueslab.errors import CapabilityError
+from ueslab import averaging
+from ueslab.averaging import _hermite, transformed_b_fields
+from ueslab.errors import CapabilityError, IntegrationDiverged
+from ueslab.sim import STEPS_PER_PERIOD
+
+PROBE_CFG = u.ProbeConfig(omega_values=(10.0, 30.0), epsilon=0.25, delta=1.0, horizon=5.0, trials=2, seed=7)
 
 
 def test_lie_bracket_linear_fields_exact():
@@ -109,3 +115,91 @@ def test_probe_csv_header(quartic, fig3_params):
     text = u.probe_rows_csv(rows)
     assert text.splitlines()[0] == "omega,trial,entry_time,stayed,sup_gap"
     assert len(text.strip().splitlines()) == 2
+
+
+def test_hermite_nodes_and_cubics():
+    rng = np.random.default_rng(3)
+    times = np.cumsum(rng.uniform(0.05, 0.3, 12))
+    coef = rng.uniform(-2.0, 2.0, (4, 2))  # one cubic per column
+    poly = lambda t: sum(coef[j] * t[:, None] ** j for j in range(4))
+    dpoly = lambda t: sum(j * coef[j] * t[:, None] ** (j - 1) for j in range(1, 4))
+    values = poly(times)
+    slopes = dpoly(times)
+    np.testing.assert_array_equal(_hermite(times, values, slopes, times), values)
+    at = np.sort(rng.uniform(times[0], times[-1], 50))
+    np.testing.assert_allclose(_hermite(times, values, slopes, at), poly(at), rtol=1e-12)
+
+
+def _per_omega_probe(p, map_, cfg):
+    """The probe with the averaged system integrated per (omega, trial) at that omega's step."""
+    star = map_.optimum
+    rng = np.random.default_rng(cfg.seed)
+    dirs = rng.standard_normal((cfg.trials, map_.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    theta0s = star + (cfg.delta * rng.random(cfg.trials) ** (1.0 / map_.dim))[:, None] * dirs
+    averaged = u.averaged_closed_loop(p, map_)
+    t0 = p.schedule.t0
+    rows = []
+    for omega in cfg.omega_values:
+        full_rhs = u.es_closed_loop(p.with_omega(omega), map_)
+        dt = u.dither_step_bound(full_rhs.dither_omega_max)
+        for trial, theta0 in enumerate(theta0s):
+            eta0 = map_(theta0)
+            every = dict(record_every=STEPS_PER_PERIOD, n=map_.dim)
+            full = u.integrate(full_rhs, np.append(theta0, eta0), t0, t0 + cfg.horizon, dt, **every)
+            avg = u.integrate(averaged, np.append(theta0 - star, eta0 - map_.optimal_value),
+                              t0, t0 + cfg.horizon, dt, **every)
+            inside = np.linalg.norm(full.theta - star, axis=1) <= cfg.epsilon
+            first = int(np.flatnonzero(inside)[0])
+            xi_vals = np.array([p.schedule.xi(t) for t in avg.times])
+            theta_bar = star + avg.theta / xi_vals[:, None]
+            sup_gap = float(np.max(np.linalg.norm(full.theta - theta_bar, axis=1)))
+            rows.append(u.ProbeRow(omega, trial, float(full.times[first] - t0), bool(np.all(inside[first:])), sup_gap))
+    return rows
+
+
+def test_probe_matches_per_omega_averaging(quartic, fig3_params):
+    rows = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    ref = _per_omega_probe(fig3_params, quartic, PROBE_CFG)
+    assert len(rows) == len(ref) == 4
+    for row, want in zip(rows, ref):
+        if row.omega == PROBE_CFG.omega_values[0]:
+            assert row == want
+        else:
+            assert (row.omega, row.trial, row.entry_time, row.stayed) == (
+                want.omega, want.trial, want.entry_time, want.stayed)
+            assert abs(row.sup_gap - want.sup_gap) <= 1e-9
+
+
+def _counting_integrate(monkeypatch, fail_on=None):
+    """Patch averaging.integrate to count averaged integrations; the one numbered fail_on diverges."""
+    averaged_runs = []
+    real = averaging.integrate
+
+    def integrate(rhs, *args, **kwargs):
+        if getattr(rhs, "dither_omega_max", None) is None:  # only the averaged rhs is untagged
+            averaged_runs.append(args[0])
+            if len(averaged_runs) == fail_on:
+                raise IntegrationDiverged("forced", t_last=args[1])
+        return real(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(averaging, "integrate", integrate)
+    return averaged_runs
+
+
+def test_probe_integrates_averaged_system_once_per_trial(quartic, fig3_params, monkeypatch):
+    averaged_runs = _counting_integrate(monkeypatch)
+    u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    assert len(averaged_runs) == PROBE_CFG.trials
+
+
+def test_probe_averaged_divergence_marks_its_trial(quartic, fig3_params, monkeypatch):
+    clean = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    _counting_integrate(monkeypatch, fail_on=2)  # the averaged run of trial 1
+    rows = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    for row, want in zip(rows, clean):
+        if row.trial == 1:
+            assert row.sup_gap == math.inf
+            assert (row.omega, row.entry_time, row.stayed) == (want.omega, want.entry_time, want.stayed)
+        else:
+            assert row == want

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ueslab as u
 from ueslab import cli
@@ -103,6 +105,11 @@ def test_config_defaults():
             "es.k = 3\nsim.horizon = 400\n",
             "sim.horizon = 400 is too long.*phi",
         ),
+        ("es.omega = 1e300\n", "sim.horizon = 10 needs .* RK4 steps"),
+        (
+            "probe.omegas = 10\nprobe.epsilon = 0.25\nprobe.delta = 1\nprobe.horizon = 1e300\nprobe.trials = 1\n",
+            "probe.horizon = 1e\\+300 needs .* RK4 steps",
+        ),
     ],
 )
 def test_config_rejects(extra, fragment):
@@ -183,20 +190,44 @@ def test_cli_run_stops_at_first_failing_config(tmp_path, monkeypatch, capsys):
         assert (tmp_path / "o" / f"fig2_nominal_a{suffix}").exists()
 
 
-@pytest.mark.filterwarnings("ignore:.*(overflow|invalid value):RuntimeWarning")
-def test_cli_run_overflow_writes_partial_artifacts(tmp_path, monkeypatch, capsys):
-    # a washout far too fast for the dither step: eta leaves double range after t = 0.565
+def test_cli_run_overflow_writes_partial_artifacts(tmp_path, monkeypatch):
+    # a washout far too fast for the dither step: eta leaves double range after t = 0.565;
+    # run as a process so that stderr holds exactly what a user sees
     conf = tmp_path / "overflow.conf"
     conf.write_text(MINIMAL.replace("es.omega_h = 3", "es.omega_h = 1e6"))
     monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
-    assert cli.main(["run", str(conf)]) == 3
-    err = capsys.readouterr().err
+    proc = subprocess.run([sys.executable, "-m", "ueslab.cli", "run", str(conf)], capture_output=True, text=True)
+    assert proc.returncode == 3
+    err = proc.stderr
     assert "diverged at t = 0.565" in err and "partial artifacts" in err
+    assert "RuntimeWarning" not in err and "encountered" not in err
     rows = (tmp_path / "o" / "overflow.trajectory.csv").read_text().splitlines()
     assert rows[0] == "t,theta_1,eta,y"
     assert 0.5 < float(rows[-1].split(",")[0]) < 0.6
     for suffix in (".fits.csv", ".svg"):
         assert (tmp_path / "o" / f"overflow{suffix}").exists()
+
+
+BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "abc", None]  # None drops the key
+MINIMAL_ITEMS = dict(line.split(" = ") for line in MINIMAL.strip().splitlines())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bad=st.dictionaries(st.sampled_from([key for key in MINIMAL_ITEMS if key != "sim.horizon"]),
+                        st.sampled_from(BAD_VALUES), max_size=2),
+    # a long valid horizon would only make an example slow
+    horizon=st.one_of(st.sampled_from(BAD_VALUES), st.floats(-2.0, 2.0).map(repr)),
+)
+def test_cli_run_fuzzed_config_never_raises(tmp_path_factory, bad, horizon):
+    # a config that loads is a config that runs: every input ends in exit 0, 2 or 3
+    values = {**MINIMAL_ITEMS, **bad, "sim.horizon": horizon}
+    tmp = tmp_path_factory.mktemp("fuzz")
+    conf = tmp / "fuzz.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items() if value is not None))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("UESLAB_OUT", str(tmp / "o"))
+        assert cli.main(["run", str(conf)]) in (0, 2, 3)
 
 
 def test_cli_out_dir_from_config(tmp_path, monkeypatch):

@@ -38,6 +38,20 @@ def test_constant_series_renders():
     assert len(ys) == 1
 
 
+@pytest.mark.parametrize(
+    "x,y",
+    [
+        ([0.0, 5e-324], [0.0, 1.0]),  # a horizon of one subnormal step
+        ([0.0, 1.0], [1.0, np.nextafter(1.0, 2.0)]),  # y moves by one ulp
+        ([0.0, 1.0], [1e20, 1e20]),  # flat far beyond +-0.5
+    ],
+)
+def test_degenerate_spans_render_with_ticks(x, y):
+    svg = line_plot([(x, y, "s")])
+    assert len(_polylines(svg)) == 1
+    assert len(ET.fromstring(svg).findall(f"{SVG}text")) >= 3
+
+
 @pytest.mark.parametrize("series", [[], [([0.0, 1.0], [np.nan, np.nan], "gone")]])
 def test_nothing_to_plot_is_refused(series):
     with pytest.raises(ValueError):
