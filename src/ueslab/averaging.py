@@ -10,10 +10,12 @@ and its Lie-bracket average is b0 - (1/2) sum_i [b_c_i, b_s_i].  The rhs of
 ``lie_bracket`` operator exists so tests can confirm the identity instead of
 trusting the algebra.
 
-The averaged system reads neither omega nor omega_hat, so
-``practical_stability_probe`` integrates it once per trial, at the full
-loop's step for the smallest swept omega, and reads it at every omega's
-samples through a cubic Hermite interpolant.
+Every right-hand side here takes a state of shape (d,) or a batch (B, d).
+``practical_stability_probe`` integrates all of its trials as one batch:
+the averaged system once, at the full loop's step for the smallest swept
+omega (it reads neither omega nor omega_hat), and the full loop once per
+omega, whose samples read the averaged run through a cubic Hermite
+interpolant.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .controllers import (
     EsParams,
+    _check_loop_map,
     _require_transformable,
     es_closed_loop,
     gain_error_term,
@@ -33,7 +36,7 @@ from .controllers import (
 )
 from .errors import CapabilityError, IntegrationDiverged
 from .maps import CostMap
-from .schedules import EXPONENTIAL
+from .schedules import EXPONENTIAL, Factors
 from .sim import STEPS_PER_PERIOD, dither_step_bound, integrate
 
 Array = np.ndarray
@@ -76,13 +79,14 @@ def transformed_b_fields(p: EsParams, map: CostMap):
     sqrt_alpha = np.sqrt(p.alpha)
 
     def b0(z: Array, t: float) -> Array:
-        return transformed_drift(p, map, z, t)[0]
+        return transformed_drift(p, map, z, p.schedule.factors(t))[0]
 
     def dither_field(i: int, trig: Callable) -> Callable:
         def b(z: Array, t: float) -> Array:
             out = np.zeros(p.n + 1)
-            err = transformed_drift(p, map, z, t)[1]
-            out[i] = sqrt_alpha[i] * trig(gain_error_term(p.schedule, p.k, err, t)[i])
+            f = p.schedule.factors(t)
+            err = transformed_drift(p, map, z, f)[1]
+            out[i] = sqrt_alpha[i] * trig(gain_error_term(f, p.k, err)[i])
             return out
 
         return b
@@ -90,16 +94,17 @@ def transformed_b_fields(p: EsParams, map: CostMap):
     return b0, [(dither_field(i, math.cos), dither_field(i, math.sin)) for i in range(p.n)]
 
 
-def averaged_drift_term(p: EsParams, map: CostMap, theta_f: Array, t: float) -> Array:
+def averaged_drift_term(p: EsParams, map: CostMap, theta_f: Array, f: Factors) -> Array:
     """The bracket sum (1/2) sum_i k_i alpha_i phi(t) (dJ_f/dtheta_f_i) e_i,
-    with dJ_f/dtheta_f = grad J(theta_f/xi + theta*) / xi."""
-    gain = 0.5 * p.k * p.alpha * p.schedule.phi(t)
-    xi = p.schedule.xi(t)
-    return gain * (map.gradient(map.optimum + theta_f / xi) / xi)
+    with dJ_f/dtheta_f = grad J(theta_f/xi + theta*) / xi, at the schedule's
+    factors f; theta_f is (n,) or (B, n), and so is the result."""
+    gain = 0.5 * p.k * p.alpha * f.phi
+    xi = f.xi
+    return gain * (map.grad((map.optimum + theta_f / xi).T).T / xi)
 
 
 def averaged_closed_loop(p: EsParams, map: CostMap):
-    """rhs(x, t) of the averaged system over x = [theta_f..., eta_f].
+    """rhs(x, t) of the averaged system over x = [theta_f..., eta_f], of shape (d,) or (B, d).
 
     Covers all three schedule kinds; the nominal case degenerates to the
     classic constant-gain averaged loop (xi = 1, zero growth drift).  Under
@@ -110,11 +115,13 @@ def averaged_closed_loop(p: EsParams, map: CostMap):
         raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value")
     if p.schedule.kind == EXPONENTIAL and map.kappa != 1:
         raise CapabilityError(f"exponential averaged dynamics cover kappa = 1 maps, got kappa = {map.kappa}")
-    n = p.n
+    _check_loop_map(p, map, "centered", "grad")
+    n, factors = p.n, p.schedule.factor_cache()
 
     def rhs(x: Array, t: float) -> Array:
-        out = transformed_drift(p, map, x, t)[0]
-        out[:n] -= averaged_drift_term(p, map, x[:n], t)
+        f = factors(t)
+        out = transformed_drift(p, map, x, f)[0]
+        out[..., :n] -= averaged_drift_term(p, map, x[..., :n], f)
         return out
 
     return rhs
@@ -190,12 +197,15 @@ def probe_rows_csv(rows: Sequence[ProbeRow]) -> str:
 def _hermite(times: Array, values: Array, slopes: Array, at: Array) -> Array:
     """Cubic Hermite interpolant through (times, values) with the given slopes, read at `at`.
 
-    times (N,) ascending with N >= 2, values and slopes (N, d), at (m,) within
-    [times[0], times[-1]].  At a node it returns that node's values bit for bit.
+    times (N,) ascending with N >= 2, values and slopes (N, ...) of one shape,
+    at (m,) within [times[0], times[-1]]; the result is (m, ...).  At a node it
+    returns that node's values bit for bit.
     """
     k = np.clip(np.searchsorted(times, at, side="right") - 1, 0, len(times) - 2)
-    h = (times[k + 1] - times[k])[:, None]
-    s = ((at - times[k]) / h[:, 0])[:, None]
+    h = times[k + 1] - times[k]
+    s = (at - times[k]) / h
+    column = (-1,) + (1,) * (values.ndim - 1)
+    h, s = h.reshape(column), s.reshape(column)
     r = 1.0 - s
     return (
         (1.0 + 2.0 * s) * r * r * values[k]
@@ -203,6 +213,35 @@ def _hermite(times: Array, values: Array, slopes: Array, at: Array) -> Array:
         + s * s * (3.0 - 2.0 * s) * values[k + 1]
         - s * s * r * h * slopes[k + 1]
     )
+
+
+def _trial_starts(map: CostMap, cfg: ProbeConfig) -> Array:
+    """The probe's seeded starts x = [theta, J(theta)], shape (trials, n + 1),
+    with theta uniform in the delta-ball around theta*."""
+    rng = np.random.default_rng(cfg.seed)
+    dirs = rng.standard_normal((cfg.trials, map.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = cfg.delta * rng.random(cfg.trials) ** (1.0 / map.dim)
+    theta0s = map.optimum + radii[:, None] * dirs
+    return np.column_stack([theta0s, [map(theta0) for theta0 in theta0s]])
+
+
+def _integrate_rows(rhs: Callable, x0s: Array, t0: float, t1: float, dt: float, **kwargs):
+    """``integrate`` over the batch x0s (B, d), setting aside each row that goes non-finite.
+
+    Returns the trajectory of the rows that stayed finite and their indices
+    into x0s; the trajectory is None when no row did.  Rows never interact,
+    so the survivors equal their rows of an uninterrupted batch bit for bit;
+    the extra integrations happen only when a row diverges.  A failure that
+    names no rows, such as an rhs raising, sets every row aside.
+    """
+    alive = np.arange(len(x0s))
+    while alive.size:
+        try:
+            return integrate(rhs, x0s[alive], t0, t1, dt, **kwargs), alive
+        except IntegrationDiverged as e:
+            alive = alive[:0] if e.rows is None else np.delete(alive, e.rows)
+    return None, alive
 
 
 def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> List[ProbeRow]:
@@ -215,62 +254,56 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     finite-sample only: it can refute but never prove the semi-global claim.
     Diverged integrations are recorded as rows with inf markers, not raised.
 
-    The averaged system reads neither omega nor omega_hat, so each trial
-    integrates it once, before its omega loop, at the full loop's step for
-    the smallest omega, recording every step.  Each full-loop sample reads it
-    through a cubic Hermite interpolant whose node slopes are the averaged
-    rhs.  The smallest omega's samples fall on the nodes, so its rows equal a
-    per-omega integration bit for bit; the other rows differ from one only in
-    sup_gap, by the interpolation error.  Rows are returned omega-major.
+    All trials share the step, the sample times and the schedule, so they
+    run as one (trials, d) batch: one integration of the averaged system,
+    then one of the full loop per omega.  A trial that diverges gets its inf
+    row and the others are integrated again without it.  The averaged system
+    reads neither omega nor omega_hat; it is integrated at the full loop's
+    step for the smallest omega, recording every step, and each full-loop
+    sample reads it through a cubic Hermite interpolant whose node slopes are
+    the averaged rhs.  The smallest omega's samples fall on the nodes, so its
+    rows equal a per-omega integration bit for bit; the other rows differ
+    from one only in sup_gap, by the interpolation error.  Rows are returned
+    omega-major.
     """
     averaged = averaged_closed_loop(p, map)
     full_rhss = [es_closed_loop(p.with_omega(omega), map) for omega in cfg.omega_values]
     avg_dt = dither_step_bound(full_rhss[0].dither_omega_max)
-    star = map.optimum
-    rng = np.random.default_rng(cfg.seed)
-    dirs = rng.standard_normal((cfg.trials, map.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = cfg.delta * rng.random(cfg.trials) ** (1.0 / map.dim)
-    theta0s = star + radii[:, None] * dirs
-
+    star, n, trials = map.optimum, map.dim, cfg.trials
+    x0s = _trial_starts(map, cfg)
     t0 = p.schedule.t0
     t1 = t0 + cfg.horizon
+    # matched transformed start: xi(t0) = 1, so theta_f = theta - theta* and eta_f = eta - J(theta*)
+    avg, alive = _integrate_rows(averaged, x0s - np.append(star, map.optimal_value), t0, t1, avg_dt, n=n)
+    if avg is not None:
+        # a trial whose averaged run diverged reads NaN, and gets sup_gap inf
+        nodes = np.full((len(avg.times), trials, n), math.nan)
+        slopes = np.full_like(nodes, math.nan)
+        nodes[:, alive] = avg.theta
+        slopes[:, alive] = [averaged(x, t)[:, :n] for x, t in zip(avg.states, avg.times)]
+
     rows: List[ProbeRow] = []
-    for trial, theta0 in enumerate(theta0s):
-        eta0 = map(theta0)
-        # matched transformed start: xi(t0) = 1, so theta_f = theta - theta*
-        xf0 = np.append(theta0 - star, eta0 - map.optimal_value)
-        try:
-            avg = integrate(averaged, xf0, t0, t1, avg_dt, n=map.dim)
-            avg_slopes = np.array([averaged(x, t) for x, t in zip(avg.states, avg.times)])[:, : map.dim]
-        except IntegrationDiverged:
-            avg = None
-
-        x0 = np.append(theta0, eta0)
-        for omega, full_rhs in zip(cfg.omega_values, full_rhss):
-            dt = dither_step_bound(full_rhs.dither_omega_max)
-            try:
-                full = integrate(full_rhs, x0, t0, t1, dt, record_every=STEPS_PER_PERIOD, n=map.dim)
-            except IntegrationDiverged:
-                rows.append(ProbeRow(omega, trial, math.inf, False, math.inf))
-                continue
-
-            dist = np.linalg.norm(full.theta - star, axis=1)
-            inside = dist <= cfg.epsilon
-            hits = np.flatnonzero(inside)
-            if hits.size:
-                first = int(hits[0])
-                entry_time = float(full.times[first] - t0)
-                stayed = bool(np.all(inside[first:]))
-            else:
-                entry_time, stayed = math.inf, False
-
-            if avg is None:
-                sup_gap = math.inf
-            else:
-                theta_f = _hermite(avg.times, avg.theta, avg_slopes, full.times)
+    for omega, full_rhs in zip(cfg.omega_values, full_rhss):
+        dt = dither_step_bound(full_rhs.dither_omega_max)
+        full, alive = _integrate_rows(full_rhs, x0s, t0, t1, dt, record_every=STEPS_PER_PERIOD, n=n)
+        entry_time = np.full(trials, math.inf)
+        stayed = np.zeros(trials, dtype=bool)
+        sup_gap = np.full(trials, math.inf)
+        if full is not None:
+            inside = np.linalg.norm(full.theta - star, axis=-1) <= cfg.epsilon
+            for col, trial in enumerate(alive):
+                hits = np.flatnonzero(inside[:, col])
+                if hits.size:
+                    entry_time[trial] = full.times[hits[0]] - t0
+                    stayed[trial] = np.all(inside[hits[0] :, col])
+            if avg is not None:
                 xi_vals = np.array([p.schedule.xi(t) for t in full.times])
-                theta_bar = star + theta_f / xi_vals[:, None]
-                sup_gap = float(np.max(np.linalg.norm(full.theta - theta_bar, axis=1)))
-            rows.append(ProbeRow(omega, trial, entry_time, stayed, sup_gap))
-    return sorted(rows, key=lambda row: row.omega)
+                theta_f = _hermite(avg.times, nodes[:, alive], slopes[:, alive], full.times)
+                theta_bar = star + theta_f / xi_vals[:, None, None]
+                gaps = np.max(np.linalg.norm(full.theta - theta_bar, axis=-1), axis=0)
+                sup_gap[alive] = np.where(np.isnan(gaps), math.inf, gaps)
+        rows += [
+            ProbeRow(omega, trial, float(entry_time[trial]), bool(stayed[trial]), float(sup_gap[trial]))
+            for trial in range(trials)
+        ]
+    return rows

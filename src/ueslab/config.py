@@ -26,6 +26,8 @@ Array = np.ndarray
 
 # most RK4 steps a config may ask of one integration, so that every config that loads also ends
 MAX_STEPS = 10**7
+# largest ulp of the end time t0 + horizon, as a fraction of the step, so that the step still resolves there
+MAX_ULP_PER_STEP = 1e-6
 
 _REQUIRED = object()
 
@@ -184,11 +186,19 @@ def _build_probe(r: _Reader) -> Optional[ProbeConfig]:
         raise ConfigError(f"{r.source}: probe.*: {e}") from None
 
 
-def _check_steps(r: _Reader, key: str, horizon: float, dt: float) -> None:
+def _check_time_grid(r: _Reader, key: str, t0: float, horizon: float, dt: float) -> None:
+    """Refuse a horizon that needs more than MAX_STEPS steps of dt, or a start time so large
+    that one ulp of t0 + horizon exceeds MAX_ULP_PER_STEP * dt and the steps no longer resolve."""
     steps = horizon / dt
     if steps > MAX_STEPS:
         raise ConfigError(
             f"{r.source}: {key} = {horizon:g} needs {steps:.3g} RK4 steps of dt = {dt:g}; at most {MAX_STEPS:g} are allowed"
+        )
+    ulp = math.ulp(t0 + horizon)
+    if ulp > MAX_ULP_PER_STEP * dt:
+        raise ConfigError(
+            f"{r.source}: schedule.t0 = {t0:g} is too large for steps of dt = {dt:g}: one ulp of t0 + {key} "
+            f"is {ulp:g}, more than {MAX_ULP_PER_STEP:g} dt"
         )
 
 
@@ -232,7 +242,7 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
             f"{r.source}: sim.dt = {dt:g} must lie in (0, {dt_max:g}] "
             f"({STEPS_PER_PERIOD} steps per fastest dither period)"
         )
-    _check_steps(r, "sim.horizon", horizon, dt)
+    _check_time_grid(r, "sim.horizon", schedule.t0, horizon, dt)
     record_every = r.int_("sim.record_every", 1)
     if record_every < 1:
         raise ConfigError(f"{r.source}: sim.record_every must be >= 1, got {record_every}")
@@ -253,7 +263,7 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
         except CapabilityError as e:
             raise ConfigError(f"{r.source}: schedule.kind = {schedule.kind} leaves the probe no averaged system: {e}") from None
         fastest = float(np.max(params.with_omega(probe.omega_values[-1]).omegas))
-        _check_steps(r, "probe.horizon", probe.horizon, dither_step_bound(fastest))
+        _check_time_grid(r, "probe.horizon", schedule.t0, probe.horizon, dither_step_bound(fastest))
     out_dir = r.str_("out.dir", "out")
     r.reject_unknown()
 

@@ -13,6 +13,11 @@ in the scaled error coordinates theta_f = xi(theta - theta*),
 eta_f = xi^(2 kappa) (eta - J(theta*)) used by the stability analysis, over
 x = [theta_f_1..theta_f_n, eta_f]; the two are related by exact algebra, which
 the test suite checks by chain rule.
+
+Every right-hand side takes one state of shape (d,) or B states of shape
+(B, d) through the same code: it reads the state's columns as x.T[:n] and
+x.T[n], evaluates the map's closed forms on that (n,) or (n, B) block, and
+reads the schedule's time-only factors once per evaluation time.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import AssemblyError, CapabilityError
 from .maps import CostMap
-from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Schedule
+from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Factors, Schedule
 
 Array = np.ndarray
 
@@ -146,36 +151,59 @@ def assemble(
     return p
 
 
-def gain_error_term(schedule: Schedule, k: Array, err: float, t: float) -> Array:
-    """Per-channel phase k_i phi(t) err.
+def gain_error_term(f: Factors, k: Array, err) -> Array:
+    """Per-channel phase k_i phi(t) err: shape (n,) for a scalar err, (B, n) for err of shape (B,).
 
-    For |err| below TINY_ERR the product is taken in the log domain,
-    exp(log phi + log |err|), so a huge phi against a denormal error cannot
-    round through inf * 0.
+    err is a numpy value, as the maps' closed forms return it: a float64
+    scalar for one state, a (B,) array for a batch.
+
+    A row with |err| below TINY_ERR takes the product in the log domain,
+    exp(log phi + log |err|), and a zero error gives a zero phase, so a huge
+    phi against a denormal error cannot round through inf * 0, and phi is
+    only needed, and can only overflow, for the other rows.
     """
-    if err == 0.0:
-        return np.zeros_like(k)
-    if abs(err) < TINY_ERR:
-        mag = math.exp(schedule.log_phi(t) + math.log(abs(err)))
-        return k * math.copysign(mag, err)
-    return k * (schedule.phi(t) * err)
+    tiny = abs(err) < TINY_ERR
+    # a single error compares to np.False_ when it is not tiny, which skips the array test
+    if tiny is not np.False_ and np.count_nonzero(tiny):
+        prod = np.array(err, dtype=float)
+        flat = prod.reshape(-1)
+        tiny = abs(flat) < TINY_ERR
+        if not tiny.all():
+            flat[~tiny] *= f.phi
+        flat[tiny] = [
+            math.copysign(math.exp(f.log_phi + math.log(abs(e))), e) if e else 0.0 for e in flat[tiny].tolist()
+        ]
+    else:
+        prod = f.phi * err
+    return prod[..., None] * k
+
+
+def _check_loop_map(p: EsParams, map: CostMap, *forms: str) -> None:
+    """Check once, when a loop is assembled, what its rhs reads of the map without validation."""
+    if map.dim != p.n:
+        raise AssemblyError(f"map '{map.name}' has dimension {map.dim}, the controller has {p.n} channels")
+    for form in forms:
+        if getattr(map, form) is None:
+            raise CapabilityError(f"map '{map.name}' has no closed {form} form, which the loop evaluates on batches")
 
 
 def es_closed_loop(p: EsParams, map: CostMap):
-    """rhs(x, t) over the packed state x = [theta_1..theta_n, eta].
+    """rhs(x, t) over the packed state x = [theta_1..theta_n, eta], of shape (d,) or (B, d).
 
     Tagged with the fastest dither frequency so the integrator can enforce
     its step bound.
     """
-    n = p.n
+    _check_loop_map(p, map)
+    n, factors, cost = p.n, p.schedule.factor_cache(), map.eval
 
     def rhs(x: Array, t: float) -> Array:
-        err = map(x[:n]) - x[n]
-        phase = gain_error_term(p.schedule, p.k, err, t)
-        out = np.empty(n + 1)
-        out[:n] = p.schedule.nu(t) * p._amp * np.cos(p._omegas * t + phase)
+        f = factors(t)
+        xt = x.T
+        err = cost(xt[:n]) - xt[n]
+        out = np.empty_like(xt)  # laid out like x.T, so out.T is laid out like x
+        out[:n] = (f.nu * p._amp * np.cos(p._omegas * t + gain_error_term(f, p.k, err))).T
         out[n] = p.omega_h * err
-        return out
+        return out.T
 
     rhs.dither_omega_max = float(np.max(p._omegas))
     return rhs
@@ -186,50 +214,41 @@ def _require_transformable(p: EsParams, map: CostMap):
         raise CapabilityError("transformed coordinates are undefined for the nominal schedule (xi would stay 1)")
     if map.optimum is None or map.optimal_value is None:
         raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value; transformed coordinates need both")
+    _check_loop_map(p, map, "centered")
 
 
-def growth_drift(schedule: Schedule, t: float) -> float:
-    """d(log xi)/dt: beta/(v (1 + beta (t-t0))) for asymptotic, lambda for exponential, 0 for nominal."""
-    if schedule.kind == ASYMPTOTIC:
-        return schedule.beta / (schedule.v * (1.0 + schedule.beta * (t - schedule.t0)))
-    if schedule.kind == EXPONENTIAL:
-        return schedule.lam
-    return 0.0
-
-
-def transformed_drift(p: EsParams, map: CostMap, z: Array, t: float):
+def transformed_drift(p: EsParams, map: CostMap, z: Array, f: Factors):
     """Dither-free part b0(z, t) of the transformed loop, and its error.
 
-    Over z = [theta_f..., eta_f], with g = d(log xi)/dt, xi2k = xi^(2 kappa)
-    and jf = J(theta* + theta_f/xi) - J(theta*):
+    Over z = [theta_f..., eta_f] of shape (d,) or (B, d), with the schedule's
+    factors f at t, g = d(log xi)/dt, xi2k = xi^(2 kappa) and
+    jf = J(theta* + theta_f/xi) - J(theta*):
 
         b0  = [g theta_f, (2 kappa g - omega_h) eta_f + omega_h xi2k jf]
         err = jf - eta_f / xi2k
 
     err is the deployed loop's J(theta) - eta; the transformed loop's phase is
-    gain_error_term(schedule, k, err, t), and the averaged loop reads b0 only.
-    Callers check the frame once, with _require_transformable, when they
-    assemble their fields.
+    gain_error_term(f, k, err), and the averaged loop reads b0 only.  Callers
+    check the frame and the map once, when they assemble their fields.
     """
     n = p.n
-    eta_f = z[n]
-    log_xi = p.schedule.log_xi(t)
-    xi2k = math.exp(2.0 * map.kappa * log_xi)
-    jf = map.centered_value(map.optimum + z[:n] * math.exp(-log_xi))
-    g = growth_drift(p.schedule, t)
-    b0 = g * z
-    b0[n] = (2.0 * map.kappa * g - p.omega_h) * eta_f + p.omega_h * xi2k * jf
+    eta_f = z.T[n]
+    xi2k = math.exp(2.0 * map.kappa * f.log_xi)
+    jf = map.centered((map.optimum + z[..., :n] * f.nu).T)
+    b0 = f.g * z
+    b0.T[n] = (2.0 * map.kappa * f.g - p.omega_h) * eta_f + p.omega_h * xi2k * jf
     return b0, jf - eta_f / xi2k
 
 
 def transformed_closed_loop(p: EsParams, map: CostMap):
-    """rhs(x, t) over the packed state x = [theta_f_1..theta_f_n, eta_f]."""
+    """rhs(x, t) over the packed state x = [theta_f_1..theta_f_n, eta_f], of shape (d,) or (B, d)."""
     _require_transformable(p, map)
-    n = p.n
+    n, factors = p.n, p.schedule.factor_cache()
 
     def rhs(x: Array, t: float) -> Array:
-        out, err = transformed_drift(p, map, x, t)
-        out[:n] += p._amp * np.cos(p._omegas * t + gain_error_term(p.schedule, p.k, err, t))
+        f = factors(t)
+        out, err = transformed_drift(p, map, x, f)
+        out[..., :n] += p._amp * np.cos(p._omegas * t + gain_error_term(f, p.k, err))
         return out
 
     rhs.dither_omega_max = float(np.max(p._omegas))

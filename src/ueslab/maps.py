@@ -5,6 +5,14 @@ Closed-form gradients/Hessians are optional; central finite differences fill
 in when they are absent.  ``verify_power_bounds`` measures empirical two-sided
 power-law envelopes of the cost, its gradient, and its Hessian on a ball
 around the minimizer.
+
+The closed forms ``eval``, ``centered`` and ``grad`` take theta with its
+coordinates on the leading axis: shape (n,) for one input, or (n, B) for B
+inputs at once, so ``th[i]`` is coordinate i either way.  ``eval`` and
+``centered`` return a scalar or a (B,) array, ``grad`` an (n,) or (n, B)
+array.  The closed loops call them directly, having checked the dimension
+once when the loop was assembled; ``__call__``, ``centered_value`` and
+``gradient`` are the validating entry points for single inputs.
 """
 
 from __future__ import annotations
@@ -50,23 +58,26 @@ class CostMap:
     """Static scalar objective with optional analytic structure.
 
     dim            input dimension n
-    eval           theta (n,) -> cost value
+    eval           theta (n,) or (n, B) -> cost value, scalar or (B,)
     kappa          convexity order: 1 for strongly convex behavior, larger for flatter minima
     grad, hess     optional closed forms; finite differences are used when absent
     optimum        minimizer, for tests and diagnostics only
     optimal_value  cost at the minimizer
     centered       optional cancellation-free evaluation of eval(theta) - optimal_value
     bounds         optional analytic PowerBounds
+
+    The closed loops evaluate eval, centered and grad on (n, B) inputs; a
+    loop that needs a form the map lacks refuses it when it is assembled.
     """
 
     dim: int
-    eval: Callable[[Array], float]
+    eval: Callable[[Array], Array]
     kappa: int
     grad: Optional[Callable[[Array], Array]] = None
     hess: Optional[Callable[[Array], Array]] = None
     optimum: Optional[Array] = None
     optimal_value: Optional[float] = None
-    centered: Optional[Callable[[Array], float]] = None
+    centered: Optional[Callable[[Array], Array]] = None
     bounds: Optional[PowerBounds] = None
     name: str = "custom"
 
@@ -228,13 +239,13 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
     qmax = float(qv.max())
     return CostMap(
         dim=n,
-        eval=lambda th: float(np.sum(qv * (th - star) ** 2)),
+        eval=lambda th: (qv * (th.T - star) ** 2).sum(axis=-1),
         kappa=1,
-        grad=lambda th: 2.0 * qv * (th - star),
+        grad=lambda th: (2.0 * qv * (th.T - star)).T,
         hess=lambda th: np.diag(2.0 * qv),
         optimum=star.copy(),
         optimal_value=0.0,
-        centered=lambda th: float(np.sum(qv * (th - star) ** 2)),
+        centered=lambda th: (qv * (th.T - star) ** 2).sum(axis=-1),
         bounds=PowerBounds(float(qv.min()), qmax, 2.0 * float(qv.min()), 2.0 * qmax, 2.0 * qmax, 2.0 * qmax),
         name="quadratic",
     )

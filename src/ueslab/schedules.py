@@ -5,7 +5,8 @@ Asymptotic decays the amplitude like a power law and grows the gain like
 xi(t)^r with xi(t) = (1 + beta (t - t0))^(1/v).  Exponential decays like
 exp(-lambda t) and grows the gain like xi(t)^2 with xi = exp(lambda t).
 All evaluations go through the log domain so phi stays accurate and overflow
-surfaces as an explicit error instead of inf.
+surfaces as an explicit error instead of inf.  ``Schedule.factors`` returns
+every time-only factor a right-hand-side evaluation needs from one call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 NOMINAL = "nominal"
 ASYMPTOTIC = "asymptotic"
@@ -71,40 +72,92 @@ class Schedule:
     def exponential(cls, lam: float, t0: float = 0.0) -> "Schedule":
         return cls(kind=EXPONENTIAL, t0=t0, lam=lam)
 
-    def _elapsed(self, t: float) -> float:
+    def factors(self, t: float) -> "Factors":
+        """Every time-only factor of one right-hand-side evaluation at t.
+
+        One start-time check and, for the asymptotic kind, one log1p serve
+        log xi, log phi, nu and the growth drift g = d(log xi)/dt.
+        """
         if t < self.t0:
             raise ValueError(f"t = {t} precedes schedule start t0 = {self.t0}")
-        return t - self.t0
+        tau = t - self.t0
+        if self.kind == NOMINAL:
+            log_xi = log_phi = g = 0.0
+        elif self.kind == ASYMPTOTIC:
+            log1p = math.log1p(self.beta * tau)
+            log_xi = log1p / self.v
+            log_phi = (self.r / self.v) * log1p
+            g = self.beta / (self.v * (1.0 + self.beta * tau))
+        else:
+            log_xi = self.lam * tau
+            log_phi = 2.0 * self.lam * tau
+            g = self.lam
+        return Factors(self.kind, t, log_xi, log_phi, math.exp(-log_xi), g)
+
+    def factor_cache(self) -> Callable[[float], "Factors"]:
+        """``factors`` as a function that keeps its last result, for one right-hand side.
+
+        RK4 evaluates its two middle stages at one time and each step's last
+        stage at the next step's first, so a right-hand side that reads its
+        factors through this computes them at two of its four stages.
+        """
+        last = [(None, None)]
+
+        def factors(t: float) -> Factors:
+            seen, f = last[0]
+            if t != seen:
+                f = self.factors(t)
+                last[0] = (t, f)
+            return f
+
+        return factors
 
     def log_xi(self, t: float) -> float:
         """log of the growth function; 0 for Nominal."""
-        tau = self._elapsed(t)
-        if self.kind == NOMINAL:
-            return 0.0
-        if self.kind == ASYMPTOTIC:
-            return math.log1p(self.beta * tau) / self.v
-        return self.lam * tau
+        return self.factors(t).log_xi
 
     def xi(self, t: float) -> float:
         """Growth function: (1+beta(t-t0))^(1/v), e^(lam(t-t0)), or 1."""
-        return math.exp(self.log_xi(t))
+        return self.factors(t).xi
 
     def nu(self, t: float) -> float:
         """Amplitude decay multiplier; reciprocal of the growth function."""
-        return math.exp(-self.log_xi(t))
+        return self.factors(t).nu
 
     def log_phi(self, t: float) -> float:
         """log of the gain multiplier; 0 for Nominal."""
-        tau = self._elapsed(t)
-        if self.kind == NOMINAL:
-            return 0.0
-        if self.kind == ASYMPTOTIC:
-            return (self.r / self.v) * math.log1p(self.beta * tau)
-        return 2.0 * self.lam * tau
+        return self.factors(t).log_phi
 
     def phi(self, t: float) -> float:
         """Gain growth multiplier: xi^r (asymptotic), xi^2 (exponential), or 1."""
-        lp = self.log_phi(t)
-        if lp > _LOG_MAX:
-            raise OverflowError(f"gain multiplier phi exceeds double range at t = {t:g} ({self.kind} schedule)")
-        return math.exp(lp)
+        return self.factors(t).phi
+
+
+class Factors(NamedTuple):
+    """The time-only factors of a schedule at time t, from one ``Schedule.factors`` call.
+
+    log_xi, log_phi  logs of the growth function and of the gain multiplier
+    nu               amplitude multiplier exp(-log_xi)
+    g                growth drift d(log xi)/dt: beta/(v (1 + beta (t-t0))),
+                     lambda, or 0
+
+    ``xi`` and ``phi`` are exponentiated on access, so a phi that leaves
+    double range raises only where a caller needs phi itself.
+    """
+
+    kind: str
+    t: float
+    log_xi: float
+    log_phi: float
+    nu: float
+    g: float
+
+    @property
+    def xi(self) -> float:
+        return math.exp(self.log_xi)
+
+    @property
+    def phi(self) -> float:
+        if self.log_phi > _LOG_MAX:
+            raise OverflowError(f"gain multiplier phi exceeds double range at t = {self.t:g} ({self.kind} schedule)")
+        return math.exp(self.log_phi)

@@ -4,7 +4,10 @@ The integrator is deliberately fixed-step: dither terms have known frequency
 content, and a step tied to the fastest dither keeps phase error deterministic
 and runs byte-for-byte reproducible.  Right-hand sides that carry a
 ``dither_omega_max`` attribute get their step checked against
-``dither_step_bound``: 40 samples per fastest period.
+``dither_step_bound``: 40 samples per fastest period.  A state is a float,
+a 1-D array (d,), or a batch (B, d) of B independent states that share the
+step, the sample times and the right-hand side; a batch is one RK4 run whose
+rhs evaluates all rows at once.
 
 ``lemma1_rhs`` / ``lemma1_solution`` form a self-oracle pair: a scalar
 comparison ODE with a known closed-form solution, used to validate the
@@ -36,7 +39,7 @@ class Trajectory:
     """Time-indexed record of an integration run.
 
     times   (m,) strictly increasing sample times
-    states  (m, d) raw state record, one row per sample
+    states  (m, d) raw state record, one row per sample; (m, B, d) for a batch
     n       number of leading state columns holding the controller input
     y       optional (m,) measured cost when a map was in the loop
     """
@@ -49,14 +52,14 @@ class Trajectory:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        if self.states.ndim != 2 or self.times.ndim != 1:
-            raise ValueError("times must be 1-D and states 2-D")
+        if self.states.ndim not in (2, 3) or self.times.ndim != 1:
+            raise ValueError("times must be 1-D and states (m, d) or (m, B, d)")
         if len(self.times) != len(self.states):
             raise ValueError(f"{len(self.times)} times vs {len(self.states)} state rows")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("sample times must be strictly increasing")
-        if not (0 < self.n <= self.states.shape[1]):
-            raise ValueError(f"n = {self.n} incompatible with state width {self.states.shape[1]}")
+        if not (0 < self.n <= self.states.shape[-1]):
+            raise ValueError(f"n = {self.n} incompatible with state width {self.states.shape[-1]}")
         if not np.all(np.isfinite(self.states)):
             raise ValueError("recorded states contain non-finite values")
         if self.y is not None:
@@ -66,18 +69,20 @@ class Trajectory:
 
     @property
     def theta(self) -> Array:
-        """(m, n) controller-input columns."""
-        return self.states[:, : self.n]
+        """(m, n) controller-input columns; (m, B, n) for a batch."""
+        return self.states[..., : self.n]
 
     @property
     def eta(self) -> Array:
-        """(m,) washout-filter column; requires state layout [theta..., eta]."""
-        if self.states.shape[1] != self.n + 1:
+        """(m,) washout-filter column, (m, B) for a batch; requires state layout [theta..., eta]."""
+        if self.states.shape[-1] != self.n + 1:
             raise ValueError("trajectory has no washout-filter column")
-        return self.states[:, self.n]
+        return self.states[..., self.n]
 
     def to_csv(self) -> str:
-        """CSV text: header t,theta_1..theta_n,eta,y; 17 significant digits."""
+        """CSV text: header t,theta_1..theta_n,eta,y; 17 significant digits; one state per sample only."""
+        if self.states.ndim != 2:
+            raise ValueError("CSV output takes one state per sample, not a batch")
         cols = ["t"] + [f"theta_{i + 1}" for i in range(self.n)]
         blocks = [self.times[:, None], self.theta]
         if self.states.shape[1] == self.n + 1:
@@ -105,12 +110,15 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 from t0 to t1.
 
-    rhs(x, t) -> dx/dt, with x a float or a 1-D array; the state type is
-    preserved across steps.  Samples are recorded every ``record_every`` steps;
-    the initial and final states are always recorded.  ``y_fn(x, t)``, when
-    given, fills the trajectory's y column at recorded samples.  A non-finite
+    rhs(x, t) -> dx/dt, with x a float, a 1-D array (d,) or a batch (B, d);
+    the state type is preserved across steps.  Samples are recorded every
+    ``record_every`` steps; the initial and final states are always recorded.
+    ``y_fn(x, t)``, when given, fills the trajectory's y column at recorded
+    samples.  A non-finite
     state, or an OverflowError/FloatingPointError raised by rhs, aborts with
-    IntegrationDiverged carrying the trajectory recorded so far.
+    IntegrationDiverged carrying the trajectory recorded so far; for a batch
+    that went non-finite it also names the rows that did.  Rows never
+    interact, so integrating the others again reproduces them bit for bit.
 
     The float path is kept for scalar ODEs such as the comparison ODE: as a
     1-element array each step pays numpy's per-operation overhead, which made
@@ -139,9 +147,9 @@ def integrate(
         record = lambda xv: [xv]
     else:
         x = np.array(x0, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("array states must be 1-D")
-        width = x.size
+        if x.ndim not in (1, 2):
+            raise ValueError(f"array states must be (d,) or (B, d), got shape {x.shape}")
+        width = x.shape[-1]
         finite = lambda xv: bool(np.all(np.isfinite(xv)))
         record = lambda xv: xv.tolist()
     if n is None:
@@ -173,7 +181,11 @@ def integrate(
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_next
         if not finite(x):
-            raise IntegrationDiverged(f"state became non-finite at t = {t:g}", t_last=times[-1], trajectory=recorded())
+            bad = np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist() if np.ndim(x) == 2 else None
+            where = "" if bad is None else f" in rows {bad}"
+            raise IntegrationDiverged(
+                f"state became non-finite{where} at t = {t:g}", t_last=times[-1], trajectory=recorded(), rows=bad
+            )
         if step % record_every == 0 or step == n_steps:
             times.append(t)
             rows.append(record(x))

@@ -52,7 +52,7 @@ def test_bracket_sum_matches_closed_form(quartic, fig3_params):
         acc = np.zeros(2)
         for b_c, b_s in pairs:
             acc += 0.5 * u.lie_bracket(b_c, b_s, z, t)
-        drift = u.averaged_drift_term(fig3_params, quartic, z[:1], t)
+        drift = u.averaged_drift_term(fig3_params, quartic, z[:1], fig3_params.schedule.factors(t))
         np.testing.assert_allclose(acc[:1], drift, rtol=0, atol=1e-6)
         assert acc[1] == 0.0
 
@@ -171,35 +171,65 @@ def test_probe_matches_per_omega_averaging(quartic, fig3_params):
             assert abs(row.sup_gap - want.sup_gap) <= 1e-9
 
 
-def _counting_integrate(monkeypatch, fail_on=None):
-    """Patch averaging.integrate to count averaged integrations; the one numbered fail_on diverges."""
-    averaged_runs = []
+def _counting_integrate(monkeypatch, fail_rows=None):
+    """Patch averaging.integrate to record ("averaged" | "full", batch shape) per call; the first
+    averaged integration raises IntegrationDiverged naming fail_rows, when given, as its diverged rows."""
+    calls = []
     real = averaging.integrate
 
-    def integrate(rhs, *args, **kwargs):
-        if getattr(rhs, "dither_omega_max", None) is None:  # only the averaged rhs is untagged
-            averaged_runs.append(args[0])
-            if len(averaged_runs) == fail_on:
-                raise IntegrationDiverged("forced", t_last=args[1])
-        return real(rhs, *args, **kwargs)
+    def integrate(rhs, x0, *args, **kwargs):
+        kind = "averaged" if getattr(rhs, "dither_omega_max", None) is None else "full"  # only the averaged rhs is untagged
+        calls.append((kind, np.shape(x0)))
+        if kind == "averaged" and fail_rows is not None and len(calls) == 1:
+            raise IntegrationDiverged("forced", t_last=args[0], rows=fail_rows)
+        return real(rhs, x0, *args, **kwargs)
 
     monkeypatch.setattr(averaging, "integrate", integrate)
-    return averaged_runs
+    return calls
 
 
-def test_probe_integrates_averaged_system_once_per_trial(quartic, fig3_params, monkeypatch):
-    averaged_runs = _counting_integrate(monkeypatch)
+def test_probe_integrates_one_batch_per_system_and_omega(quartic, fig3_params, monkeypatch):
+    calls = _counting_integrate(monkeypatch)
     u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
-    assert len(averaged_runs) == PROBE_CFG.trials
+    batch = (PROBE_CFG.trials, quartic.dim + 1)
+    assert calls == [("averaged", batch)] + [("full", batch)] * len(PROBE_CFG.omega_values)
 
 
 def test_probe_averaged_divergence_marks_its_trial(quartic, fig3_params, monkeypatch):
     clean = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
-    _counting_integrate(monkeypatch, fail_on=2)  # the averaged run of trial 1
+    calls = _counting_integrate(monkeypatch, fail_rows=[1])  # row 1 of the batched averaged run: trial 1
     rows = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    assert calls[:2] == [("averaged", (2, 2)), ("averaged", (1, 2))]  # trial 0 integrated again on its own
     for row, want in zip(rows, clean):
         if row.trial == 1:
             assert row.sup_gap == math.inf
             assert (row.omega, row.entry_time, row.stayed) == (want.omega, want.entry_time, want.stayed)
+        else:
+            assert row == want
+
+
+def test_probe_full_loop_divergence_marks_its_trial(quartic, fig3_params, monkeypatch):
+    # trial 1's state goes non-finite in the first step of every full-loop batch it is in
+    clean = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    start = averaging._trial_starts(quartic, PROBE_CFG)[1]
+    real = averaging.es_closed_loop
+
+    def poisoned_loop(p, map_):
+        rhs = real(p, map_)
+
+        def poisoned(x, t):
+            out = rhs(x, t)
+            out[np.all(x == start, axis=-1)] = math.inf
+            return out
+
+        poisoned.dither_omega_max = rhs.dither_omega_max
+        return poisoned
+
+    monkeypatch.setattr(averaging, "es_closed_loop", poisoned_loop)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    for row, want in zip(rows, clean):
+        if row.trial == 1:
+            assert (row.omega, row.entry_time, row.stayed, row.sup_gap) == (want.omega, math.inf, False, math.inf)
         else:
             assert row == want

@@ -110,6 +110,15 @@ def test_config_defaults():
             "probe.omegas = 10\nprobe.epsilon = 0.25\nprobe.delta = 1\nprobe.horizon = 1e300\nprobe.trials = 1\n",
             "probe.horizon = 1e\\+300 needs .* RK4 steps",
         ),
+        # t0 + horizon == t0: no step lands inside the horizon
+        ("schedule.t0 = 1e20\nsim.horizon = 1\n", "schedule.t0 = 1e\\+20 is too large.*sim.horizon"),
+        # one ulp of 1e15 is 0.125, four times the step: the sample times collide
+        ("schedule.t0 = 1e15\nsim.horizon = 1\n", "schedule.t0 = 1e\\+15 is too large.*sim.horizon"),
+        (
+            "schedule.t0 = 1e6\nsim.horizon = 1\n"
+            "probe.omegas = 10, 1e4\nprobe.epsilon = 0.25\nprobe.delta = 1\nprobe.horizon = 1\nprobe.trials = 1\n",
+            "schedule.t0 = 1e\\+06 is too large.*probe.horizon",
+        ),
     ],
 )
 def test_config_rejects(extra, fragment):
@@ -210,18 +219,22 @@ def test_cli_run_overflow_writes_partial_artifacts(tmp_path, monkeypatch):
 
 BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "abc", None]  # None drops the key
 MINIMAL_ITEMS = dict(line.split(" = ") for line in MINIMAL.strip().splitlines())
+# keys MINIMAL leaves at their defaults, drawn from values that also stress the time grid and the list lengths
+EXTRA_KEYS = ["schedule.t0", "es.alpha", "es.omega_hat"]
+EXTRA_VALUES = BAD_VALUES + ["1e15", "1e20", "1, 2", "0.5"]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     bad=st.dictionaries(st.sampled_from([key for key in MINIMAL_ITEMS if key != "sim.horizon"]),
                         st.sampled_from(BAD_VALUES), max_size=2),
+    extra=st.dictionaries(st.sampled_from(EXTRA_KEYS), st.sampled_from(EXTRA_VALUES), max_size=2),
     # a long valid horizon would only make an example slow
     horizon=st.one_of(st.sampled_from(BAD_VALUES), st.floats(-2.0, 2.0).map(repr)),
 )
-def test_cli_run_fuzzed_config_never_raises(tmp_path_factory, bad, horizon):
+def test_cli_run_fuzzed_config_never_raises(tmp_path_factory, bad, extra, horizon):
     # a config that loads is a config that runs: every input ends in exit 0, 2 or 3
-    values = {**MINIMAL_ITEMS, **bad, "sim.horizon": horizon}
+    values = {**MINIMAL_ITEMS, **bad, **extra, "sim.horizon": horizon}
     tmp = tmp_path_factory.mktemp("fuzz")
     conf = tmp / "fuzz.conf"
     conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items() if value is not None))

@@ -1,12 +1,13 @@
 """Controller dynamics in both frames, parameter assembly, and coupled checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import ueslab as u
-from ueslab.controllers import gain_error_term, growth_drift
+from ueslab.controllers import gain_error_term
 from ueslab.errors import AssemblyError, CapabilityError
 
 
@@ -92,11 +93,11 @@ def test_closed_loop_packing(quartic, fig3_params):
 
 
 def test_growth_drift_values():
-    assert growth_drift(u.Schedule.nominal(), 3.0) == 0.0
+    assert u.Schedule.nominal().factors(3.0).g == 0.0
     s = u.Schedule.asymptotic(beta=0.1, v=1.0 / 3.0, r=4.0)
-    assert growth_drift(s, 0.0) == pytest.approx(0.3, rel=1e-12)
-    assert growth_drift(s, 10.0) == pytest.approx(0.3 / 2.0, rel=1e-12)
-    assert growth_drift(u.Schedule.exponential(lam=0.25), 7.0) == 0.25
+    assert s.factors(0.0).g == pytest.approx(0.3, rel=1e-12)
+    assert s.factors(10.0).g == pytest.approx(0.3 / 2.0, rel=1e-12)
+    assert u.Schedule.exponential(lam=0.25).factors(7.0).g == 0.25
 
 
 def test_gain_error_term_log_domain():
@@ -107,9 +108,10 @@ def test_gain_error_term_log_domain():
         s.phi(400.0)
     # ... but against a denormal error the product is finite and signed
     expected = 2.0 * math.exp(s.log_phi(400.0) + math.log(1e-300))
-    np.testing.assert_allclose(gain_error_term(s, k, 1e-300, 400.0), [expected])
-    np.testing.assert_allclose(gain_error_term(s, k, -1e-300, 400.0), [-expected])
-    np.testing.assert_array_equal(gain_error_term(s, k, 0.0, 400.0), [0.0])
+    f = s.factors(400.0)
+    np.testing.assert_allclose(gain_error_term(f, k, 1e-300), [expected])
+    np.testing.assert_allclose(gain_error_term(f, k, -1e-300), [-expected])
+    np.testing.assert_array_equal(gain_error_term(f, k, 0.0), [0.0])
 
 
 def test_transformed_loop_at_origin(quartic, fig3_params):
@@ -166,6 +168,16 @@ def test_transformed_loop_consistent_by_chain_rule(quartic, fig3_params, exp_map
     err_expo = _chain_rule_worst_error(exp_map, exp_params, exp_params.schedule, rng)
     assert err_asym < 1e-9
     assert err_expo < 1e-9
+
+
+def test_loops_check_the_map_at_assembly(quartic, fig3_params):
+    # the right-hand sides call the map's closed forms without validating their input
+    with pytest.raises(AssemblyError, match="dimension 2"):
+        u.es_closed_loop(fig3_params, u.quadratic(q=[1.0, 2.0], theta_star=[0.0, 0.0]))
+    with pytest.raises(CapabilityError, match="centered"):
+        u.transformed_closed_loop(fig3_params, dataclasses.replace(quartic, centered=None))
+    with pytest.raises(CapabilityError, match="grad"):
+        u.averaged_closed_loop(fig3_params, dataclasses.replace(quartic, grad=None))
 
 
 def test_with_omega_rebuilds_derived_quantities(fig3_params):

@@ -45,6 +45,20 @@ def test_quadratic_vector_case():
     assert (b.a1, b.a2, b.b1, b.b2, b.c1, b.c2) == (1.0, 2.0, 2.0, 4.0, 4.0, 4.0)
 
 
+def test_closed_forms_take_batches():
+    # coordinates on the leading axis: (n, B) in, (B,) values and (n, B) gradients out
+    rng = np.random.default_rng(2)
+    for m in (u.quartic_paper(), u.quadratic(q=[1.0, 2.0, 3.0], theta_star=[0.5, -1.0, 2.0])):
+        th = rng.uniform(-3.0, 3.0, (m.dim, 5))
+        for form in (m.eval, m.centered):
+            values = form(th)
+            assert values.shape == (5,)
+            np.testing.assert_allclose(values, [form(col) for col in th.T], rtol=1e-15)
+        grads = m.grad(th)
+        assert grads.shape == (m.dim, 5)
+        np.testing.assert_allclose(grads, np.column_stack([m.grad(col) for col in th.T]), rtol=1e-15)
+
+
 def test_fd_fallback_when_no_closed_forms():
     m = u.CostMap(dim=1, eval=lambda th: (th[0] - 1.0) ** 2, kappa=1)
     np.testing.assert_allclose(m.gradient([2.0]), [2.0], rtol=1e-8)

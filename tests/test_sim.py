@@ -1,5 +1,6 @@
 """Integrator: exactness, convergence order, records, and the comparison ODE."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
+from ueslab import cli
+from ueslab.averaging import _trial_starts
+from ueslab.config import config_from_text
 from ueslab.errors import IntegrationDiverged
 
 
@@ -176,3 +180,73 @@ def test_endpoints_recorded_for_any_cadence(span, dt, every):
     assert traj.times[0] == 0.0
     assert traj.times[-1] == span
     assert np.all(np.diff(traj.times) > 0.0)
+
+
+def test_batch_divergence_names_its_rows():
+    # dx/dt = x^2 leaves double range near t = 1/x0: the row starting at 2 does, the others do not
+    x0 = np.array([[0.5], [2.0], [-1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationDiverged, match=r"rows \[1\]") as exc:
+            u.integrate(lambda x, t: x * x, x0, 0.0, 1.0, 1e-3)
+    err = exc.value
+    assert err.rows == [1]
+    assert 0.45 < err.t_last < 0.55
+    assert err.trajectory.states.shape[1:] == (3, 1)
+    assert np.all(np.isfinite(err.trajectory.states))
+
+
+def test_batch_trajectory_views():
+    traj = u.integrate(lambda x, t: -x, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), 0.0, 1.0, 0.1, n=1)
+    assert traj.states.shape == (11, 3, 2)
+    assert traj.theta.shape == (11, 3, 1)
+    np.testing.assert_array_equal(traj.eta[0], [2.0, 4.0, 6.0])
+    with pytest.raises(ValueError, match="batch"):
+        traj.to_csv()
+    with pytest.raises(ValueError, match="shape"):
+        u.integrate(lambda x, t: -x, np.ones((2, 2, 2)), 0.0, 1.0, 0.1)
+
+
+def _sweep_starts():
+    """The bundled omega_sweep's trial starts, then the sweep benchmark's at seed 5 (3 trials)."""
+    cfg = cli.resolve_config("omega_sweep")
+    seed5 = dataclasses.replace(cfg.probe, trials=3, seed=5)
+    return cfg, np.vstack([_trial_starts(cfg.map, cfg.probe), _trial_starts(cfg.map, seed5)])
+
+
+FOUR_CHANNELS = """
+map.name = quadratic
+map.q = 1, 2, 3, 4
+map.theta_star = 0.5, -0.25, 1, -1
+schedule.kind = exponential
+schedule.lambda = 0.1
+es.k = 4
+es.omega = 50
+es.omega_h = 3
+sim.horizon = 1
+"""
+
+
+def _assert_rows_bit_identical(rhs, x0s, horizon, n):
+    dt = u.dither_step_bound(rhs.dither_omega_max)
+    run = lambda x0: u.integrate(rhs, x0, 0.0, horizon, dt, n=n).states
+    batch = run(x0s)
+    for i, x0 in enumerate(x0s):
+        np.testing.assert_array_equal(batch[:, i], run(x0[None])[:, 0])  # a batch of one
+        np.testing.assert_array_equal(batch[:, i], run(x0))  # the 1-D path
+
+
+@pytest.mark.parametrize("omega,horizon", [(10.0, 20.0), (250.0, 1.0)])
+def test_batch_rows_equal_single_runs_on_sweep_starts(omega, horizon):
+    # rows never interact, and the batched map evaluation rounds as the 1-D one does on these
+    # starts; numpy's array ** and its float64 scalar ** differ in a few per cent of inputs on
+    # some SIMD builds, so this is checked, not assumed
+    cfg, x0s = _sweep_starts()
+    _assert_rows_bit_identical(u.es_closed_loop(cfg.params.with_omega(omega), cfg.map), x0s, horizon, 1)
+
+
+def test_batch_rows_equal_single_runs_four_channels():
+    cfg = config_from_text(FOUR_CHANNELS, name="four")
+    rng = np.random.default_rng(4)
+    theta0s = cfg.map.optimum + rng.uniform(-1.0, 1.0, (3, 4))
+    x0s = np.column_stack([theta0s, [cfg.map(th) for th in theta0s]])
+    _assert_rows_bit_identical(u.es_closed_loop(cfg.params, cfg.map), x0s, cfg.horizon, 4)
