@@ -9,6 +9,7 @@ from .analysis import (
     EXPONENTIAL_DECAY,
     POWER_LAW,
     RateFit,
+    fit_averaging_order,
     fit_exp_rate,
     fit_power_rate,
     fit_report_csv,

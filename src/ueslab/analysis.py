@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,6 +109,19 @@ def fit_exp_rate(traj: Trajectory, theta_star, window) -> RateFit:
     t_pk, d_pk = _envelope(traj.times, _distance_series(traj, theta_star), window)
     slope, rms = _log_fit(t_pk, np.log(d_pk))
     return RateFit(EXPONENTIAL_DECAY, -slope, rms, (float(window[0]), float(window[1])))
+
+
+def fit_averaging_order(omegas: Sequence[float], gaps: Sequence[float]) -> Optional[float]:
+    """Order of gap ~ omega^(-order): minus the least-squares slope of log(gap) against log(omega).
+
+    None when it is undefined: fewer than two omegas, or a gap that is not
+    finite and positive.
+    """
+    gaps = np.asarray(gaps, dtype=float)
+    if len(gaps) < 2 or not np.all(np.isfinite(gaps) & (gaps > 0.0)):
+        return None
+    slope, _ = _log_fit(np.log(np.asarray(omegas, dtype=float)), np.log(gaps))
+    return -slope
 
 
 def fit_report_csv(fits: Sequence[RateFit]) -> str:

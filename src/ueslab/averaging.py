@@ -15,13 +15,16 @@ Every right-hand side here takes a state of shape (d,) or a batch (B, d).
 the averaged system once, at the full loop's step for the smallest swept
 omega (it reads neither omega nor omega_hat), and the full loop once per
 omega, whose samples read the averaged run through a cubic Hermite
-interpolant.
+interpolant.  Those integrations share no state, so they run as independent
+jobs in forked worker processes, one per available CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -244,6 +247,54 @@ def _integrate_rows(rhs: Callable, x0s: Array, t0: float, t1: float, dt: float, 
     return None, alive
 
 
+# the running probe's jobs, which forked workers inherit; it holds one probe's
+# jobs at a time, so probes in threads of one process would clobber each other
+_JOBS: List[Callable[[], tuple]] = []
+
+
+def _run_job(index: int) -> tuple:
+    return _JOBS[index]()
+
+
+def _worker_count(jobs: int) -> int:
+    """Processes for `jobs` independent jobs: one per CPU this process may run on, at most one per job."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus)
+
+
+def _run_jobs(jobs: Sequence[Callable[[], tuple]], steps: Sequence[float]) -> List[tuple]:
+    """Each job's result, in job order.
+
+    With one worker the jobs run here, in order.  Otherwise they run in
+    forked worker processes, one job at a time each, the most steps first.
+    The jobs close over right-hand sides, which cannot be pickled, so the
+    workers inherit them through _JOBS and receive only indices.  An
+    exception raised in a job is raised here; a worker that dies raises
+    BrokenProcessPool instead of leaving the probe waiting for its result.
+    """
+    workers = _worker_count(len(jobs))
+    _JOBS[:] = jobs
+    try:
+        if workers == 1:
+            return list(map(_run_job, range(len(jobs))))
+        # imported here, not at module level: `run` never forks and would pay
+        # for the import in start-up time and memory
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        order = sorted(range(len(jobs)), key=steps.__getitem__, reverse=True)
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = dict(zip(order, pool.map(_run_job, order)))
+        return [results[i] for i in range(len(jobs))]
+    finally:
+        _JOBS.clear()
+
+
 def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> List[ProbeRow]:
     """Empirical check of practical uniform stability over an omega sweep.
 
@@ -265,27 +316,41 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     rows equal a per-omega integration bit for bit; the other rows differ
     from one only in sup_gap, by the interpolation error.  Rows are returned
     omega-major.
+
+    The integrations, with any retries, are independent jobs run by
+    ``_run_jobs``, in forked workers when more than one CPU is available;
+    every row is computed here from their results, so the rows do not depend
+    on how the jobs were run.
     """
     averaged = averaged_closed_loop(p, map)
     full_rhss = [es_closed_loop(p.with_omega(omega), map) for omega in cfg.omega_values]
-    avg_dt = dither_step_bound(full_rhss[0].dither_omega_max)
+    dts = [dither_step_bound(full_rhs.dither_omega_max) for full_rhs in full_rhss]
     star, n, trials = map.optimum, map.dim, cfg.trials
     x0s = _trial_starts(map, cfg)
     t0 = p.schedule.t0
     t1 = t0 + cfg.horizon
-    # matched transformed start: xi(t0) = 1, so theta_f = theta - theta* and eta_f = eta - J(theta*)
-    avg, alive = _integrate_rows(averaged, x0s - np.append(star, map.optimal_value), t0, t1, avg_dt, n=n)
+
+    def averaged_job():
+        # matched transformed start: xi(t0) = 1, so theta_f = theta - theta* and eta_f = eta - J(theta*)
+        avg, alive = _integrate_rows(averaged, x0s - np.append(star, map.optimal_value), t0, t1, dts[0], n=n)
+        slopes = None if avg is None else np.array([averaged(x, t)[:, :n] for x, t in zip(avg.states, avg.times)])
+        return avg, alive, slopes
+
+    jobs = [averaged_job] + [
+        partial(_integrate_rows, full_rhs, x0s, t0, t1, dt, record_every=STEPS_PER_PERIOD, n=n)
+        for full_rhs, dt in zip(full_rhss, dts)
+    ]
+    # the averaged job steps at the smallest omega's step
+    (avg, alive, avg_slopes), *fulls = _run_jobs(jobs, [cfg.horizon / dt for dt in [dts[0], *dts]])
     if avg is not None:
         # a trial whose averaged run diverged reads NaN, and gets sup_gap inf
         nodes = np.full((len(avg.times), trials, n), math.nan)
         slopes = np.full_like(nodes, math.nan)
         nodes[:, alive] = avg.theta
-        slopes[:, alive] = [averaged(x, t)[:, :n] for x, t in zip(avg.states, avg.times)]
+        slopes[:, alive] = avg_slopes
 
     rows: List[ProbeRow] = []
-    for omega, full_rhs in zip(cfg.omega_values, full_rhss):
-        dt = dither_step_bound(full_rhs.dither_omega_max)
-        full, alive = _integrate_rows(full_rhs, x0s, t0, t1, dt, record_every=STEPS_PER_PERIOD, n=n)
+    for omega, (full, alive) in zip(cfg.omega_values, fulls):
         entry_time = np.full(trials, math.inf)
         stayed = np.zeros(trials, dtype=bool)
         sup_gap = np.full(trials, math.inf)

@@ -14,7 +14,6 @@ UESLAB_OUT overrides the output directory.  Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from importlib import resources
@@ -23,12 +22,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .analysis import fit_exp_rate, fit_power_rate, fit_report_csv, oscillation_amplitude
+from .analysis import fit_averaging_order, fit_exp_rate, fit_power_rate, fit_report_csv, oscillation_amplitude
 from .averaging import practical_stability_probe, probe_rows_csv
 from .config import ExperimentConfig, config_from_text, load_config
 from .controllers import es_closed_loop
 from .errors import AssemblyError, ConfigError, IntegrationDiverged, WindowTooLate
-from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL
+from .schedules import ASYMPTOTIC, NOMINAL
 from .sim import Lemma1Params, Trajectory, integrate, lemma1_rhs, lemma1_solution
 from .svgplot import line_plot
 
@@ -107,10 +106,11 @@ def _run_one(cfg: ExperimentConfig) -> int:
         try:
             if p.schedule.kind == ASYMPTOTIC:
                 fit = fit_power_rate(traj, map_.optimum, p.schedule.beta, t0, window)
-                bits.append(f"power-law exponent = {fit.estimate:.4g} (residual {fit.residual:.3g});")
+                label, design = "power-law exponent", 1.0 / p.schedule.v
             else:
                 fit = fit_exp_rate(traj, map_.optimum, window)
-                bits.append(f"exponential rate = {fit.estimate:.4g} (residual {fit.residual:.3g});")
+                label, design = "exponential rate", p.schedule.lam
+            bits.append(f"{label} = {fit.estimate:.4g} (design {design:.4g}; residual {fit.residual:.3g});")
             fits.append(fit)
         except WindowTooLate as e:
             bits.append(f"rate fit skipped ({e});")
@@ -139,7 +139,10 @@ def cmd_sweep(args) -> int:
     for row in rows:
         worst[row.omega] = max(worst.get(row.omega, 0.0), row.sup_gap)
     gaps = ", ".join(f"omega={w:g}: worst sup_gap {g:.4g}" for w, g in sorted(worst.items()))
-    print(f"{cfg.name}: probe wrote {len(rows)} rows ({gaps}); artifacts in {out}")
+    order = fit_averaging_order(list(worst), list(worst.values()))
+    fitted = ("averaging order undefined (needs two omegas with finite, positive worst sup_gap)" if order is None
+              else f"fitted averaging order {order:.4g} (worst sup_gap ~ omega^-order)")
+    print(f"{cfg.name}: probe wrote {len(rows)} rows ({gaps}); {fitted}; artifacts in {out}")
     return EXIT_OK
 
 

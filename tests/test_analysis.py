@@ -115,3 +115,13 @@ def test_window_slice_preserves_layout(fig3_run):
     assert sub.times[0] >= 10.0 and sub.times[-1] <= 20.0
     assert sub.y is not None and len(sub.y) == len(sub.times)
     assert len(sub.times) > 100
+
+
+def test_averaging_order_fit():
+    omegas = [10.0, 50.0, 250.0]
+    assert u.fit_averaging_order(omegas, [2.0 * w**-0.5 for w in omegas]) == pytest.approx(0.5, rel=1e-12)
+    # the bundled omega_sweep's worst sup_gaps
+    assert u.fit_averaging_order(omegas, [0.02735, 0.01029, 0.003554]) == pytest.approx(0.634, abs=1e-3)
+    for gaps in ([0.1, np.inf, 0.01], [0.1, 0.0, 0.01], [0.1, np.nan, 0.01]):
+        assert u.fit_averaging_order(omegas, gaps) is None
+    assert u.fit_averaging_order([10.0], [0.1]) is None

@@ -1,6 +1,10 @@
 """Averaged dynamics, bracket computations, and the stability probe."""
 
+import dataclasses
 import math
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
-from ueslab import averaging
+from ueslab import averaging, cli
 from ueslab.averaging import _hermite, transformed_b_fields
 from ueslab.errors import CapabilityError, IntegrationDiverged
 from ueslab.sim import STEPS_PER_PERIOD
@@ -171,9 +175,21 @@ def test_probe_matches_per_omega_averaging(quartic, fig3_params):
             assert abs(row.sup_gap - want.sup_gap) <= 1e-9
 
 
+def _pooled(monkeypatch):
+    """Run the probe's jobs in two forked workers, whatever the host's CPU count."""
+    monkeypatch.setattr(averaging, "_worker_count", lambda jobs: min(jobs, 2))
+
+
+def _in_process(monkeypatch):
+    """Run the probe's jobs in this process, in job order."""
+    monkeypatch.setattr(averaging, "_worker_count", lambda jobs: 1)
+
+
 def _counting_integrate(monkeypatch, fail_rows=None):
     """Patch averaging.integrate to record ("averaged" | "full", batch shape) per call; the first
-    averaged integration raises IntegrationDiverged naming fail_rows, when given, as its diverged rows."""
+    averaged integration raises IntegrationDiverged naming fail_rows, when given, as its diverged rows.
+    The probe's jobs run in this process, so that the record is kept here."""
+    _in_process(monkeypatch)
     calls = []
     real = averaging.integrate
 
@@ -233,3 +249,84 @@ def test_probe_full_loop_divergence_marks_its_trial(quartic, fig3_params, monkey
             assert (row.omega, row.entry_time, row.stayed, row.sup_gap) == (want.omega, math.inf, False, math.inf)
         else:
             assert row == want
+
+
+def test_probe_pool_rows_equal_in_process_rows(quartic, fig3_params, monkeypatch):
+    sweep = cli.resolve_config("omega_sweep")
+    cases = [(fig3_params, quartic, PROBE_CFG),
+             (sweep.params, sweep.map, dataclasses.replace(sweep.probe, trials=3))]  # the sweep_probe shape
+    for p, map_, cfg in cases:
+        _pooled(monkeypatch)
+        pooled = u.practical_stability_probe(p, map_, cfg)
+        _in_process(monkeypatch)
+        serial = u.practical_stability_probe(p, map_, cfg)
+        assert len(pooled) == len(cfg.omega_values) * cfg.trials
+        assert pooled == serial
+        assert u.probe_rows_csv(pooled) == u.probe_rows_csv(serial)
+
+
+def test_probe_jobs_run_in_workers(quartic, fig3_params, monkeypatch, tmp_path):
+    # each integration appends its process id to a file, which outlives the workers
+    pids = tmp_path / "pids"
+    real = averaging.integrate
+
+    def integrate(*args, **kwargs):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "integrate", integrate)
+    _pooled(monkeypatch)
+    u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    seen = [int(line) for line in pids.read_text().split()]
+    assert len(seen) == 1 + len(PROBE_CFG.omega_values)
+    assert os.getpid() not in seen
+    assert len(set(seen)) <= 2
+    assert averaging._JOBS == []
+
+
+def test_probe_worker_exception_reaches_parent(quartic, fig3_params, monkeypatch):
+    real = averaging.es_closed_loop
+
+    def failing_loop(p, map_):
+        rhs = real(p, map_)
+
+        def failing(x, t):
+            raise ValueError(f"rhs refused t = {t:g} in process {os.getpid()}")
+
+        failing.dither_omega_max = rhs.dither_omega_max
+        return failing
+
+    monkeypatch.setattr(averaging, "es_closed_loop", failing_loop)
+    _pooled(monkeypatch)
+    with pytest.raises(ValueError, match=r"^rhs refused t = 0 in process \d+$") as err:
+        u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    assert type(err.value) is ValueError
+    assert f"process {os.getpid()}" not in str(err.value)
+    assert averaging._JOBS == []
+
+
+def test_probe_dead_worker_raises_instead_of_waiting(quartic, fig3_params, monkeypatch):
+    # a worker that exits without returning, as one killed from outside would
+    parent = os.getpid()
+    real = averaging.integrate
+
+    def integrate(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args, **kwargs)
+
+    def give_up(signum, frame):
+        raise TimeoutError("the probe still waits for a dead worker")
+
+    monkeypatch.setattr(averaging, "integrate", integrate)
+    _pooled(monkeypatch)
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert averaging._JOBS == []

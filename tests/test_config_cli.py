@@ -1,5 +1,6 @@
 """Config parsing, validation, bundled experiments, and CLI exit behavior."""
 
+import re
 import subprocess
 import sys
 
@@ -256,9 +257,23 @@ def test_cli_sweep(tmp_path, monkeypatch, capsys):
     conf.write_text(SMALL_PROBE)
     monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
     assert cli.main(["sweep", str(conf)]) == 0
-    assert "worst sup_gap" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "worst sup_gap" in out
+    assert re.search(r"; fitted averaging order \d\.\d+ \(worst sup_gap ~ omega\^-order\); artifacts in ", out)
     text = (tmp_path / "o" / "probe.probe.csv").read_text()
     assert text.splitlines()[0] == "omega,trial,entry_time,stayed,sup_gap"
+    # one omega fits no order
+    conf.write_text(SMALL_PROBE.replace("probe.omegas = 10, 30", "probe.omegas = 10"))
+    assert cli.main(["sweep", str(conf)]) == 0
+    assert "; averaging order undefined (needs two omegas" in capsys.readouterr().out
+
+
+def test_cli_run_prints_design_rate(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
+    assert cli.main(["run", "fig3_asymptotic_ues", "exponential_ues"]) == 0
+    fig3, expo = capsys.readouterr().out.splitlines()
+    assert "; power-law exponent = 2.815 (design 3; residual 0.616);" in fig3
+    assert "; exponential rate = 0.09999 (design 0.1; residual 0.00892);" in expo
 
 
 def test_cli_sweep_needs_probe_settings(tmp_path, monkeypatch, capsys):
