@@ -11,10 +11,11 @@ and its Lie-bracket average is b0 - (1/2) sum_i [b_c_i, b_s_i].  The rhs of
 trusting the algebra.
 
 Every right-hand side here takes a state of shape (d,) or a batch (B, d).
-``practical_stability_probe`` integrates all of its trials as one batch:
-the averaged system once, at the full loop's step for the smallest swept
-omega (it reads neither omega nor omega_hat), and the full loop once per
-omega, whose samples read the averaged run through a cubic Hermite
+``practical_stability_probe`` integrates the averaged system for all of its
+trials as one batch, once, at the full loop's step for the smallest swept
+omega (it reads neither omega nor omega_hat), and the deployed loop, whose
+right-hand side takes one state of floats, once per (omega, trial).  The
+full-loop samples read the averaged run through a cubic Hermite
 interpolant.  Those integrations share no state, so they run as independent
 jobs in forked worker processes, one per available CPU.
 """
@@ -37,7 +38,7 @@ from .controllers import (
     gain_error_term,
     transformed_drift,
 )
-from .errors import CapabilityError, IntegrationDiverged
+from .errors import CapabilityError, IntegrationDiverged, WorkerLost
 from .maps import CostMap
 from .schedules import EXPONENTIAL, Factors
 from .sim import STEPS_PER_PERIOD, dither_step_bound, integrate
@@ -230,7 +231,7 @@ def _trial_starts(map: CostMap, cfg: ProbeConfig) -> Array:
 
 
 def _integrate_rows(rhs: Callable, x0s: Array, t0: float, t1: float, dt: float, **kwargs):
-    """``integrate`` over the batch x0s (B, d), setting aside each row that goes non-finite.
+    """``integrate`` over the averaged batch x0s (B, d), setting aside each row that goes non-finite.
 
     Returns the trajectory of the rows that stayed finite and their indices
     into x0s; the trajectory is None when no row did.  Rows never interact,
@@ -247,12 +248,20 @@ def _integrate_rows(rhs: Callable, x0s: Array, t0: float, t1: float, dt: float, 
     return None, alive
 
 
+def _integrate_trial(rhs: Callable, x0: tuple, t0: float, t1: float, dt: float, n: int):
+    """One full-loop trial from the float state x0, sampled once per dither period; None when it diverged."""
+    try:
+        return integrate(rhs, x0, t0, t1, dt, record_every=STEPS_PER_PERIOD, n=n)
+    except IntegrationDiverged:
+        return None
+
+
 # the running probe's jobs, which forked workers inherit; it holds one probe's
 # jobs at a time, so probes in threads of one process would clobber each other
-_JOBS: List[Callable[[], tuple]] = []
+_JOBS: List[Callable[[], object]] = []
 
 
-def _run_job(index: int) -> tuple:
+def _run_job(index: int):
     return _JOBS[index]()
 
 
@@ -267,7 +276,7 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, cpus)
 
 
-def _run_jobs(jobs: Sequence[Callable[[], tuple]], steps: Sequence[float]) -> List[tuple]:
+def _run_jobs(jobs: Sequence[Callable[[], object]], steps: Sequence[float]) -> list:
     """Each job's result, in job order.
 
     With one worker the jobs run here, in order.  Otherwise they run in
@@ -275,7 +284,7 @@ def _run_jobs(jobs: Sequence[Callable[[], tuple]], steps: Sequence[float]) -> Li
     The jobs close over right-hand sides, which cannot be pickled, so the
     workers inherit them through _JOBS and receive only indices.  An
     exception raised in a job is raised here; a worker that dies raises
-    BrokenProcessPool instead of leaving the probe waiting for its result.
+    WorkerLost instead of leaving the probe waiting for its result.
     """
     workers = _worker_count(len(jobs))
     _JOBS[:] = jobs
@@ -286,10 +295,14 @@ def _run_jobs(jobs: Sequence[Callable[[], tuple]], steps: Sequence[float]) -> Li
         # for the import in start-up time and memory
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         order = sorted(range(len(jobs)), key=steps.__getitem__, reverse=True)
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            results = dict(zip(order, pool.map(_run_job, order)))
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                results = dict(zip(order, pool.map(_run_job, order)))
+        except BrokenProcessPool as e:
+            raise WorkerLost(f"a probe worker process ended without returning its result ({e})") from e
         return [results[i] for i in range(len(jobs))]
     finally:
         _JOBS.clear()
@@ -305,28 +318,28 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     finite-sample only: it can refute but never prove the semi-global claim.
     Diverged integrations are recorded as rows with inf markers, not raised.
 
-    All trials share the step, the sample times and the schedule, so they
-    run as one (trials, d) batch: one integration of the averaged system,
-    then one of the full loop per omega.  A trial that diverges gets its inf
-    row and the others are integrated again without it.  The averaged system
-    reads neither omega nor omega_hat; it is integrated at the full loop's
-    step for the smallest omega, recording every step, and each full-loop
-    sample reads it through a cubic Hermite interpolant whose node slopes are
-    the averaged rhs.  The smallest omega's samples fall on the nodes, so its
-    rows equal a per-omega integration bit for bit; the other rows differ
-    from one only in sup_gap, by the interpolation error.  Rows are returned
-    omega-major.
+    The averaged system runs all trials as one (trials, d) batch; a trial
+    whose averaged run diverges gets an inf sup_gap and the others are
+    integrated again without it.  It reads neither omega nor omega_hat, so
+    it is integrated once, at the full loop's step for the smallest omega,
+    recording every step, and each full-loop sample reads it through a cubic
+    Hermite interpolant whose node slopes are the averaged rhs.  The
+    smallest omega's samples fall on the nodes, so its rows equal a
+    per-omega integration bit for bit; the other rows differ from one only
+    in sup_gap, by the interpolation error.  The deployed loop's rhs works
+    on one state of floats, so each (omega, trial) is its own integration,
+    and one that diverges gets its inf row.  Rows are returned omega-major.
 
-    The integrations, with any retries, are independent jobs run by
-    ``_run_jobs``, in forked workers when more than one CPU is available;
-    every row is computed here from their results, so the rows do not depend
-    on how the jobs were run.
+    The integrations are independent jobs run by ``_run_jobs``, in forked
+    workers when more than one CPU is available; every row is computed here
+    from their results, so the rows do not depend on how the jobs were run.
     """
     averaged = averaged_closed_loop(p, map)
     full_rhss = [es_closed_loop(p.with_omega(omega), map) for omega in cfg.omega_values]
     dts = [dither_step_bound(full_rhs.dither_omega_max) for full_rhs in full_rhss]
     star, n, trials = map.optimum, map.dim, cfg.trials
     x0s = _trial_starts(map, cfg)
+    starts = [tuple(x0) for x0 in x0s.tolist()]
     t0 = p.schedule.t0
     t1 = t0 + cfg.horizon
 
@@ -337,11 +350,11 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
         return avg, alive, slopes
 
     jobs = [averaged_job] + [
-        partial(_integrate_rows, full_rhs, x0s, t0, t1, dt, record_every=STEPS_PER_PERIOD, n=n)
-        for full_rhs, dt in zip(full_rhss, dts)
+        partial(_integrate_trial, full_rhs, x0, t0, t1, dt, n) for full_rhs, dt in zip(full_rhss, dts) for x0 in starts
     ]
     # the averaged job steps at the smallest omega's step
-    (avg, alive, avg_slopes), *fulls = _run_jobs(jobs, [cfg.horizon / dt for dt in [dts[0], *dts]])
+    steps = [cfg.horizon / dts[0]] + [cfg.horizon / dt for dt in dts for _ in starts]
+    (avg, alive, avg_slopes), *fulls = _run_jobs(jobs, steps)
     if avg is not None:
         # a trial whose averaged run diverged reads NaN, and gets sup_gap inf
         nodes = np.full((len(avg.times), trials, n), math.nan)
@@ -350,25 +363,22 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
         slopes[:, alive] = avg_slopes
 
     rows: List[ProbeRow] = []
-    for omega, (full, alive) in zip(cfg.omega_values, fulls):
-        entry_time = np.full(trials, math.inf)
-        stayed = np.zeros(trials, dtype=bool)
-        sup_gap = np.full(trials, math.inf)
-        if full is not None:
-            inside = np.linalg.norm(full.theta - star, axis=-1) <= cfg.epsilon
-            for col, trial in enumerate(alive):
-                hits = np.flatnonzero(inside[:, col])
+    for i, omega in enumerate(cfg.omega_values):
+        xi_vals = None
+        for trial, full in enumerate(fulls[i * trials : (i + 1) * trials]):
+            entry_time, stayed, sup_gap = math.inf, False, math.inf
+            if full is not None:
+                inside = np.linalg.norm(full.theta - star, axis=-1) <= cfg.epsilon
+                hits = np.flatnonzero(inside)
                 if hits.size:
-                    entry_time[trial] = full.times[hits[0]] - t0
-                    stayed[trial] = np.all(inside[hits[0] :, col])
-            if avg is not None:
-                xi_vals = np.array([p.schedule.xi(t) for t in full.times])
-                theta_f = _hermite(avg.times, nodes[:, alive], slopes[:, alive], full.times)
-                theta_bar = star + theta_f / xi_vals[:, None, None]
-                gaps = np.max(np.linalg.norm(full.theta - theta_bar, axis=-1), axis=0)
-                sup_gap[alive] = np.where(np.isnan(gaps), math.inf, gaps)
-        rows += [
-            ProbeRow(omega, trial, float(entry_time[trial]), bool(stayed[trial]), float(sup_gap[trial]))
-            for trial in range(trials)
-        ]
+                    entry_time = float(full.times[hits[0]] - t0)
+                    stayed = bool(np.all(inside[hits[0] :]))
+                if avg is not None:
+                    if xi_vals is None:  # every trial of one omega has the same sample times
+                        xi_vals = np.array([p.schedule.xi(t) for t in full.times])
+                    theta_f = _hermite(avg.times, nodes[:, trial], slopes[:, trial], full.times)
+                    theta_bar = star + theta_f / xi_vals[:, None]
+                    gap = float(np.max(np.linalg.norm(full.theta - theta_bar, axis=-1)))
+                    sup_gap = math.inf if math.isnan(gap) else gap
+            rows.append(ProbeRow(omega, trial, entry_time, stayed, sup_gap))
     return rows

@@ -8,7 +8,7 @@ Verbs:
 
 Configs are file paths or bundled names (see ueslab/configs/).  The env var
 UESLAB_OUT overrides the output directory.  Exit codes: 0 ok, 2 config error,
-3 numeric failure.
+3 numeric failure or a probe worker that died.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .analysis import fit_averaging_order, fit_exp_rate, fit_power_rate, fit_rep
 from .averaging import practical_stability_probe, probe_rows_csv
 from .config import ExperimentConfig, config_from_text, load_config
 from .controllers import es_closed_loop
-from .errors import AssemblyError, ConfigError, IntegrationDiverged, WindowTooLate
+from .errors import AssemblyError, ConfigError, IntegrationDiverged, WindowTooLate, WorkerLost
 from .schedules import ASYMPTOTIC, NOMINAL
 from .sim import Lemma1Params, Trajectory, integrate, lemma1_rhs, lemma1_solution
 from .svgplot import line_plot
@@ -84,7 +84,7 @@ def _run_one(cfg: ExperimentConfig) -> int:
     n = p.n
     t0 = p.schedule.t0
     rhs = es_closed_loop(p, map_)
-    x0 = np.append(cfg.theta0, cfg.eta0)
+    x0 = (*cfg.theta0.tolist(), cfg.eta0)
     y_fn = lambda x, t: map_.eval(x[:n])
 
     try:
@@ -197,6 +197,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CONFIG
     except (IntegrationDiverged, FloatingPointError, OverflowError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except WorkerLost as e:
+        print(f"probe failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

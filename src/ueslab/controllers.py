@@ -14,10 +14,14 @@ eta_f = xi^(2 kappa) (eta - J(theta*)) used by the stability analysis, over
 x = [theta_f_1..theta_f_n, eta_f]; the two are related by exact algebra, which
 the test suite checks by chain rule.
 
-Every right-hand side takes one state of shape (d,) or B states of shape
-(B, d) through the same code: it reads the state's columns as x.T[:n] and
-x.T[n], evaluates the map's closed forms on that (n,) or (n, B) block, and
-reads the schedule's time-only factors once per evaluation time.
+The deployed loop's right-hand side is a row kernel over Python floats: it
+takes one state, a tuple of floats (or a 1-D array), and returns a tuple.  At
+a few elements per state, a numpy call costs more than the arithmetic it
+does, so float operations make an RK4 step several times cheaper.  The
+transformed loop takes one state of shape (d,) or B states of shape (B, d)
+through the same numpy code: it reads the state's columns as z.T[n] and
+z[..., :n] and evaluates the map's closed forms on the (n,) or (n, B) block.
+Each rhs reads the schedule's time-only factors once per evaluation time.
 """
 
 from __future__ import annotations
@@ -151,16 +155,25 @@ def assemble(
     return p
 
 
+def phase_error(f: Factors, err: float) -> float:
+    """phi(t) err for one error, with f the schedule's factors at t.
+
+    An error with |err| below TINY_ERR takes the product in the log domain,
+    exp(log phi + log |err|), and a zero error gives zero, so a huge phi
+    against a denormal error cannot round through inf * 0, and phi is only
+    needed, and can only overflow, for the other errors.
+    """
+    if abs(err) < TINY_ERR:
+        return math.copysign(math.exp(f.log_phi + math.log(abs(err))), err) if err else 0.0
+    return f.phi * err
+
+
 def gain_error_term(f: Factors, k: Array, err) -> Array:
     """Per-channel phase k_i phi(t) err: shape (n,) for a scalar err, (B, n) for err of shape (B,).
 
     err is a numpy value, as the maps' closed forms return it: a float64
-    scalar for one state, a (B,) array for a batch.
-
-    A row with |err| below TINY_ERR takes the product in the log domain,
-    exp(log phi + log |err|), and a zero error gives a zero phase, so a huge
-    phi against a denormal error cannot round through inf * 0, and phi is
-    only needed, and can only overflow, for the other rows.
+    scalar for one state, a (B,) array for a batch.  Rows with |err| below
+    TINY_ERR take ``phase_error``'s log-domain product.
     """
     tiny = abs(err) < TINY_ERR
     # a single error compares to np.False_ when it is not tiny, which skips the array test
@@ -170,9 +183,7 @@ def gain_error_term(f: Factors, k: Array, err) -> Array:
         tiny = abs(flat) < TINY_ERR
         if not tiny.all():
             flat[~tiny] *= f.phi
-        flat[tiny] = [
-            math.copysign(math.exp(f.log_phi + math.log(abs(e))), e) if e else 0.0 for e in flat[tiny].tolist()
-        ]
+        flat[tiny] = [phase_error(f, e) for e in flat[tiny].tolist()]
     else:
         prod = f.phi * err
     return prod[..., None] * k
@@ -188,22 +199,27 @@ def _check_loop_map(p: EsParams, map: CostMap, *forms: str) -> None:
 
 
 def es_closed_loop(p: EsParams, map: CostMap):
-    """rhs(x, t) over the packed state x = [theta_1..theta_n, eta], of shape (d,) or (B, d).
+    """rhs(x, t) over one packed state x = (theta_1..theta_n, eta), returning a tuple.
 
-    Tagged with the fastest dither frequency so the integrator can enforce
-    its step bound.
+    x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array.  An
+    infinite phase, where math.cos raises, gives NaN dither rates, as np.cos
+    would, so the integrator reports the divergence.  Tagged with the fastest
+    dither frequency so the integrator can enforce its step bound.
     """
     _check_loop_map(p, map)
-    n, factors, cost = p.n, p.schedule.factor_cache(), map.eval
+    n, factors, cost, omega_h = p.n, p.schedule.factor_cache(), map.eval, float(p.omega_h)
+    channels = tuple(zip(p._omegas.tolist(), p._amp.tolist(), p.k.tolist()))
 
-    def rhs(x: Array, t: float) -> Array:
+    def rhs(x, t: float) -> tuple:
         f = factors(t)
-        xt = x.T
-        err = cost(xt[:n]) - xt[n]
-        out = np.empty_like(xt)  # laid out like x.T, so out.T is laid out like x
-        out[:n] = (f.nu * p._amp * np.cos(p._omegas * t + gain_error_term(f, p.k, err))).T
-        out[n] = p.omega_h * err
-        return out.T
+        err = cost(x[:n]) - x[n]
+        pe, nu = phase_error(f, err), f.nu
+        try:
+            out = [nu * amp * math.cos(w * t + pe * k) for w, amp, k in channels]
+        except ValueError:  # cos(+-inf): the phase left double range
+            out = [math.nan] * n
+        out.append(omega_h * err)
+        return tuple(out)
 
     rhs.dither_omega_max = float(np.max(p._omegas))
     return rhs

@@ -35,3 +35,7 @@ class IntegrationDiverged(RuntimeError):
         self.t_last = t_last
         self.trajectory = trajectory
         self.rows = rows
+
+
+class WorkerLost(RuntimeError):
+    """A worker process ended without returning its job's result, for example killed from outside."""

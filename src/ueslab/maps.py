@@ -7,12 +7,14 @@ power-law envelopes of the cost, its gradient, and its Hessian on a ball
 around the minimizer.
 
 The closed forms ``eval``, ``centered`` and ``grad`` take theta with its
-coordinates on the leading axis: shape (n,) for one input, or (n, B) for B
-inputs at once, so ``th[i]`` is coordinate i either way.  ``eval`` and
-``centered`` return a scalar or a (B,) array, ``grad`` an (n,) or (n, B)
-array.  The closed loops call them directly, having checked the dimension
-once when the loop was assembled; ``__call__``, ``centered_value`` and
-``gradient`` are the validating entry points for single inputs.
+coordinates on the leading axis: a sequence of n floats or an (n,) array for
+one input, or an (n, B) array for B inputs at once, so ``th[i]`` is
+coordinate i either way.  ``eval`` and ``centered`` return a scalar or a (B,)
+array, ``grad`` an (n,) or (n, B) array.  The closed loops call them
+directly, having checked the dimension once when the loop was assembled; the
+deployed loop calls ``eval`` on a tuple of floats.  ``__call__``,
+``centered_value`` and ``gradient`` are the validating entry points for
+single inputs.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class CostMap:
     """Static scalar objective with optional analytic structure.
 
     dim            input dimension n
-    eval           theta (n,) or (n, B) -> cost value, scalar or (B,)
+    eval           theta (n floats, (n,) or (n, B)) -> cost value, scalar or (B,)
     kappa          convexity order: 1 for strongly convex behavior, larger for flatter minima
     grad, hess     optional closed forms; finite differences are used when absent
     optimum        minimizer, for tests and diagnostics only
@@ -237,15 +239,19 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
         raise ValueError(f"all curvature weights must be positive, got {qv}")
     n = qv.size
     qmax = float(qv.max())
+    # one term per coordinate, over floats or arrays; for n < 8 numpy's pairwise
+    # (qv * (th.T - star) ** 2).sum(axis=-1) adds in this order too, so both round alike
+    terms = list(zip(qv.tolist(), star.tolist()))
+    value = lambda th: sum(q * ((a - s) * (a - s)) for (q, s), a in zip(terms, th))
     return CostMap(
         dim=n,
-        eval=lambda th: (qv * (th.T - star) ** 2).sum(axis=-1),
+        eval=value,
         kappa=1,
         grad=lambda th: (2.0 * qv * (th.T - star)).T,
         hess=lambda th: np.diag(2.0 * qv),
         optimum=star.copy(),
         optimal_value=0.0,
-        centered=lambda th: (qv * (th.T - star) ** 2).sum(axis=-1),
+        centered=value,
         bounds=PowerBounds(float(qv.min()), qmax, 2.0 * float(qv.min()), 2.0 * qmax, 2.0 * qmax, 2.0 * qmax),
         name="quadratic",
     )

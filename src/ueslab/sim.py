@@ -5,9 +5,11 @@ content, and a step tied to the fastest dither keeps phase error deterministic
 and runs byte-for-byte reproducible.  Right-hand sides that carry a
 ``dither_omega_max`` attribute get their step checked against
 ``dither_step_bound``: 40 samples per fastest period.  A state is a float,
-a 1-D array (d,), or a batch (B, d) of B independent states that share the
-step, the sample times and the right-hand side; a batch is one RK4 run whose
-rhs evaluates all rows at once.
+a tuple of floats, a 1-D array (d,), or a batch (B, d) of B independent
+states that share the step, the sample times and the right-hand side; a
+batch is one RK4 run whose rhs evaluates all rows at once.  A tuple state is
+summed component by component in Python floats, for a right-hand side that
+works on floats, such as the deployed loop's.
 
 ``lemma1_rhs`` / ``lemma1_solution`` form a self-oracle pair: a scalar
 comparison ODE with a known closed-form solution, used to validate the
@@ -110,8 +112,9 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 from t0 to t1.
 
-    rhs(x, t) -> dx/dt, with x a float, a 1-D array (d,) or a batch (B, d);
-    the state type is preserved across steps.  Samples are recorded every
+    rhs(x, t) -> dx/dt, with x a float, a tuple of floats, a 1-D array (d,)
+    or a batch (B, d); the state type is preserved across steps, and an rhs
+    given a tuple returns a sequence of d floats.  Samples are recorded every
     ``record_every`` steps; the initial and final states are always recorded.
     ``y_fn(x, t)``, when given, fills the trajectory's y column at recorded
     samples.  A non-finite
@@ -120,9 +123,11 @@ def integrate(
     that went non-finite it also names the rows that did.  Rows never
     interact, so integrating the others again reproduces them bit for bit.
 
-    The float path is kept for scalar ODEs such as the comparison ODE: as a
-    1-element array each step pays numpy's per-operation overhead, which made
-    the 1e5-step comparison-ODE oracle over ten times slower.
+    The float and tuple paths are kept for small states, such as the
+    comparison ODE and the deployed loop: as arrays each step pays numpy's
+    per-operation overhead, which made the 1e5-step comparison-ODE oracle
+    over ten times slower.  The tuple path sums in the array path's order,
+    so both give the same bits for the same right-hand-side values.
     """
     if t1 <= t0:
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
@@ -139,19 +144,42 @@ def integrate(
                 f"({STEPS_PER_PERIOD} steps per fastest period)"
             )
 
-    scalar = np.isscalar(x0) or (isinstance(x0, np.ndarray) and x0.ndim == 0)
-    if scalar:
-        x = float(x0)
-        width = 1
-        finite = math.isfinite
-        record = lambda xv: [xv]
+    if isinstance(x0, tuple):
+        x = tuple(map(float, x0))
+        width = len(x)
+        finite = lambda xv: all(map(math.isfinite, xv))
+        record = list
+
+        def advance(x, t, h, t_next):
+            k1 = rhs(x, t)
+            hh = 0.5 * h
+            k2 = rhs(tuple([a + hh * b for a, b in zip(x, k1)]), t + hh)
+            k3 = rhs(tuple([a + hh * b for a, b in zip(x, k2)]), t + hh)
+            k4 = rhs(tuple([a + h * b for a, b in zip(x, k3)]), t_next)
+            h6 = h / 6.0
+            return tuple([a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+
     else:
-        x = np.array(x0, dtype=float)
-        if x.ndim not in (1, 2):
-            raise ValueError(f"array states must be (d,) or (B, d), got shape {x.shape}")
-        width = x.shape[-1]
-        finite = lambda xv: bool(np.all(np.isfinite(xv)))
-        record = lambda xv: xv.tolist()
+        if np.isscalar(x0) or (isinstance(x0, np.ndarray) and x0.ndim == 0):
+            x = float(x0)
+            width = 1
+            finite = math.isfinite
+            record = lambda xv: [xv]
+        else:
+            x = np.array(x0, dtype=float)
+            if x.ndim not in (1, 2):
+                raise ValueError(f"array states must be (d,) or (B, d), got shape {x.shape}")
+            width = x.shape[-1]
+            finite = lambda xv: bool(np.all(np.isfinite(xv)))
+            record = lambda xv: xv.tolist()
+
+        def advance(x, t, h, t_next):
+            k1 = rhs(x, t)
+            k2 = rhs(x + (0.5 * h) * k1, t + 0.5 * h)
+            k3 = rhs(x + (0.5 * h) * k2, t + 0.5 * h)
+            k4 = rhs(x + h * k3, t_next)
+            return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     if n is None:
         n = width
 
@@ -170,15 +198,11 @@ def integrate(
         t_next = t1 if step == n_steps else t0 + step * dt
         h = t_next - t
         try:
-            k1 = rhs(x, t)
-            k2 = rhs(x + (0.5 * h) * k1, t + 0.5 * h)
-            k3 = rhs(x + (0.5 * h) * k2, t + 0.5 * h)
-            k4 = rhs(x + h * k3, t_next)
+            x = advance(x, t, h, t_next)
         except (OverflowError, FloatingPointError) as e:
             raise IntegrationDiverged(
                 f"right-hand side failed in the step from t = {t:g}: {e}", t_last=times[-1], trajectory=recorded()
             ) from e
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_next
         if not finite(x):
             bad = np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist() if np.ndim(x) == 2 else None

@@ -27,7 +27,7 @@ def acceptance_report():
 def run_closed_loop(map_, params, theta0, eta0, horizon, record_every=1):
     """Integrate the deployed loop from t = 0 and record the measured cost."""
     rhs = u.es_closed_loop(params, map_)
-    x0 = np.append(np.atleast_1d(np.asarray(theta0, dtype=float)), float(eta0))
+    x0 = (*np.atleast_1d(np.asarray(theta0, dtype=float)).tolist(), float(eta0))
     dt = u.dither_step_bound(rhs.dither_omega_max)
     y_fn = lambda x, t: map_.eval(x[: map_.dim])
     return u.integrate(rhs, x0, 0.0, horizon, dt, record_every=record_every, y_fn=y_fn, n=map_.dim)

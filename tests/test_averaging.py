@@ -4,7 +4,6 @@ import dataclasses
 import math
 import os
 import signal
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 import ueslab as u
 from ueslab import averaging, cli
 from ueslab.averaging import _hermite, transformed_b_fields
-from ueslab.errors import CapabilityError, IntegrationDiverged
+from ueslab.errors import CapabilityError, IntegrationDiverged, WorkerLost
 from ueslab.sim import STEPS_PER_PERIOD
 
 PROBE_CFG = u.ProbeConfig(omega_values=(10.0, 30.0), epsilon=0.25, delta=1.0, horizon=5.0, trials=2, seed=7)
@@ -150,7 +149,7 @@ def _per_omega_probe(p, map_, cfg):
         for trial, theta0 in enumerate(theta0s):
             eta0 = map_(theta0)
             every = dict(record_every=STEPS_PER_PERIOD, n=map_.dim)
-            full = u.integrate(full_rhs, np.append(theta0, eta0), t0, t0 + cfg.horizon, dt, **every)
+            full = u.integrate(full_rhs, (*theta0.tolist(), eta0), t0, t0 + cfg.horizon, dt, **every)
             avg = u.integrate(averaged, np.append(theta0 - star, eta0 - map_.optimal_value),
                               t0, t0 + cfg.horizon, dt, **every)
             inside = np.linalg.norm(full.theta - star, axis=1) <= cfg.epsilon
@@ -204,11 +203,12 @@ def _counting_integrate(monkeypatch, fail_rows=None):
     return calls
 
 
-def test_probe_integrates_one_batch_per_system_and_omega(quartic, fig3_params, monkeypatch):
+def test_probe_integrates_averaged_batch_and_one_state_per_trial(quartic, fig3_params, monkeypatch):
     calls = _counting_integrate(monkeypatch)
     u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
-    batch = (PROBE_CFG.trials, quartic.dim + 1)
-    assert calls == [("averaged", batch)] + [("full", batch)] * len(PROBE_CFG.omega_values)
+    d = quartic.dim + 1
+    full = [("full", (d,))] * (len(PROBE_CFG.omega_values) * PROBE_CFG.trials)
+    assert calls == [("averaged", (PROBE_CFG.trials, d))] + full
 
 
 def test_probe_averaged_divergence_marks_its_trial(quartic, fig3_params, monkeypatch):
@@ -225,9 +225,9 @@ def test_probe_averaged_divergence_marks_its_trial(quartic, fig3_params, monkeyp
 
 
 def test_probe_full_loop_divergence_marks_its_trial(quartic, fig3_params, monkeypatch):
-    # trial 1's state goes non-finite in the first step of every full-loop batch it is in
+    # trial 1's state goes non-finite in the first step of its full-loop integration at every omega
     clean = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
-    start = averaging._trial_starts(quartic, PROBE_CFG)[1]
+    start = tuple(averaging._trial_starts(quartic, PROBE_CFG)[1].tolist())
     real = averaging.es_closed_loop
 
     def poisoned_loop(p, map_):
@@ -235,15 +235,13 @@ def test_probe_full_loop_divergence_marks_its_trial(quartic, fig3_params, monkey
 
         def poisoned(x, t):
             out = rhs(x, t)
-            out[np.all(x == start, axis=-1)] = math.inf
-            return out
+            return (math.inf,) * len(out) if x == start else out
 
         poisoned.dither_omega_max = rhs.dither_omega_max
         return poisoned
 
     monkeypatch.setattr(averaging, "es_closed_loop", poisoned_loop)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
+    rows = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
     for row, want in zip(rows, clean):
         if row.trial == 1:
             assert (row.omega, row.entry_time, row.stayed, row.sup_gap) == (want.omega, math.inf, False, math.inf)
@@ -279,7 +277,7 @@ def test_probe_jobs_run_in_workers(quartic, fig3_params, monkeypatch, tmp_path):
     _pooled(monkeypatch)
     u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
     seen = [int(line) for line in pids.read_text().split()]
-    assert len(seen) == 1 + len(PROBE_CFG.omega_values)
+    assert len(seen) == 1 + len(PROBE_CFG.omega_values) * PROBE_CFG.trials
     assert os.getpid() not in seen
     assert len(set(seen)) <= 2
     assert averaging._JOBS == []
@@ -324,9 +322,29 @@ def test_probe_dead_worker_raises_instead_of_waiting(quartic, fig3_params, monke
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.alarm(60)
     try:
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(WorkerLost, match="ended without returning"):
             u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert averaging._JOBS == []
+
+
+def test_cli_sweep_dead_worker_exits_3(monkeypatch, capfd, tmp_path):
+    # the same dead worker, through the CLI: one line of diagnosis and exit 3, not a traceback
+    parent = os.getpid()
+    real = averaging.integrate
+
+    def integrate(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "integrate", integrate)
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path))
+    _pooled(monkeypatch)
+    assert cli.main(["sweep", "omega_sweep"]) == 3
+    err = capfd.readouterr().err
+    assert "probe failure: a probe worker process ended without returning its result" in err
+    assert "Traceback" not in err
     assert averaging._JOBS == []

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import ueslab as u
-from ueslab.controllers import gain_error_term
-from ueslab.errors import AssemblyError, CapabilityError
+from ueslab.controllers import gain_error_term, phase_error
+from ueslab.errors import AssemblyError, CapabilityError, IntegrationDiverged
 
 
 def test_default_frequency_ratios():
@@ -112,6 +112,26 @@ def test_gain_error_term_log_domain():
     np.testing.assert_allclose(gain_error_term(f, k, 1e-300), [expected])
     np.testing.assert_allclose(gain_error_term(f, k, -1e-300), [-expected])
     np.testing.assert_array_equal(gain_error_term(f, k, 0.0), [0.0])
+    # the deployed loop's float kernel takes the same rule for its one error
+    assert phase_error(f, 1e-300) == expected / 2.0
+    assert phase_error(f, -1e-300) == -expected / 2.0
+    assert phase_error(f, 0.0) == 0.0
+
+
+def test_infinite_phase_diverges_cleanly(quartic, fig3_params):
+    # at t = 100 phi is about 3.1e12, so phi * err overflows to inf against err = 1e300, and
+    # math.cos(inf) raises ValueError where np.cos returned nan
+    rhs = u.es_closed_loop(fig3_params, quartic)
+    t = 100.0
+    x = (2.0, -1e300)
+    assert fig3_params.schedule.phi(t) * (quartic([2.0]) - x[1]) == math.inf
+    theta_dot, eta_dot = rhs(x, t)
+    assert math.isnan(theta_dot)
+    assert eta_dot == pytest.approx(3e300)
+    with pytest.raises(IntegrationDiverged, match="non-finite") as exc:
+        u.integrate(rhs, x, t, t + 1.0, u.dither_step_bound(rhs.dither_omega_max))
+    assert exc.value.t_last == t
+    np.testing.assert_array_equal(exc.value.trajectory.states, [x])
 
 
 def test_transformed_loop_at_origin(quartic, fig3_params):
@@ -150,7 +170,7 @@ def _chain_rule_worst_error(map_, params, schedule, rng, trials=50):
         x2k = math.exp(2.0 * map_.kappa * schedule.log_xi(t))
         theta = map_.optimum + theta_f / xi
         eta = map_.optimal_value + eta_f / x2k
-        dx = deployed(np.append(theta, eta), t)
+        dx = np.asarray(deployed(np.append(theta, eta), t))
         td, ed = dx[:n], dx[n]
         h = 1e-5 * max(1.0, abs(t))
         dlogxi = (schedule.log_xi(t + h) - schedule.log_xi(t - h)) / (2.0 * h)

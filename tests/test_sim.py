@@ -12,6 +12,7 @@ import ueslab as u
 from ueslab import cli
 from ueslab.averaging import _trial_starts
 from ueslab.config import config_from_text
+from ueslab.controllers import gain_error_term
 from ueslab.errors import IntegrationDiverged
 
 
@@ -226,27 +227,48 @@ sim.horizon = 1
 """
 
 
-def _assert_rows_bit_identical(rhs, x0s, horizon, n):
-    dt = u.dither_step_bound(rhs.dither_omega_max)
-    run = lambda x0: u.integrate(rhs, x0, 0.0, horizon, dt, n=n).states
-    batch = run(x0s)
-    for i, x0 in enumerate(x0s):
-        np.testing.assert_array_equal(batch[:, i], run(x0[None])[:, 0])  # a batch of one
-        np.testing.assert_array_equal(batch[:, i], run(x0))  # the 1-D path
+def _numpy_deployed_loop(p, cost):
+    """The deployed loop's rhs as numpy code over a 1-D array state: the reference the float kernel
+    must equal bit for bit.  cost is the map's value as numpy code."""
+    n, factors = p.n, p.schedule.factor_cache()
+
+    def rhs(x, t):
+        f = factors(t)
+        err = cost(x[:n]) - x[n]
+        out = np.empty_like(x)
+        out[:n] = f.nu * p._amp * np.cos(p._omegas * t + gain_error_term(f, p.k, err))
+        out[n] = p.omega_h * err
+        return out
+
+    rhs.dither_omega_max = float(np.max(p._omegas))
+    return rhs
+
+
+def _assert_kernel_equals_reference(p, map_, cost, x0s, horizon):
+    kernel = u.es_closed_loop(p, map_)
+    reference = _numpy_deployed_loop(p, cost)
+    dt = u.dither_step_bound(kernel.dither_omega_max)
+    for x0 in x0s:
+        want = u.integrate(reference, np.array(x0), 0.0, horizon, dt, n=map_.dim)
+        got = u.integrate(kernel, tuple(x0.tolist()), 0.0, horizon, dt, n=map_.dim)
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.states, want.states)
 
 
 @pytest.mark.parametrize("omega,horizon", [(10.0, 20.0), (250.0, 1.0)])
-def test_batch_rows_equal_single_runs_on_sweep_starts(omega, horizon):
-    # rows never interact, and the batched map evaluation rounds as the 1-D one does on these
-    # starts; numpy's array ** and its float64 scalar ** differ in a few per cent of inputs on
-    # some SIMD builds, so this is checked, not assumed
+def test_float_kernel_equals_numpy_reference_on_sweep_starts(omega, horizon):
+    # the float kernel keeps numpy's expressions and their order; math.cos and np.cos, and
+    # Python's scalar ** and numpy's float64 scalar **, must also round alike, which is checked
     cfg, x0s = _sweep_starts()
-    _assert_rows_bit_identical(u.es_closed_loop(cfg.params.with_omega(omega), cfg.map), x0s, horizon, 1)
+    quartic = lambda th: 1.0 + (th[0] - 2.0) ** 4
+    _assert_kernel_equals_reference(cfg.params.with_omega(omega), cfg.map, quartic, x0s, horizon)
 
 
-def test_batch_rows_equal_single_runs_four_channels():
+def test_float_kernel_equals_numpy_reference_four_channels():
     cfg = config_from_text(FOUR_CHANNELS, name="four")
+    q, star = np.array([1.0, 2.0, 3.0, 4.0]), cfg.map.optimum
+    quadratic = lambda th: (q * (th - star) ** 2).sum(axis=-1)
     rng = np.random.default_rng(4)
-    theta0s = cfg.map.optimum + rng.uniform(-1.0, 1.0, (3, 4))
+    theta0s = star + rng.uniform(-1.0, 1.0, (3, 4))
     x0s = np.column_stack([theta0s, [cfg.map(th) for th in theta0s]])
-    _assert_rows_bit_identical(u.es_closed_loop(cfg.params, cfg.map), x0s, cfg.horizon, 4)
+    _assert_kernel_equals_reference(cfg.params, cfg.map, quadratic, x0s, cfg.horizon)
