@@ -201,7 +201,9 @@ def _check_loop_map(p: EsParams, map: CostMap, *forms: str) -> None:
 def es_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over one packed state x = (theta_1..theta_n, eta), returning a tuple.
 
-    x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array.  An
+    x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array; to
+    ``integrate`` the loop, give it a tuple start, since its array path
+    cannot sum the tuples this rhs returns.  An
     infinite phase, where math.cos raises, gives NaN dither rates, as np.cos
     would, so the integrator reports the divergence.  Tagged with the fastest
     dither frequency so the integrator can enforce its step bound.

@@ -114,7 +114,9 @@ def integrate(
 
     rhs(x, t) -> dx/dt, with x a float, a tuple of floats, a 1-D array (d,)
     or a batch (B, d); the state type is preserved across steps, and an rhs
-    given a tuple returns a sequence of d floats.  Samples are recorded every
+    given a tuple returns a sequence of d floats.  An rhs that returns a
+    tuple, such as the deployed loop's, needs a tuple start: given an array
+    state it raises ValueError.  Samples are recorded every
     ``record_every`` steps; the initial and final states are always recorded.
     ``y_fn(x, t)``, when given, fills the trajectory's y column at recorded
     samples.  A non-finite
@@ -175,6 +177,11 @@ def integrate(
 
         def advance(x, t, h, t_next):
             k1 = rhs(x, t)
+            if isinstance(k1, (tuple, list)):
+                raise ValueError(
+                    "rhs returned a sequence for an array state; start a right-hand side that works "
+                    "on floats, such as the deployed loop's, from a tuple"
+                )
             k2 = rhs(x + (0.5 * h) * k1, t + 0.5 * h)
             k3 = rhs(x + (0.5 * h) * k2, t + 0.5 * h)
             k4 = rhs(x + h * k3, t_next)

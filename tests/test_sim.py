@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +273,20 @@ def test_float_kernel_equals_numpy_reference_four_channels():
     theta0s = star + rng.uniform(-1.0, 1.0, (3, 4))
     x0s = np.column_stack([theta0s, [cfg.map(th) for th in theta0s]])
     _assert_kernel_equals_reference(cfg.params, cfg.map, quadratic, x0s, cfg.horizon)
+
+
+def test_readme_quick_start_runs():
+    # the README's Python example, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = readme.split("The same loop from Python:\n\n```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(snippet, ns)
+    assert abs(ns["traj"].theta[-1, 0] - 2.0) < 1e-3
+    assert ns["fit"].estimate == pytest.approx(2.8, abs=0.1)
+
+
+def test_array_start_of_tuple_rhs_fails_clearly(quartic, fig3_params):
+    rhs = u.es_closed_loop(fig3_params, quartic)
+    dt = u.dither_step_bound(rhs.dither_omega_max)
+    with pytest.raises(ValueError, match="from a tuple"):
+        u.integrate(rhs, np.array([0.0, 0.0]), 0.0, 1.0, dt, n=quartic.dim)
