@@ -14,18 +14,20 @@ eta_f = xi^(2 kappa) (eta - J(theta*)) used by the stability analysis, over
 x = [theta_f_1..theta_f_n, eta_f]; the two are related by exact algebra, which
 the test suite checks by chain rule.
 
-The deployed loop's right-hand side is a row kernel over Python floats: it
-takes one state, a tuple of floats (or a 1-D array), and returns a tuple.  At
-a few elements per state, a numpy call costs more than the arithmetic it
-does, so float operations make an RK4 step several times cheaper.  The
-transformed loop takes one state of shape (d,) or B states of shape (B, d)
-through the same numpy code: it reads the state's columns as z.T[n] and
-z[..., :n] and evaluates the map's closed forms on the (n,) or (n, B) block.
-Each rhs reads the schedule's time-only factors once per evaluation time.
+The deployed loop's right-hand side is a row kernel over Python floats,
+compiled once per channel count: it takes one state, a tuple of floats (or a
+1-D array), and returns a tuple.  At a few elements per state, a numpy call
+costs more than the arithmetic it does, so float operations make an RK4 step
+several times cheaper.  The transformed loop takes one state of shape (d,) or
+B states of shape (B, d) through the same numpy code: it reads the state's
+columns as z.T[n] and z[..., :n] and evaluates the map's closed forms on the
+(n,) or (n, B) block.  Each rhs reads the schedule's time-only factors once
+per evaluation time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -198,33 +200,41 @@ def _check_loop_map(p: EsParams, map: CostMap, *forms: str) -> None:
             raise CapabilityError(f"map '{map.name}' has no closed {form} form, which the loop evaluates on batches")
 
 
+@functools.cache
+def _deployed_rhs_code(n: int):
+    """The deployed loop's rhs over n channels written out, as text of names and integer indices only."""
+    rates = "".join(f"nu * amp_{i} * cos(w_{i} * t + pe * k_{i}), " for i in range(n))
+    src = f"""def rhs(x, t):
+    f = factors(t)
+    err = cost(x[:{n}]) - x[{n}]
+    pe, nu = phase_error(f, err), f.nu
+    try:
+        return ({rates}omega_h * err)
+    except ValueError:  # cos(+-inf): the phase left double range
+        return ({'nan, ' * n}omega_h * err)
+"""
+    return compile(src, f"<deployed loop rhs over {n} channels>", "exec")
+
+
 def es_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over one packed state x = (theta_1..theta_n, eta), returning a tuple.
 
     x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array; to
     ``integrate`` the loop, give it a tuple start, since its array path
-    cannot sum the tuples this rhs returns.  An
-    infinite phase, where math.cos raises, gives NaN dither rates, as np.cos
-    would, so the integrator reports the divergence.  Tagged with the fastest
-    dither frequency so the integrator can enforce its step bound.
+    cannot sum the tuples this rhs returns.  The rhs is compiled once per
+    channel count n, its channels written out.  An infinite phase, where
+    math.cos raises, gives NaN dither rates, as np.cos would, so the
+    integrator reports the divergence.  Tagged with the fastest dither
+    frequency so the integrator can enforce its step bound.
     """
     _check_loop_map(p, map)
-    n, factors, cost, omega_h = p.n, p.schedule.factor_cache(), map.eval, float(p.omega_h)
-    channels = tuple(zip(p._omegas.tolist(), p._amp.tolist(), p.k.tolist()))
-
-    def rhs(x, t: float) -> tuple:
-        f = factors(t)
-        err = cost(x[:n]) - x[n]
-        pe, nu = phase_error(f, err), f.nu
-        try:
-            out = [nu * amp * math.cos(w * t + pe * k) for w, amp, k in channels]
-        except ValueError:  # cos(+-inf): the phase left double range
-            out = [math.nan] * n
-        out.append(omega_h * err)
-        return tuple(out)
-
-    rhs.dither_omega_max = float(np.max(p._omegas))
-    return rhs
+    namespace = dict(factors=p.schedule.factor_cache(), cost=map.eval, phase_error=phase_error, cos=math.cos,
+                     nan=math.nan, omega_h=float(p.omega_h))
+    for name, values in (("w", p._omegas), ("amp", p._amp), ("k", p.k)):
+        namespace.update((f"{name}_{i}", v) for i, v in enumerate(values.tolist()))
+    exec(_deployed_rhs_code(p.n), namespace)
+    namespace["rhs"].dither_omega_max = float(np.max(p._omegas))
+    return namespace["rhs"]
 
 
 def _require_transformable(p: EsParams, map: CostMap):

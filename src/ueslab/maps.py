@@ -239,10 +239,16 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
         raise ValueError(f"all curvature weights must be positive, got {qv}")
     n = qv.size
     qmax = float(qv.max())
-    # one term per coordinate, over floats or arrays; for n < 8 numpy's pairwise
-    # (qv * (th.T - star) ** 2).sum(axis=-1) adds in this order too, so both round alike
     terms = list(zip(qv.tolist(), star.tolist()))
-    value = lambda th: sum(q * ((a - s) * (a - s)) for (q, s), a in zip(terms, th))
+
+    def value(th):
+        # left to right over floats or (B,) arrays, as numpy's (qv * (th.T - star) ** 2).sum(axis=-1)
+        # adds for n < 8; the builtin sum() compensates its rounding from Python 3.12 on
+        acc = 0.0
+        for (q, s), a in zip(terms, th):
+            acc += q * ((a - s) * (a - s))
+        return acc
+
     return CostMap(
         dim=n,
         eval=value,

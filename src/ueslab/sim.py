@@ -7,9 +7,9 @@ and runs byte-for-byte reproducible.  Right-hand sides that carry a
 ``dither_step_bound``: 40 samples per fastest period.  A state is a float,
 a tuple of floats, a 1-D array (d,), or a batch (B, d) of B independent
 states that share the step, the sample times and the right-hand side; a
-batch is one RK4 run whose rhs evaluates all rows at once.  A tuple state is
-summed component by component in Python floats, for a right-hand side that
-works on floats, such as the deployed loop's.
+batch is one RK4 run whose rhs evaluates all rows at once.  A tuple of d
+floats takes an RK4 step compiled once per d, for a right-hand side that
+returns exactly d floats, such as the deployed loop's.
 
 ``lemma1_rhs`` / ``lemma1_solution`` form a self-oracle pair: a scalar
 comparison ODE with a known closed-form solution, used to validate the
@@ -18,6 +18,7 @@ integrator and exercised by the CLI's check verb.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -94,10 +95,27 @@ class Trajectory:
             cols.append("y")
             blocks.append(self.y[:, None])
         data = np.hstack(blocks)
-        lines = [",".join(cols)]
-        for row in data:
-            lines.append(",".join(format(x, ".17g") for x in row))
-        return "\n".join(lines) + "\n"
+        row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+        return ",".join(cols) + "\n" + (row * len(data)) % tuple(data.ravel().tolist())
+
+
+@functools.cache
+def _tuple_step(d: int):
+    """``advance``, one RK4 step over a tuple of d floats, with its stage sums written out per component."""
+    names = lambda k: "(" + "".join(f"{k}_{i}, " for i in range(d)) + ")"
+    stage = lambda h, k: "(" + "".join(f"x_{i} + {h} * {k}_{i}, " for i in range(d)) + ")"
+    update = "".join(f"x_{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i}), " for i in range(d))
+    src = f"""def advance(x, t, h, t_next):
+    {names('x')} = x
+    {names('k1')} = rhs(x, t)
+    hh = 0.5 * h
+    {names('k2')} = rhs({stage('hh', 'k1')}, t + hh)
+    {names('k3')} = rhs({stage('hh', 'k2')}, t + hh)
+    {names('k4')} = rhs({stage('h', 'k3')}, t_next)
+    h6 = h / 6.0
+    return ({update})
+"""
+    return compile(src, f"<rk4 step over {d} floats>", "exec")
 
 
 def integrate(
@@ -113,23 +131,23 @@ def integrate(
     """Classical fixed-step RK4 from t0 to t1.
 
     rhs(x, t) -> dx/dt, with x a float, a tuple of floats, a 1-D array (d,)
-    or a batch (B, d); the state type is preserved across steps, and an rhs
-    given a tuple returns a sequence of d floats.  An rhs that returns a
-    tuple, such as the deployed loop's, needs a tuple start: given an array
-    state it raises ValueError.  Samples are recorded every
-    ``record_every`` steps; the initial and final states are always recorded.
-    ``y_fn(x, t)``, when given, fills the trajectory's y column at recorded
-    samples.  A non-finite
-    state, or an OverflowError/FloatingPointError raised by rhs, aborts with
+    or a batch (B, d); the state type is preserved across steps.  An rhs
+    given a tuple of d floats returns exactly d components, or the first step
+    raises ValueError.  An rhs that returns a tuple, such as the deployed
+    loop's, needs a tuple start: given an array state it raises ValueError.
+    Samples are recorded every ``record_every`` steps; the initial and final
+    states are always recorded.  ``y_fn(x, t)``, when given, fills the
+    trajectory's y column at recorded samples.  A non-finite state, or an
+    OverflowError/FloatingPointError raised by rhs, aborts with
     IntegrationDiverged carrying the trajectory recorded so far; for a batch
     that went non-finite it also names the rows that did.  Rows never
     interact, so integrating the others again reproduces them bit for bit.
 
     The float and tuple paths are kept for small states, such as the
     comparison ODE and the deployed loop: as arrays each step pays numpy's
-    per-operation overhead, which made the 1e5-step comparison-ODE oracle
-    over ten times slower.  The tuple path sums in the array path's order,
-    so both give the same bits for the same right-hand-side values.
+    per-operation overhead.  The tuple path's step is compiled once per
+    width, its stage sums written out per component in the array path's
+    order, so both give the same bits for the same right-hand-side values.
     """
     if t1 <= t0:
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
@@ -149,18 +167,11 @@ def integrate(
     if isinstance(x0, tuple):
         x = tuple(map(float, x0))
         width = len(x)
+        namespace = {"rhs": rhs}
+        exec(_tuple_step(width), namespace)
+        advance = namespace["advance"]
         finite = lambda xv: all(map(math.isfinite, xv))
         record = list
-
-        def advance(x, t, h, t_next):
-            k1 = rhs(x, t)
-            hh = 0.5 * h
-            k2 = rhs(tuple([a + hh * b for a, b in zip(x, k1)]), t + hh)
-            k3 = rhs(tuple([a + hh * b for a, b in zip(x, k2)]), t + hh)
-            k4 = rhs(tuple([a + h * b for a, b in zip(x, k3)]), t_next)
-            h6 = h / 6.0
-            return tuple([a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
-
     else:
         if np.isscalar(x0) or (isinstance(x0, np.ndarray) and x0.ndim == 0):
             x = float(x0)

@@ -76,10 +76,10 @@ def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str =
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def px(v: float) -> float:
+    def px(v):
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v):
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -109,7 +109,9 @@ def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str =
 
     for idx, (x, y, label) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{px(float(xv)):.2f},{py(float(yv)):.2f}" for xv, yv in zip(x, y))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass silently, as on Python floats
+            xy = np.column_stack([px(x), py(y)]).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * x.size) % tuple(xy)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>')
         if label:
             Yl = _MARGIN_T + 14 + 14 * idx

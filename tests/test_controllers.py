@@ -72,6 +72,16 @@ def test_deployed_rhs_pinned_value(quartic):
     assert eta_dot == pytest.approx(3.0 * 17.0, rel=1e-12)
 
 
+def test_deployed_rhs_code_holds_no_loop_constant(quartic, fig3_params):
+    # the rhs is compiled once per channel count and reads its floats from its namespace, so two
+    # loops that differ only in their constants share one code: none is formatted into its text
+    other = u.assemble(quartic, u.Schedule.nominal(), alpha=2.0, k=0.7, omega=9.0, omega_h=4.0)
+    a, b = u.es_closed_loop(fig3_params, quartic), u.es_closed_loop(other, quartic)
+    assert a.__code__.co_code == b.__code__.co_code
+    assert a.__code__.co_consts == b.__code__.co_consts
+    assert a((0.5, 1.0), 0.3) != b((0.5, 1.0), 0.3)
+
+
 def test_phase_term_vanishes_at_optimum(quartic, fig3_params):
     # at theta = theta*, eta = J(theta*) the feedback phase is zero: pure
     # dither at the scheduled amplitude, and no washout drift

@@ -45,6 +45,14 @@ def test_quadratic_vector_case():
     assert (b.a1, b.a2, b.b1, b.b2, b.c1, b.c2) == (1.0, 2.0, 2.0, 4.0, 4.0, 4.0)
 
 
+def test_quadratic_adds_left_to_right():
+    # numpy's .sum(axis=-1) gives 1e16 here; a compensated sum, as the builtin sum() is from
+    # Python 3.12 on, gives 1.0000000000000002e16
+    m = u.quadratic(q=[1.0, 1.0, 1.0], theta_star=[0.0, 0.0, 0.0])
+    assert m.eval((1e8, 1.0, 1.0)) == 1e16
+    np.testing.assert_array_equal(m.eval(np.array([[1e8], [1.0], [1.0]])), [1e16])
+
+
 def test_closed_forms_take_batches():
     # coordinates on the leading axis: (n, B) in, (B,) values and (n, B) gradients out
     rng = np.random.default_rng(2)

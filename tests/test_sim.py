@@ -215,10 +215,12 @@ def _sweep_starts():
     return cfg, np.vstack([_trial_starts(cfg.map, cfg.probe), _trial_starts(cfg.map, seed5)])
 
 
-FOUR_CHANNELS = """
+def _quadratic_config(n):
+    """A loop on the n-channel quadratic with weights 1..n under an exponential schedule."""
+    text = f"""
 map.name = quadratic
-map.q = 1, 2, 3, 4
-map.theta_star = 0.5, -0.25, 1, -1
+map.q = {", ".join(str(i + 1) for i in range(n))}
+map.theta_star = {", ".join(["0.5", "-0.25", "1", "-1"][:n])}
 schedule.kind = exponential
 schedule.lambda = 0.1
 es.k = 4
@@ -226,6 +228,7 @@ es.omega = 50
 es.omega_h = 3
 sim.horizon = 1
 """
+    return config_from_text(text, name=f"quadratic{n}")
 
 
 def _numpy_deployed_loop(p, cost):
@@ -265,14 +268,77 @@ def test_float_kernel_equals_numpy_reference_on_sweep_starts(omega, horizon):
     _assert_kernel_equals_reference(cfg.params.with_omega(omega), cfg.map, quartic, x0s, horizon)
 
 
-def test_float_kernel_equals_numpy_reference_four_channels():
-    cfg = config_from_text(FOUR_CHANNELS, name="four")
-    q, star = np.array([1.0, 2.0, 3.0, 4.0]), cfg.map.optimum
+def _assert_quadratic_kernel_equals_reference(n):
+    cfg = _quadratic_config(n)
+    q, star = np.arange(1.0, n + 1.0), cfg.map.optimum
     quadratic = lambda th: (q * (th - star) ** 2).sum(axis=-1)
     rng = np.random.default_rng(4)
-    theta0s = star + rng.uniform(-1.0, 1.0, (3, 4))
+    theta0s = star + rng.uniform(-1.0, 1.0, (3, n))
     x0s = np.column_stack([theta0s, [cfg.map(th) for th in theta0s]])
     _assert_kernel_equals_reference(cfg.params, cfg.map, quadratic, x0s, cfg.horizon)
+
+
+def test_float_kernel_equals_numpy_reference_four_channels():
+    _assert_quadratic_kernel_equals_reference(4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_float_kernel_equals_numpy_reference_quadratic(n):
+    # the rhs is compiled per channel count, so each count is its own code
+    _assert_quadratic_kernel_equals_reference(n)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_tuple_step_equals_array_step(d):
+    # one linear system whose rates are computed in Python floats for both state types
+    rng = np.random.default_rng(d)
+    a, b = rng.uniform(-1.0, 1.0, (d, d)).tolist(), rng.uniform(-1.0, 1.0, d).tolist()
+
+    def rates(x, t):
+        out = []
+        for row, b_i in zip(a, b):
+            acc = b_i * math.cos(t)
+            for a_ij, x_j in zip(row, x):
+                acc += a_ij * x_j
+            out.append(acc)
+        return out
+
+    x0 = rng.uniform(-1.0, 1.0, d)
+    got = u.integrate(lambda x, t: tuple(rates(x, t)), tuple(x0.tolist()), 0.0, 3.0, 0.01)
+    want = u.integrate(lambda x, t: np.array(rates(x.tolist(), t)), x0, 0.0, 3.0, 0.01)
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.states, want.states)
+
+
+@pytest.mark.parametrize("rates", [(1.0, 2.0, 3.0), (1.0,)])
+def test_tuple_rhs_of_wrong_width_fails_at_first_step(rates):
+    calls = []
+
+    def rhs(x, t):
+        calls.append(t)
+        return rates
+
+    with pytest.raises(ValueError, match="values to unpack"):
+        u.integrate(rhs, (0.0, 0.0), 0.0, 1.0, 0.1)
+    assert calls == [0.0]
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3])
+_FINITE = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_csv_rows_equal_per_value_formatting(data):
+    m, d = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(max(1, d - 1), d))
+    times = sorted(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=m, max_size=m, unique=True)))
+    states = data.draw(st.lists(st.lists(_FINITE, min_size=d, max_size=d), min_size=m, max_size=m))
+    y = data.draw(st.none() | st.lists(st.floats(), min_size=m, max_size=m))
+    traj = u.Trajectory(np.array(times), np.array(states), n, None if y is None else np.array(y))
+    columns = [traj.times[:, None], traj.states] + ([] if y is None else [traj.y[:, None]])
+    want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in np.hstack(columns).tolist())
+    assert traj.to_csv().split("\n", 1)[1] == want
 
 
 def test_readme_quick_start_runs():

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ueslab.svgplot import line_plot
+from ueslab.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, HEIGHT, WIDTH, _too_narrow, line_plot
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -56,3 +56,21 @@ def test_degenerate_spans_render_with_ticks(x, y):
 def test_nothing_to_plot_is_refused(series):
     with pytest.raises(ValueError):
         line_plot(series)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polyline_points_equal_per_point_formatting(seed):
+    # one wide random series: no axis is widened, so the bounds are its extremes and y's 4% pad
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 300))
+    x = np.sort(rng.uniform(-1.0, 1.0, m)) * 10.0 ** rng.uniform(-5, 5)
+    y = rng.standard_normal(m) * 10.0 ** rng.uniform(-5, 5) + rng.uniform(-1e3, 1e3)
+    x_lo, x_hi, y_lo, y_hi = float(x.min()), float(x.max()), float(y.min()), float(y.max())
+    assert not (_too_narrow(x_lo, x_hi) or _too_narrow(y_lo, y_hi))
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    plot_w, plot_h = WIDTH - _MARGIN_L - _MARGIN_R, HEIGHT - _MARGIN_T - _MARGIN_B
+    px = lambda v: _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
+    py = lambda v: _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
+    want = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x.tolist(), y.tolist()))
+    assert _polylines(line_plot([(x, y, "s")]))[0].get("points") == want
