@@ -10,14 +10,14 @@ and its Lie-bracket average is b0 - (1/2) sum_i [b_c_i, b_s_i].  The rhs of
 ``lie_bracket`` operator exists so tests can confirm the identity instead of
 trusting the algebra.
 
-Every right-hand side here takes a state of shape (d,) or a batch (B, d).
-``practical_stability_probe`` integrates the averaged system for all of its
-trials as one batch, once, at the full loop's step for the smallest swept
-omega (it reads neither omega nor omega_hat), and the deployed loop, whose
-right-hand side takes one state of floats, once per (omega, trial).  The
-full-loop samples read the averaged run through a cubic Hermite
-interpolant.  Those integrations share no state, so they run as independent
-jobs in forked worker processes, one per available CPU.
+Every right-hand side here takes one state, a sequence of d floats, and
+returns a tuple, as the deployed loop's does.  ``practical_stability_probe``
+integrates the averaged system once per trial, at the full loop's step for
+the smallest swept omega (it reads neither omega nor omega_hat), and the
+deployed loop once per (omega, trial).  The full-loop samples read the
+averaged run through a cubic Hermite interpolant.  Those integrations share
+no state, so they run as independent jobs in forked worker processes, one
+per available CPU.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .controllers import (
     _check_loop_map,
     _require_transformable,
     es_closed_loop,
-    gain_error_term,
+    phase_error,
     transformed_drift,
 )
 from .errors import CapabilityError, IntegrationDiverged, WorkerLost
@@ -75,14 +75,14 @@ def lie_bracket(f: Callable, g: Callable, x, t: float) -> Array:
 def transformed_b_fields(p: EsParams, map: CostMap):
     """Decomposition of the transformed loop into (b0, [(b_c_i, b_s_i), ...]).
 
-    Fields act on the packed state z = [theta_f_1..theta_f_n, eta_f].  The
-    dither-paired fields carry the cos/sin of the per-channel phase; only b0
-    touches eta_f.
+    Fields act on the packed state z = [theta_f_1..theta_f_n, eta_f], a 1-D
+    array as ``lie_bracket`` passes it.  The dither-paired fields carry the
+    cos/sin of the per-channel phase; only b0 touches eta_f.
     """
     _require_transformable(p, map)
     sqrt_alpha = np.sqrt(p.alpha)
 
-    def b0(z: Array, t: float) -> Array:
+    def b0(z: Array, t: float) -> list:
         return transformed_drift(p, map, z, p.schedule.factors(t))[0]
 
     def dither_field(i: int, trig: Callable) -> Callable:
@@ -90,7 +90,7 @@ def transformed_b_fields(p: EsParams, map: CostMap):
             out = np.zeros(p.n + 1)
             f = p.schedule.factors(t)
             err = transformed_drift(p, map, z, f)[1]
-            out[i] = sqrt_alpha[i] * trig(gain_error_term(f, p.k, err)[i])
+            out[i] = sqrt_alpha[i] * trig(phase_error(f, err) * p.k[i])
             return out
 
         return b
@@ -98,17 +98,17 @@ def transformed_b_fields(p: EsParams, map: CostMap):
     return b0, [(dither_field(i, math.cos), dither_field(i, math.sin)) for i in range(p.n)]
 
 
-def averaged_drift_term(p: EsParams, map: CostMap, theta_f: Array, f: Factors) -> Array:
+def averaged_drift_term(p: EsParams, map: CostMap, theta_f, f: Factors) -> list:
     """The bracket sum (1/2) sum_i k_i alpha_i phi(t) (dJ_f/dtheta_f_i) e_i,
     with dJ_f/dtheta_f = grad J(theta_f/xi + theta*) / xi, at the schedule's
-    factors f; theta_f is (n,) or (B, n), and so is the result."""
-    gain = 0.5 * p.k * p.alpha * f.phi
-    xi = f.xi
-    return gain * (map.grad((map.optimum + theta_f / xi).T).T / xi)
+    factors f; theta_f is a sequence of n components, and so is the result."""
+    phi, xi = f.phi, f.xi
+    grad = map.grad([s + th / xi for s, th in zip(map.optimum.tolist(), theta_f)])
+    return [0.5 * k * a * phi * (g / xi) for k, a, g in zip(p.k.tolist(), p.alpha.tolist(), grad)]
 
 
 def averaged_closed_loop(p: EsParams, map: CostMap):
-    """rhs(x, t) of the averaged system over x = [theta_f..., eta_f], of shape (d,) or (B, d).
+    """rhs(x, t) of the averaged system over one packed state x = (theta_f..., eta_f), returning a tuple.
 
     Covers all three schedule kinds; the nominal case degenerates to the
     classic constant-gain averaged loop (xi = 1, zero growth drift).  Under
@@ -122,11 +122,11 @@ def averaged_closed_loop(p: EsParams, map: CostMap):
     _check_loop_map(p, map, "centered", "grad")
     n, factors = p.n, p.schedule.factor_cache()
 
-    def rhs(x: Array, t: float) -> Array:
+    def rhs(x, t: float) -> tuple:
         f = factors(t)
-        out = transformed_drift(p, map, x, f)[0]
-        out[..., :n] -= averaged_drift_term(p, map, x[..., :n], f)
-        return out
+        b0 = transformed_drift(p, map, x, f)[0]
+        drift = averaged_drift_term(p, map, x[:n], f)
+        return (*(b - d for b, d in zip(b0, drift)), b0[n])
 
     return rhs
 
@@ -230,30 +230,21 @@ def _trial_starts(map: CostMap, cfg: ProbeConfig) -> Array:
     return np.column_stack([theta0s, [map(theta0) for theta0 in theta0s]])
 
 
-def _integrate_rows(rhs: Callable, x0s: Array, t0: float, t1: float, dt: float, **kwargs):
-    """``integrate`` over the averaged batch x0s (B, d), setting aside each row that goes non-finite.
-
-    Returns the trajectory of the rows that stayed finite and their indices
-    into x0s; the trajectory is None when no row did.  Rows never interact,
-    so the survivors equal their rows of an uninterrupted batch bit for bit;
-    the extra integrations happen only when a row diverges.  A failure that
-    names no rows, such as an rhs raising, sets every row aside.
-    """
-    alive = np.arange(len(x0s))
-    while alive.size:
-        try:
-            return integrate(rhs, x0s[alive], t0, t1, dt, **kwargs), alive
-        except IntegrationDiverged as e:
-            alive = alive[:0] if e.rows is None else np.delete(alive, e.rows)
-    return None, alive
-
-
 def _integrate_trial(rhs: Callable, x0: tuple, t0: float, t1: float, dt: float, n: int):
     """One full-loop trial from the float state x0, sampled once per dither period; None when it diverged."""
     try:
         return integrate(rhs, x0, t0, t1, dt, record_every=STEPS_PER_PERIOD, n=n)
     except IntegrationDiverged:
         return None
+
+
+def _integrate_averaged(rhs: Callable, x0: tuple, t0: float, t1: float, dt: float, n: int):
+    """One averaged trial from x0, every step recorded, and its theta slopes at the samples; None when it diverged."""
+    try:
+        avg = integrate(rhs, x0, t0, t1, dt, n=n)
+    except IntegrationDiverged:
+        return None
+    return avg, np.array([rhs(x, t)[:n] for x, t in zip(avg.states.tolist(), avg.times.tolist())])
 
 
 # the running probe's jobs, which forked workers inherit; it holds one probe's
@@ -318,17 +309,16 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     finite-sample only: it can refute but never prove the semi-global claim.
     Diverged integrations are recorded as rows with inf markers, not raised.
 
-    The averaged system runs all trials as one (trials, d) batch; a trial
-    whose averaged run diverges gets an inf sup_gap and the others are
-    integrated again without it.  It reads neither omega nor omega_hat, so
-    it is integrated once, at the full loop's step for the smallest omega,
-    recording every step, and each full-loop sample reads it through a cubic
-    Hermite interpolant whose node slopes are the averaged rhs.  The
-    smallest omega's samples fall on the nodes, so its rows equal a
-    per-omega integration bit for bit; the other rows differ from one only
-    in sup_gap, by the interpolation error.  The deployed loop's rhs works
-    on one state of floats, so each (omega, trial) is its own integration,
-    and one that diverges gets its inf row.  Rows are returned omega-major.
+    The averaged system reads neither omega nor omega_hat, so each trial's
+    averaged run is integrated once, at the full loop's step for the
+    smallest omega, recording every step, and each full-loop sample reads it
+    through a cubic Hermite interpolant whose node slopes are the averaged
+    rhs.  The smallest omega's samples fall on the nodes, so its rows equal
+    a per-omega integration bit for bit; the other rows differ from one only
+    in sup_gap, by the interpolation error.  Each (omega, trial) of the
+    deployed loop is its own integration too.  A trial whose full-loop run
+    diverges gets its inf row, and one whose averaged run diverges gets an
+    inf sup_gap at every omega.  Rows are returned omega-major.
 
     The integrations are independent jobs run by ``_run_jobs``, in forked
     workers when more than one CPU is available; every row is computed here
@@ -340,27 +330,18 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     star, n, trials = map.optimum, map.dim, cfg.trials
     x0s = _trial_starts(map, cfg)
     starts = [tuple(x0) for x0 in x0s.tolist()]
+    # matched transformed starts: xi(t0) = 1, so theta_f = theta - theta* and eta_f = eta - J(theta*)
+    avg_starts = [tuple(z0) for z0 in (x0s - np.append(star, map.optimal_value)).tolist()]
     t0 = p.schedule.t0
     t1 = t0 + cfg.horizon
 
-    def averaged_job():
-        # matched transformed start: xi(t0) = 1, so theta_f = theta - theta* and eta_f = eta - J(theta*)
-        avg, alive = _integrate_rows(averaged, x0s - np.append(star, map.optimal_value), t0, t1, dts[0], n=n)
-        slopes = None if avg is None else np.array([averaged(x, t)[:, :n] for x, t in zip(avg.states, avg.times)])
-        return avg, alive, slopes
-
-    jobs = [averaged_job] + [
+    # the averaged jobs step at the smallest omega's step
+    jobs = [partial(_integrate_averaged, averaged, z0, t0, t1, dts[0], n) for z0 in avg_starts] + [
         partial(_integrate_trial, full_rhs, x0, t0, t1, dt, n) for full_rhs, dt in zip(full_rhss, dts) for x0 in starts
     ]
-    # the averaged job steps at the smallest omega's step
-    steps = [cfg.horizon / dts[0]] + [cfg.horizon / dt for dt in dts for _ in starts]
-    (avg, alive, avg_slopes), *fulls = _run_jobs(jobs, steps)
-    if avg is not None:
-        # a trial whose averaged run diverged reads NaN, and gets sup_gap inf
-        nodes = np.full((len(avg.times), trials, n), math.nan)
-        slopes = np.full_like(nodes, math.nan)
-        nodes[:, alive] = avg.theta
-        slopes[:, alive] = avg_slopes
+    steps = [cfg.horizon / dt for dt in [dts[0]] + dts for _ in starts]
+    results = _run_jobs(jobs, steps)
+    avgs, fulls = results[:trials], results[trials:]
 
     rows: List[ProbeRow] = []
     for i, omega in enumerate(cfg.omega_values):
@@ -373,12 +354,12 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
                 if hits.size:
                     entry_time = float(full.times[hits[0]] - t0)
                     stayed = bool(np.all(inside[hits[0] :]))
-                if avg is not None:
+                if avgs[trial] is not None:
+                    avg, slopes = avgs[trial]
                     if xi_vals is None:  # every trial of one omega has the same sample times
                         xi_vals = np.array([p.schedule.xi(t) for t in full.times])
-                    theta_f = _hermite(avg.times, nodes[:, trial], slopes[:, trial], full.times)
+                    theta_f = _hermite(avg.times, avg.theta, slopes, full.times)
                     theta_bar = star + theta_f / xi_vals[:, None]
-                    gap = float(np.max(np.linalg.norm(full.theta - theta_bar, axis=-1)))
-                    sup_gap = math.inf if math.isnan(gap) else gap
+                    sup_gap = float(np.max(np.linalg.norm(full.theta - theta_bar, axis=-1)))
             rows.append(ProbeRow(omega, trial, entry_time, stayed, sup_gap))
     return rows

@@ -14,15 +14,13 @@ eta_f = xi^(2 kappa) (eta - J(theta*)) used by the stability analysis, over
 x = [theta_f_1..theta_f_n, eta_f]; the two are related by exact algebra, which
 the test suite checks by chain rule.
 
-The deployed loop's right-hand side is a row kernel over Python floats,
-compiled once per channel count: it takes one state, a tuple of floats (or a
-1-D array), and returns a tuple.  At a few elements per state, a numpy call
-costs more than the arithmetic it does, so float operations make an RK4 step
-several times cheaper.  The transformed loop takes one state of shape (d,) or
-B states of shape (B, d) through the same numpy code: it reads the state's
-columns as z.T[n] and z[..., :n] and evaluates the map's closed forms on the
-(n,) or (n, B) block.  Each rhs reads the schedule's time-only factors once
-per evaluation time.
+Each right-hand side takes one state, a sequence of d floats such as the
+tuple ``integrate`` keeps (or a 1-D array), and returns a tuple: at a few
+elements per state, a numpy call costs more than the arithmetic it does.
+The deployed loop's rhs is compiled once per channel count, its channels
+written out.  The transformed loop's drift is written per component, with
+the map's closed forms read per coordinate.  Each rhs reads the schedule's
+time-only factors once per evaluation time.
 """
 
 from __future__ import annotations
@@ -170,34 +168,13 @@ def phase_error(f: Factors, err: float) -> float:
     return f.phi * err
 
 
-def gain_error_term(f: Factors, k: Array, err) -> Array:
-    """Per-channel phase k_i phi(t) err: shape (n,) for a scalar err, (B, n) for err of shape (B,).
-
-    err is a numpy value, as the maps' closed forms return it: a float64
-    scalar for one state, a (B,) array for a batch.  Rows with |err| below
-    TINY_ERR take ``phase_error``'s log-domain product.
-    """
-    tiny = abs(err) < TINY_ERR
-    # a single error compares to np.False_ when it is not tiny, which skips the array test
-    if tiny is not np.False_ and np.count_nonzero(tiny):
-        prod = np.array(err, dtype=float)
-        flat = prod.reshape(-1)
-        tiny = abs(flat) < TINY_ERR
-        if not tiny.all():
-            flat[~tiny] *= f.phi
-        flat[tiny] = [phase_error(f, e) for e in flat[tiny].tolist()]
-    else:
-        prod = f.phi * err
-    return prod[..., None] * k
-
-
 def _check_loop_map(p: EsParams, map: CostMap, *forms: str) -> None:
     """Check once, when a loop is assembled, what its rhs reads of the map without validation."""
     if map.dim != p.n:
         raise AssemblyError(f"map '{map.name}' has dimension {map.dim}, the controller has {p.n} channels")
     for form in forms:
         if getattr(map, form) is None:
-            raise CapabilityError(f"map '{map.name}' has no closed {form} form, which the loop evaluates on batches")
+            raise CapabilityError(f"map '{map.name}' has no closed {form} form, which the loop evaluates")
 
 
 @functools.cache
@@ -219,13 +196,11 @@ def _deployed_rhs_code(n: int):
 def es_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over one packed state x = (theta_1..theta_n, eta), returning a tuple.
 
-    x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array; to
-    ``integrate`` the loop, give it a tuple start, since its array path
-    cannot sum the tuples this rhs returns.  The rhs is compiled once per
-    channel count n, its channels written out.  An infinite phase, where
-    math.cos raises, gives NaN dither rates, as np.cos would, so the
-    integrator reports the divergence.  Tagged with the fastest dither
-    frequency so the integrator can enforce its step bound.
+    x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array.  The
+    rhs is compiled once per channel count n, its channels written out.  An
+    infinite phase, where math.cos raises, gives NaN dither rates, as np.cos
+    would, so the integrator reports the divergence.  Tagged with the
+    fastest dither frequency so the integrator can enforce its step bound.
     """
     _check_loop_map(p, map)
     namespace = dict(factors=p.schedule.factor_cache(), cost=map.eval, phase_error=phase_error, cos=math.cos,
@@ -245,39 +220,43 @@ def _require_transformable(p: EsParams, map: CostMap):
     _check_loop_map(p, map, "centered")
 
 
-def transformed_drift(p: EsParams, map: CostMap, z: Array, f: Factors):
+def transformed_drift(p: EsParams, map: CostMap, z, f: Factors):
     """Dither-free part b0(z, t) of the transformed loop, and its error.
 
-    Over z = [theta_f..., eta_f] of shape (d,) or (B, d), with the schedule's
-    factors f at t, g = d(log xi)/dt, xi2k = xi^(2 kappa) and
-    jf = J(theta* + theta_f/xi) - J(theta*):
+    Over one packed state z = (theta_f..., eta_f), a sequence of d = n + 1
+    components, with the schedule's factors f at t, g = d(log xi)/dt,
+    xi2k = xi^(2 kappa) and jf = J(theta* + theta_f/xi) - J(theta*):
 
         b0  = [g theta_f, (2 kappa g - omega_h) eta_f + omega_h xi2k jf]
         err = jf - eta_f / xi2k
 
-    err is the deployed loop's J(theta) - eta; the transformed loop's phase is
-    gain_error_term(f, k, err), and the averaged loop reads b0 only.  Callers
-    check the frame and the map once, when they assemble their fields.
+    b0 is a list of d components.  err is the deployed loop's J(theta) - eta;
+    the transformed loop's phase is phase_error(f, err) * k_i, and the
+    averaged loop reads b0 only.  Callers check the frame and the map once,
+    when they assemble their fields.
     """
-    n = p.n
-    eta_f = z.T[n]
+    n, nu, g = p.n, f.nu, f.g
+    eta_f = z[n]
     xi2k = math.exp(2.0 * map.kappa * f.log_xi)
-    jf = map.centered((map.optimum + z[..., :n] * f.nu).T)
-    b0 = f.g * z
-    b0.T[n] = (2.0 * map.kappa * f.g - p.omega_h) * eta_f + p.omega_h * xi2k * jf
+    jf = map.centered([s + z_i * nu for s, z_i in zip(map.optimum.tolist(), z)])
+    b0 = [g * z_i for z_i in z[:n]]
+    b0.append((2.0 * map.kappa * g - p.omega_h) * eta_f + p.omega_h * xi2k * jf)
     return b0, jf - eta_f / xi2k
 
 
 def transformed_closed_loop(p: EsParams, map: CostMap):
-    """rhs(x, t) over the packed state x = [theta_f_1..theta_f_n, eta_f], of shape (d,) or (B, d)."""
+    """rhs(x, t) over one packed state x = (theta_f_1..theta_f_n, eta_f), returning a tuple."""
     _require_transformable(p, map)
-    n, factors = p.n, p.schedule.factor_cache()
+    factors = p.schedule.factor_cache()
+    channels = list(enumerate(zip(p._amp.tolist(), p._omegas.tolist(), p.k.tolist())))
 
-    def rhs(x: Array, t: float) -> Array:
+    def rhs(x, t: float) -> tuple:
         f = factors(t)
         out, err = transformed_drift(p, map, x, f)
-        out[..., :n] += p._amp * np.cos(p._omegas * t + gain_error_term(f, p.k, err))
-        return out
+        pe = phase_error(f, err)
+        for i, (amp, w, k) in channels:
+            out[i] += amp * math.cos(w * t + pe * k)
+        return tuple(out)
 
     rhs.dither_omega_max = float(np.max(p._omegas))
     return rhs

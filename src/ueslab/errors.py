@@ -25,16 +25,13 @@ class IntegrationDiverged(RuntimeError):
     """State left the finite range during integration.
 
     Carries the last time with a finite state and the partial trajectory
-    recorded up to that point (may be None if nothing was recorded).  For a
-    batch of states, ``rows`` names the rows that went non-finite; it is None
-    when the failure cannot be pinned to rows, as when the rhs raised.
+    recorded up to that point (may be None if nothing was recorded).
     """
 
-    def __init__(self, message, t_last, trajectory=None, rows=None):
+    def __init__(self, message, t_last, trajectory=None):
         super().__init__(message)
         self.t_last = t_last
         self.trajectory = trajectory
-        self.rows = rows
 
 
 class WorkerLost(RuntimeError):

@@ -6,15 +6,14 @@ in when they are absent.  ``verify_power_bounds`` measures empirical two-sided
 power-law envelopes of the cost, its gradient, and its Hessian on a ball
 around the minimizer.
 
-The closed forms ``eval``, ``centered`` and ``grad`` take theta with its
-coordinates on the leading axis: a sequence of n floats or an (n,) array for
-one input, or an (n, B) array for B inputs at once, so ``th[i]`` is
-coordinate i either way.  ``eval`` and ``centered`` return a scalar or a (B,)
-array, ``grad`` an (n,) or (n, B) array.  The closed loops call them
-directly, having checked the dimension once when the loop was assembled; the
-deployed loop calls ``eval`` on a tuple of floats.  ``__call__``,
-``centered_value`` and ``gradient`` are the validating entry points for
-single inputs.
+The closed forms ``eval``, ``centered`` and ``grad`` are written per
+coordinate: they take theta as a sequence whose item i is coordinate i, n
+floats or an (n,) array for one input, or an (n, B) array for B inputs at
+once.  ``eval`` and ``centered`` return a scalar or a (B,) array, ``grad`` a
+sequence of n components of the same kind.  The closed loops call them
+directly on one state's floats, having checked the dimension once when the
+loop was assembled.  ``__call__``, ``centered_value`` and ``gradient`` are
+the validating entry points for single inputs.
 """
 
 from __future__ import annotations
@@ -62,13 +61,14 @@ class CostMap:
     dim            input dimension n
     eval           theta (n floats, (n,) or (n, B)) -> cost value, scalar or (B,)
     kappa          convexity order: 1 for strongly convex behavior, larger for flatter minima
-    grad, hess     optional closed forms; finite differences are used when absent
+    grad, hess     optional closed forms, grad a sequence of n components; finite
+                   differences are used when absent
     optimum        minimizer, for tests and diagnostics only
     optimal_value  cost at the minimizer
     centered       optional cancellation-free evaluation of eval(theta) - optimal_value
     bounds         optional analytic PowerBounds
 
-    The closed loops evaluate eval, centered and grad on (n, B) inputs; a
+    The closed loops evaluate eval, centered and grad per coordinate; a
     loop that needs a form the map lacks refuses it when it is assembled.
     """
 
@@ -219,7 +219,7 @@ def quartic_paper() -> CostMap:
         dim=1,
         eval=lambda th: 1.0 + (th[0] - 2.0) ** 4,
         kappa=2,
-        grad=lambda th: np.array([4.0 * (th[0] - 2.0) ** 3]),
+        grad=lambda th: (4.0 * (th[0] - 2.0) ** 3,),
         hess=lambda th: np.array([[12.0 * (th[0] - 2.0) ** 2]]),
         optimum=np.array([2.0]),
         optimal_value=1.0,
@@ -249,11 +249,14 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
             acc += q * ((a - s) * (a - s))
         return acc
 
+    def slope(th):
+        return [2.0 * q * (a - s) for (q, s), a in zip(terms, th)]
+
     return CostMap(
         dim=n,
         eval=value,
         kappa=1,
-        grad=lambda th: (2.0 * qv * (th.T - star)).T,
+        grad=slope,
         hess=lambda th: np.diag(2.0 * qv),
         optimum=star.copy(),
         optimal_value=0.0,

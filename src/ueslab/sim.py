@@ -4,12 +4,11 @@ The integrator is deliberately fixed-step: dither terms have known frequency
 content, and a step tied to the fastest dither keeps phase error deterministic
 and runs byte-for-byte reproducible.  Right-hand sides that carry a
 ``dither_omega_max`` attribute get their step checked against
-``dither_step_bound``: 40 samples per fastest period.  A state is a float,
-a tuple of floats, a 1-D array (d,), or a batch (B, d) of B independent
-states that share the step, the sample times and the right-hand side; a
-batch is one RK4 run whose rhs evaluates all rows at once.  A tuple of d
-floats takes an RK4 step compiled once per d, for a right-hand side that
-returns exactly d floats, such as the deployed loop's.
+``dither_step_bound``: 40 samples per fastest period.  A state is one
+float, or one tuple of floats, which a tuple, a list or a 1-D array start
+becomes; ``integrate`` integrates one state per call.  A tuple of d floats
+takes an RK4 step compiled once per d, for a right-hand side that returns
+exactly d components, such as the closed loops' rhs.
 
 ``lemma1_rhs`` / ``lemma1_solution`` form a self-oracle pair: a scalar
 comparison ODE with a known closed-form solution, used to validate the
@@ -42,7 +41,7 @@ class Trajectory:
     """Time-indexed record of an integration run.
 
     times   (m,) strictly increasing sample times
-    states  (m, d) raw state record, one row per sample; (m, B, d) for a batch
+    states  (m, d) raw state record, one row per sample
     n       number of leading state columns holding the controller input
     y       optional (m,) measured cost when a map was in the loop
     """
@@ -55,14 +54,14 @@ class Trajectory:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        if self.states.ndim not in (2, 3) or self.times.ndim != 1:
-            raise ValueError("times must be 1-D and states (m, d) or (m, B, d)")
+        if self.states.ndim != 2 or self.times.ndim != 1:
+            raise ValueError("times must be 1-D and states (m, d)")
         if len(self.times) != len(self.states):
             raise ValueError(f"{len(self.times)} times vs {len(self.states)} state rows")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("sample times must be strictly increasing")
-        if not (0 < self.n <= self.states.shape[-1]):
-            raise ValueError(f"n = {self.n} incompatible with state width {self.states.shape[-1]}")
+        if not (0 < self.n <= self.states.shape[1]):
+            raise ValueError(f"n = {self.n} incompatible with state width {self.states.shape[1]}")
         if not np.all(np.isfinite(self.states)):
             raise ValueError("recorded states contain non-finite values")
         if self.y is not None:
@@ -72,20 +71,18 @@ class Trajectory:
 
     @property
     def theta(self) -> Array:
-        """(m, n) controller-input columns; (m, B, n) for a batch."""
-        return self.states[..., : self.n]
+        """(m, n) controller-input columns."""
+        return self.states[:, : self.n]
 
     @property
     def eta(self) -> Array:
-        """(m,) washout-filter column, (m, B) for a batch; requires state layout [theta..., eta]."""
-        if self.states.shape[-1] != self.n + 1:
+        """(m,) washout-filter column; requires state layout [theta..., eta]."""
+        if self.states.shape[1] != self.n + 1:
             raise ValueError("trajectory has no washout-filter column")
-        return self.states[..., self.n]
+        return self.states[:, self.n]
 
     def to_csv(self) -> str:
-        """CSV text: header t,theta_1..theta_n,eta,y; 17 significant digits; one state per sample only."""
-        if self.states.ndim != 2:
-            raise ValueError("CSV output takes one state per sample, not a batch")
+        """CSV text: header t,theta_1..theta_n,eta,y; 17 significant digits."""
         cols = ["t"] + [f"theta_{i + 1}" for i in range(self.n)]
         blocks = [self.times[:, None], self.theta]
         if self.states.shape[1] == self.n + 1:
@@ -128,26 +125,23 @@ def integrate(
     y_fn: Optional[Callable] = None,
     n: Optional[int] = None,
 ) -> Trajectory:
-    """Classical fixed-step RK4 from t0 to t1.
+    """Classical fixed-step RK4 from t0 to t1, over one state.
 
-    rhs(x, t) -> dx/dt, with x a float, a tuple of floats, a 1-D array (d,)
-    or a batch (B, d); the state type is preserved across steps.  An rhs
-    given a tuple of d floats returns exactly d components, or the first step
-    raises ValueError.  An rhs that returns a tuple, such as the deployed
-    loop's, needs a tuple start: given an array state it raises ValueError.
-    Samples are recorded every ``record_every`` steps; the initial and final
-    states are always recorded.  ``y_fn(x, t)``, when given, fills the
-    trajectory's y column at recorded samples.  A non-finite state, or an
+    x0 is a float, or a 1-D sequence of d floats (a tuple, a list or a 1-D
+    array), which is integrated as a tuple of floats; a 2-D start raises
+    ValueError.  rhs(x, t) -> dx/dt returns a float for a float state and
+    exactly d components for a tuple, or the first step raises ValueError.
+    n, the number of leading state columns holding the controller input,
+    defaults to d and must lie in 1..d, which is checked before the first
+    step.  Samples are recorded every ``record_every`` steps; the initial
+    and final states are always recorded.  ``y_fn(x, t)``, when given, fills
+    the trajectory's y column at recorded samples.  A non-finite state, or an
     OverflowError/FloatingPointError raised by rhs, aborts with
-    IntegrationDiverged carrying the trajectory recorded so far; for a batch
-    that went non-finite it also names the rows that did.  Rows never
-    interact, so integrating the others again reproduces them bit for bit.
+    IntegrationDiverged carrying the trajectory recorded so far.
 
-    The float and tuple paths are kept for small states, such as the
-    comparison ODE and the deployed loop: as arrays each step pays numpy's
-    per-operation overhead.  The tuple path's step is compiled once per
-    width, its stage sums written out per component in the array path's
-    order, so both give the same bits for the same right-hand-side values.
+    The tuple path's step is compiled once per width, its stage sums written
+    out per component in the float path's order, so both give the same bits
+    for the same right-hand-side values.
     """
     if t1 <= t0:
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
@@ -164,7 +158,20 @@ def integrate(
                 f"({STEPS_PER_PERIOD} steps per fastest period)"
             )
 
-    if isinstance(x0, tuple):
+    shape = np.shape(x0)
+    if shape == ():
+        x = float(x0)
+        width = 1
+        finite = math.isfinite
+        record = lambda xv: [xv]
+
+        def advance(x, t, h, t_next):
+            k1 = rhs(x, t)
+            k2 = rhs(x + (0.5 * h) * k1, t + 0.5 * h)
+            k3 = rhs(x + (0.5 * h) * k2, t + 0.5 * h)
+            k4 = rhs(x + h * k3, t_next)
+            return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    elif len(shape) == 1:
         x = tuple(map(float, x0))
         width = len(x)
         namespace = {"rhs": rhs}
@@ -173,33 +180,11 @@ def integrate(
         finite = lambda xv: all(map(math.isfinite, xv))
         record = list
     else:
-        if np.isscalar(x0) or (isinstance(x0, np.ndarray) and x0.ndim == 0):
-            x = float(x0)
-            width = 1
-            finite = math.isfinite
-            record = lambda xv: [xv]
-        else:
-            x = np.array(x0, dtype=float)
-            if x.ndim not in (1, 2):
-                raise ValueError(f"array states must be (d,) or (B, d), got shape {x.shape}")
-            width = x.shape[-1]
-            finite = lambda xv: bool(np.all(np.isfinite(xv)))
-            record = lambda xv: xv.tolist()
-
-        def advance(x, t, h, t_next):
-            k1 = rhs(x, t)
-            if isinstance(k1, (tuple, list)):
-                raise ValueError(
-                    "rhs returned a sequence for an array state; start a right-hand side that works "
-                    "on floats, such as the deployed loop's, from a tuple"
-                )
-            k2 = rhs(x + (0.5 * h) * k1, t + 0.5 * h)
-            k3 = rhs(x + (0.5 * h) * k2, t + 0.5 * h)
-            k4 = rhs(x + h * k3, t_next)
-            return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+        raise ValueError(f"integrate takes one state, a float or a 1-D sequence, got shape {shape}")
     if n is None:
         n = width
+    elif not 1 <= n <= width:
+        raise ValueError(f"n = {n} incompatible with state width {width}")
 
     span = t1 - t0
     n_steps = max(1, math.ceil(span / dt - 1e-9))
@@ -223,11 +208,7 @@ def integrate(
             ) from e
         t = t_next
         if not finite(x):
-            bad = np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist() if np.ndim(x) == 2 else None
-            where = "" if bad is None else f" in rows {bad}"
-            raise IntegrationDiverged(
-                f"state became non-finite{where} at t = {t:g}", t_last=times[-1], trajectory=recorded(), rows=bad
-            )
+            raise IntegrationDiverged(f"state became non-finite at t = {t:g}", t_last=times[-1], trajectory=recorded())
         if step % record_every == 0 or step == n_steps:
             times.append(t)
             rows.append(record(x))

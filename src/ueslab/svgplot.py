@@ -15,6 +15,8 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 WIDTH, HEIGHT = 760, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 14.0, 34.0, 42.0
+# points of a polyline formatted at once, which bounds the Python floats held for its text
+_BLOCK = 2048
 
 
 def _too_narrow(lo: float, hi: float) -> bool:
@@ -110,8 +112,11 @@ def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str =
     for idx, (x, y, label) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass silently, as on Python floats
-            xy = np.column_stack([px(x), py(y)]).ravel().tolist()
-        points = " ".join(["%.2f,%.2f"] * x.size) % tuple(xy)
+            xy = np.column_stack([px(x), py(y)])
+        points = " ".join(
+            " ".join(["%.2f,%.2f"] * len(block)) % tuple(block.ravel().tolist())
+            for block in (xy[i : i + _BLOCK] for i in range(0, len(xy), _BLOCK))
+        )
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>')
         if label:
             Yl = _MARGIN_T + 14 + 14 * idx

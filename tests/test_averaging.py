@@ -184,10 +184,10 @@ def _in_process(monkeypatch):
     monkeypatch.setattr(averaging, "_worker_count", lambda jobs: 1)
 
 
-def _counting_integrate(monkeypatch, fail_rows=None):
-    """Patch averaging.integrate to record ("averaged" | "full", batch shape) per call; the first
-    averaged integration raises IntegrationDiverged naming fail_rows, when given, as its diverged rows.
-    The probe's jobs run in this process, so that the record is kept here."""
+def _counting_integrate(monkeypatch, fail_trial=None):
+    """Patch averaging.integrate to record ("averaged" | "full", state shape) per call; the averaged
+    integration of trial fail_trial, when given, raises IntegrationDiverged.  The probe's jobs run
+    in this process, in job order, so that the record is kept here."""
     _in_process(monkeypatch)
     calls = []
     real = averaging.integrate
@@ -195,27 +195,27 @@ def _counting_integrate(monkeypatch, fail_rows=None):
     def integrate(rhs, x0, *args, **kwargs):
         kind = "averaged" if getattr(rhs, "dither_omega_max", None) is None else "full"  # only the averaged rhs is untagged
         calls.append((kind, np.shape(x0)))
-        if kind == "averaged" and fail_rows is not None and len(calls) == 1:
-            raise IntegrationDiverged("forced", t_last=args[0], rows=fail_rows)
+        if kind == "averaged" and len(calls) - 1 == fail_trial:  # the averaged jobs come first, one per trial
+            raise IntegrationDiverged("forced", t_last=args[0])
         return real(rhs, x0, *args, **kwargs)
 
     monkeypatch.setattr(averaging, "integrate", integrate)
     return calls
 
 
-def test_probe_integrates_averaged_batch_and_one_state_per_trial(quartic, fig3_params, monkeypatch):
+def test_probe_integrates_one_state_per_job(quartic, fig3_params, monkeypatch):
     calls = _counting_integrate(monkeypatch)
     u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
     d = quartic.dim + 1
     full = [("full", (d,))] * (len(PROBE_CFG.omega_values) * PROBE_CFG.trials)
-    assert calls == [("averaged", (PROBE_CFG.trials, d))] + full
+    assert calls == [("averaged", (d,))] * PROBE_CFG.trials + full
 
 
 def test_probe_averaged_divergence_marks_its_trial(quartic, fig3_params, monkeypatch):
     clean = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
-    calls = _counting_integrate(monkeypatch, fail_rows=[1])  # row 1 of the batched averaged run: trial 1
+    calls = _counting_integrate(monkeypatch, fail_trial=1)
     rows = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
-    assert calls[:2] == [("averaged", (2, 2)), ("averaged", (1, 2))]  # trial 0 integrated again on its own
+    assert calls[:2] == [("averaged", (2,)), ("averaged", (2,))]  # one averaged job per trial, no retry
     for row, want in zip(rows, clean):
         if row.trial == 1:
             assert row.sup_gap == math.inf
@@ -277,7 +277,7 @@ def test_probe_jobs_run_in_workers(quartic, fig3_params, monkeypatch, tmp_path):
     _pooled(monkeypatch)
     u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
     seen = [int(line) for line in pids.read_text().split()]
-    assert len(seen) == 1 + len(PROBE_CFG.omega_values) * PROBE_CFG.trials
+    assert len(seen) == (1 + len(PROBE_CFG.omega_values)) * PROBE_CFG.trials
     assert os.getpid() not in seen
     assert len(set(seen)) <= 2
     assert averaging._JOBS == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ueslab as u
-from ueslab.controllers import gain_error_term, phase_error
+from ueslab.controllers import phase_error
 from ueslab.errors import AssemblyError, CapabilityError, IntegrationDiverged
 
 
@@ -119,9 +119,10 @@ def test_gain_error_term_log_domain():
     # ... but against a denormal error the product is finite and signed
     expected = 2.0 * math.exp(s.log_phi(400.0) + math.log(1e-300))
     f = s.factors(400.0)
-    np.testing.assert_allclose(gain_error_term(f, k, 1e-300), [expected])
-    np.testing.assert_allclose(gain_error_term(f, k, -1e-300), [-expected])
-    np.testing.assert_array_equal(gain_error_term(f, k, 0.0), [0.0])
+    # the transformed loop's gain-error term k_i phi err is phase_error(f, err) * k_i
+    np.testing.assert_allclose(phase_error(f, 1e-300) * k, [expected])
+    np.testing.assert_allclose(phase_error(f, -1e-300) * k, [-expected])
+    np.testing.assert_array_equal(phase_error(f, 0.0) * k, [0.0])
     # the deployed loop's float kernel takes the same rule for its one error
     assert phase_error(f, 1e-300) == expected / 2.0
     assert phase_error(f, -1e-300) == -expected / 2.0

@@ -62,9 +62,9 @@ def test_closed_forms_take_batches():
             values = form(th)
             assert values.shape == (5,)
             np.testing.assert_allclose(values, [form(col) for col in th.T], rtol=1e-15)
-        grads = m.grad(th)
+        grads = np.asarray(m.grad(th))
         assert grads.shape == (m.dim, 5)
-        np.testing.assert_allclose(grads, np.column_stack([m.grad(col) for col in th.T]), rtol=1e-15)
+        np.testing.assert_allclose(grads, np.column_stack([np.asarray(m.grad(col)) for col in th.T]), rtol=1e-15)
 
 
 def test_fd_fallback_when_no_closed_forms():

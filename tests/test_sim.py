@@ -13,7 +13,7 @@ import ueslab as u
 from ueslab import cli
 from ueslab.averaging import _trial_starts
 from ueslab.config import config_from_text
-from ueslab.controllers import gain_error_term
+from ueslab.controllers import phase_error
 from ueslab.errors import IntegrationDiverged
 
 
@@ -44,7 +44,7 @@ def test_endpoints_always_recorded():
 
 def test_final_time_lands_exactly():
     # span not divisible by dt: the last step is shortened, never overshot
-    traj = u.integrate(lambda x, t: 0.0 * x, np.array([1.0]), 0.0, 1.0, 0.3)
+    traj = u.integrate(lambda x, t: (0.0 * x[0],), np.array([1.0]), 0.0, 1.0, 0.3)
     assert traj.times[-1] == 1.0
     assert len(traj.times) == 5  # t = 0, 0.3, 0.6, 0.9, 1.0
 
@@ -59,13 +59,12 @@ def test_dither_tag_enforces_step_bound():
 
 
 def test_scalar_and_array_states_agree():
-    # the float path and the 1-element array path integrate the same ODE
+    # the float path and the 1-element array start, which takes the tuple path, give the same bits
     p = u.Lemma1Params(beta=0.5, eps1=0.2, eps2=0.3, p=0.5, q=2.0, v0=1.0)
-    rhs = lambda V, t: u.lemma1_rhs(p, V, t)
-    scalar = u.integrate(rhs, p.v0, 0.0, 10.0, 1e-2)
-    array = u.integrate(rhs, np.array([p.v0]), 0.0, 10.0, 1e-2)
+    scalar = u.integrate(lambda V, t: u.lemma1_rhs(p, V, t), p.v0, 0.0, 10.0, 1e-2)
+    array = u.integrate(lambda V, t: (u.lemma1_rhs(p, V[0], t),), np.array([p.v0]), 0.0, 10.0, 1e-2)
     np.testing.assert_array_equal(scalar.times, array.times)
-    np.testing.assert_allclose(scalar.states, array.states, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(scalar.states, array.states)
 
 
 def test_divergence_carries_partial_trajectory():
@@ -85,7 +84,7 @@ def test_rhs_failure_carries_partial_trajectory(error):
     def rhs(x, t):
         if t > t_fail:
             raise error("rhs out of range")
-        return -x
+        return (-x[0],)
 
     with pytest.raises(IntegrationDiverged) as exc:
         u.integrate(rhs, np.array([1.0]), 0.0, 1.0, dt)
@@ -184,28 +183,58 @@ def test_endpoints_recorded_for_any_cadence(span, dt, every):
     assert np.all(np.diff(traj.times) > 0.0)
 
 
-def test_batch_divergence_names_its_rows():
-    # dx/dt = x^2 leaves double range near t = 1/x0: the row starting at 2 does, the others do not
-    x0 = np.array([[0.5], [2.0], [-1.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationDiverged, match=r"rows \[1\]") as exc:
-            u.integrate(lambda x, t: x * x, x0, 0.0, 1.0, 1e-3)
-    err = exc.value
-    assert err.rows == [1]
-    assert 0.45 < err.t_last < 0.55
-    assert err.trajectory.states.shape[1:] == (3, 1)
-    assert np.all(np.isfinite(err.trajectory.states))
+def test_two_dimensional_start_is_refused():
+    calls = []
+
+    def rhs(x, t):
+        calls.append(t)
+        return x
+
+    for x0 in (np.ones((3, 2)), [[1.0], [2.0]], np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="takes one state"):
+            u.integrate(rhs, x0, 0.0, 1.0, 0.1)
+    assert calls == []
+    with pytest.raises(ValueError, match=r"states \(m, d\)"):
+        u.Trajectory(np.arange(3.0), np.ones((3, 2, 1)), 1)
 
 
-def test_batch_trajectory_views():
-    traj = u.integrate(lambda x, t: -x, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), 0.0, 1.0, 0.1, n=1)
-    assert traj.states.shape == (11, 3, 2)
-    assert traj.theta.shape == (11, 3, 1)
-    np.testing.assert_array_equal(traj.eta[0], [2.0, 4.0, 6.0])
-    with pytest.raises(ValueError, match="batch"):
-        traj.to_csv()
-    with pytest.raises(ValueError, match="shape"):
-        u.integrate(lambda x, t: -x, np.ones((2, 2, 2)), 0.0, 1.0, 0.1)
+@pytest.mark.parametrize("n", [0, 3])
+def test_n_outside_state_width_is_refused_before_the_first_step(n):
+    calls = []
+
+    def rhs(x, t):
+        calls.append(t)
+        return (1.0, 2.0)
+
+    with pytest.raises(ValueError, match=f"n = {n} incompatible with state width 2"):
+        u.integrate(rhs, (1.0, 2.0), 0.0, 200.0, 1e-3, n=n)
+    assert calls == []
+
+
+def test_n_outside_state_width_is_refused_on_a_diverging_run():
+    # dx/dt = x^2 leaves double range near t = 1: the bad n is named, not the divergence
+    with pytest.raises(ValueError, match="n = 2 incompatible with state width 1"):
+        u.integrate(lambda x, t: (x[0] * x[0],), (1.0,), 0.0, 2.0, 1e-3, n=2)
+
+
+def _numpy_rk4(rhs, x0, t0, t1, dt):
+    """Classical RK4 on a 1-D numpy array, every step recorded: the array path ``integrate`` had,
+    kept as the reference the tuple path must equal bit for bit.  Returns (times, states)."""
+    x = np.array(x0, dtype=float)
+    n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+    times, states, t = [t0], [x], t0
+    for step in range(1, n_steps + 1):
+        t_next = t1 if step == n_steps else t0 + step * dt
+        h = t_next - t
+        k1 = rhs(x, t)
+        k2 = rhs(x + (0.5 * h) * k1, t + 0.5 * h)
+        k3 = rhs(x + (0.5 * h) * k2, t + 0.5 * h)
+        k4 = rhs(x + h * k3, t_next)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t_next
+        times.append(t)
+        states.append(x)
+    return np.array(times), np.array(states)
 
 
 def _sweep_starts():
@@ -240,7 +269,7 @@ def _numpy_deployed_loop(p, cost):
         f = factors(t)
         err = cost(x[:n]) - x[n]
         out = np.empty_like(x)
-        out[:n] = f.nu * p._amp * np.cos(p._omegas * t + gain_error_term(f, p.k, err))
+        out[:n] = f.nu * p._amp * np.cos(p._omegas * t + phase_error(f, err) * p.k)
         out[n] = p.omega_h * err
         return out
 
@@ -248,15 +277,12 @@ def _numpy_deployed_loop(p, cost):
     return rhs
 
 
-def _assert_kernel_equals_reference(p, map_, cost, x0s, horizon):
-    kernel = u.es_closed_loop(p, map_)
-    reference = _numpy_deployed_loop(p, cost)
-    dt = u.dither_step_bound(kernel.dither_omega_max)
+def _assert_kernel_equals_reference(kernel, reference, x0s, horizon, dt, n):
     for x0 in x0s:
-        want = u.integrate(reference, np.array(x0), 0.0, horizon, dt, n=map_.dim)
-        got = u.integrate(kernel, tuple(x0.tolist()), 0.0, horizon, dt, n=map_.dim)
-        np.testing.assert_array_equal(got.times, want.times)
-        np.testing.assert_array_equal(got.states, want.states)
+        want_times, want_states = _numpy_rk4(reference, x0, 0.0, horizon, dt)
+        got = u.integrate(kernel, tuple(x0.tolist()), 0.0, horizon, dt, n=n)
+        np.testing.assert_array_equal(got.times, want_times)
+        np.testing.assert_array_equal(got.states, want_states)
 
 
 @pytest.mark.parametrize("omega,horizon", [(10.0, 20.0), (250.0, 1.0)])
@@ -265,7 +291,9 @@ def test_float_kernel_equals_numpy_reference_on_sweep_starts(omega, horizon):
     # Python's scalar ** and numpy's float64 scalar **, must also round alike, which is checked
     cfg, x0s = _sweep_starts()
     quartic = lambda th: 1.0 + (th[0] - 2.0) ** 4
-    _assert_kernel_equals_reference(cfg.params.with_omega(omega), cfg.map, quartic, x0s, horizon)
+    p = cfg.params.with_omega(omega)
+    dt = u.dither_step_bound(omega)
+    _assert_kernel_equals_reference(u.es_closed_loop(p, cfg.map), _numpy_deployed_loop(p, quartic), x0s, horizon, dt, 1)
 
 
 def _assert_quadratic_kernel_equals_reference(n):
@@ -275,7 +303,8 @@ def _assert_quadratic_kernel_equals_reference(n):
     rng = np.random.default_rng(4)
     theta0s = star + rng.uniform(-1.0, 1.0, (3, n))
     x0s = np.column_stack([theta0s, [cfg.map(th) for th in theta0s]])
-    _assert_kernel_equals_reference(cfg.params, cfg.map, quadratic, x0s, cfg.horizon)
+    kernel, reference = u.es_closed_loop(cfg.params, cfg.map), _numpy_deployed_loop(cfg.params, quadratic)
+    _assert_kernel_equals_reference(kernel, reference, x0s, cfg.horizon, u.dither_step_bound(kernel.dither_omega_max), n)
 
 
 def test_float_kernel_equals_numpy_reference_four_channels():
@@ -286,6 +315,71 @@ def test_float_kernel_equals_numpy_reference_four_channels():
 def test_float_kernel_equals_numpy_reference_quadratic(n):
     # the rhs is compiled per channel count, so each count is its own code
     _assert_quadratic_kernel_equals_reference(n)
+
+
+def _numpy_transformed_drift(p, map_, z, f):
+    """transformed_drift as numpy code over a 1-D array z: the reference the per-component drift must equal."""
+    n = p.n
+    eta_f = z[n]
+    xi2k = math.exp(2.0 * map_.kappa * f.log_xi)
+    jf = map_.centered(map_.optimum + z[:n] * f.nu)
+    b0 = f.g * z
+    b0[n] = (2.0 * map_.kappa * f.g - p.omega_h) * eta_f + p.omega_h * xi2k * jf
+    return b0, jf - eta_f / xi2k
+
+
+def _numpy_transformed_loop(p, map_):
+    """The transformed loop's rhs as numpy code over a 1-D array state."""
+    n, factors = p.n, p.schedule.factor_cache()
+
+    def rhs(x, t):
+        f = factors(t)
+        out, err = _numpy_transformed_drift(p, map_, x, f)
+        out[:n] += p._amp * np.cos(p._omegas * t + phase_error(f, err) * p.k)
+        return out
+
+    return rhs
+
+
+def _numpy_averaged_loop(p, map_, grad):
+    """The averaged loop's rhs as numpy code over a 1-D array state; grad is the map's gradient as numpy code."""
+    n, factors = p.n, p.schedule.factor_cache()
+
+    def rhs(x, t):
+        f = factors(t)
+        out = _numpy_transformed_drift(p, map_, x, f)[0]
+        out[:n] -= 0.5 * p.k * p.alpha * f.phi * (grad(map_.optimum + x[:n] / f.xi) / f.xi)
+        return out
+
+    return rhs
+
+
+def _comparison_case(case, quartic, fig3_params):
+    """(params, map, gradient as numpy code, transformed starts, horizon): fig3's quartic from the
+    sweep starts, or the n-channel quadratic from seeded starts."""
+    if case == "quartic":
+        grad = lambda th: np.array([4.0 * (th[0] - 2.0) ** 3])
+        return fig3_params, quartic, grad, _sweep_starts()[1] - [2.0, 1.0], 20.0
+    cfg = _quadratic_config(case)
+    q, star = np.arange(1.0, case + 1.0), cfg.map.optimum
+    rng = np.random.default_rng(4)
+    z0s = rng.uniform(-1.0, 1.0, (3, case + 1))
+    return cfg.params, cfg.map, lambda th: 2.0 * q * (th - star), z0s, cfg.horizon
+
+
+@pytest.mark.parametrize("case", ["quartic", 2, 3])
+def test_transformed_kernel_equals_numpy_reference(case, quartic, fig3_params):
+    p, map_, _, z0s, horizon = _comparison_case(case, quartic, fig3_params)
+    kernel = u.transformed_closed_loop(p, map_)
+    dt = u.dither_step_bound(kernel.dither_omega_max)
+    _assert_kernel_equals_reference(kernel, _numpy_transformed_loop(p, map_), z0s, horizon, dt, p.n)
+
+
+@pytest.mark.parametrize("case", ["quartic", 2, 3])
+def test_averaged_kernel_equals_numpy_reference(case, quartic, fig3_params):
+    p, map_, grad, z0s, horizon = _comparison_case(case, quartic, fig3_params)
+    dt = u.dither_step_bound(float(np.max(p.omegas)))
+    _assert_kernel_equals_reference(u.averaged_closed_loop(p, map_), _numpy_averaged_loop(p, map_, grad), z0s, horizon, dt, p.n)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -305,9 +399,9 @@ def test_tuple_step_equals_array_step(d):
 
     x0 = rng.uniform(-1.0, 1.0, d)
     got = u.integrate(lambda x, t: tuple(rates(x, t)), tuple(x0.tolist()), 0.0, 3.0, 0.01)
-    want = u.integrate(lambda x, t: np.array(rates(x.tolist(), t)), x0, 0.0, 3.0, 0.01)
-    np.testing.assert_array_equal(got.times, want.times)
-    np.testing.assert_array_equal(got.states, want.states)
+    want_times, want_states = _numpy_rk4(lambda x, t: np.array(rates(x.tolist(), t)), x0, 0.0, 3.0, 0.01)
+    np.testing.assert_array_equal(got.times, want_times)
+    np.testing.assert_array_equal(got.states, want_states)
 
 
 @pytest.mark.parametrize("rates", [(1.0, 2.0, 3.0), (1.0,)])
@@ -351,8 +445,11 @@ def test_readme_quick_start_runs():
     assert ns["fit"].estimate == pytest.approx(2.8, abs=0.1)
 
 
-def test_array_start_of_tuple_rhs_fails_clearly(quartic, fig3_params):
+def test_list_and_array_starts_equal_tuple_start(quartic, fig3_params):
     rhs = u.es_closed_loop(fig3_params, quartic)
     dt = u.dither_step_bound(rhs.dither_omega_max)
-    with pytest.raises(ValueError, match="from a tuple"):
-        u.integrate(rhs, np.array([0.0, 0.0]), 0.0, 1.0, dt, n=quartic.dim)
+    want = u.integrate(rhs, (0.5, 17.0), 0.0, 5.0, dt, n=quartic.dim)
+    for x0 in ([0.5, 17.0], np.array([0.5, 17.0])):
+        got = u.integrate(rhs, x0, 0.0, 5.0, dt, n=quartic.dim)
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.states, want.states)
