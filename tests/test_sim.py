@@ -190,10 +190,16 @@ def test_two_dimensional_start_is_refused():
         calls.append(t)
         return x
 
-    for x0 in (np.ones((3, 2)), [[1.0], [2.0]], np.ones((2, 2, 2))):
+    # a (B, d) batch, even one whose row starting at 2 would diverge, is refused before any step
+    for x0 in (np.ones((3, 2)), [[1.0], [2.0]], np.array([[0.5], [2.0], [-1.0]])):
         with pytest.raises(ValueError, match="takes one state"):
             u.integrate(rhs, x0, 0.0, 1.0, 0.1)
     assert calls == []
+
+
+def test_three_dimensional_state_record_is_refused():
+    with pytest.raises(ValueError, match="takes one state"):
+        u.integrate(lambda x, t: x, np.ones((2, 2, 2)), 0.0, 1.0, 0.1)
     with pytest.raises(ValueError, match=r"states \(m, d\)"):
         u.Trajectory(np.arange(3.0), np.ones((3, 2, 1)), 1)
 
