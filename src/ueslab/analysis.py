@@ -23,6 +23,7 @@ Array = np.ndarray
 
 NOISE_FLOOR = 1e-13
 MIN_ENVELOPE_POINTS = 10
+MIN_WINDOW_SAMPLES = 3
 POWER_LAW = "power_law"
 EXPONENTIAL_DECAY = "exponential"
 
@@ -54,14 +55,19 @@ def _distance_series(traj: Trajectory, theta_star) -> Array:
     return np.linalg.norm(traj.theta - star, axis=1)
 
 
-def _window_mask(times: Array, window) -> Array:
+def check_window(window, first: float, last: float) -> None:
+    """Raise ValueError unless the window (t_a, t_b) has t_b > t_a and lies in [first, last], up to 1e-9 relative."""
     t_a, t_b = float(window[0]), float(window[1])
     if t_b <= t_a:
         raise ValueError(f"window end must exceed start, got ({t_a}, {t_b})")
-    pad = 1e-9 * max(1.0, abs(times[0]), abs(times[-1]))
-    if t_a < times[0] - pad or t_b > times[-1] + pad:
-        raise ValueError(f"window ({t_a}, {t_b}) not contained in trajectory span ({times[0]}, {times[-1]})")
-    return (times >= t_a) & (times <= t_b)
+    pad = 1e-9 * max(1.0, abs(first), abs(last))
+    if t_a < first - pad or t_b > last + pad:
+        raise ValueError(f"window ({t_a}, {t_b}) not contained in trajectory span ({first}, {last})")
+
+
+def _window_mask(times: Array, window) -> Array:
+    check_window(window, times[0], times[-1])
+    return (times >= window[0]) & (times <= window[1])
 
 
 def _envelope(times: Array, dist: Array, window) -> Tuple[Array, Array]:
@@ -74,8 +80,8 @@ def _envelope(times: Array, dist: Array, window) -> Tuple[Array, Array]:
     """
     mask = _window_mask(times, window)
     t_w, d_w = times[mask], dist[mask]
-    if len(t_w) < 3:
-        raise ValueError(f"window ({window[0]}, {window[1]}) holds {len(t_w)} samples; need at least 3")
+    if len(t_w) < MIN_WINDOW_SAMPLES:
+        raise ValueError(f"window ({window[0]}, {window[1]}) holds {len(t_w)} samples; need at least {MIN_WINDOW_SAMPLES}")
     interior = (d_w[1:-1] > d_w[:-2]) & (d_w[1:-1] > d_w[2:])
     idx = np.flatnonzero(interior) + 1
     if idx.size < MIN_ENVELOPE_POINTS:

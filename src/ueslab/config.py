@@ -8,6 +8,7 @@ config that loads is a config that runs.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,12 +16,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .analysis import MIN_WINDOW_SAMPLES, check_window
 from .averaging import ProbeConfig, averaged_closed_loop
 from .controllers import EsParams, assemble
 from .errors import AssemblyError, CapabilityError, ConfigError
 from .maps import CostMap, named_map
 from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Schedule
-from .sim import STEPS_PER_PERIOD, dither_step_bound
+from .sim import STEPS_PER_PERIOD, dither_step_bound, step_count
 
 Array = np.ndarray
 
@@ -202,6 +204,21 @@ def _check_time_grid(r: _Reader, key: str, t0: float, horizon: float, dt: float)
         )
 
 
+def _check_fit_window(r: _Reader, window: Tuple[float, float], t0: float, horizon: float, dt: float, every: int) -> None:
+    """Refuse a fit window outside the run, or holding fewer samples than the rate fit needs on integrate's grid."""
+    t1 = t0 + horizon
+    try:
+        check_window(window, t0, t1)
+    except ValueError as e:
+        raise ConfigError(f"{r.source}: analysis.fit_window: {e}") from None
+    count = (step_count(t0, t1, dt) - 1) // every + 2
+    time = lambda j: t1 if j == count - 1 else t0 + (j * every) * dt
+    held = bisect.bisect_right(range(count), window[1], key=time) - bisect.bisect_left(range(count), window[0], key=time)
+    if held < MIN_WINDOW_SAMPLES:
+        raise ConfigError(f"{r.source}: analysis.fit_window = {window[0]:g}, {window[1]:g} holds {held} recorded sample(s), "
+                          f"one every {every} step(s) of dt = {dt:g}; the rate fit needs {MIN_WINDOW_SAMPLES}")
+
+
 def config_from_text(text: str, name: str, source: str = "<config>") -> ExperimentConfig:
     r = _Reader(parse_kv_text(text, source), source)
 
@@ -252,6 +269,7 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
         if len(window) != 2 or window[1] <= window[0]:
             raise ConfigError(f"{r.source}: analysis.fit_window needs two values 'start, end' with end > start")
         window = (window[0], window[1])
+        _check_fit_window(r, window, schedule.t0, horizon, dt, record_every)
     tail_fraction = r.float_("analysis.tail_fraction", 0.2)
     if not (0.0 < tail_fraction <= 1.0):
         raise ConfigError(f"{r.source}: analysis.tail_fraction must lie in (0, 1], got {tail_fraction}")

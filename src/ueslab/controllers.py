@@ -17,16 +17,19 @@ the test suite checks by chain rule.
 Each right-hand side takes one state, a sequence of d floats such as the
 tuple ``integrate`` keeps (or a 1-D array), and returns a tuple: at a few
 elements per state, a numpy call costs more than the arithmetic it does.
-The deployed loop's rhs is compiled once per channel count, its channels
-written out.  The transformed loop's drift is written per component, with
-the map's closed forms read per coordinate.  Each rhs reads the schedule's
-time-only factors once per evaluation time.
+The deployed loop is one stage text, its channels spelled out and the
+schedule's factor text and the map's value text inline: its callable rhs
+and its own RK4 step, with all four stages inline, are generated from it.
+The transformed loop's drift is written per component, with the map's
+closed forms read per coordinate, and its rhs reads the schedule's factors
+through ``Schedule.factor_cache``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -35,6 +38,7 @@ import numpy as np
 from .errors import AssemblyError, CapabilityError
 from .maps import CostMap
 from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Factors, Schedule
+from .sim import compiled, rk4_text
 
 Array = np.ndarray
 
@@ -177,39 +181,59 @@ def _check_loop_map(p: EsParams, map: CostMap, *forms: str) -> None:
             raise CapabilityError(f"map '{map.name}' has no closed {form} form, which the loop evaluates")
 
 
-@functools.cache
-def _deployed_rhs_code(n: int):
-    """The deployed loop's rhs over n channels written out, as text of names and integer indices only."""
-    rates = "".join(f"nu * amp_{i} * cos(w_{i} * t + pe * k_{i}), " for i in range(n))
-    src = f"""def rhs(x, t):
-    f = factors(t)
-    err = cost(x[:{n}]) - x[{n}]
-    pe, nu = phase_error(f, err), f.nu
-    try:
-        return ({rates}omega_h * err)
-    except ValueError:  # cos(+-inf): the phase left double range
-        return ({'nan, ' * n}omega_h * err)
+def _deployed_stage(n: int, value: str, inputs, t: str, f: str, k: str) -> str:
+    """The deployed loop's rates at one state, as text: k_0..k_n at the state of the n + 1
+    expressions inputs, the time named t and the schedule's factors suffixed f.
+
+    value is the text of J with {i} for coordinate i.  The phase is
+    phase_error's rule in its test order: phi's range is tested, and
+    Factors.phi raises, only where phi is needed.
+    """
+    bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs))
+    rates = "".join(f"    {k}_{i} = nu_{f} * amp_{i} * cos(w_{i} * {t} + pe * k_{i})\n" for i in range(n))
+    nans = "".join(f"    {k}_{i} = nan\n" for i in range(n))
+    return bind + f"""err = ({value.format(*[f"s_{i}" for i in range(n)])}) - s_{n}
+if abs(err) < TINY_ERR:
+    pe = copysign(exp(lp_{f} + log(abs(err))), err) if err else 0.0
+elif lp_{f} > LOG_MAX:
+    factors({t}).phi  # raises OverflowError
+else:
+    pe = ph_{f} * err
+try:
+{rates}except ValueError:  # cos(+-inf): the phase left double range
+{nans}{k}_{n} = omega_h * err
 """
-    return compile(src, f"<deployed loop rhs over {n} channels>", "exec")
 
 
 def es_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over one packed state x = (theta_1..theta_n, eta), returning a tuple.
 
     x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array.  The
-    rhs is compiled once per channel count n, its channels written out.  An
-    infinite phase, where math.cos raises, gives NaN dither rates, as np.cos
-    would, so the integrator reports the divergence.  Tagged with the
-    fastest dither frequency so the integrator can enforce its step bound.
+    rhs and its own RK4 step (the ``rk4_step`` tag, for this very function
+    object) are generated from one stage text, which calls a map without
+    value text; each distinct text is compiled once and holds names, never
+    the loop's numbers.  An infinite phase, where math.cos raises, gives NaN
+    dither rates, as np.cos would, so the integrator reports the divergence.
+    Tagged with the fastest dither frequency so the integrator can enforce
+    its step bound.
     """
     _check_loop_map(p, map)
-    namespace = dict(factors=p.schedule.factor_cache(), cost=map.eval, phase_error=phase_error, cos=math.cos,
-                     nan=math.nan, omega_h=float(p.omega_h))
+    n, schedule = p.n, p.schedule
+    names = dict(schedule.text_names(), cos=math.cos, copysign=math.copysign, log=math.log, exp=math.exp,
+                 nan=math.nan, TINY_ERR=TINY_ERR, omega_h=float(p.omega_h))
     for name, values in (("w", p._omegas), ("amp", p._amp), ("k", p.k)):
-        namespace.update((f"{name}_{i}", v) for i, v in enumerate(values.tolist()))
-    exec(_deployed_rhs_code(p.n), namespace)
-    namespace["rhs"].dither_omega_max = float(np.max(p._omegas))
-    return namespace["rhs"]
+        names.update((f"{name}_{i}", v) for i, v in enumerate(values.tolist()))
+    text, map_names = map.value_text or ("cost((" + "".join(f"{{{i}}}, " for i in range(n)) + "))", {"cost": map.eval})
+    names.update(map_names)
+    stage = functools.partial(_deployed_stage, n, text)
+    xs = [f"x_{i}" for i in range(n + 1)]
+    body = f"({', '.join(xs)},) = x\n" + schedule.factor_text("t", "0")[0] + stage(xs, "t", "0", "dx")
+    src = "def rhs(x, t):\n" + textwrap.indent(body + "return (" + "".join(f"dx_{i}, " for i in range(n + 1)) + ")\n", "    ")
+    exec(compiled(src, f"<deployed loop rhs over {n} channels>", "exec"), names)
+    rhs = names["rhs"]
+    rhs.dither_omega_max = float(np.max(p._omegas))
+    rhs.rk4_step = (rhs, rk4_text(n + 1, stage, schedule.factor_text))
+    return rhs
 
 
 def _require_transformable(p: EsParams, map: CostMap):

@@ -14,12 +14,16 @@ sequence of n components of the same kind.  The closed loops call them
 directly on one state's floats, having checked the dimension once when the
 loop was assembled.  ``__call__``, ``centered_value`` and ``gradient`` are
 the validating entry points for single inputs.
+
+A map may carry its value as text, which the deployed loop writes into its
+generated RK4 step in place of an ``eval`` call; the built-in maps' ``eval``
+is compiled from that same text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +71,8 @@ class CostMap:
     optimal_value  cost at the minimizer
     centered       optional cancellation-free evaluation of eval(theta) - optimal_value
     bounds         optional analytic PowerBounds
+    value_text     optional (text, names): eval as one expression with {i} for coordinate i,
+                   and the numbers it reads by name (q_i, star_i), which no loop text uses
 
     The closed loops evaluate eval, centered and grad per coordinate; a
     loop that needs a form the map lacks refuses it when it is assembled.
@@ -82,6 +88,7 @@ class CostMap:
     centered: Optional[Callable[[Array], Array]] = None
     bounds: Optional[PowerBounds] = None
     name: str = "custom"
+    value_text: Optional[Tuple[str, Mapping[str, float]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -213,11 +220,22 @@ def verify_power_bounds(map: CostMap, radius: float, samples: int, seed: int) ->
     )
 
 
+def value_function(dim: int, value_text: Tuple[str, Mapping[str, float]]) -> Callable:
+    """``eval`` compiled from a map's value text, theta unpacked into its dim coordinates."""
+    text, names = value_text
+    coords = [f"th_{i}" for i in range(dim)]
+    src = f"def value(th):\n    {', '.join(coords)}, = th\n    return {text.format(*coords)}\n"
+    namespace = dict(names)
+    exec(compile(src, f"<map value over {dim} coordinates>", "exec"), namespace)
+    return namespace["value"]
+
+
 def quartic_paper() -> CostMap:
     """1-D quartic cost 1 + (theta - 2)^4 with a flat (order-2) minimum at 2."""
+    value = ("1.0 + ({0} - 2.0) ** 4", {})
     return CostMap(
         dim=1,
-        eval=lambda th: 1.0 + (th[0] - 2.0) ** 4,
+        eval=value_function(1, value),
         kappa=2,
         grad=lambda th: (4.0 * (th[0] - 2.0) ** 3,),
         hess=lambda th: np.array([[12.0 * (th[0] - 2.0) ** 2]]),
@@ -226,6 +244,7 @@ def quartic_paper() -> CostMap:
         centered=lambda th: (th[0] - 2.0) ** 4,
         bounds=PowerBounds(1.0, 1.0, 4.0, 4.0, 12.0, 12.0),
         name="quartic_paper",
+        value_text=value,
     )
 
 
@@ -240,14 +259,12 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
     n = qv.size
     qmax = float(qv.max())
     terms = list(zip(qv.tolist(), star.tolist()))
-
-    def value(th):
-        # left to right over floats or (B,) arrays, as numpy's (qv * (th.T - star) ** 2).sum(axis=-1)
-        # adds for n < 8; the builtin sum() compensates its rounding from Python 3.12 on
-        acc = 0.0
-        for (q, s), a in zip(terms, th):
-            acc += q * ((a - s) * (a - s))
-        return acc
+    # left to right over floats or (B,) arrays, as numpy's (qv * (th.T - star) ** 2).sum(axis=-1)
+    # adds for n < 8; the builtin sum() compensates its rounding from Python 3.12 on.  The first
+    # term stands alone: with q_i > 0 no term is -0.0, so 0.0 + term would give the term's bits
+    text = " + ".join(f"q_{i} * (({{{i}}} - star_{i}) * ({{{i}}} - star_{i}))" for i in range(n))
+    names = {f"q_{i}": q_i for i, q_i in enumerate(qv.tolist())} | {f"star_{i}": s_i for i, s_i in enumerate(star.tolist())}
+    value = value_function(n, (text, names))
 
     def slope(th):
         return [2.0 * q * (a - s) for (q, s), a in zip(terms, th)]
@@ -263,6 +280,7 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
         centered=value,
         bounds=PowerBounds(float(qv.min()), qmax, 2.0 * float(qv.min()), 2.0 * qmax, 2.0 * qmax, 2.0 * qmax),
         name="quadratic",
+        value_text=(text, names),
     )
 
 

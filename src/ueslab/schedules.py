@@ -7,6 +7,8 @@ exp(-lambda t) and grows the gain like xi(t)^2 with xi = exp(lambda t).
 All evaluations go through the log domain so phi stays accurate and overflow
 surfaces as an explicit error instead of inf.  ``Schedule.factors`` returns
 every time-only factor a right-hand-side evaluation needs from one call.
+``Schedule.factor_text`` is its nu, log phi and phi as text for generated
+code, which reads ``text_names`` and gives the bits ``factors`` gives.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 NOMINAL = "nominal"
 ASYMPTOTIC = "asymptotic"
@@ -22,6 +24,17 @@ EXPONENTIAL = "exponential"
 KINDS = (NOMINAL, ASYMPTOTIC, EXPONENTIAL)
 
 _LOG_MAX = math.log(sys.float_info.max)
+
+# nu_{f}, lp_{f} and ph_{f} (nu, log phi, phi) at time {t}, by the operations of factors and Factors.phi in
+# their order; r_v = r / v and lam2 = 2.0 * lam round as the products they stand for.  Past double range phi
+# reads inf: text that needs it tests lp_{f} > LOG_MAX and raises through factors(t).phi, as before t0.
+_START_TEXT = "if {t} < t0:\n    factors({t})  # raises ValueError\n"
+_PHI_TEXT = "ph_{f} = inf if lp_{f} > LOG_MAX else exp(lp_{f})\n"
+_FACTOR_TEXT = {
+    NOMINAL: _START_TEXT + "nu_{f}, lp_{f}, ph_{f} = 1.0, 0.0, 1.0\n",
+    ASYMPTOTIC: _START_TEXT + "l1p = log1p(beta * ({t} - t0))\nnu_{f} = exp(-(l1p / v))\nlp_{f} = r_v * l1p\n" + _PHI_TEXT,
+    EXPONENTIAL: _START_TEXT + "tau = {t} - t0\nnu_{f} = exp(-(lam * tau))\nlp_{f} = lam2 * tau\n" + _PHI_TEXT,
+}
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,19 @@ class Schedule:
             log_phi = 2.0 * self.lam * tau
             g = self.lam
         return Factors(self.kind, t, log_xi, log_phi, math.exp(-log_xi), g)
+
+    def factor_text(self, t: str, f: str) -> Tuple[str, Tuple[str, ...]]:
+        """Text that sets nu, log phi and phi at the time named t, reading ``text_names``, and the names it sets."""
+        return _FACTOR_TEXT[self.kind].format(t=t, f=f), (f"nu_{f}", f"lp_{f}", f"ph_{f}")
+
+    def text_names(self) -> dict:
+        """The names ``factor_text`` reads: this schedule's numbers and the functions its text calls."""
+        names = dict(t0=self.t0, factors=self.factors, exp=math.exp, log1p=math.log1p, inf=math.inf, LOG_MAX=_LOG_MAX)
+        if self.kind == ASYMPTOTIC:
+            names.update(beta=self.beta, v=self.v, r_v=self.r / self.v)
+        elif self.kind == EXPONENTIAL:
+            names.update(lam=self.lam, lam2=2.0 * self.lam)
+        return names
 
     def factor_cache(self) -> Callable[[float], "Factors"]:
         """``factors`` as a function that keeps its last result, for one right-hand side.

@@ -7,8 +7,10 @@ and runs byte-for-byte reproducible.  Right-hand sides that carry a
 ``dither_step_bound``: 40 samples per fastest period.  A state is one
 float, or one tuple of floats, which a tuple, a list or a 1-D array start
 becomes; ``integrate`` integrates one state per call.  A tuple of d floats
-takes an RK4 step compiled once per d, for a right-hand side that returns
-exactly d components, such as the closed loops' rhs.
+takes an RK4 step written out as text by ``rk4_text`` and compiled once per
+distinct text.  Its four stages call an rhs that returns exactly d
+components, or are inline text when that very function object carries its
+own step (the deployed loop's ``rk4_step`` tag); a wrapper is called.
 
 ``lemma1_rhs`` / ``lemma1_solution`` form a self-oracle pair: a scalar
 comparison ODE with a known closed-form solution, used to validate the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,6 +37,11 @@ STEPS_PER_PERIOD = 40
 def dither_step_bound(omega_max: float) -> float:
     """Largest RK4 step allowed under a dither of angular frequency omega_max."""
     return (2.0 * math.pi / omega_max) / STEPS_PER_PERIOD
+
+
+def step_count(t0: float, t1: float, dt: float) -> int:
+    """RK4 steps ``integrate`` takes from t0 to t1: uniform steps of dt, the last one landing on t1."""
+    return max(1, math.ceil((t1 - t0) / dt - 1e-9))
 
 
 @dataclass
@@ -96,23 +104,45 @@ class Trajectory:
         return ",".join(cols) + "\n" + (row * len(data)) % tuple(data.ravel().tolist())
 
 
-@functools.cache
-def _tuple_step(d: int):
-    """``advance``, one RK4 step over a tuple of d floats, with its stage sums written out per component."""
-    names = lambda k: "(" + "".join(f"{k}_{i}, " for i in range(d)) + ")"
-    stage = lambda h, k: "(" + "".join(f"x_{i} + {h} * {k}_{i}, " for i in range(d)) + ")"
+# generated text, compiled once per distinct text
+compiled = functools.cache(compile)
+
+
+def rk4_text(d: int, stage: Optional[Callable] = None, factors: Optional[Callable] = None) -> str:
+    """Text of ``advance(x, t, h, t_next)``, one RK4 step over a tuple of d floats, its sums per component.
+
+    ``stage(inputs, t, f, k)`` is text setting k_0..k_{d-1} to the rates at the
+    state of the d expressions inputs and time t; the default calls rhs.
+    ``factors(t, f)`` gives the text setting the time-only values the stages
+    read, suffixed f, and their names: set at t + h/2 and t_next, whose values
+    ``carry`` keeps for the next step's t, and at t when t is not the last t_next.
+    """
+    row = lambda names: "(" + "".join(f"{name}, " for name in names) + ")"
+    stage = stage or (lambda inputs, t, f, k: f"{row(f'{k}_{i}' for i in range(d))} = rhs({row(inputs)}, {t})\n")
+    xs = [f"x_{i}" for i in range(d)]
+    at = lambda h, k: [f"x_{i} + {h} * {k}_{i}" for i in range(d)]
     update = "".join(f"x_{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i}), " for i in range(d))
-    src = f"""def advance(x, t, h, t_next):
-    {names('x')} = x
-    {names('k1')} = rhs(x, t)
-    hh = 0.5 * h
-    {names('k2')} = rhs({stage('hh', 'k1')}, t + hh)
-    {names('k3')} = rhs({stage('hh', 'k2')}, t + hh)
-    {names('k4')} = rhs({stage('h', 'k3')}, t_next)
-    h6 = h / 6.0
-    return ({update})
-"""
-    return compile(src, f"<rk4 step over {d} floats>", "exec")
+    clock = factors or (lambda t, f: ("", ()))
+    (now, carried), (mid, _), (end, carry) = (clock(t, f) for t, f in (("t", "0"), ("t_h", "1"), ("t_next", "2")))
+    head, start = "", [f"{row(xs)} = x\n"]
+    body = [stage(xs, "t", "0", "k1"), "hh = 0.5 * h\nt_h = t + hh\n", mid, stage(at("hh", "k1"), "t_h", "1", "k2"),
+            stage(at("hh", "k2"), "t_h", "1", "k3"), end, stage(at("h", "k3"), "t_next", "2", "k4")]
+    if factors is not None:
+        head = f"carry = {(None,) * (1 + len(carry))}\n"
+        start = ["global carry\n"] + start + [f"{row(('t_c',) + carried)} = carry\n", "if t != t_c:\n", textwrap.indent(now, "    ")]
+        body.append(f"carry = {row(('t_next',) + carry)}\n")
+    src = "".join(start + body) + f"h6 = h / 6.0\nreturn ({update})\n"
+    return head + "def advance(x, t, h, t_next):\n" + textwrap.indent(src, "    ")
+
+
+def rk4_advance(rhs: Callable, d: int) -> Callable:
+    """``advance`` for one integration over d floats: when rhs's ``rk4_step`` tag (rhs, text) names that
+    very function object, its own step text run in a copy of its globals, else the generic step."""
+    own = getattr(rhs, "rk4_step", None)
+    src, names = (own[1], rhs.__globals__) if own is not None and own[0] is rhs else (rk4_text(d), {"rhs": rhs})
+    namespace = dict(names)
+    exec(compiled(src, f"<rk4 step over {d} floats>", "exec"), namespace)
+    return namespace["advance"]
 
 
 def integrate(
@@ -139,7 +169,7 @@ def integrate(
     OverflowError/FloatingPointError raised by rhs, aborts with
     IntegrationDiverged carrying the trajectory recorded so far.
 
-    The tuple path's step is compiled once per width, its stage sums written
+    The tuple path's step is ``rk4_advance(rhs, d)``, its stage sums written
     out per component in the float path's order, so both give the same bits
     for the same right-hand-side values.
     """
@@ -174,9 +204,7 @@ def integrate(
     elif len(shape) == 1:
         x = tuple(map(float, x0))
         width = len(x)
-        namespace = {"rhs": rhs}
-        exec(_tuple_step(width), namespace)
-        advance = namespace["advance"]
+        advance = rk4_advance(rhs, width)
         finite = lambda xv: all(map(math.isfinite, xv))
         record = list
     else:
@@ -186,8 +214,7 @@ def integrate(
     elif not 1 <= n <= width:
         raise ValueError(f"n = {n} incompatible with state width {width}")
 
-    span = t1 - t0
-    n_steps = max(1, math.ceil(span / dt - 1e-9))
+    n_steps = step_count(t0, t1, dt)
     times = [t0]
     rows = [record(x)]
     ys = [float(y_fn(x, t0))] if y_fn is not None else None

@@ -87,6 +87,9 @@ def test_config_defaults():
         ("map.q = 2\n", "only applies"),
         ("es.omega_hat = 2, 2\n", "one entry per channel"),
         ("analysis.fit_window = 9\n", "fit_window"),
+        # a window past the horizon, and one that holds 2 recorded samples, both failed after the integration
+        ("analysis.fit_window = 5, 1000\n", "analysis.fit_window: window .* not contained"),
+        ("analysis.fit_window = 9.99, 10\n", "analysis.fit_window = 9.99, 10 holds 2 recorded sample"),
         ("analysis.tail_fraction = 1.5\n", "tail_fraction"),
         ("sim.record_every = 0\n", "record_every"),
         ("es.omega = nan\n", "'es.omega'.*finite"),
@@ -128,6 +131,35 @@ def test_config_rejects(extra, fragment):
     kept = "".join(line + "\n" for line in MINIMAL.splitlines() if line.split("=")[0].strip() not in keys)
     with pytest.raises(ConfigError, match=fragment):
         config_from_text(kept + extra, name="bad")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    t0=st.sampled_from([0.0, 0.1, 3.0, 1e3]),
+    horizon=st.floats(0.05, 2.0),
+    every=st.integers(1, 20),
+    a=st.floats(-0.1, 2.1) | st.none(),
+    width=st.floats(1e-4, 2.0),
+)
+def test_fit_window_check_counts_the_recorded_samples(t0, horizon, every, a, width):
+    # the load-time check refuses exactly the windows that the rate fit, given the trajectory
+    # integrate records, would refuse for their span or for holding fewer than 3 samples;
+    # a = None ends the window at the horizon, where the last step is shortened
+    window = (t0 + horizon - width, t0 + horizon) if a is None else (t0 + a, t0 + a + width)
+    text = MINIMAL.replace("sim.horizon = 10\n", f"sim.horizon = {horizon!r}\nsim.record_every = {every}\n"
+                           f"schedule.t0 = {t0!r}\nanalysis.fit_window = {window[0]!r}, {window[1]!r}\n")
+    try:
+        config_from_text(text, name="window")
+        refused = None
+    except ConfigError as e:
+        refused = e
+    dt = config_from_text(text.split("analysis.fit_window")[0], name="window").dt
+    traj = u.integrate(lambda x, t: -x, 1.0, t0, t0 + horizon, dt, record_every=every)
+    try:
+        held = len(u.window_slice(traj, *window).times)
+    except ValueError:
+        held = None
+    assert (refused is None) == (held is not None and held >= 3), (refused, held)
 
 
 def test_config_requires_gain():

@@ -9,6 +9,7 @@ import pytest
 import ueslab as u
 from ueslab.controllers import phase_error
 from ueslab.errors import AssemblyError, CapabilityError, IntegrationDiverged
+from ueslab.sim import rk4_advance
 
 
 def test_default_frequency_ratios():
@@ -72,14 +73,35 @@ def test_deployed_rhs_pinned_value(quartic):
     assert eta_dot == pytest.approx(3.0 * 17.0, rel=1e-12)
 
 
-def test_deployed_rhs_code_holds_no_loop_constant(quartic, fig3_params):
-    # the rhs is compiled once per channel count and reads its floats from its namespace, so two
-    # loops that differ only in their constants share one code: none is formatted into its text
-    other = u.assemble(quartic, u.Schedule.nominal(), alpha=2.0, k=0.7, omega=9.0, omega_h=4.0)
-    a, b = u.es_closed_loop(fig3_params, quartic), u.es_closed_loop(other, quartic)
-    assert a.__code__.co_code == b.__code__.co_code
-    assert a.__code__.co_consts == b.__code__.co_consts
-    assert a((0.5, 1.0), 0.3) != b((0.5, 1.0), 0.3)
+def _loop_pair(case):
+    """Two loops of one map kind, schedule kind and channel count that differ in every number."""
+    if case == "quadratic":
+        sched = (u.Schedule.exponential(lam=0.1), u.Schedule.exponential(lam=0.2, t0=2.0))
+        maps = (u.quadratic(q=[1.0, 2.0], theta_star=[0.5, -0.25]), u.quadratic(q=[3.0, 5.0], theta_star=[1.5, 2.0]))
+        gains = ((1.0, 4.0, 50.0, 3.0), (2.0, 6.0, 70.0, 4.0))
+    else:
+        maps = (u.quartic_paper(),) * 2
+        sched = {"asymptotic": (u.Schedule.asymptotic(beta=0.1, v=1.0 / 3.0, r=4.0),
+                                u.Schedule.asymptotic(beta=0.2, v=0.6, r=3.5, t0=1.5)),
+                 "nominal": (u.Schedule.nominal(), u.Schedule.nominal(t0=3.0))}[case]
+        gains = ((1.0, 0.3, 5.0, 3.0), (2.0, 0.7, 9.0, 4.0))
+    return [(m, u.assemble(m, s, alpha=a, k=k, omega=w, omega_h=wh)) for m, s, (a, k, w, wh) in zip(maps, sched, gains)]
+
+
+def test_deployed_rhs_code_holds_no_loop_constant():
+    # the rhs and its own RK4 step are compiled once per text and read their numbers (dither, gain and
+    # washout, the map's q and theta*, the schedule's t0, beta, v, r or lambda) from their namespace,
+    # so two loops that differ in every number share one code: none is formatted into the text
+    for case in ("asymptotic", "nominal", "quadratic"):
+        (map_a, p_a), (map_b, p_b) = _loop_pair(case)
+        a, b = u.es_closed_loop(p_a, map_a), u.es_closed_loop(p_b, map_b)
+        d = p_a.n + 1
+        for code_a, code_b in ((a.__code__, b.__code__), (rk4_advance(a, d).__code__, rk4_advance(b, d).__code__)):
+            assert code_a.co_code == code_b.co_code
+            assert code_a.co_consts == code_b.co_consts
+        x = (0.5,) * d
+        assert a(x, 4.0) != b(x, 4.0)
+        assert u.integrate(a, x, 4.0, 4.1, 1e-3).states.tobytes() != u.integrate(b, x, 4.0, 4.1, 1e-3).states.tobytes()
 
 
 def test_phase_term_vanishes_at_optimum(quartic, fig3_params):

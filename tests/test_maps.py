@@ -53,6 +53,38 @@ def test_quadratic_adds_left_to_right():
     np.testing.assert_array_equal(m.eval(np.array([[1e8], [1.0], [1.0]])), [1e16])
 
 
+def _loop_quadratic(q, star):
+    """The quadratic's value as the plain loop it was before its text: the reference the compiled eval must equal."""
+    terms = list(zip(q, star))
+
+    def value(th):
+        acc = 0.0
+        for (q_i, s_i), a in zip(terms, th):
+            acc += q_i * ((a - s_i) * (a - s_i))
+        return acc
+
+    return value
+
+
+_COORDS = st.sampled_from([0.0, -0.0, 5e-324, -1e-160, 1e154, -1e200, 1e8, 1.0]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compiled_quadratic_value_equals_loop(data):
+    # bit for bit on floats, on (n,) arrays and on (n, B) arrays, overflow to inf included
+    n = data.draw(st.integers(1, 5))
+    q = data.draw(st.lists(st.floats(1e-300, 1e300), min_size=n, max_size=n))
+    star = data.draw(st.lists(st.floats(-1e10, 1e10), min_size=n, max_size=n))
+    cols = np.array(data.draw(st.lists(st.lists(_COORDS, min_size=n, max_size=n), min_size=1, max_size=4))).T
+    m, want = u.quadratic(q=q, theta_star=star), _loop_quadratic(q, star)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for th in cols.T:
+            assert np.float64(m.eval(tuple(th.tolist()))).tobytes() == np.float64(want(tuple(th.tolist()))).tobytes()
+            assert np.float64(m.eval(th)).tobytes() == np.float64(want(th)).tobytes()
+        assert m.eval(cols).tobytes() == want(cols).tobytes()
+
+
 def test_closed_forms_take_batches():
     # coordinates on the leading axis: (n, B) in, (B,) values and (n, B) gradients out
     rng = np.random.default_rng(2)

@@ -1,12 +1,15 @@
 """Schedules: pinned table values, domain checks, and algebraic invariants."""
 
 import math
+import re
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ueslab import Schedule
+from ueslab.schedules import _LOG_MAX
 
 # keep random times small enough that phi stays inside double range
 TIMES = st.floats(min_value=0.0, max_value=200.0, allow_nan=False)
@@ -98,3 +101,45 @@ def test_amplitude_decays_gain_grows(s, t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
     assert s.nu(hi) <= s.nu(lo) * (1.0 + 1e-12)
     assert s.phi(hi) * (1.0 + 1e-12) >= s.phi(lo)
+
+
+def _factor_function(s):
+    """The schedule's factor text at one time, compiled as a function of t returning (nu, log phi, phi)."""
+    text, names = s.factor_text("t", "f")
+    src = "def at(t):\n" + textwrap.indent(text + f"return ({', '.join(names)})\n", "    ")
+    namespace = s.text_names()
+    exec(src, namespace)
+    return namespace["at"]
+
+
+def any_schedules():
+    t0 = st.floats(0.0, 50.0)
+    return st.one_of(
+        st.builds(Schedule.nominal, t0=t0),
+        st.builds(Schedule.asymptotic, beta=st.floats(0.01, 2.0), v=st.floats(0.05, 3.0), r=st.floats(0.0, 20.0), t0=t0),
+        st.builds(Schedule.exponential, lam=st.floats(0.01, 5.0), t0=t0),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=any_schedules(), tau=st.floats(-10.0, 1e6))
+def test_factor_text_gives_factors_bits(s, tau):
+    # nu, log phi and phi bit for bit; where phi leaves double range the text reads inf and
+    # Factors.phi raises, and before t0 both raise the same ValueError
+    t = s.t0 + tau
+    factors = _factor_function(s)
+    if t < s.t0:
+        with pytest.raises(ValueError) as want:
+            s.factors(t)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            factors(t)
+        return
+    nu, log_phi, phi = factors(t)
+    f = s.factors(t)
+    assert (nu.hex(), log_phi.hex()) == (f.nu.hex(), f.log_phi.hex())
+    if f.log_phi > _LOG_MAX:
+        assert phi == math.inf
+        with pytest.raises(OverflowError):
+            f.phi
+    else:
+        assert phi.hex() == f.phi.hex()

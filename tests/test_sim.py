@@ -1,6 +1,7 @@
 """Integrator: exactness, convergence order, records, and the comparison ODE."""
 
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from ueslab.averaging import _trial_starts
 from ueslab.config import config_from_text
 from ueslab.controllers import phase_error
 from ueslab.errors import IntegrationDiverged
+from ueslab.sim import step_count
 
 
 def test_rk4_exact_on_cubic_time_polynomial():
@@ -459,3 +461,113 @@ def test_list_and_array_starts_equal_tuple_start(quartic, fig3_params):
         got = u.integrate(rhs, x0, 0.0, 5.0, dt, n=quartic.dim)
         np.testing.assert_array_equal(got.times, want.times)
         np.testing.assert_array_equal(got.states, want.states)
+
+
+def _fused_and_called(rhs, x0, t0, t1, dt, n, y_fn=None):
+    """integrate on rhs, which takes its own RK4 step, and on a functools.wraps wrapper of it, which
+    copies its tags and is called: (outcome, outcome, wrapper calls), where an outcome is the
+    Trajectory or the IntegrationDiverged or ValueError raised."""
+    calls = [0]
+
+    @functools.wraps(rhs)
+    def wrapper(x, t):
+        calls[0] += 1
+        return rhs(x, t)
+
+    assert wrapper.rk4_step[0] is rhs
+    outcomes = []
+    for f in (rhs, wrapper):
+        try:
+            outcomes.append(u.integrate(f, x0, t0, t1, dt, y_fn=y_fn, n=n))
+        except (IntegrationDiverged, ValueError) as e:
+            outcomes.append(e)
+    return outcomes[0], outcomes[1], calls[0]
+
+
+def _assert_same_bits(a, b):
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.states.tobytes() == b.states.tobytes()
+    assert (a.y is None) == (b.y is None)
+    if a.y is not None:
+        assert a.y.tobytes() == b.y.tobytes()
+
+
+def _assert_fused_equals_called(rhs, x0, t0, t1, dt, n, y_fn=None):
+    """Both paths give the same bits, or raise the same error after the same partial trajectory; a
+    run that ends calls the wrapper 4 times per step.  Returns the fused path's outcome."""
+    fused, called, calls = _fused_and_called(rhs, x0, t0, t1, dt, n, y_fn)
+    assert type(called) is type(fused)
+    if isinstance(fused, u.Trajectory):
+        _assert_same_bits(fused, called)
+        assert calls == 4 * step_count(t0, t1, dt)
+    else:
+        assert str(called) == str(fused)
+        if isinstance(fused, IntegrationDiverged):
+            assert called.t_last == fused.t_last
+            _assert_same_bits(fused.trajectory, called.trajectory)
+    return fused
+
+
+@pytest.mark.parametrize("name", ["fig2_nominal_a", "fig2_nominal_b", "fig3_asymptotic_ues", "exponential_ues", "quadratic4"])
+def test_fused_step_equals_call_path_on_runs(name):
+    # the bundled run configs and a 4-channel quadratic, integrated as `run` integrates them
+    cfg = _quadratic_config(4) if name == "quadratic4" else cli.resolve_config(name)
+    n, t0 = cfg.params.n, cfg.params.schedule.t0
+    rhs = u.es_closed_loop(cfg.params, cfg.map)
+    y_fn = lambda x, t: cfg.map.eval(x[:n])
+    traj = _assert_fused_equals_called(rhs, (*cfg.theta0.tolist(), cfg.eta0), t0, t0 + cfg.horizon, cfg.dt, n, y_fn)
+    assert isinstance(traj, u.Trajectory)
+
+
+@pytest.mark.parametrize("omega", [10.0, 50.0, 250.0])
+def test_fused_step_equals_call_path_on_probe_omegas(omega):
+    cfg, x0s = _sweep_starts()
+    rhs = u.es_closed_loop(cfg.params.with_omega(omega), cfg.map)
+    traj = _assert_fused_equals_called(rhs, tuple(x0s[0].tolist()), 0.0, cfg.probe.horizon, u.dither_step_bound(omega), 1)
+    assert isinstance(traj, u.Trajectory)
+
+
+def _quadratic_loop(lam, t0=0.0):
+    m = u.quadratic(q=[1.0, 2.0], theta_star=[0.5, -0.25])
+    p = u.assemble(m, u.Schedule.exponential(lam=lam, t0=t0), alpha=1.0, k=10.0, omega=50.0, omega_h=3.0)
+    return m, p, u.es_closed_loop(p, m)
+
+
+def test_fused_step_equals_call_path_on_edge_branches(quartic, fig3_params):
+    fig3 = u.es_closed_loop(fig3_params, quartic)
+    dt3 = u.dither_step_bound(fig3.dither_omega_max)
+    m, p, quad = _quadratic_loop(0.1)
+    dtq = u.dither_step_bound(quad.dither_omega_max)
+    # err == 0 exactly at the first stage: theta = theta*, eta = J(theta*)
+    for rhs, x0, dt in ((fig3, (2.0, 1.0), dt3), (quad, (0.5, -0.25, 0.0), dtq)):
+        assert isinstance(_assert_fused_equals_called(rhs, x0, 0.0, 2.0, dt, len(x0) - 1), u.Trajectory)
+    # tiny errors, which take the log domain
+    for eta in (-1e-300, 5e-324, -2.2e-308):
+        assert isinstance(_assert_fused_equals_called(quad, (0.5, -0.25, eta), 0.0, 0.5, dtq, 2), u.Trajectory)
+    # phi = e^(2 t) leaves double range at t = 354.89, where phi * err with err near 1e-250 is still
+    # finite: both paths raise in the same step
+    _, _, steep = _quadratic_loop(1.0)
+    out = _assert_fused_equals_called(steep, (0.5, -0.25, -1e-250), 354.8, 355.0, dtq, 2)
+    assert isinstance(out, IntegrationDiverged) and isinstance(out.__cause__, OverflowError)
+    assert 354.8 < out.t_last < 354.9
+    # cos(+-inf) gives NaN rates, and both paths stop at the non-finite state
+    for eta in (-1e300, 1e300):
+        out = _assert_fused_equals_called(fig3, (2.0, eta), 100.0, 101.0, dt3, 1)
+        assert isinstance(out, IntegrationDiverged) and out.t_last == 100.0
+    # a start before the schedule's t0
+    _, _, late = _quadratic_loop(0.1, t0=5.0)
+    out = _assert_fused_equals_called(late, (1.0, 0.0, 0.0), 0.0, 1.0, dtq, 2)
+    assert isinstance(out, ValueError) and "precedes schedule start" in str(out)
+
+
+def test_deployed_rhs_takes_phase_error_rule_on_edge_branches():
+    # the stage text's phase against phase_error, through the numpy reference: zero and tiny errors, and a
+    # tiny error while phi is past double range, where only the log domain is taken
+    m, p, rhs = _quadratic_loop(1.0)
+    reference = _numpy_deployed_loop(p, lambda th: (np.array([1.0, 2.0]) * (th - [0.5, -0.25]) ** 2).sum())
+    for t in (0.3, 400.0):
+        for eta in (0.0, -0.0, -1e-300, 1e-300, 5e-324):
+            x = (0.5, -0.25, eta)
+            assert np.array(rhs(x, t)).tobytes() == reference(np.array(x), t).tobytes()
+    with pytest.raises(OverflowError, match="phi exceeds double range"):
+        rhs((1.0, 0.0, 0.0), 400.0)
