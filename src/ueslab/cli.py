@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import fit_averaging_order, fit_exp_rate, fit_power_rate, fit_report_csv, oscillation_amplitude
 from .averaging import practical_stability_probe, probe_rows_csv
-from .config import ExperimentConfig, config_from_text, load_config
+from .config import ExperimentConfig, config_from_text, default_fit_window, load_config
 from .controllers import es_closed_loop
 from .errors import AssemblyError, ConfigError, IntegrationDiverged, WindowTooLate, WorkerLost
 from .schedules import ASYMPTOTIC, NOMINAL
@@ -102,7 +102,7 @@ def _run_one(cfg: ExperimentConfig) -> int:
 
     fits = []
     if map_.optimum is not None and p.schedule.kind != NOMINAL:
-        window = cfg.fit_window or (t0 + 0.1 * cfg.horizon, t0 + cfg.horizon)
+        window = cfg.fit_window or default_fit_window(t0, cfg.horizon)
         try:
             if p.schedule.kind == ASYMPTOTIC:
                 fit = fit_power_rate(traj, map_.optimum, p.schedule.beta, t0, window)

@@ -204,18 +204,25 @@ def _check_time_grid(r: _Reader, key: str, t0: float, horizon: float, dt: float)
         )
 
 
-def _check_fit_window(r: _Reader, window: Tuple[float, float], t0: float, horizon: float, dt: float, every: int) -> None:
-    """Refuse a fit window outside the run, or holding fewer samples than the rate fit needs on integrate's grid."""
-    t1 = t0 + horizon
+def default_fit_window(t0: float, horizon: float) -> Tuple[float, float]:
+    """The rate-fit window of a config without analysis.fit_window: the run's last 90%."""
+    return (t0 + 0.1 * horizon, t0 + horizon)
+
+
+def _check_fit_window(r: _Reader, window, t0: float, horizon: float, dt: float, every: int) -> None:
+    """Refuse a fit window, the given one or (None) the default, outside the run, or holding fewer samples
+    than the rate fit needs on integrate's grid."""
+    key = "analysis.fit_window" if window else "the default analysis.fit_window"
+    window, t1 = window or default_fit_window(t0, horizon), t0 + horizon
     try:
         check_window(window, t0, t1)
     except ValueError as e:
-        raise ConfigError(f"{r.source}: analysis.fit_window: {e}") from None
+        raise ConfigError(f"{r.source}: {key}: {e}") from None
     count = (step_count(t0, t1, dt) - 1) // every + 2
     time = lambda j: t1 if j == count - 1 else t0 + (j * every) * dt
     held = bisect.bisect_right(range(count), window[1], key=time) - bisect.bisect_left(range(count), window[0], key=time)
     if held < MIN_WINDOW_SAMPLES:
-        raise ConfigError(f"{r.source}: analysis.fit_window = {window[0]:g}, {window[1]:g} holds {held} recorded sample(s), "
+        raise ConfigError(f"{r.source}: {key} = {window[0]:g}, {window[1]:g} holds {held} recorded sample(s), "
                           f"one every {every} step(s) of dt = {dt:g}; the rate fit needs {MIN_WINDOW_SAMPLES}")
 
 
@@ -269,6 +276,7 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
         if len(window) != 2 or window[1] <= window[0]:
             raise ConfigError(f"{r.source}: analysis.fit_window needs two values 'start, end' with end > start")
         window = (window[0], window[1])
+    if window is not None or (schedule.kind != NOMINAL and map_.optimum is not None):  # given, or read by a rate fit
         _check_fit_window(r, window, schedule.t0, horizon, dt, record_every)
     tail_fraction = r.float_("analysis.tail_fraction", 0.2)
     if not (0.0 < tail_fraction <= 1.0):

@@ -19,7 +19,7 @@ tuple ``integrate`` keeps (or a 1-D array), and returns a tuple: at a few
 elements per state, a numpy call costs more than the arithmetic it does.
 The deployed loop is one stage text, its channels spelled out and the
 schedule's factor text and the map's value text inline: its callable rhs
-and its own RK4 step, with all four stages inline, are generated from it.
+and its own RK4 loop, with all four stages inline, are generated from it.
 The transformed loop's drift is written per component, with the map's
 closed forms read per coordinate, and its rhs reads the schedule's factors
 through ``Schedule.factor_cache``.
@@ -209,7 +209,7 @@ def es_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over one packed state x = (theta_1..theta_n, eta), returning a tuple.
 
     x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array.  The
-    rhs and its own RK4 step (the ``rk4_step`` tag, for this very function
+    rhs and its own RK4 loop (the ``rk4_loop`` tag, for this very function
     object) are generated from one stage text, which calls a map without
     value text; each distinct text is compiled once and holds names, never
     the loop's numbers.  An infinite phase, where math.cos raises, gives NaN
@@ -232,7 +232,7 @@ def es_closed_loop(p: EsParams, map: CostMap):
     exec(compiled(src, f"<deployed loop rhs over {n} channels>", "exec"), names)
     rhs = names["rhs"]
     rhs.dither_omega_max = float(np.max(p._omegas))
-    rhs.rk4_step = (rhs, rk4_text(n + 1, stage, schedule.factor_text))
+    rhs.rk4_loop = (rhs, rk4_text((n + 1,), stage, schedule.factor_text))
     return rhs
 
 

@@ -6,11 +6,10 @@ and runs byte-for-byte reproducible.  Right-hand sides that carry a
 ``dither_omega_max`` attribute get their step checked against
 ``dither_step_bound``: 40 samples per fastest period.  A state is one
 float, or one tuple of floats, which a tuple, a list or a 1-D array start
-becomes; ``integrate`` integrates one state per call.  A tuple of d floats
-takes an RK4 step written out as text by ``rk4_text`` and compiled once per
-distinct text.  Its four stages call an rhs that returns exactly d
-components, or are inline text when that very function object carries its
-own step (the deployed loop's ``rk4_step`` tag); a wrapper is called.
+becomes; ``integrate`` integrates one state per call, in one RK4 loop that
+``rk4_text`` writes out per component and that is compiled once per distinct
+text.  Its stages call the rhs, or are inline text when that very function
+object carries its own loop (the deployed loop's ``rk4_loop`` tag).
 
 ``lemma1_rhs`` / ``lemma1_solution`` form a self-oracle pair: a scalar
 comparison ODE with a known closed-form solution, used to validate the
@@ -108,41 +107,57 @@ class Trajectory:
 compiled = functools.cache(compile)
 
 
-def rk4_text(d: int, stage: Optional[Callable] = None, factors: Optional[Callable] = None) -> str:
-    """Text of ``advance(x, t, h, t_next)``, one RK4 step over a tuple of d floats, its sums per component.
+def rk4_text(shape: tuple, stage: Optional[Callable] = None, factors: Optional[Callable] = None) -> str:
+    """Text of ``run(x, t_start, t_end, dt, steps, every, times, rows, ys, y_fn)``, integrate's whole RK4 loop
+    over a float (shape ``()``, left unpacked) or a tuple of d floats (``(d,)``), its sums per component.  run
+    appends each recorded sample to times, rows and ys (when a list) and returns None at t_end, else the
+    message and the OverflowError/FloatingPointError that ended a step (None at a non-finite state).
 
-    ``stage(inputs, t, f, k)`` is text setting k_0..k_{d-1} to the rates at the
-    state of the d expressions inputs and time t; the default calls rhs.
-    ``factors(t, f)`` gives the text setting the time-only values the stages
-    read, suffixed f, and their names: set at t + h/2 and t_next, whose values
-    ``carry`` keeps for the next step's t, and at t when t is not the last t_next.
+    ``stage(inputs, t, f, k)`` is text setting k_0..k_{d-1} to the rates at the state of the d expressions
+    inputs and time t; the default calls rhs.  ``factors(t, f)`` gives the text setting the time-only values
+    the stages read, suffixed f, and their names: set at t_start, then per step at t + h/2 and at t_next,
+    whose values become plain locals that the next step reads as its t values.
     """
-    row = lambda names: "(" + "".join(f"{name}, " for name in names) + ")"
-    stage = stage or (lambda inputs, t, f, k: f"{row(f'{k}_{i}' for i in range(d))} = rhs({row(inputs)}, {t})\n")
+    d = shape[0] if shape else 1
+    pack = lambda names: "(" + "".join(f"{name}, " for name in names) + ")"
+    row = pack if shape else "".join
+    stage = stage or (lambda inputs, t, f, k: f"{row([f'{k}_{i}' for i in range(d)])} = rhs({row(inputs)}, {t})\n")
     xs = [f"x_{i}" for i in range(d)]
     at = lambda h, k: [f"x_{i} + {h} * {k}_{i}" for i in range(d)]
     update = "".join(f"x_{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i}), " for i in range(d))
     clock = factors or (lambda t, f: ("", ()))
-    (now, carried), (mid, _), (end, carry) = (clock(t, f) for t, f in (("t", "0"), ("t_h", "1"), ("t_next", "2")))
-    head, start = "", [f"{row(xs)} = x\n"]
-    body = [stage(xs, "t", "0", "k1"), "hh = 0.5 * h\nt_h = t + hh\n", mid, stage(at("hh", "k1"), "t_h", "1", "k2"),
-            stage(at("hh", "k2"), "t_h", "1", "k3"), end, stage(at("h", "k3"), "t_next", "2", "k4")]
-    if factors is not None:
-        head = f"carry = {(None,) * (1 + len(carry))}\n"
-        start = ["global carry\n"] + start + [f"{row(('t_c',) + carried)} = carry\n", "if t != t_c:\n", textwrap.indent(now, "    ")]
-        body.append(f"carry = {row(('t_next',) + carry)}\n")
-    src = "".join(start + body) + f"h6 = h / 6.0\nreturn ({update})\n"
-    return head + "def advance(x, t, h, t_next):\n" + textwrap.indent(src, "    ")
+    (now, at_t), (mid, _), (end, at_next) = (clock(t, f) for t, f in (("t", "0"), ("t_h", "1"), ("t_next", "2")))
+    step = [stage(xs, "t", "0", "k1"), "hh = 0.5 * h\nt_h = t + hh\n", mid, stage(at("hh", "k1"), "t_h", "1", "k2"),
+            stage(at("hh", "k2"), "t_h", "1", "k3"), end, stage(at("h", "k3"), "t_next", "2", "k4"),
+            f"h6 = h / 6.0\n{pack(xs)} = ({update})\n", f"{pack(at_t)} = {pack(at_next)}\n" if at_t else ""]
+    return f"""def run(x, t_start, t_end, dt, steps, every, times, rows, ys, y_fn):
+    {row(xs)} = x
+    t = t_start
+{textwrap.indent(now, "    ")}    for step in range(1, steps + 1):
+        t_next = t_end if step == steps else t_start + step * dt
+        h = t_next - t
+        try:
+{textwrap.indent("".join(step), "            ")}        except (OverflowError, FloatingPointError) as e:
+            return f"right-hand side failed in the step from t = {{t:g}}: {{e}}", e
+        t = t_next
+        if not ({" and ".join(f"isfinite({x})" for x in xs)}):
+            return f"state became non-finite at t = {{t:g}}", None
+        if step % every == 0 or step == steps:
+            times.append(t)
+            rows.append([{", ".join(xs)}])
+            if ys is not None:
+                ys.append(float(y_fn({row(xs)}, t)))
+"""
 
 
-def rk4_advance(rhs: Callable, d: int) -> Callable:
-    """``advance`` for one integration over d floats: when rhs's ``rk4_step`` tag (rhs, text) names that
-    very function object, its own step text run in a copy of its globals, else the generic step."""
-    own = getattr(rhs, "rk4_step", None)
-    src, names = (own[1], rhs.__globals__) if own is not None and own[0] is rhs else (rk4_text(d), {"rhs": rhs})
-    namespace = dict(names)
-    exec(compiled(src, f"<rk4 step over {d} floats>", "exec"), namespace)
-    return namespace["advance"]
+def rk4_loop(rhs: Callable, shape: tuple) -> Callable:
+    """``run`` for one integration over a state of ``shape``: when rhs's ``rk4_loop`` tag (rhs, text) names
+    that very function object, its own loop text run in a copy of its globals, else the generic loop."""
+    own = getattr(rhs, "rk4_loop", None)
+    src, names = (own[1], rhs.__globals__) if own is not None and own[0] is rhs else (rk4_text(shape), {"rhs": rhs})
+    namespace = dict(names, isfinite=math.isfinite)
+    exec(compiled(src, f"<rk4 loop over shape {shape}>", "exec"), namespace)
+    return namespace["run"]
 
 
 def integrate(
@@ -155,23 +170,18 @@ def integrate(
     y_fn: Optional[Callable] = None,
     n: Optional[int] = None,
 ) -> Trajectory:
-    """Classical fixed-step RK4 from t0 to t1, over one state.
+    """Classical fixed-step RK4 from t0 to t1, over one state, all steps in one generated loop (``rk4_loop``).
 
-    x0 is a float, or a 1-D sequence of d floats (a tuple, a list or a 1-D
-    array), which is integrated as a tuple of floats; a 2-D start raises
-    ValueError.  rhs(x, t) -> dx/dt returns a float for a float state and
-    exactly d components for a tuple, or the first step raises ValueError.
-    n, the number of leading state columns holding the controller input,
-    defaults to d and must lie in 1..d, which is checked before the first
-    step.  Samples are recorded every ``record_every`` steps; the initial
-    and final states are always recorded.  ``y_fn(x, t)``, when given, fills
-    the trajectory's y column at recorded samples.  A non-finite state, or an
+    x0 is a float, or a 1-D sequence of d >= 1 floats (a tuple, a list or a
+    1-D array), integrated as a tuple of floats; a float is the loop's
+    one-component case.  rhs(x, t) -> dx/dt returns a float for a float state
+    and exactly d components for a tuple, or the first step raises
+    ValueError.  n, the number of leading state columns holding the
+    controller input, defaults to d and must lie in 1..d.  Samples are
+    recorded every ``record_every`` steps and at both ends; ``y_fn(x, t)``,
+    when given, fills their y column.  A non-finite state, or an
     OverflowError/FloatingPointError raised by rhs, aborts with
     IntegrationDiverged carrying the trajectory recorded so far.
-
-    The tuple path's step is ``rk4_advance(rhs, d)``, its stage sums written
-    out per component in the float path's order, so both give the same bits
-    for the same right-hand-side values.
     """
     if t1 <= t0:
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
@@ -189,60 +199,22 @@ def integrate(
             )
 
     shape = np.shape(x0)
-    if shape == ():
-        x = float(x0)
-        width = 1
-        finite = math.isfinite
-        record = lambda xv: [xv]
-
-        def advance(x, t, h, t_next):
-            k1 = rhs(x, t)
-            k2 = rhs(x + (0.5 * h) * k1, t + 0.5 * h)
-            k3 = rhs(x + (0.5 * h) * k2, t + 0.5 * h)
-            k4 = rhs(x + h * k3, t_next)
-            return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    elif len(shape) == 1:
-        x = tuple(map(float, x0))
-        width = len(x)
-        advance = rk4_advance(rhs, width)
-        finite = lambda xv: all(map(math.isfinite, xv))
-        record = list
-    else:
-        raise ValueError(f"integrate takes one state, a float or a 1-D sequence, got shape {shape}")
-    if n is None:
-        n = width
-    elif not 1 <= n <= width:
+    if len(shape) > 1 or shape == (0,):
+        raise ValueError(f"integrate takes one state, a float or a 1-D sequence of 1 or more, got shape {shape}")
+    x = tuple(map(float, x0)) if shape else float(x0)
+    rows = [list(x) if shape else [x]]
+    width = len(rows[0])
+    n = width if n is None else n
+    if not 1 <= n <= width:
         raise ValueError(f"n = {n} incompatible with state width {width}")
 
-    n_steps = step_count(t0, t1, dt)
-    times = [t0]
-    rows = [record(x)]
-    ys = [float(y_fn(x, t0))] if y_fn is not None else None
-
-    def recorded() -> Trajectory:
-        return Trajectory(np.asarray(times), np.asarray(rows), n, None if ys is None else np.asarray(ys))
-
-    t = t0
-    for step in range(1, n_steps + 1):
-        # uniform steps of dt; the final step lands exactly on t1
-        t_next = t1 if step == n_steps else t0 + step * dt
-        h = t_next - t
-        try:
-            x = advance(x, t, h, t_next)
-        except (OverflowError, FloatingPointError) as e:
-            raise IntegrationDiverged(
-                f"right-hand side failed in the step from t = {t:g}: {e}", t_last=times[-1], trajectory=recorded()
-            ) from e
-        t = t_next
-        if not finite(x):
-            raise IntegrationDiverged(f"state became non-finite at t = {t:g}", t_last=times[-1], trajectory=recorded())
-        if step % record_every == 0 or step == n_steps:
-            times.append(t)
-            rows.append(record(x))
-            if ys is not None:
-                ys.append(float(y_fn(x, t)))
-
-    return recorded()
+    times, ys = [t0], None if y_fn is None else [float(y_fn(x, t0))]
+    stop = rk4_loop(rhs, shape)(x, t0, t1, dt, step_count(t0, t1, dt), record_every, times, rows, ys, y_fn)
+    recorded = Trajectory(np.asarray(times), np.asarray(rows), n, None if ys is None else np.asarray(ys))
+    if stop is None:
+        return recorded
+    message, error = stop
+    raise IntegrationDiverged(message, t_last=times[-1], trajectory=recorded) from error
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,12 @@ def test_config_defaults():
         # a window past the horizon, and one that holds 2 recorded samples, both failed after the integration
         ("analysis.fit_window = 5, 1000\n", "analysis.fit_window: window .* not contained"),
         ("analysis.fit_window = 9.99, 10\n", "analysis.fit_window = 9.99, 10 holds 2 recorded sample"),
+        # with no analysis.fit_window, the default window of a run that fits a rate held 1 sample and failed likewise
+        (
+            "schedule.kind = asymptotic\nschedule.beta = 0.1\nschedule.v = 0.3333333333333333\nschedule.r = 4\n"
+            "sim.horizon = 1\nsim.record_every = 100\n",
+            "the default analysis.fit_window = 0.1, 1 holds 1 recorded sample",
+        ),
         ("analysis.tail_fraction = 1.5\n", "tail_fraction"),
         ("sim.record_every = 0\n", "record_every"),
         ("es.omega = nan\n", "'es.omega'.*finite"),

@@ -9,7 +9,7 @@ import pytest
 import ueslab as u
 from ueslab.controllers import phase_error
 from ueslab.errors import AssemblyError, CapabilityError, IntegrationDiverged
-from ueslab.sim import rk4_advance
+from ueslab.sim import rk4_loop
 
 
 def test_default_frequency_ratios():
@@ -89,14 +89,14 @@ def _loop_pair(case):
 
 
 def test_deployed_rhs_code_holds_no_loop_constant():
-    # the rhs and its own RK4 step are compiled once per text and read their numbers (dither, gain and
+    # the rhs and its own RK4 loop are compiled once per text and read their numbers (dither, gain and
     # washout, the map's q and theta*, the schedule's t0, beta, v, r or lambda) from their namespace,
     # so two loops that differ in every number share one code: none is formatted into the text
     for case in ("asymptotic", "nominal", "quadratic"):
         (map_a, p_a), (map_b, p_b) = _loop_pair(case)
         a, b = u.es_closed_loop(p_a, map_a), u.es_closed_loop(p_b, map_b)
         d = p_a.n + 1
-        for code_a, code_b in ((a.__code__, b.__code__), (rk4_advance(a, d).__code__, rk4_advance(b, d).__code__)):
+        for code_a, code_b in ((a.__code__, b.__code__), (rk4_loop(a, (d,)).__code__, rk4_loop(b, (d,)).__code__)):
             assert code_a.co_code == code_b.co_code
             assert code_a.co_consts == code_b.co_consts
         x = (0.5,) * d

@@ -16,7 +16,7 @@ from ueslab.averaging import _trial_starts
 from ueslab.config import config_from_text
 from ueslab.controllers import phase_error
 from ueslab.errors import IntegrationDiverged
-from ueslab.sim import step_count
+from ueslab.sim import rk4_loop, step_count
 
 
 def test_rk4_exact_on_cubic_time_polynomial():
@@ -60,8 +60,80 @@ def test_dither_tag_enforces_step_bound():
     u.integrate(rhs, 1.0, 0.0, 1.0, (2.0 * math.pi / 5.0) / 40.0)
 
 
+def _float_rk4(rhs, x0, t0, t1, dt):
+    """The float path ``integrate`` had before its steps became one generated loop, every step recorded:
+    a closure for one RK4 step, driven by a Python loop, kept as the reference the loop's one-component
+    case must equal bit for bit, its IntegrationDiverged included."""
+
+    def advance(x, t, h, t_next):
+        k1 = rhs(x, t)
+        k2 = rhs(x + (0.5 * h) * k1, t + 0.5 * h)
+        k3 = rhs(x + (0.5 * h) * k2, t + 0.5 * h)
+        k4 = rhs(x + h * k3, t_next)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    x, n_steps, t = float(x0), step_count(t0, t1, dt), t0
+    times, rows = [t0], [[x]]
+    recorded = lambda: u.Trajectory(np.asarray(times), np.asarray(rows), 1)
+    for step in range(1, n_steps + 1):
+        t_next = t1 if step == n_steps else t0 + step * dt
+        h = t_next - t
+        try:
+            x = advance(x, t, h, t_next)
+        except (OverflowError, FloatingPointError) as e:
+            raise IntegrationDiverged(
+                f"right-hand side failed in the step from t = {t:g}: {e}", t_last=times[-1], trajectory=recorded()
+            ) from e
+        t = t_next
+        if not math.isfinite(x):
+            raise IntegrationDiverged(f"state became non-finite at t = {t:g}", t_last=times[-1], trajectory=recorded())
+        times.append(t)
+        rows.append([x])
+    return recorded()
+
+
+def _float_outcomes(rhs, x0, t0, t1, dt):
+    """(integrate's outcome, the reference's outcome): a Trajectory, or the IntegrationDiverged raised."""
+    outcomes = []
+    for run in (u.integrate, _float_rk4):
+        try:
+            outcomes.append(run(rhs, x0, t0, t1, dt))
+        except IntegrationDiverged as e:
+            outcomes.append(e)
+    return outcomes
+
+
+def test_float_loop_equals_removed_closure_on_lemma1():
+    p = u.Lemma1Params(beta=0.5, eps1=0.2, eps2=0.3, p=0.5, q=2.0, v0=1.0)
+    got, want = _float_outcomes(lambda V, t: u.lemma1_rhs(p, V, t), p.v0, 0.0, 10.0, 1e-3)
+    _assert_same_bits(got, want)
+
+
+def _fails_after(t_fail):
+    def rhs(x, t):
+        if t > t_fail:
+            raise OverflowError("rhs out of range")
+        return -x
+
+    return rhs
+
+
+@pytest.mark.parametrize("rhs,cause", [
+    (lambda x, t: x * x, None),  # dx/dt = x^2 leaves double range as inf near t = 1
+    (lambda x, t: math.exp(x), OverflowError),  # dx/dt = e^x: math.exp raises near t = 1
+    (_fails_after(0.503), OverflowError),
+], ids=["non-finite", "math-range", "raised"])
+def test_float_loop_equals_removed_closure_on_divergence(rhs, cause):
+    got, want = _float_outcomes(rhs, 1.0 if cause is None else 0.0, 0.0, 2.0, 1e-3)
+    assert isinstance(got, IntegrationDiverged) and isinstance(want, IntegrationDiverged)
+    assert str(got) == str(want)
+    assert got.t_last == want.t_last
+    assert type(got.__cause__) is type(want.__cause__) is (cause or type(None))
+    _assert_same_bits(got.trajectory, want.trajectory)
+
+
 def test_scalar_and_array_states_agree():
-    # the float path and the 1-element array start, which takes the tuple path, give the same bits
+    # a float start and a 1-element array start, the loop with its one state left unpacked or not, give the same bits
     p = u.Lemma1Params(beta=0.5, eps1=0.2, eps2=0.3, p=0.5, q=2.0, v0=1.0)
     scalar = u.integrate(lambda V, t: u.lemma1_rhs(p, V, t), p.v0, 0.0, 10.0, 1e-2)
     array = u.integrate(lambda V, t: (u.lemma1_rhs(p, V[0], t),), np.array([p.v0]), 0.0, 10.0, 1e-2)
@@ -77,6 +149,19 @@ def test_divergence_carries_partial_trajectory():
     assert err.t_last < 2.0
     assert err.trajectory.times[-1] == err.t_last
     assert np.all(np.isfinite(err.trajectory.states))
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_divergence_in_any_component_stops_where_the_float_run_stops(i):
+    # component i follows dx/dt = x^2, the others stay put: the run stops at the float run's step
+    with pytest.raises(IntegrationDiverged) as scalar:
+        u.integrate(lambda x, t: x * x, 1.0, 0.0, 2.0, 1e-3)
+    rates = lambda x, t: tuple(x_j * x_j if j == i else 0.0 for j, x_j in enumerate(x))
+    with pytest.raises(IntegrationDiverged, match="non-finite") as exc:
+        u.integrate(rates, (1.0, 1.0, 1.0), 0.0, 2.0, 1e-3)
+    assert str(exc.value) == str(scalar.value)
+    assert exc.value.t_last == scalar.value.t_last
+    assert exc.value.trajectory.states[:, i].tobytes() == scalar.value.trajectory.states[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("error", [OverflowError, FloatingPointError])
@@ -95,6 +180,18 @@ def test_rhs_failure_carries_partial_trajectory(error):
     assert t_fail - dt < err.trajectory.times[-1] < t_fail
     assert err.trajectory.times[-1] == err.t_last
     np.testing.assert_allclose(err.trajectory.states[:, 0], np.exp(-err.trajectory.times), rtol=1e-9)
+
+
+@pytest.mark.parametrize("x0", [1.0, (1.0, 2.0)])
+def test_y_fn_errors_are_not_converted(x0):
+    # only the step's own OverflowError/FloatingPointError becomes IntegrationDiverged
+    def y_fn(x, t):
+        if t > 0.5:
+            raise OverflowError("y out of range")
+        return 0.0
+
+    with pytest.raises(OverflowError, match="y out of range"):
+        u.integrate(lambda x, t: x, x0, 0.0, 1.0, 0.1, y_fn=y_fn)
 
 
 def test_basic_argument_validation():
@@ -199,6 +296,19 @@ def test_two_dimensional_start_is_refused():
     assert calls == []
 
 
+def test_empty_start_is_refused_before_the_first_step():
+    calls = []
+
+    def rhs(x, t):
+        calls.append(t)
+        return ()
+
+    for x0 in ((), [], np.array([])):
+        with pytest.raises(ValueError, match=r"takes one state.*got shape \(0,\)"):
+            u.integrate(rhs, x0, 0.0, 10.0, 1e-4)
+    assert calls == []
+
+
 def test_three_dimensional_state_record_is_refused():
     with pytest.raises(ValueError, match="takes one state"):
         u.integrate(lambda x, t: x, np.ones((2, 2, 2)), 0.0, 1.0, 0.1)
@@ -227,7 +337,7 @@ def test_n_outside_state_width_is_refused_on_a_diverging_run():
 
 def _numpy_rk4(rhs, x0, t0, t1, dt):
     """Classical RK4 on a 1-D numpy array, every step recorded: the array path ``integrate`` had,
-    kept as the reference the tuple path must equal bit for bit.  Returns (times, states)."""
+    kept as the reference the generated loop must equal bit for bit.  Returns (times, states)."""
     x = np.array(x0, dtype=float)
     n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
     times, states, t = [t0], [x], t0
@@ -464,7 +574,7 @@ def test_list_and_array_starts_equal_tuple_start(quartic, fig3_params):
 
 
 def _fused_and_called(rhs, x0, t0, t1, dt, n, y_fn=None):
-    """integrate on rhs, which takes its own RK4 step, and on a functools.wraps wrapper of it, which
+    """integrate on rhs, which runs its own RK4 loop, and on a functools.wraps wrapper of it, which
     copies its tags and is called: (outcome, outcome, wrapper calls), where an outcome is the
     Trajectory or the IntegrationDiverged or ValueError raised."""
     calls = [0]
@@ -474,7 +584,7 @@ def _fused_and_called(rhs, x0, t0, t1, dt, n, y_fn=None):
         calls[0] += 1
         return rhs(x, t)
 
-    assert wrapper.rk4_step[0] is rhs
+    assert wrapper.rk4_loop[0] is rhs
     outcomes = []
     for f in (rhs, wrapper):
         try:
@@ -508,14 +618,44 @@ def _assert_fused_equals_called(rhs, x0, t0, t1, dt, n, y_fn=None):
     return fused
 
 
-@pytest.mark.parametrize("name", ["fig2_nominal_a", "fig2_nominal_b", "fig3_asymptotic_ues", "exponential_ues", "quadratic4"])
+# the bundled run configs, one per schedule kind or more, and a 4-channel quadratic
+_RUNS = ["fig2_nominal_a", "fig2_nominal_b", "fig3_asymptotic_ues", "exponential_ues", "quadratic4"]
+
+
+def _run_config(name):
+    return _quadratic_config(4) if name == "quadratic4" else cli.resolve_config(name)
+
+
+@pytest.mark.parametrize("name", _RUNS)
 def test_fused_step_equals_call_path_on_runs(name):
-    # the bundled run configs and a 4-channel quadratic, integrated as `run` integrates them
-    cfg = _quadratic_config(4) if name == "quadratic4" else cli.resolve_config(name)
+    # integrated as `run` integrates them
+    cfg = _run_config(name)
     n, t0 = cfg.params.n, cfg.params.schedule.t0
     rhs = u.es_closed_loop(cfg.params, cfg.map)
     y_fn = lambda x, t: cfg.map.eval(x[:n])
     traj = _assert_fused_equals_called(rhs, (*cfg.theta0.tolist(), cfg.eta0), t0, t0 + cfg.horizon, cfg.dt, n, y_fn)
+    assert isinstance(traj, u.Trajectory)
+
+
+@pytest.mark.parametrize("name", _RUNS)
+def test_run_loop_locals_shadow_no_namespace_name(name):
+    # the loop's text runs in the namespace of the rhs's names (the schedule's t0 among them): a local of the
+    # same name would hide that name from every stage
+    cfg = _run_config(name)
+    run = rk4_loop(u.es_closed_loop(cfg.params, cfg.map), (cfg.params.n + 1,))
+    assert {"t0", "factors", "omega_h"} <= set(run.__globals__)
+    assert not set(run.__code__.co_varnames) & set(run.__globals__)
+
+
+@pytest.mark.parametrize("schedule", [
+    u.Schedule.nominal(t0=1.5),
+    u.Schedule.asymptotic(beta=0.1, v=1.0 / 3.0, r=4.0, t0=1.5),
+    u.Schedule.exponential(lam=0.1, t0=1.5),
+], ids=lambda s: s.kind)
+def test_fused_step_equals_call_path_after_schedule_start(schedule, quartic):
+    # the loop's start time is its own, not the schedule's t0
+    p = u.assemble(quartic, schedule, alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
+    traj = _assert_fused_equals_called(u.es_closed_loop(p, quartic), (0.5, 17.0), 4.0, 6.0, u.dither_step_bound(5.0), 1)
     assert isinstance(traj, u.Trajectory)
 
 
