@@ -13,7 +13,6 @@ from .analysis import (
     fit_exp_rate,
     fit_power_rate,
     fit_report_csv,
-    lyapunov_trace,
     oscillation_amplitude,
     window_slice,
 )

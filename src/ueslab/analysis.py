@@ -1,4 +1,4 @@
-"""Post-processing: convergence-rate fits, Lyapunov traces, oscillation stats.
+"""Post-processing: convergence-rate fits and oscillation stats.
 
 Rate fits work on the envelope of |theta - theta*|: the sequence of strict
 local maxima of the distance signal.  Fitting the envelope instead of the raw
@@ -14,9 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapabilityError, WindowTooLate
-from .maps import CostMap
-from .schedules import NOMINAL, Schedule
+from .errors import WindowTooLate
 from .sim import Trajectory
 
 Array = np.ndarray
@@ -138,23 +136,6 @@ def fit_report_csv(fits: Sequence[RateFit]) -> str:
             f"{format(f.window[0], '.17g')},{format(f.window[1], '.17g')}"
         )
     return "\n".join(lines) + "\n"
-
-
-def lyapunov_trace(map: CostMap, traj_f: Trajectory, schedule: Schedule) -> Array:
-    """V(t) = xi^(2 kappa)(t) * J_f(theta_f(t), xi(t)) per recorded sample.
-
-    traj_f must hold transformed states (theta columns are theta_f).
-    """
-    if map.optimum is None or map.optimal_value is None:
-        raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value")
-    if schedule.kind == NOMINAL:
-        raise CapabilityError("the Lyapunov trace is defined for growing schedules, not nominal")
-    out = np.empty(len(traj_f.times))
-    for j, t in enumerate(traj_f.times):
-        log_xi = schedule.log_xi(t)
-        theta = map.optimum + traj_f.theta[j] * math.exp(-log_xi)
-        out[j] = math.exp(2.0 * map.kappa * log_xi) * map.centered_value(theta)
-    return out
 
 
 def oscillation_amplitude(traj: Trajectory, tail_fraction: float) -> Tuple[Array, float]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -120,7 +120,7 @@ def averaged_closed_loop(p: EsParams, map: CostMap):
     if p.schedule.kind == EXPONENTIAL and map.kappa != 1:
         raise CapabilityError(f"exponential averaged dynamics cover kappa = 1 maps, got kappa = {map.kappa}")
     _check_loop_map(p, map, "centered", "grad")
-    n, factors = p.n, p.schedule.factor_cache()
+    n, factors = p.n, lru_cache(maxsize=1)(p.schedule.factors)
 
     def rhs(x, t: float) -> tuple:
         f = factors(t)
@@ -230,20 +230,9 @@ def _trial_starts(map: CostMap, cfg: ProbeConfig) -> Array:
     return np.column_stack([theta0s, [map(theta0) for theta0 in theta0s]])
 
 
-def _integrate_trial(rhs: Callable, x0: tuple, t0: float, t1: float, dt: float, n: int):
-    """One full-loop trial from the float state x0, sampled once per dither period; None when it diverged."""
-    try:
-        return integrate(rhs, x0, t0, t1, dt, record_every=STEPS_PER_PERIOD, n=n)
-    except IntegrationDiverged:
-        return None
-
-
 def _integrate_averaged(rhs: Callable, x0: tuple, t0: float, t1: float, dt: float, n: int):
-    """One averaged trial from x0, every step recorded, and its theta slopes at the samples; None when it diverged."""
-    try:
-        avg = integrate(rhs, x0, t0, t1, dt, n=n)
-    except IntegrationDiverged:
-        return None
+    """One averaged trial from x0, every step recorded, and its theta slopes at the samples."""
+    avg = integrate(rhs, x0, t0, t1, dt, n=n)
     return avg, np.array([rhs(x, t)[:n] for x, t in zip(avg.states.tolist(), avg.times.tolist())])
 
 
@@ -253,7 +242,10 @@ _JOBS: List[Callable[[], object]] = []
 
 
 def _run_job(index: int):
-    return _JOBS[index]()
+    try:
+        return _JOBS[index]()
+    except IntegrationDiverged:
+        return None
 
 
 def _worker_count(jobs: int) -> int:
@@ -273,9 +265,9 @@ def _run_jobs(jobs: Sequence[Callable[[], object]], steps: Sequence[float]) -> l
     With one worker the jobs run here, in order.  Otherwise they run in
     forked worker processes, one job at a time each, the most steps first.
     The jobs close over right-hand sides, which cannot be pickled, so the
-    workers inherit them through _JOBS and receive only indices.  An
-    exception raised in a job is raised here; a worker that dies raises
-    WorkerLost instead of leaving the probe waiting for its result.
+    workers inherit them through _JOBS and receive only indices.  A job that
+    diverged gives None, another exception raised in a job is raised here,
+    and a dead worker raises WorkerLost instead of leaving the probe waiting.
     """
     workers = _worker_count(len(jobs))
     _JOBS[:] = jobs
@@ -335,9 +327,9 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     t0 = p.schedule.t0
     t1 = t0 + cfg.horizon
 
-    # the averaged jobs step at the smallest omega's step
+    # the averaged jobs step at the smallest omega's step; the full-loop jobs sample once per dither period
     jobs = [partial(_integrate_averaged, averaged, z0, t0, t1, dts[0], n) for z0 in avg_starts] + [
-        partial(_integrate_trial, full_rhs, x0, t0, t1, dt, n) for full_rhs, dt in zip(full_rhss, dts) for x0 in starts
+        partial(integrate, f, x0, t0, t1, dt, STEPS_PER_PERIOD, n=n) for f, dt in zip(full_rhss, dts) for x0 in starts
     ]
     steps = [cfg.horizon / dt for dt in [dts[0]] + dts for _ in starts]
     results = _run_jobs(jobs, steps)

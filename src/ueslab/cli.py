@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional
@@ -81,17 +82,17 @@ def cmd_run(args) -> int:
 def _run_one(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     p, map_ = cfg.params, cfg.map
-    n = p.n
     t0 = p.schedule.t0
     rhs = es_closed_loop(p, map_)
     x0 = (*cfg.theta0.tolist(), cfg.eta0)
-    y_fn = lambda x, t: map_.eval(x[:n])
+    # the measured cost on Python floats, one recorded row at a time: numpy's array ** can round differently
+    measured = lambda traj: replace(traj, y=[map_.eval(theta) for theta in zip(*traj.theta.T.tolist())])
 
     try:
-        traj = integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, cfg.record_every, y_fn=y_fn, n=n)
+        traj = measured(integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, cfg.record_every, n=p.n))
     except IntegrationDiverged as e:
         if e.trajectory is not None:
-            _write_run_artifacts(cfg, out, e.trajectory, [])
+            _write_run_artifacts(cfg, out, measured(e.trajectory), [])
         print(f"{cfg.name}: integration diverged at t = {e.t_last:g}; partial artifacts in {out}", file=sys.stderr)
         return EXIT_NUMERIC
 

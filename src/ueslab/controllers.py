@@ -21,8 +21,8 @@ The deployed loop is one stage text, its channels spelled out and the
 schedule's factor text and the map's value text inline: its callable rhs
 and its own RK4 loop, with all four stages inline, are generated from it.
 The transformed loop's drift is written per component, with the map's
-closed forms read per coordinate, and its rhs reads the schedule's factors
-through ``Schedule.factor_cache``.
+closed forms read per coordinate; its rhs reads ``Schedule.factors`` through
+a one-entry lru_cache, which answers two of each RK4 step's four stages.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def transformed_drift(p: EsParams, map: CostMap, z, f: Factors):
 def transformed_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over one packed state x = (theta_f_1..theta_f_n, eta_f), returning a tuple."""
     _require_transformable(p, map)
-    factors = p.schedule.factor_cache()
+    factors = functools.lru_cache(maxsize=1)(p.schedule.factors)
     channels = list(enumerate(zip(p._amp.tolist(), p._omegas.tolist(), p.k.tolist())))
 
     def rhs(x, t: float) -> tuple:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 NOMINAL = "nominal"
 ASYMPTOTIC = "asymptotic"
@@ -119,24 +119,6 @@ class Schedule:
         elif self.kind == EXPONENTIAL:
             names.update(lam=self.lam, lam2=2.0 * self.lam)
         return names
-
-    def factor_cache(self) -> Callable[[float], "Factors"]:
-        """``factors`` as a function that keeps its last result, for one right-hand side.
-
-        RK4 evaluates its two middle stages at one time and each step's last
-        stage at the next step's first, so a right-hand side that reads its
-        factors through this computes them at two of its four stages.
-        """
-        last = [(None, None)]
-
-        def factors(t: float) -> Factors:
-            seen, f = last[0]
-            if t != seen:
-                f = self.factors(t)
-                last[0] = (t, f)
-            return f
-
-        return factors
 
     def log_xi(self, t: float) -> float:
         """log of the growth function; 0 for Nominal."""

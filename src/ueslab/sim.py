@@ -108,10 +108,10 @@ compiled = functools.cache(compile)
 
 
 def rk4_text(shape: tuple, stage: Optional[Callable] = None, factors: Optional[Callable] = None) -> str:
-    """Text of ``run(x, t_start, t_end, dt, steps, every, times, rows, ys, y_fn)``, integrate's whole RK4 loop
-    over a float (shape ``()``, left unpacked) or a tuple of d floats (``(d,)``), its sums per component.  run
-    appends each recorded sample to times, rows and ys (when a list) and returns None at t_end, else the
-    message and the OverflowError/FloatingPointError that ended a step (None at a non-finite state).
+    """Text of ``run(x, t_start, t_end, dt, steps, every, times, rows)``, integrate's whole RK4 loop over a
+    float (shape ``()``, left unpacked) or a tuple of d floats (``(d,)``), its sums per component.  run appends
+    each recorded sample to times and rows and returns None at t_end, else the message and the
+    OverflowError/FloatingPointError that ended a step (None at a non-finite state).
 
     ``stage(inputs, t, f, k)`` is text setting k_0..k_{d-1} to the rates at the state of the d expressions
     inputs and time t; the default calls rhs.  ``factors(t, f)`` gives the text setting the time-only values
@@ -130,7 +130,7 @@ def rk4_text(shape: tuple, stage: Optional[Callable] = None, factors: Optional[C
     step = [stage(xs, "t", "0", "k1"), "hh = 0.5 * h\nt_h = t + hh\n", mid, stage(at("hh", "k1"), "t_h", "1", "k2"),
             stage(at("hh", "k2"), "t_h", "1", "k3"), end, stage(at("h", "k3"), "t_next", "2", "k4"),
             f"h6 = h / 6.0\n{pack(xs)} = ({update})\n", f"{pack(at_t)} = {pack(at_next)}\n" if at_t else ""]
-    return f"""def run(x, t_start, t_end, dt, steps, every, times, rows, ys, y_fn):
+    return f"""def run(x, t_start, t_end, dt, steps, every, times, rows):
     {row(xs)} = x
     t = t_start
 {textwrap.indent(now, "    ")}    for step in range(1, steps + 1):
@@ -145,8 +145,6 @@ def rk4_text(shape: tuple, stage: Optional[Callable] = None, factors: Optional[C
         if step % every == 0 or step == steps:
             times.append(t)
             rows.append([{", ".join(xs)}])
-            if ys is not None:
-                ys.append(float(y_fn({row(xs)}, t)))
 """
 
 
@@ -167,21 +165,18 @@ def integrate(
     t1: float,
     dt: float,
     record_every: int = 1,
-    y_fn: Optional[Callable] = None,
     n: Optional[int] = None,
 ) -> Trajectory:
     """Classical fixed-step RK4 from t0 to t1, over one state, all steps in one generated loop (``rk4_loop``).
 
-    x0 is a float, or a 1-D sequence of d >= 1 floats (a tuple, a list or a
-    1-D array), integrated as a tuple of floats; a float is the loop's
-    one-component case.  rhs(x, t) -> dx/dt returns a float for a float state
-    and exactly d components for a tuple, or the first step raises
-    ValueError.  n, the number of leading state columns holding the
-    controller input, defaults to d and must lie in 1..d.  Samples are
-    recorded every ``record_every`` steps and at both ends; ``y_fn(x, t)``,
-    when given, fills their y column.  A non-finite state, or an
-    OverflowError/FloatingPointError raised by rhs, aborts with
-    IntegrationDiverged carrying the trajectory recorded so far.
+    x0 is a float, or a 1-D sequence of d >= 1 floats (a tuple, a list or a 1-D array), integrated as a
+    tuple of floats; a float is the loop's one-component case.  rhs(x, t) -> dx/dt returns a float for a
+    float state and exactly d components for a tuple, or the first step raises ValueError, as does a
+    TypeError from the loop when rhs at the start raises one too or returns another shape than x0's.
+    n, the number of leading state columns holding the controller input, defaults to d and must lie in
+    1..d.  Samples are recorded every ``record_every`` steps and at both ends.  A non-finite state, or an
+    OverflowError/FloatingPointError raised by rhs, aborts with IntegrationDiverged carrying the
+    trajectory recorded so far.
     """
     if t1 <= t0:
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
@@ -208,9 +203,18 @@ def integrate(
     if not 1 <= n <= width:
         raise ValueError(f"n = {n} incompatible with state width {width}")
 
-    times, ys = [t0], None if y_fn is None else [float(y_fn(x, t0))]
-    stop = rk4_loop(rhs, shape)(x, t0, t1, dt, step_count(t0, t1, dt), record_every, times, rows, ys, y_fn)
-    recorded = Trajectory(np.asarray(times), np.asarray(rows), n, None if ys is None else np.asarray(ys))
+    times = [t0]
+    try:
+        stop = rk4_loop(rhs, shape)(x, t0, t1, dt, step_count(t0, t1, dt), record_every, times, rows)
+    except TypeError as error:  # diagnosed by one rhs call at the start
+        try:
+            rates = rhs(x, t0)
+        except TypeError as e:
+            raise ValueError(f"rhs cannot take a start of shape {shape}: {e}") from e
+        if np.shape(rates) != shape:
+            raise ValueError(f"rhs returns rates of shape {np.shape(rates)} for a start of shape {shape}") from error
+        raise
+    recorded = Trajectory(np.asarray(times), np.asarray(rows), n)
     if stop is None:
         return recorded
     message, error = stop

@@ -1,6 +1,7 @@
 """Shared fixtures: the expensive closed-loop runs are integrated once per
 session and reused by the module tests and the acceptance suite."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -29,8 +30,8 @@ def run_closed_loop(map_, params, theta0, eta0, horizon, record_every=1):
     rhs = u.es_closed_loop(params, map_)
     x0 = (*np.atleast_1d(np.asarray(theta0, dtype=float)).tolist(), float(eta0))
     dt = u.dither_step_bound(rhs.dither_omega_max)
-    y_fn = lambda x, t: map_.eval(x[: map_.dim])
-    return u.integrate(rhs, x0, 0.0, horizon, dt, record_every=record_every, y_fn=y_fn, n=map_.dim)
+    traj = u.integrate(rhs, x0, 0.0, horizon, dt, record_every=record_every, n=map_.dim)
+    return dataclasses.replace(traj, y=[map_.eval(theta) for theta in zip(*traj.theta.T.tolist())])
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ueslab as u
 from ueslab.analysis import EXPONENTIAL_DECAY, POWER_LAW
-from ueslab.errors import CapabilityError, WindowTooLate
+from ueslab.errors import WindowTooLate
 
 T = np.linspace(0.0, 100.0, 4001)
 
@@ -83,18 +83,6 @@ def test_fit_report_csv_layout():
     lines = text.strip().splitlines()
     assert lines[0] == "model,estimate,residual,window_start,window_end"
     assert lines[1].startswith("power_law,3,")
-
-
-def test_lyapunov_trace_decreases_on_averaged_run(quartic, fig3_params):
-    rhs = u.averaged_closed_loop(fig3_params, quartic)
-    # n=1: theta_f is the first column, keep eta_f out of the theta view
-    traj = u.integrate(rhs, np.array([1.0, 0.0]), 0.0, 20.0, 1e-2, n=1)
-    v = u.lyapunov_trace(quartic, traj, fig3_params.schedule)
-    assert v.shape == traj.times.shape
-    assert np.all(v >= 0.0)
-    assert v[-1] < v[0]
-    with pytest.raises(CapabilityError, match="nominal"):
-        u.lyapunov_trace(quartic, traj, u.Schedule.nominal())
 
 
 def test_oscillation_amplitude_recovers_sine():

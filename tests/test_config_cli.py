@@ -1,5 +1,6 @@
 """Config parsing, validation, bundled experiments, and CLI exit behavior."""
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -254,6 +255,20 @@ def test_cli_run_overflow_writes_partial_artifacts(tmp_path, monkeypatch):
     assert 0.5 < float(rows[-1].split(",")[0]) < 0.6
     for suffix in (".fits.csv", ".svg"):
         assert (tmp_path / "o" / f"overflow{suffix}").exists()
+
+
+def test_cli_run_cost_column_overflow_exits_3(tmp_path, monkeypatch, capsys):
+    # the measured-cost column is computed after the integration; its OverflowError is still a numeric failure
+    cfg = cli.resolve_config("fig2_nominal_a")
+
+    def overflow(theta):
+        raise OverflowError("cost out of range")
+
+    cfg = dataclasses.replace(cfg, map=dataclasses.replace(cfg.map, eval=overflow), horizon=1.0)
+    monkeypatch.setattr(cli, "resolve_config", lambda arg: cfg)
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
+    assert cli.main(["run", "fig2_nominal_a"]) == 3
+    assert "numeric failure: cost out of range" in capsys.readouterr().err
 
 
 BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "abc", None]  # None drops the key

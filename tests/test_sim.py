@@ -182,18 +182,6 @@ def test_rhs_failure_carries_partial_trajectory(error):
     np.testing.assert_allclose(err.trajectory.states[:, 0], np.exp(-err.trajectory.times), rtol=1e-9)
 
 
-@pytest.mark.parametrize("x0", [1.0, (1.0, 2.0)])
-def test_y_fn_errors_are_not_converted(x0):
-    # only the step's own OverflowError/FloatingPointError becomes IntegrationDiverged
-    def y_fn(x, t):
-        if t > 0.5:
-            raise OverflowError("y out of range")
-        return 0.0
-
-    with pytest.raises(OverflowError, match="y out of range"):
-        u.integrate(lambda x, t: x, x0, 0.0, 1.0, 0.1, y_fn=y_fn)
-
-
 def test_basic_argument_validation():
     with pytest.raises(ValueError):
         u.integrate(lambda x, t: x, 1.0, 1.0, 1.0, 0.1)  # empty span
@@ -201,6 +189,28 @@ def test_basic_argument_validation():
         u.integrate(lambda x, t: x, 1.0, 0.0, 1.0, -0.1)
     with pytest.raises(ValueError):
         u.integrate(lambda x, t: x, 1.0, 0.0, 1.0, 0.1, record_every=0)
+
+
+@pytest.mark.parametrize("rhs,x0,message", [
+    (lambda x, t: (x,), 1.0, r"rates of shape \(1,\) for a start of shape \(\)"),
+    (lambda x, t: -x, (1.0,), r"cannot take a start of shape \(1,\): bad operand type"),
+], ids=["float-start-tuple-rates", "tuple-start-float-rhs"])
+def test_start_of_wrong_kind_for_rhs_raises_value_error(rhs, x0, message):
+    # the loop's TypeError is diagnosed by one rhs call at the start
+    with pytest.raises(ValueError, match=message) as exc:
+        u.integrate(rhs, x0, 0.0, 1.0, 0.1)
+    assert isinstance(exc.value.__cause__, TypeError)
+
+
+def test_late_type_error_from_rhs_stays_type_error():
+    # an rhs that takes the start and returns its shape: the TypeError is its own, and is raised as it is
+    def rhs(x, t):
+        if t > 0.5:
+            raise TypeError("rhs fails late")
+        return -x
+
+    with pytest.raises(TypeError, match="rhs fails late"):
+        u.integrate(rhs, 1.0, 0.0, 1.0, 0.1)
 
 
 def test_trajectory_validation_and_views():
@@ -381,10 +391,10 @@ sim.horizon = 1
 def _numpy_deployed_loop(p, cost):
     """The deployed loop's rhs as numpy code over a 1-D array state: the reference the float kernel
     must equal bit for bit.  cost is the map's value as numpy code."""
-    n, factors = p.n, p.schedule.factor_cache()
+    n = p.n
 
     def rhs(x, t):
-        f = factors(t)
+        f = p.schedule.factors(t)
         err = cost(x[:n]) - x[n]
         out = np.empty_like(x)
         out[:n] = f.nu * p._amp * np.cos(p._omegas * t + phase_error(f, err) * p.k)
@@ -448,10 +458,10 @@ def _numpy_transformed_drift(p, map_, z, f):
 
 def _numpy_transformed_loop(p, map_):
     """The transformed loop's rhs as numpy code over a 1-D array state."""
-    n, factors = p.n, p.schedule.factor_cache()
+    n = p.n
 
     def rhs(x, t):
-        f = factors(t)
+        f = p.schedule.factors(t)
         out, err = _numpy_transformed_drift(p, map_, x, f)
         out[:n] += p._amp * np.cos(p._omegas * t + phase_error(f, err) * p.k)
         return out
@@ -461,10 +471,10 @@ def _numpy_transformed_loop(p, map_):
 
 def _numpy_averaged_loop(p, map_, grad):
     """The averaged loop's rhs as numpy code over a 1-D array state; grad is the map's gradient as numpy code."""
-    n, factors = p.n, p.schedule.factor_cache()
+    n = p.n
 
     def rhs(x, t):
-        f = factors(t)
+        f = p.schedule.factors(t)
         out = _numpy_transformed_drift(p, map_, x, f)[0]
         out[:n] -= 0.5 * p.k * p.alpha * f.phi * (grad(map_.optimum + x[:n] / f.xi) / f.xi)
         return out
@@ -573,7 +583,7 @@ def test_list_and_array_starts_equal_tuple_start(quartic, fig3_params):
         np.testing.assert_array_equal(got.states, want.states)
 
 
-def _fused_and_called(rhs, x0, t0, t1, dt, n, y_fn=None):
+def _fused_and_called(rhs, x0, t0, t1, dt, n):
     """integrate on rhs, which runs its own RK4 loop, and on a functools.wraps wrapper of it, which
     copies its tags and is called: (outcome, outcome, wrapper calls), where an outcome is the
     Trajectory or the IntegrationDiverged or ValueError raised."""
@@ -588,7 +598,7 @@ def _fused_and_called(rhs, x0, t0, t1, dt, n, y_fn=None):
     outcomes = []
     for f in (rhs, wrapper):
         try:
-            outcomes.append(u.integrate(f, x0, t0, t1, dt, y_fn=y_fn, n=n))
+            outcomes.append(u.integrate(f, x0, t0, t1, dt, n=n))
         except (IntegrationDiverged, ValueError) as e:
             outcomes.append(e)
     return outcomes[0], outcomes[1], calls[0]
@@ -597,15 +607,12 @@ def _fused_and_called(rhs, x0, t0, t1, dt, n, y_fn=None):
 def _assert_same_bits(a, b):
     assert a.times.tobytes() == b.times.tobytes()
     assert a.states.tobytes() == b.states.tobytes()
-    assert (a.y is None) == (b.y is None)
-    if a.y is not None:
-        assert a.y.tobytes() == b.y.tobytes()
 
 
-def _assert_fused_equals_called(rhs, x0, t0, t1, dt, n, y_fn=None):
+def _assert_fused_equals_called(rhs, x0, t0, t1, dt, n):
     """Both paths give the same bits, or raise the same error after the same partial trajectory; a
     run that ends calls the wrapper 4 times per step.  Returns the fused path's outcome."""
-    fused, called, calls = _fused_and_called(rhs, x0, t0, t1, dt, n, y_fn)
+    fused, called, calls = _fused_and_called(rhs, x0, t0, t1, dt, n)
     assert type(called) is type(fused)
     if isinstance(fused, u.Trajectory):
         _assert_same_bits(fused, called)
@@ -632,8 +639,32 @@ def test_fused_step_equals_call_path_on_runs(name):
     cfg = _run_config(name)
     n, t0 = cfg.params.n, cfg.params.schedule.t0
     rhs = u.es_closed_loop(cfg.params, cfg.map)
-    y_fn = lambda x, t: cfg.map.eval(x[:n])
-    traj = _assert_fused_equals_called(rhs, (*cfg.theta0.tolist(), cfg.eta0), t0, t0 + cfg.horizon, cfg.dt, n, y_fn)
+    traj = _assert_fused_equals_called(rhs, (*cfg.theta0.tolist(), cfg.eta0), t0, t0 + cfg.horizon, cfg.dt, n)
+    assert isinstance(traj, u.Trajectory)
+
+
+def _called_map_loop(cfg):
+    """The deployed loop over cfg's map stripped of its value text, which the loop must call."""
+    called = dataclasses.replace(cfg.map, value_text=None)
+    rhs = u.es_closed_loop(cfg.params, called)
+    assert rhs.__globals__["cost"] is called.eval
+    return rhs
+
+
+@pytest.mark.parametrize("name", ["fig2_nominal_a", "fig3_asymptotic_ues", "exponential_ues", "quadratic4"])
+def test_map_without_value_text_integrates_to_same_bits(name):
+    cfg = _run_config(name)
+    n, t0 = cfg.params.n, cfg.params.schedule.t0
+    x0, t1 = (*cfg.theta0.tolist(), cfg.eta0), t0 + cfg.horizon
+    want = u.integrate(u.es_closed_loop(cfg.params, cfg.map), x0, t0, t1, cfg.dt, n=n)
+    _assert_same_bits(u.integrate(_called_map_loop(cfg), x0, t0, t1, cfg.dt, n=n), want)
+
+
+def test_fused_step_equals_call_path_with_map_without_value_text():
+    cfg = _run_config("quadratic4")
+    t0 = cfg.params.schedule.t0
+    x0 = (*cfg.theta0.tolist(), cfg.eta0)
+    traj = _assert_fused_equals_called(_called_map_loop(cfg), x0, t0, t0 + cfg.horizon, cfg.dt, cfg.params.n)
     assert isinstance(traj, u.Trajectory)
 
 
