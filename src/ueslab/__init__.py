@@ -20,7 +20,6 @@ from .averaging import (
     ProbeConfig,
     ProbeRow,
     averaged_closed_loop,
-    averaged_drift_term,
     lie_bracket,
     practical_stability_probe,
     probe_rows_csv,

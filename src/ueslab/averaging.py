@@ -5,10 +5,10 @@ The transformed loop has the control-affine shape
     dz/dt = b0(z, t) + sum_i sqrt(w_i) (b_c_i(z, t) cos(w_i t) - b_s_i(z, t) sin(w_i t))
 
 and its Lie-bracket average is b0 - (1/2) sum_i [b_c_i, b_s_i].  The rhs of
-``averaged_closed_loop`` is ``transformed_drift``'s b0 minus
-``averaged_drift_term``, the closed form of that bracket sum; the numeric
-``lie_bracket`` operator exists so tests can confirm the identity instead of
-trusting the algebra.
+``averaged_closed_loop`` is b0 minus the closed form of that bracket sum,
+generated from the transformed frame's stage text in ``controllers``; the
+numeric ``lie_bracket`` operator exists so tests can confirm the identity on
+``transformed_b_fields`` instead of trusting the algebra.
 
 Every right-hand side here takes one state, a sequence of d floats, and
 returns a tuple, as the deployed loop's does.  ``practical_stability_probe``
@@ -25,22 +25,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .controllers import (
-    EsParams,
-    _check_loop_map,
-    _require_transformable,
-    es_closed_loop,
-    phase_error,
-    transformed_drift,
-)
+from .controllers import EsParams, _check_loop_map, _frame_loop, _require_transformable, es_closed_loop, phase_error
 from .errors import CapabilityError, IntegrationDiverged, WorkerLost
 from .maps import CostMap
-from .schedules import EXPONENTIAL, Factors
+from .schedules import EXPONENTIAL
 from .sim import STEPS_PER_PERIOD, dither_step_bound, integrate
 
 Array = np.ndarray
@@ -77,58 +70,53 @@ def transformed_b_fields(p: EsParams, map: CostMap):
 
     Fields act on the packed state z = [theta_f_1..theta_f_n, eta_f], a 1-D
     array as ``lie_bracket`` passes it.  The dither-paired fields carry the
-    cos/sin of the per-channel phase; only b0 touches eta_f.
+    cos/sin of the per-channel phase; only b0 touches eta_f.  Written per
+    component, they are a reference for the generated loops, not a loop.
     """
     _require_transformable(p, map)
-    sqrt_alpha = np.sqrt(p.alpha)
+    n, kappa2, omega_h, star, sqrt_alpha = p.n, 2.0 * map.kappa, p.omega_h, map.optimum.tolist(), np.sqrt(p.alpha)
 
-    def b0(z: Array, t: float) -> list:
-        return transformed_drift(p, map, z, p.schedule.factors(t))[0]
+    def drift(z: Array, t: float):
+        """b0 at (z, t), the schedule's factors at t, and the deployed loop's error J(theta) - eta."""
+        f = p.schedule.factors(t)
+        xi2k = math.exp(kappa2 * f.log_xi)
+        jf = map.centered([s + z_i * f.nu for s, z_i in zip(star, z)])
+        b0 = [f.g * z_i for z_i in z[:n]] + [(kappa2 * f.g - omega_h) * z[n] + omega_h * xi2k * jf]
+        return b0, f, jf - z[n] / xi2k
 
     def dither_field(i: int, trig: Callable) -> Callable:
         def b(z: Array, t: float) -> Array:
-            out = np.zeros(p.n + 1)
-            f = p.schedule.factors(t)
-            err = transformed_drift(p, map, z, f)[1]
+            out = np.zeros(n + 1)
+            _, f, err = drift(z, t)
             out[i] = sqrt_alpha[i] * trig(phase_error(f, err) * p.k[i])
             return out
 
         return b
 
-    return b0, [(dither_field(i, math.cos), dither_field(i, math.sin)) for i in range(p.n)]
+    return (lambda z, t: drift(z, t)[0]), [(dither_field(i, math.cos), dither_field(i, math.sin)) for i in range(n)]
 
 
-def averaged_drift_term(p: EsParams, map: CostMap, theta_f, f: Factors) -> list:
-    """The bracket sum (1/2) sum_i k_i alpha_i phi(t) (dJ_f/dtheta_f_i) e_i,
-    with dJ_f/dtheta_f = grad J(theta_f/xi + theta*) / xi, at the schedule's
-    factors f; theta_f is a sequence of n components, and so is the result."""
-    phi, xi = f.phi, f.xi
-    grad = map.grad([s + th / xi for s, th in zip(map.optimum.tolist(), theta_f)])
-    return [0.5 * k * a * phi * (g / xi) for k, a, g in zip(p.k.tolist(), p.alpha.tolist(), grad)]
-
-
-def averaged_closed_loop(p: EsParams, map: CostMap):
-    """rhs(x, t) of the averaged system over one packed state x = (theta_f..., eta_f), returning a tuple.
-
-    Covers all three schedule kinds; the nominal case degenerates to the
-    classic constant-gain averaged loop (xi = 1, zero growth drift).  Under
-    an exponential schedule the averaged dynamics are only defined for
-    strongly convex (kappa = 1) maps.
-    """
+def require_averageable(p: EsParams, map: CostMap) -> None:
+    """Raise CapabilityError unless the averaged system of p on map is defined and its loop can be assembled:
+    under an exponential schedule the averaged dynamics are only defined for strongly convex (kappa = 1) maps."""
     if map.optimum is None or map.optimal_value is None:
         raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value")
     if p.schedule.kind == EXPONENTIAL and map.kappa != 1:
         raise CapabilityError(f"exponential averaged dynamics cover kappa = 1 maps, got kappa = {map.kappa}")
     _check_loop_map(p, map, "centered", "grad")
-    n, factors = p.n, lru_cache(maxsize=1)(p.schedule.factors)
 
-    def rhs(x, t: float) -> tuple:
-        f = factors(t)
-        b0 = transformed_drift(p, map, x, f)[0]
-        drift = averaged_drift_term(p, map, x[:n], f)
-        return (*(b - d for b, d in zip(b0, drift)), b0[n])
 
-    return rhs
+def averaged_closed_loop(p: EsParams, map: CostMap):
+    """rhs(x, t) of the averaged system over one packed state x = (theta_f..., eta_f), returning a tuple,
+    and its own RK4 loop, as ``es_closed_loop``'s.
+
+    Covers all three schedule kinds; the nominal case degenerates to the
+    classic constant-gain averaged loop (xi = 1, zero growth drift).  Its
+    theta_f rates are g theta_f_i - (1/2) k_i alpha_i phi(t) dJ_f/dtheta_f_i,
+    with dJ_f/dtheta_f = grad J(theta* + theta_f/xi) / xi.
+    """
+    require_averageable(p, map)
+    return _frame_loop(p, map, averaged=True)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .analysis import MIN_WINDOW_SAMPLES, check_window
-from .averaging import ProbeConfig, averaged_closed_loop
+from .averaging import ProbeConfig, require_averageable
 from .controllers import EsParams, assemble
 from .errors import AssemblyError, CapabilityError, ConfigError
 from .maps import CostMap, named_map
@@ -189,8 +189,9 @@ def _build_probe(r: _Reader) -> Optional[ProbeConfig]:
 
 
 def _check_time_grid(r: _Reader, key: str, t0: float, horizon: float, dt: float) -> None:
-    """Refuse a horizon that needs more than MAX_STEPS steps of dt, or a start time so large
-    that one ulp of t0 + horizon exceeds MAX_ULP_PER_STEP * dt and the steps no longer resolve."""
+    """Refuse a horizon that needs more than MAX_STEPS steps of dt, a start time so large that one ulp of
+    t0 + horizon exceeds MAX_ULP_PER_STEP * dt and the steps no longer resolve, or a horizon that t0 + horizon
+    rounds away."""
     steps = horizon / dt
     if steps > MAX_STEPS:
         raise ConfigError(
@@ -202,6 +203,8 @@ def _check_time_grid(r: _Reader, key: str, t0: float, horizon: float, dt: float)
             f"{r.source}: schedule.t0 = {t0:g} is too large for steps of dt = {dt:g}: one ulp of t0 + {key} "
             f"is {ulp:g}, more than {MAX_ULP_PER_STEP:g} dt"
         )
+    if t0 + horizon == t0:
+        raise ConfigError(f"{r.source}: {key} = {horizon:g} is too short to move schedule.t0 = {t0:g} in double precision")
 
 
 def default_fit_window(t0: float, horizon: float) -> Tuple[float, float]:
@@ -285,7 +288,7 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
     probe = _build_probe(r)
     if probe is not None:
         try:
-            averaged_closed_loop(params, map_)
+            require_averageable(params, map_)
         except CapabilityError as e:
             raise ConfigError(f"{r.source}: schedule.kind = {schedule.kind} leaves the probe no averaged system: {e}") from None
         fastest = float(np.max(params.with_omega(probe.omega_values[-1]).omegas))

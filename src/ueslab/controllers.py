@@ -17,12 +17,12 @@ the test suite checks by chain rule.
 Each right-hand side takes one state, a sequence of d floats such as the
 tuple ``integrate`` keeps (or a 1-D array), and returns a tuple: at a few
 elements per state, a numpy call costs more than the arithmetic it does.
-The deployed loop is one stage text, its channels spelled out and the
-schedule's factor text and the map's value text inline: its callable rhs
-and its own RK4 loop, with all four stages inline, are generated from it.
-The transformed loop's drift is written per component, with the map's
-closed forms read per coordinate; its rhs reads ``Schedule.factors`` through
-a one-entry lru_cache, which answers two of each RK4 step's four stages.
+Each loop is one stage text, its channels spelled out and the schedule's
+factor text and the map's closed forms inline: its callable rhs and its own
+RK4 loop, with all four stages inline, are generated from it by
+``_generated_loop``.  The deployed loop's stage is ``_deployed_stage``; the
+transformed loop and its Lie-bracket average (``averaging``) share
+``_frame_stage``, whose phase takes the deployed stage's rule.
 """
 
 from __future__ import annotations
@@ -165,7 +165,8 @@ def phase_error(f: Factors, err: float) -> float:
     An error with |err| below TINY_ERR takes the product in the log domain,
     exp(log phi + log |err|), and a zero error gives zero, so a huge phi
     against a denormal error cannot round through inf * 0, and phi is only
-    needed, and can only overflow, for the other errors.
+    needed, and can only overflow, for the other errors.  The loops' stage
+    text writes this rule inline; the b-field decomposition calls it.
     """
     if abs(err) < TINY_ERR:
         return math.copysign(math.exp(f.log_phi + math.log(abs(err))), err) if err else 0.0
@@ -181,58 +182,94 @@ def _check_loop_map(p: EsParams, map: CostMap, *forms: str) -> None:
             raise CapabilityError(f"map '{map.name}' has no closed {form} form, which the loop evaluates")
 
 
-def _deployed_stage(n: int, value: str, inputs, t: str, f: str, k: str) -> str:
-    """The deployed loop's rates at one state, as text: k_0..k_n at the state of the n + 1
-    expressions inputs, the time named t and the schedule's factors suffixed f.
+def _map_form(own, form, name: str, n: int) -> tuple:
+    """(text, names) of one of a map's closed forms over n coordinates, {i} for coordinate i: own, the map's
+    text of it, or a call of the callable form under name."""
+    return own or (f"{name}((" + "".join(f"{{{i}}}, " for i in range(n)) + "))", {name: form})
 
-    value is the text of J with {i} for coordinate i.  The phase is
-    phase_error's rule in its test order: phi's range is tested, and
-    Factors.phi raises, only where phi is needed.
+
+# phi(t) err by phase_error's rule in its test order: phi's range is tested, and Factors.phi raises, only where
+# phi is needed
+_PHI_RAISES = "lp_{f} > LOG_MAX:\n    factors({t}).phi  # raises OverflowError\n"
+_PHASE_TEXT = """if abs(err) < TINY_ERR:
+    pe = copysign(exp(lp_{f} + log(abs(err))), err) if err else 0.0
+elif """ + _PHI_RAISES + """else:
+    pe = ph_{f} * err
+"""
+
+
+def _dithered(n: int, t: str, f: str, k: str, drift: str) -> str:
+    """Text setting k_0..k_{n-1} to drift (with {i} for the channel) plus the dither, with the phase of err."""
+    rates = "".join(f"    {k}_{i} = {drift.format(i=i)}amp_{i} * cos(w_{i} * {t} + pe * k_{i})\n" for i in range(n))
+    nans = "".join(f"    {k}_{i} = nan\n" for i in range(n))
+    return _PHASE_TEXT.format(t=t, f=f) + f"try:\n{rates}except ValueError:  # cos(+-inf): the phase left double range\n{nans}"
+
+
+def _deployed_stage(n: int, value: str, inputs, t: str, f: str, k: str) -> str:
+    """The deployed loop's rates at one state, as text: k_0..k_n at the state of the n + 1 expressions
+    inputs, the time named t and the schedule's factors suffixed f; value is J's text, {i} for coordinate i."""
+    bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs))
+    err = f"err = ({value.format(*[f's_{i}' for i in range(n)])}) - s_{n}\n"
+    return bind + err + _dithered(n, t, f, k, f"nu_{f} * ") + f"{k}_{n} = omega_h * err\n"
+
+
+def _frame_stage(n: int, centered: str, grad: Optional[str], inputs, t: str, f: str, k: str) -> str:
+    """A transformed-frame loop's rates at one state, as text, in _deployed_stage's terms; the state is
+    (theta_f_1..theta_f_n, eta_f), and the frame factors (``Schedule.frame_text``) add log xi and g.
+
+    Both loops take the drift b0 = [g theta_f, (2 kappa g - omega_h) eta_f + omega_h xi2k jf], with
+    xi2k = xi^(2 kappa) and jf = J(theta* + nu theta_f) - J(theta*), the text centered.  With grad None,
+    the transformed loop adds the dither, its phase that of err = jf - eta_f / xi2k by the deployed
+    stage's rule.  Otherwise the averaged loop subtracts the bracket term (1/2) k_i alpha_i phi
+    dJ/dtheta_i (theta* + theta_f / xi) / xi, grad the text of dJ/dtheta as one tuple.  The raising
+    operations keep their order: xi2k, centered, then phi's range, xi and grad.
     """
     bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs))
-    rates = "".join(f"    {k}_{i} = nu_{f} * amp_{i} * cos(w_{i} * {t} + pe * k_{i})\n" for i in range(n))
-    nans = "".join(f"    {k}_{i} = nan\n" for i in range(n))
-    return bind + f"""err = ({value.format(*[f"s_{i}" for i in range(n)])}) - s_{n}
-if abs(err) < TINY_ERR:
-    pe = copysign(exp(lp_{f} + log(abs(err))), err) if err else 0.0
-elif lp_{f} > LOG_MAX:
-    factors({t}).phi  # raises OverflowError
-else:
-    pe = ph_{f} * err
-try:
-{rates}except ValueError:  # cos(+-inf): the phase left double range
-{nans}{k}_{n} = omega_h * err
-"""
+    jf = "".join(f"c_{i} = opt_{i} + s_{i} * nu_{f}\n" for i in range(n)) + f"jf = {centered.format(*[f'c_{i}' for i in range(n)])}\n"
+    text = bind + f"xi2k = exp(kappa2 * lx_{f})\n" + jf
+    if grad is None:
+        text += f"err = jf - s_{n} / xi2k\n" + _dithered(n, t, f, k, f"g_{f} * s_{{i}} + ")
+    else:
+        at = "".join(f"d_{i} = opt_{i} + s_{i} / xi\n" for i in range(n))
+        grads = "(" + "".join(f"gr_{i}, " for i in range(n)) + f") = {grad.format(*[f'd_{i}' for i in range(n)])}\n"
+        rates = "".join(f"{k}_{i} = g_{f} * s_{i} - ka_{i} * ph_{f} * (gr_{i} / xi)\n" for i in range(n))
+        text += "if " + _PHI_RAISES.format(t=t, f=f) + f"xi = exp(lx_{f})\n" + at + grads + rates
+    return text + f"{k}_{n} = (kappa2 * g_{f} - omega_h) * s_{n} + omega_h * xi2k * jf\n"
+
+
+def _generated_loop(p: EsParams, label: str, stage, factor_text, names: dict):
+    """rhs(x, t) over n + 1 floats, returning a tuple, and its own RK4 loop (the ``rk4_loop`` tag, for this very
+    function object), from stage and factor_text; the texts read names, with the schedule's, the channels' and
+    the math functions added to it, never the loop's numbers, and each distinct text is compiled once."""
+    n = p.n
+    names.update(p.schedule.text_names(), cos=math.cos, copysign=math.copysign, log=math.log, exp=math.exp,
+                 nan=math.nan, TINY_ERR=TINY_ERR, omega_h=float(p.omega_h))
+    for name, values in (("w", p._omegas), ("amp", p._amp), ("k", p.k)):
+        names.update((f"{name}_{i}", v) for i, v in enumerate(values.tolist()))
+    xs = [f"x_{i}" for i in range(n + 1)]
+    body = f"({', '.join(xs)},) = x\n" + factor_text("t", "0")[0] + stage(xs, "t", "0", "dx")
+    src = "def rhs(x, t):\n" + textwrap.indent(body + "return (" + "".join(f"dx_{i}, " for i in range(n + 1)) + ")\n", "    ")
+    exec(compiled(src, f"<{label} rhs over {n} channels>", "exec"), names)
+    rhs = names["rhs"]
+    rhs.rk4_loop = (rhs, rk4_text((n + 1,), stage, factor_text))
+    return rhs
 
 
 def es_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over one packed state x = (theta_1..theta_n, eta), returning a tuple.
 
     x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array.  The
-    rhs and its own RK4 loop (the ``rk4_loop`` tag, for this very function
-    object) are generated from one stage text, which calls a map without
-    value text; each distinct text is compiled once and holds names, never
-    the loop's numbers.  An infinite phase, where math.cos raises, gives NaN
-    dither rates, as np.cos would, so the integrator reports the divergence.
-    Tagged with the fastest dither frequency so the integrator can enforce
-    its step bound.
+    rhs and its own RK4 loop are generated from one stage text, which calls
+    a map without value text (``_generated_loop``).  An infinite phase,
+    where math.cos raises, gives NaN dither rates, as np.cos would, so the
+    integrator reports the divergence.  Tagged with the fastest dither
+    frequency so the integrator can enforce its step bound.
     """
     _check_loop_map(p, map)
-    n, schedule = p.n, p.schedule
-    names = dict(schedule.text_names(), cos=math.cos, copysign=math.copysign, log=math.log, exp=math.exp,
-                 nan=math.nan, TINY_ERR=TINY_ERR, omega_h=float(p.omega_h))
-    for name, values in (("w", p._omegas), ("amp", p._amp), ("k", p.k)):
-        names.update((f"{name}_{i}", v) for i, v in enumerate(values.tolist()))
-    text, map_names = map.value_text or ("cost((" + "".join(f"{{{i}}}, " for i in range(n)) + "))", {"cost": map.eval})
-    names.update(map_names)
-    stage = functools.partial(_deployed_stage, n, text)
-    xs = [f"x_{i}" for i in range(n + 1)]
-    body = f"({', '.join(xs)},) = x\n" + schedule.factor_text("t", "0")[0] + stage(xs, "t", "0", "dx")
-    src = "def rhs(x, t):\n" + textwrap.indent(body + "return (" + "".join(f"dx_{i}, " for i in range(n + 1)) + ")\n", "    ")
-    exec(compiled(src, f"<deployed loop rhs over {n} channels>", "exec"), names)
-    rhs = names["rhs"]
+    text, names = _map_form(map.value_text, map.eval, "cost", p.n)
+    stage = functools.partial(_deployed_stage, p.n, text)
+    rhs = _generated_loop(p, "deployed loop", stage, p.schedule.factor_text, dict(names))
     rhs.dither_omega_max = float(np.max(p._omegas))
-    rhs.rk4_loop = (rhs, rk4_text((n + 1,), stage, schedule.factor_text))
     return rhs
 
 
@@ -244,43 +281,22 @@ def _require_transformable(p: EsParams, map: CostMap):
     _check_loop_map(p, map, "centered")
 
 
-def transformed_drift(p: EsParams, map: CostMap, z, f: Factors):
-    """Dither-free part b0(z, t) of the transformed loop, and its error.
-
-    Over one packed state z = (theta_f..., eta_f), a sequence of d = n + 1
-    components, with the schedule's factors f at t, g = d(log xi)/dt,
-    xi2k = xi^(2 kappa) and jf = J(theta* + theta_f/xi) - J(theta*):
-
-        b0  = [g theta_f, (2 kappa g - omega_h) eta_f + omega_h xi2k jf]
-        err = jf - eta_f / xi2k
-
-    b0 is a list of d components.  err is the deployed loop's J(theta) - eta;
-    the transformed loop's phase is phase_error(f, err) * k_i, and the
-    averaged loop reads b0 only.  Callers check the frame and the map once,
-    when they assemble their fields.
-    """
-    n, nu, g = p.n, f.nu, f.g
-    eta_f = z[n]
-    xi2k = math.exp(2.0 * map.kappa * f.log_xi)
-    jf = map.centered([s + z_i * nu for s, z_i in zip(map.optimum.tolist(), z)])
-    b0 = [g * z_i for z_i in z[:n]]
-    b0.append((2.0 * map.kappa * g - p.omega_h) * eta_f + p.omega_h * xi2k * jf)
-    return b0, jf - eta_f / xi2k
+def _frame_loop(p: EsParams, map: CostMap, averaged: bool):
+    """The transformed loop's rhs, or with averaged its Lie-bracket average's, generated from
+    ``_frame_stage``; the caller has checked the frame and the map."""
+    centered, names = _map_form(map.centered_text, map.centered, "centered", p.n)
+    grad, grad_names = _map_form(map.grad_text, map.grad, "grad", p.n) if averaged else (None, {})
+    names = dict(names, **grad_names, kappa2=2.0 * map.kappa)
+    names.update((f"opt_{i}", s) for i, s in enumerate(map.optimum.tolist()))
+    names.update((f"ka_{i}", 0.5 * k * a) for i, (k, a) in enumerate(zip(p.k.tolist(), p.alpha.tolist())))
+    stage = functools.partial(_frame_stage, p.n, centered, grad)
+    return _generated_loop(p, "averaged loop" if averaged else "transformed loop", stage, p.schedule.frame_text, names)
 
 
 def transformed_closed_loop(p: EsParams, map: CostMap):
-    """rhs(x, t) over one packed state x = (theta_f_1..theta_f_n, eta_f), returning a tuple."""
+    """rhs(x, t) over one packed state x = (theta_f_1..theta_f_n, eta_f), returning a tuple, and its own
+    RK4 loop, as ``es_closed_loop``'s; an infinite phase gives NaN dither rates there too."""
     _require_transformable(p, map)
-    factors = functools.lru_cache(maxsize=1)(p.schedule.factors)
-    channels = list(enumerate(zip(p._amp.tolist(), p._omegas.tolist(), p.k.tolist())))
-
-    def rhs(x, t: float) -> tuple:
-        f = factors(t)
-        out, err = transformed_drift(p, map, x, f)
-        pe = phase_error(f, err)
-        for i, (amp, w, k) in channels:
-            out[i] += amp * math.cos(w * t + pe * k)
-        return tuple(out)
-
+    rhs = _frame_loop(p, map, averaged=False)
     rhs.dither_omega_max = float(np.max(p._omegas))
     return rhs

@@ -10,14 +10,14 @@ The closed forms ``eval``, ``centered`` and ``grad`` are written per
 coordinate: they take theta as a sequence whose item i is coordinate i, n
 floats or an (n,) array for one input, or an (n, B) array for B inputs at
 once.  ``eval`` and ``centered`` return a scalar or a (B,) array, ``grad`` a
-sequence of n components of the same kind.  The closed loops call them
-directly on one state's floats, having checked the dimension once when the
-loop was assembled.  ``__call__``, ``centered_value`` and ``gradient`` are
+sequence of n components of the same kind.  The closed loops take them
+without validation, having checked the dimension once when the loop was
+assembled.  ``__call__``, ``centered_value`` and ``gradient`` are
 the validating entry points for single inputs.
 
-A map may carry its value as text, which the deployed loop writes into its
-generated RK4 step in place of an ``eval`` call; the built-in maps' ``eval``
-is compiled from that same text.
+A built-in map carries ``eval``, ``centered`` and ``grad`` as text too,
+from which those callables are compiled.  The closed loops write the texts
+into their generated RK4 steps, and call the forms of a map without them.
 """
 
 from __future__ import annotations
@@ -73,9 +73,12 @@ class CostMap:
     bounds         optional analytic PowerBounds
     value_text     optional (text, names): eval as one expression with {i} for coordinate i,
                    and the numbers it reads by name (q_i, star_i), which no loop text uses
+    centered_text  optional (text, names) of centered, as value_text is of eval
+    grad_text      optional (text, names) of grad, one tuple display of n components
 
-    The closed loops evaluate eval, centered and grad per coordinate; a
-    loop that needs a form the map lacks refuses it when it is assembled.
+    The closed loops evaluate eval, centered and grad per coordinate, from
+    their text where the map has it; a loop that needs a form the map lacks
+    refuses it when it is assembled.
     """
 
     dim: int
@@ -89,6 +92,8 @@ class CostMap:
     bounds: Optional[PowerBounds] = None
     name: str = "custom"
     value_text: Optional[Tuple[str, Mapping[str, float]]] = None
+    centered_text: Optional[Tuple[str, Mapping[str, float]]] = None
+    grad_text: Optional[Tuple[str, Mapping[str, float]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -220,68 +225,47 @@ def verify_power_bounds(map: CostMap, radius: float, samples: int, seed: int) ->
     )
 
 
-def value_function(dim: int, value_text: Tuple[str, Mapping[str, float]]) -> Callable:
-    """``eval`` compiled from a map's value text, theta unpacked into its dim coordinates."""
-    text, names = value_text
+def form_function(dim: int, form_text: Tuple[str, Mapping[str, float]]) -> Callable:
+    """The closed form compiled from one of a map's texts, theta unpacked into its dim coordinates."""
+    text, names = form_text
     coords = [f"th_{i}" for i in range(dim)]
-    src = f"def value(th):\n    {', '.join(coords)}, = th\n    return {text.format(*coords)}\n"
+    src = f"def form(th):\n    {', '.join(coords)}, = th\n    return {text.format(*coords)}\n"
     namespace = dict(names)
-    exec(compile(src, f"<map value over {dim} coordinates>", "exec"), namespace)
-    return namespace["value"]
+    exec(compile(src, f"<map form over {dim} coordinates>", "exec"), namespace)
+    return namespace["form"]
+
+
+def _text_map(dim: int, value, centered, grad, **fields) -> CostMap:
+    """A map carrying its value, centered and grad texts, its eval, centered and grad compiled from them."""
+    return CostMap(dim=dim, eval=form_function(dim, value), centered=form_function(dim, centered),
+                   grad=form_function(dim, grad), value_text=value, centered_text=centered, grad_text=grad, **fields)
 
 
 def quartic_paper() -> CostMap:
     """1-D quartic cost 1 + (theta - 2)^4 with a flat (order-2) minimum at 2."""
-    value = ("1.0 + ({0} - 2.0) ** 4", {})
-    return CostMap(
-        dim=1,
-        eval=value_function(1, value),
-        kappa=2,
-        grad=lambda th: (4.0 * (th[0] - 2.0) ** 3,),
-        hess=lambda th: np.array([[12.0 * (th[0] - 2.0) ** 2]]),
-        optimum=np.array([2.0]),
-        optimal_value=1.0,
-        centered=lambda th: (th[0] - 2.0) ** 4,
-        bounds=PowerBounds(1.0, 1.0, 4.0, 4.0, 12.0, 12.0),
-        name="quartic_paper",
-        value_text=value,
-    )
+    return _text_map(1, ("1.0 + ({0} - 2.0) ** 4", {}), ("({0} - 2.0) ** 4", {}), ("(4.0 * ({0} - 2.0) ** 3, )", {}),
+                     kappa=2, hess=lambda th: np.array([[12.0 * (th[0] - 2.0) ** 2]]), optimum=np.array([2.0]),
+                     optimal_value=1.0, bounds=PowerBounds(1.0, 1.0, 4.0, 4.0, 12.0, 12.0), name="quartic_paper")
 
 
 def quadratic(q=1.0, theta_star=0.0) -> CostMap:
-    """Diagonal quadratic cost sum_i q_i (theta_i - theta*_i)^2, strongly convex."""
+    """Diagonal quadratic cost sum_i q_i (theta_i - theta*_i)^2, strongly convex; centered is its value."""
     qv = np.atleast_1d(np.asarray(q, dtype=float))
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     if qv.shape != star.shape:
         raise ValueError(f"q and theta_star must have matching shapes, got {qv.shape} and {star.shape}")
     if np.any(qv <= 0.0):
         raise ValueError(f"all curvature weights must be positive, got {qv}")
-    n = qv.size
-    qmax = float(qv.max())
-    terms = list(zip(qv.tolist(), star.tolist()))
+    n, qmin, qmax = qv.size, float(qv.min()), float(qv.max())
     # left to right over floats or (B,) arrays, as numpy's (qv * (th.T - star) ** 2).sum(axis=-1)
     # adds for n < 8; the builtin sum() compensates its rounding from Python 3.12 on.  The first
     # term stands alone: with q_i > 0 no term is -0.0, so 0.0 + term would give the term's bits
-    text = " + ".join(f"q_{i} * (({{{i}}} - star_{i}) * ({{{i}}} - star_{i}))" for i in range(n))
     names = {f"q_{i}": q_i for i, q_i in enumerate(qv.tolist())} | {f"star_{i}": s_i for i, s_i in enumerate(star.tolist())}
-    value = value_function(n, (text, names))
-
-    def slope(th):
-        return [2.0 * q * (a - s) for (q, s), a in zip(terms, th)]
-
-    return CostMap(
-        dim=n,
-        eval=value,
-        kappa=1,
-        grad=slope,
-        hess=lambda th: np.diag(2.0 * qv),
-        optimum=star.copy(),
-        optimal_value=0.0,
-        centered=value,
-        bounds=PowerBounds(float(qv.min()), qmax, 2.0 * float(qv.min()), 2.0 * qmax, 2.0 * qmax, 2.0 * qmax),
-        name="quadratic",
-        value_text=(text, names),
-    )
+    value = (" + ".join(f"q_{i} * (({{{i}}} - star_{i}) * ({{{i}}} - star_{i}))" for i in range(n)), names)
+    grad = ("(" + "".join(f"2.0 * q_{i} * ({{{i}}} - star_{i}), " for i in range(n)) + ")", names)
+    return _text_map(n, value, value, grad, kappa=1, hess=lambda th: np.diag(2.0 * qv), optimum=star.copy(),
+                     optimal_value=0.0, bounds=PowerBounds(qmin, qmax, 2.0 * qmin, 2.0 * qmax, 2.0 * qmax, 2.0 * qmax),
+                     name="quadratic")
 
 
 BUILTIN_MAPS = {"quartic_paper": quartic_paper, "quadratic": quadratic}

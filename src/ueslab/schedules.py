@@ -8,7 +8,9 @@ All evaluations go through the log domain so phi stays accurate and overflow
 surfaces as an explicit error instead of inf.  ``Schedule.factors`` returns
 every time-only factor a right-hand-side evaluation needs from one call.
 ``Schedule.factor_text`` is its nu, log phi and phi as text for generated
-code, which reads ``text_names`` and gives the bits ``factors`` gives.
+code, which reads ``text_names`` and gives the bits ``factors`` gives;
+``Schedule.frame_text`` adds log xi and the growth drift g, which the
+transformed-frame loops read.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ _FACTOR_TEXT = {
     NOMINAL: _START_TEXT + "nu_{f}, lp_{f}, ph_{f} = 1.0, 0.0, 1.0\n",
     ASYMPTOTIC: _START_TEXT + "l1p = log1p(beta * ({t} - t0))\nnu_{f} = exp(-(l1p / v))\nlp_{f} = r_v * l1p\n" + _PHI_TEXT,
     EXPONENTIAL: _START_TEXT + "tau = {t} - t0\nnu_{f} = exp(-(lam * tau))\nlp_{f} = lam2 * tau\n" + _PHI_TEXT,
+}
+# lx_{f} and g_{f} (log xi and g) at time {t}, after the factor text of that time, by the operations of factors
+_DRIFT_TEXT = {
+    NOMINAL: "lx_{f} = g_{f} = 0.0\n",
+    ASYMPTOTIC: "lx_{f} = l1p / v\ng_{f} = beta / (v * (1.0 + beta * ({t} - t0)))\n",
+    EXPONENTIAL: "lx_{f} = lam * tau\ng_{f} = lam\n",
 }
 
 
@@ -110,6 +118,11 @@ class Schedule:
     def factor_text(self, t: str, f: str) -> Tuple[str, Tuple[str, ...]]:
         """Text that sets nu, log phi and phi at the time named t, reading ``text_names``, and the names it sets."""
         return _FACTOR_TEXT[self.kind].format(t=t, f=f), (f"nu_{f}", f"lp_{f}", f"ph_{f}")
+
+    def frame_text(self, t: str, f: str) -> Tuple[str, Tuple[str, ...]]:
+        """``factor_text`` followed by log xi and the growth drift g at the same time, and the names it sets."""
+        text, names = self.factor_text(t, f)
+        return text + _DRIFT_TEXT[self.kind].format(t=t, f=f), names + (f"lx_{f}", f"g_{f}")
 
     def text_names(self) -> dict:
         """The names ``factor_text`` reads: this schedule's numbers and the functions its text calls."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
-from ueslab import cli
+from ueslab import averaging, cli
 from ueslab.config import config_from_text, parse_kv_text
 from ueslab.errors import ConfigError
 
@@ -123,6 +123,8 @@ def test_config_defaults():
         ),
         # t0 + horizon == t0: no step lands inside the horizon
         ("schedule.t0 = 1e20\nsim.horizon = 1\n", "schedule.t0 = 1e\\+20 is too large.*sim.horizon"),
+        # a positive horizon below half an ulp of t0: t0 + horizon == t0 again
+        ("schedule.t0 = 0.5\nsim.horizon = 5e-324\n", "sim.horizon = 4.94066e-324 is too short to move schedule.t0 = 0.5"),
         # one ulp of 1e15 is 0.125, four times the step: the sample times collide
         ("schedule.t0 = 1e15\nsim.horizon = 1\n", "schedule.t0 = 1e\\+15 is too large.*sim.horizon"),
         (
@@ -357,6 +359,22 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     ))
     assert cli.main(["sweep", str(expo)]) == 2
     assert "schedule.kind" in capsys.readouterr().err
+
+
+def test_config_checks_the_averaged_system_without_assembling_it(monkeypatch):
+    # load runs the averaged loop's refusals, not its assembly; the refusal names schedule.kind
+    assembled = []
+    monkeypatch.setattr(averaging, "_frame_loop", lambda *args, **kwargs: assembled.append(args))
+    assert config_from_text(SMALL_PROBE, name="probe").probe is not None
+    expo = SMALL_PROBE.replace(
+        "schedule.kind = asymptotic\nschedule.beta = 0.1\nschedule.v = 0.3333333333333333\nschedule.r = 4\n",
+        "schedule.kind = exponential\nschedule.lambda = 0.1\n",
+    )
+    message = ("<config>: schedule.kind = exponential leaves the probe no averaged system: "
+               "exponential averaged dynamics cover kappa = 1 maps, got kappa = 2")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_text(expo, name="expo")
+    assert assembled == []
 
 
 def test_cli_lemma_check_verdicts(capsys):

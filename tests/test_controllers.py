@@ -91,17 +91,20 @@ def _loop_pair(case):
 def test_deployed_rhs_code_holds_no_loop_constant():
     # the rhs and its own RK4 loop are compiled once per text and read their numbers (dither, gain and
     # washout, the map's q and theta*, the schedule's t0, beta, v, r or lambda) from their namespace,
-    # so two loops that differ in every number share one code: none is formatted into the text
+    # so two loops that differ in every number share one code: none is formatted into the text; the
+    # same holds for the averaged loop and, where its frame is defined, the transformed loop
     for case in ("asymptotic", "nominal", "quadratic"):
         (map_a, p_a), (map_b, p_b) = _loop_pair(case)
-        a, b = u.es_closed_loop(p_a, map_a), u.es_closed_loop(p_b, map_b)
-        d = p_a.n + 1
-        for code_a, code_b in ((a.__code__, b.__code__), (rk4_loop(a, (d,)).__code__, rk4_loop(b, (d,)).__code__)):
-            assert code_a.co_code == code_b.co_code
-            assert code_a.co_consts == code_b.co_consts
-        x = (0.5,) * d
-        assert a(x, 4.0) != b(x, 4.0)
-        assert u.integrate(a, x, 4.0, 4.1, 1e-3).states.tobytes() != u.integrate(b, x, 4.0, 4.1, 1e-3).states.tobytes()
+        builds = [u.es_closed_loop, u.averaged_closed_loop] + ([u.transformed_closed_loop] if case != "nominal" else [])
+        for build in builds:
+            a, b = build(p_a, map_a), build(p_b, map_b)
+            d = p_a.n + 1
+            for code_a, code_b in ((a.__code__, b.__code__), (rk4_loop(a, (d,)).__code__, rk4_loop(b, (d,)).__code__)):
+                assert code_a.co_code == code_b.co_code
+                assert code_a.co_consts == code_b.co_consts
+            x = (0.5,) * d
+            assert a(x, 4.0) != b(x, 4.0)
+            assert u.integrate(a, x, 4.0, 4.1, 1e-3).states.tobytes() != u.integrate(b, x, 4.0, 4.1, 1e-3).states.tobytes()
 
 
 def test_phase_term_vanishes_at_optimum(quartic, fig3_params):
@@ -165,6 +168,18 @@ def test_infinite_phase_diverges_cleanly(quartic, fig3_params):
         u.integrate(rhs, x, t, t + 1.0, u.dither_step_bound(rhs.dither_omega_max))
     assert exc.value.t_last == t
     np.testing.assert_array_equal(exc.value.trajectory.states, [x])
+
+
+def test_transformed_infinite_phase_diverges_cleanly(quartic, fig3_params):
+    # eta_f = -1e308 drives the washout rate past double range in the first stage, so a later stage's
+    # phase is infinite, where math.cos raises ValueError: the dither rates are NaN, as the deployed loop's
+    rhs = u.transformed_closed_loop(fig3_params, quartic)
+    theta_dot, eta_dot = rhs((0.0, -math.inf), 5.0)
+    assert math.isnan(theta_dot) and eta_dot == math.inf
+    with pytest.raises(IntegrationDiverged, match="non-finite") as exc:
+        u.integrate(rhs, (0.0, -1e308), 5.0, 6.0, 0.01)
+    assert exc.value.t_last == 5.0
+    np.testing.assert_array_equal(exc.value.trajectory.states, [(0.0, -1e308)])
 
 
 def test_transformed_loop_at_origin(quartic, fig3_params):

@@ -104,8 +104,9 @@ def test_amplitude_decays_gain_grows(s, t1, t2):
 
 
 def _factor_function(s):
-    """The schedule's factor text at one time, compiled as a function of t returning (nu, log phi, phi)."""
-    text, names = s.factor_text("t", "f")
+    """The schedule's frame text (its factor text, then log xi and g) at one time, compiled as a function
+    of t returning (nu, log phi, phi, log xi, g)."""
+    text, names = s.frame_text("t", "f")
     src = "def at(t):\n" + textwrap.indent(text + f"return ({', '.join(names)})\n", "    ")
     namespace = s.text_names()
     exec(src, namespace)
@@ -124,7 +125,7 @@ def any_schedules():
 @settings(max_examples=300, deadline=None)
 @given(s=any_schedules(), tau=st.floats(-10.0, 1e6))
 def test_factor_text_gives_factors_bits(s, tau):
-    # nu, log phi and phi bit for bit; where phi leaves double range the text reads inf and
+    # nu, log phi, phi, log xi and g bit for bit; where phi leaves double range the text reads inf and
     # Factors.phi raises, and before t0 both raise the same ValueError
     t = s.t0 + tau
     factors = _factor_function(s)
@@ -134,9 +135,9 @@ def test_factor_text_gives_factors_bits(s, tau):
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             factors(t)
         return
-    nu, log_phi, phi = factors(t)
+    nu, log_phi, phi, log_xi, g = factors(t)
     f = s.factors(t)
-    assert (nu.hex(), log_phi.hex()) == (f.nu.hex(), f.log_phi.hex())
+    assert (nu.hex(), log_phi.hex(), log_xi.hex(), g.hex()) == (f.nu.hex(), f.log_phi.hex(), f.log_xi.hex(), f.g.hex())
     if f.log_phi > _LOG_MAX:
         assert phi == math.inf
         with pytest.raises(OverflowError):

@@ -446,7 +446,8 @@ def test_float_kernel_equals_numpy_reference_quadratic(n):
 
 
 def _numpy_transformed_drift(p, map_, z, f):
-    """transformed_drift as numpy code over a 1-D array z: the reference the per-component drift must equal."""
+    """The transformed drift b0 and the error as numpy code over a 1-D array z: the reference the generated
+    stage text must equal."""
     n = p.n
     eta_f = z[n]
     xi2k = math.exp(2.0 * map_.kappa * f.log_xi)
@@ -633,14 +634,31 @@ def _run_config(name):
     return _quadratic_config(4) if name == "quadratic4" else cli.resolve_config(name)
 
 
+def _frame_loops(cfg, map_=None):
+    """The averaged loop of cfg, on map_ (default cfg's map), and its transformed loop where the frame is
+    defined, and the transformed start matched to cfg's start."""
+    map_ = map_ or cfg.map
+    loops = [u.averaged_closed_loop(cfg.params, map_)]
+    if cfg.params.schedule.kind != "nominal":
+        loops.append(u.transformed_closed_loop(cfg.params, map_))
+    return loops, (*(cfg.theta0 - cfg.map.optimum).tolist(), cfg.eta0 - cfg.map.optimal_value)
+
+
+def _text_free(map_):
+    """map_ stripped of its centered and grad text, which the frame loops must then call."""
+    return dataclasses.replace(map_, centered_text=None, grad_text=None)
+
+
 @pytest.mark.parametrize("name", _RUNS)
 def test_fused_step_equals_call_path_on_runs(name):
-    # integrated as `run` integrates them
+    # the deployed loop integrated as `run` integrates it, then the averaged loop on every schedule kind and
+    # the transformed loop where its frame is defined, from the matched start
     cfg = _run_config(name)
     n, t0 = cfg.params.n, cfg.params.schedule.t0
-    rhs = u.es_closed_loop(cfg.params, cfg.map)
-    traj = _assert_fused_equals_called(rhs, (*cfg.theta0.tolist(), cfg.eta0), t0, t0 + cfg.horizon, cfg.dt, n)
-    assert isinstance(traj, u.Trajectory)
+    frame_loops, z0 = _frame_loops(cfg)
+    for rhs, x0 in [(u.es_closed_loop(cfg.params, cfg.map), (*cfg.theta0.tolist(), cfg.eta0))] + [(f, z0) for f in frame_loops]:
+        traj = _assert_fused_equals_called(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, n)
+        assert isinstance(traj, u.Trajectory)
 
 
 def _called_map_loop(cfg):
@@ -653,29 +671,57 @@ def _called_map_loop(cfg):
 
 @pytest.mark.parametrize("name", ["fig2_nominal_a", "fig3_asymptotic_ues", "exponential_ues", "quadratic4"])
 def test_map_without_value_text_integrates_to_same_bits(name):
+    # the deployed loop, then the frame loops over the map stripped of its centered and grad text
     cfg = _run_config(name)
     n, t0 = cfg.params.n, cfg.params.schedule.t0
     x0, t1 = (*cfg.theta0.tolist(), cfg.eta0), t0 + cfg.horizon
     want = u.integrate(u.es_closed_loop(cfg.params, cfg.map), x0, t0, t1, cfg.dt, n=n)
     _assert_same_bits(u.integrate(_called_map_loop(cfg), x0, t0, t1, cfg.dt, n=n), want)
+    called = _text_free(cfg.map)
+    (loops, z0), text_loops = _frame_loops(cfg, called), _frame_loops(cfg)[0]
+    for rhs, text_loop in zip(loops, text_loops):
+        assert rhs.__globals__["centered"] is called.centered
+        assert "grad" not in rhs.__globals__ or rhs.__globals__["grad"] is called.grad
+        _assert_same_bits(u.integrate(rhs, z0, t0, t1, cfg.dt, n=n), u.integrate(text_loop, z0, t0, t1, cfg.dt, n=n))
 
 
 def test_fused_step_equals_call_path_with_map_without_value_text():
     cfg = _run_config("quadratic4")
     t0 = cfg.params.schedule.t0
     x0 = (*cfg.theta0.tolist(), cfg.eta0)
-    traj = _assert_fused_equals_called(_called_map_loop(cfg), x0, t0, t0 + cfg.horizon, cfg.dt, cfg.params.n)
-    assert isinstance(traj, u.Trajectory)
+    frame_loops, z0 = _frame_loops(cfg, _text_free(cfg.map))
+    for rhs, start in [(_called_map_loop(cfg), x0)] + [(f, z0) for f in frame_loops]:
+        traj = _assert_fused_equals_called(rhs, start, t0, t0 + cfg.horizon, cfg.dt, cfg.params.n)
+        assert isinstance(traj, u.Trajectory)
 
 
 @pytest.mark.parametrize("name", _RUNS)
 def test_run_loop_locals_shadow_no_namespace_name(name):
     # the loop's text runs in the namespace of the rhs's names (the schedule's t0 among them): a local of the
-    # same name would hide that name from every stage
+    # same name would hide that name from every stage; the deployed loop, then the frame loops, with and
+    # without the map's centered and grad text
     cfg = _run_config(name)
-    run = rk4_loop(u.es_closed_loop(cfg.params, cfg.map), (cfg.params.n + 1,))
-    assert {"t0", "factors", "omega_h"} <= set(run.__globals__)
-    assert not set(run.__code__.co_varnames) & set(run.__globals__)
+    loops = [u.es_closed_loop(cfg.params, cfg.map)] + _frame_loops(cfg)[0] + _frame_loops(cfg, _text_free(cfg.map))[0]
+    for rhs in loops:
+        run = rk4_loop(rhs, (cfg.params.n + 1,))
+        assert {"t0", "factors", "omega_h"} <= set(run.__globals__)
+        assert not set(run.__code__.co_varnames) & set(run.__globals__)
+        assert not set(rhs.__code__.co_varnames) & set(rhs.__globals__)
+
+
+def test_frame_loops_diverge_alike_on_both_paths():
+    # xi^(2 kappa) = e^(0.2 (t - t0)) leaves double range at t = 3548.91, before phi, equal to it, is
+    # tested; with omega_h < 1 and k_i alpha_i / 2 < 1 no product overflows first: a run from 3548.8
+    # raises in a step past its start, one from 3549 in its first step
+    m = u.quadratic(q=[1.0, 2.0], theta_star=[0.5, -0.25])
+    p = u.assemble(m, u.Schedule.exponential(lam=0.1), alpha=1.0, k=1.0, omega=50.0, omega_h=0.5)
+    dt = u.dither_step_bound(float(np.max(p.omegas)))
+    for rhs in (u.averaged_closed_loop(p, m), u.transformed_closed_loop(p, m)):
+        for t_start in (3548.8, 3549.0):
+            out = _assert_fused_equals_called(rhs, (0.1, -0.2, 0.3), t_start, t_start + 0.2, dt, 2)
+            assert isinstance(out, IntegrationDiverged) and isinstance(out.__cause__, OverflowError)
+            assert str(out) == f"right-hand side failed in the step from t = {out.t_last:g}: math range error"
+            assert out.t_last == 3549.0 if t_start == 3549.0 else 3548.9 < out.t_last < 3548.92
 
 
 @pytest.mark.parametrize("schedule", [
