@@ -99,8 +99,6 @@ def transformed_b_fields(p: EsParams, map: CostMap):
 def require_averageable(p: EsParams, map: CostMap) -> None:
     """Raise CapabilityError unless the averaged system of p on map is defined and its loop can be assembled:
     under an exponential schedule the averaged dynamics are only defined for strongly convex (kappa = 1) maps."""
-    if map.optimum is None or map.optimal_value is None:
-        raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value")
     if p.schedule.kind == EXPONENTIAL and map.kappa != 1:
         raise CapabilityError(f"exponential averaged dynamics cover kappa = 1 maps, got kappa = {map.kappa}")
     _check_loop_map(p, map, "centered", "grad")

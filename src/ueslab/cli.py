@@ -14,6 +14,7 @@ UESLAB_OUT overrides the output directory.  Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +26,7 @@ import numpy as np
 
 from .analysis import fit_averaging_order, fit_exp_rate, fit_power_rate, fit_report_csv, oscillation_amplitude
 from .averaging import practical_stability_probe, probe_rows_csv
-from .config import ExperimentConfig, config_from_text, default_fit_window, load_config
+from .config import MAX_STEPS, ExperimentConfig, config_from_text, default_fit_window, load_config
 from .controllers import es_closed_loop
 from .errors import AssemblyError, ConfigError, IntegrationDiverged, WindowTooLate, WorkerLost
 from .schedules import ASYMPTOTIC, NOMINAL
@@ -148,16 +149,24 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
+    for flag in ("beta", "eps1", "eps2", "p", "q", "v0", "t1", "dt"):
+        if not math.isfinite(getattr(args, flag)):
+            print(f"config error: --{flag} must be finite, got {getattr(args, flag)}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         params = Lemma1Params(beta=args.beta, eps1=args.eps1, eps2=args.eps2, p=args.p, q=args.q, v0=args.v0)
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.t1 <= params.t0 or args.dt <= 0.0:
-        print(f"config error: need t1 > {params.t0} and dt > 0, got t1 = {args.t1}, dt = {args.dt}", file=sys.stderr)
+    if args.t1 <= params.t0 or args.dt <= 0.0 or (args.t1 - params.t0) / args.dt > MAX_STEPS:
+        print(f"config error: need --t1 > {params.t0}, --dt > 0 and at most {MAX_STEPS:g} RK4 steps, "
+              f"got --t1 = {args.t1}, --dt = {args.dt}", file=sys.stderr)
         return EXIT_CONFIG
-    rhs = lambda V, t: lemma1_rhs(params, V, t)
-    traj = integrate(rhs, params.v0, params.t0, args.t1, args.dt)
+    try:
+        traj = integrate(lambda V, t: lemma1_rhs(params, V, t), params.v0, params.t0, args.t1, args.dt)
+    except ValueError as e:  # from lemma1_rhs: a stage left the domain V >= 0
+        print(f"numeric failure: {e}; --dt = {args.dt:g} is too coarse", file=sys.stderr)
+        return EXIT_NUMERIC
     numeric = traj.states[:, 0]
     exact = np.array([lemma1_solution(params, t) for t in traj.times])
     rel = float(np.max(np.abs(numeric - exact) / exact))

@@ -18,7 +18,7 @@ Each right-hand side takes one state, a sequence of d floats such as the
 tuple ``integrate`` keeps (or a 1-D array), and returns a tuple: at a few
 elements per state, a numpy call costs more than the arithmetic it does.
 Each loop is one stage text, its channels spelled out and the schedule's
-factor text and the map's closed forms inline: its callable rhs and its own
+factor text and the map's form texts inline: its callable rhs and its own
 RK4 loop, with all four stages inline, are generated from it by
 ``_generated_loop``.  The deployed loop's stage is ``_deployed_stage``; the
 transformed loop and its Lie-bracket average (``averaging``) share
@@ -174,18 +174,15 @@ def phase_error(f: Factors, err: float) -> float:
 
 
 def _check_loop_map(p: EsParams, map: CostMap, *forms: str) -> None:
-    """Check once, when a loop is assembled, what its rhs reads of the map without validation."""
+    """Check once, when a loop is assembled, that the map has the dimension and the form texts its rhs reads;
+    the frame loops, which name the forms they read, also need the optimum and optimal value."""
     if map.dim != p.n:
         raise AssemblyError(f"map '{map.name}' has dimension {map.dim}, the controller has {p.n} channels")
+    if forms and (map.optimum is None or map.optimal_value is None):
+        raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value; transformed coordinates need both")
     for form in forms:
-        if getattr(map, form) is None:
+        if getattr(map, f"{form}_text") is None:
             raise CapabilityError(f"map '{map.name}' has no closed {form} form, which the loop evaluates")
-
-
-def _map_form(own, form, name: str, n: int) -> tuple:
-    """(text, names) of one of a map's closed forms over n coordinates, {i} for coordinate i: own, the map's
-    text of it, or a call of the callable form under name."""
-    return own or (f"{name}((" + "".join(f"{{{i}}}, " for i in range(n)) + "))", {name: form})
 
 
 # phi(t) err by phase_error's rule in its test order: phi's range is tested, and Factors.phi raises, only where
@@ -242,8 +239,8 @@ def _generated_loop(p: EsParams, label: str, stage, factor_text, names: dict):
     function object), from stage and factor_text; the texts read names, with the schedule's, the channels' and
     the math functions added to it, never the loop's numbers, and each distinct text is compiled once."""
     n = p.n
-    names.update(p.schedule.text_names(), cos=math.cos, copysign=math.copysign, log=math.log, exp=math.exp,
-                 nan=math.nan, TINY_ERR=TINY_ERR, omega_h=float(p.omega_h))
+    names.update(p.schedule.text_names(), factors=p.schedule.factors, cos=math.cos, copysign=math.copysign,
+                 log=math.log, exp=math.exp, nan=math.nan, TINY_ERR=TINY_ERR, omega_h=float(p.omega_h))
     for name, values in (("w", p._omegas), ("amp", p._amp), ("k", p.k)):
         names.update((f"{name}_{i}", v) for i, v in enumerate(values.tolist()))
     xs = [f"x_{i}" for i in range(n + 1)]
@@ -259,16 +256,15 @@ def es_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over one packed state x = (theta_1..theta_n, eta), returning a tuple.
 
     x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array.  The
-    rhs and its own RK4 loop are generated from one stage text, which calls
-    a map without value text (``_generated_loop``).  An infinite phase,
+    rhs and its own RK4 loop are generated from one stage text, the map's
+    value text inline (``_generated_loop``).  An infinite phase,
     where math.cos raises, gives NaN dither rates, as np.cos would, so the
     integrator reports the divergence.  Tagged with the fastest dither
     frequency so the integrator can enforce its step bound.
     """
     _check_loop_map(p, map)
-    text, names = _map_form(map.value_text, map.eval, "cost", p.n)
-    stage = functools.partial(_deployed_stage, p.n, text)
-    rhs = _generated_loop(p, "deployed loop", stage, p.schedule.factor_text, dict(names))
+    stage = functools.partial(_deployed_stage, p.n, map.value_text[0])
+    rhs = _generated_loop(p, "deployed loop", stage, p.schedule.factor_text, dict(map.value_text[1]))
     rhs.dither_omega_max = float(np.max(p._omegas))
     return rhs
 
@@ -276,16 +272,14 @@ def es_closed_loop(p: EsParams, map: CostMap):
 def _require_transformable(p: EsParams, map: CostMap):
     if p.schedule.kind == NOMINAL:
         raise CapabilityError("transformed coordinates are undefined for the nominal schedule (xi would stay 1)")
-    if map.optimum is None or map.optimal_value is None:
-        raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value; transformed coordinates need both")
     _check_loop_map(p, map, "centered")
 
 
 def _frame_loop(p: EsParams, map: CostMap, averaged: bool):
     """The transformed loop's rhs, or with averaged its Lie-bracket average's, generated from
     ``_frame_stage``; the caller has checked the frame and the map."""
-    centered, names = _map_form(map.centered_text, map.centered, "centered", p.n)
-    grad, grad_names = _map_form(map.grad_text, map.grad, "grad", p.n) if averaged else (None, {})
+    centered, names = map.centered_text
+    grad, grad_names = map.grad_text if averaged else (None, {})
     names = dict(names, **grad_names, kappa2=2.0 * map.kappa)
     names.update((f"opt_{i}", s) for i, s in enumerate(map.optimum.tolist()))
     names.update((f"ka_{i}", 0.5 * k * a) for i, (k, a) in enumerate(zip(p.k.tolist(), p.alpha.tolist())))

@@ -5,20 +5,23 @@ Asymptotic decays the amplitude like a power law and grows the gain like
 xi(t)^r with xi(t) = (1 + beta (t - t0))^(1/v).  Exponential decays like
 exp(-lambda t) and grows the gain like xi(t)^2 with xi = exp(lambda t).
 All evaluations go through the log domain so phi stays accurate and overflow
-surfaces as an explicit error instead of inf.  ``Schedule.factors`` returns
-every time-only factor a right-hand-side evaluation needs from one call.
-``Schedule.factor_text`` is its nu, log phi and phi as text for generated
-code, which reads ``text_names`` and gives the bits ``factors`` gives;
-``Schedule.frame_text`` adds log xi and the growth drift g, which the
-transformed-frame loops read.
+surfaces as an explicit error instead of inf.  The closed forms are text:
+``Schedule.factor_text`` sets nu, log phi and phi at one time, reading
+``text_names``, and ``Schedule.frame_text`` adds log xi and the growth drift
+g.  The loops write these texts into their generated code, and
+``Schedule.factors`` is the function compiled from the frame text.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+import textwrap
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
+
+from .sim import compiled
 
 NOMINAL = "nominal"
 ASYMPTOTIC = "asymptotic"
@@ -27,17 +30,17 @@ KINDS = (NOMINAL, ASYMPTOTIC, EXPONENTIAL)
 
 _LOG_MAX = math.log(sys.float_info.max)
 
-# nu_{f}, lp_{f} and ph_{f} (nu, log phi, phi) at time {t}, by the operations of factors and Factors.phi in
-# their order; r_v = r / v and lam2 = 2.0 * lam round as the products they stand for.  Past double range phi
-# reads inf: text that needs it tests lp_{f} > LOG_MAX and raises through factors(t).phi, as before t0.
-_START_TEXT = "if {t} < t0:\n    factors({t})  # raises ValueError\n"
+# nu_{f}, lp_{f} and ph_{f} (nu, log phi, phi) at time {t}, ph_{f} by the operation of Factors.phi; r_v = r / v
+# and lam2 = 2.0 * lam round as the products they stand for.  Past double range phi reads inf: text that needs
+# it tests lp_{f} > LOG_MAX and raises through factors(t).phi.
+_START_TEXT = 'if {t} < t0:\n    raise ValueError(f"t = {{{t}}} precedes schedule start t0 = {{t0}}")\n'
 _PHI_TEXT = "ph_{f} = inf if lp_{f} > LOG_MAX else exp(lp_{f})\n"
 _FACTOR_TEXT = {
     NOMINAL: _START_TEXT + "nu_{f}, lp_{f}, ph_{f} = 1.0, 0.0, 1.0\n",
     ASYMPTOTIC: _START_TEXT + "l1p = log1p(beta * ({t} - t0))\nnu_{f} = exp(-(l1p / v))\nlp_{f} = r_v * l1p\n" + _PHI_TEXT,
     EXPONENTIAL: _START_TEXT + "tau = {t} - t0\nnu_{f} = exp(-(lam * tau))\nlp_{f} = lam2 * tau\n" + _PHI_TEXT,
 }
-# lx_{f} and g_{f} (log xi and g) at time {t}, after the factor text of that time, by the operations of factors
+# lx_{f} and g_{f} (log xi and g) at time {t}, after the factor text of that time
 _DRIFT_TEXT = {
     NOMINAL: "lx_{f} = g_{f} = 0.0\n",
     ASYMPTOTIC: "lx_{f} = l1p / v\ng_{f} = beta / (v * (1.0 + beta * ({t} - t0)))\n",
@@ -93,27 +96,17 @@ class Schedule:
     def exponential(cls, lam: float, t0: float = 0.0) -> "Schedule":
         return cls(kind=EXPONENTIAL, t0=t0, lam=lam)
 
-    def factors(self, t: float) -> "Factors":
-        """Every time-only factor of one right-hand-side evaluation at t.
+    @functools.cached_property
+    def factors(self) -> Callable[[float], "Factors"]:
+        """``factors(t)``, every time-only factor of one right-hand-side evaluation at t, compiled from
+        ``frame_text`` once per schedule: log xi, log phi, nu and the growth drift g = d(log xi)/dt."""
+        body = self.frame_text("t", "0")[0] + "return Factors(kind, t, lx_0, lp_0, nu_0, g_0)\n"
+        namespace = dict(self.text_names(), Factors=Factors, kind=self.kind)
+        exec(compiled("def factors(t):\n" + textwrap.indent(body, "    "), f"<{self.kind} schedule factors>", "exec"), namespace)
+        return namespace["factors"]
 
-        One start-time check and, for the asymptotic kind, one log1p serve
-        log xi, log phi, nu and the growth drift g = d(log xi)/dt.
-        """
-        if t < self.t0:
-            raise ValueError(f"t = {t} precedes schedule start t0 = {self.t0}")
-        tau = t - self.t0
-        if self.kind == NOMINAL:
-            log_xi = log_phi = g = 0.0
-        elif self.kind == ASYMPTOTIC:
-            log1p = math.log1p(self.beta * tau)
-            log_xi = log1p / self.v
-            log_phi = (self.r / self.v) * log1p
-            g = self.beta / (self.v * (1.0 + self.beta * tau))
-        else:
-            log_xi = self.lam * tau
-            log_phi = 2.0 * self.lam * tau
-            g = self.lam
-        return Factors(self.kind, t, log_xi, log_phi, math.exp(-log_xi), g)
+    def __getstate__(self) -> dict:  # pickled without the compiled factors, which an unpickled schedule compiles again
+        return {name: value for name, value in vars(self).items() if name != "factors"}
 
     def factor_text(self, t: str, f: str) -> Tuple[str, Tuple[str, ...]]:
         """Text that sets nu, log phi and phi at the time named t, reading ``text_names``, and the names it sets."""
@@ -126,7 +119,7 @@ class Schedule:
 
     def text_names(self) -> dict:
         """The names ``factor_text`` reads: this schedule's numbers and the functions its text calls."""
-        names = dict(t0=self.t0, factors=self.factors, exp=math.exp, log1p=math.log1p, inf=math.inf, LOG_MAX=_LOG_MAX)
+        names = dict(t0=self.t0, exp=math.exp, log1p=math.log1p, inf=math.inf, LOG_MAX=_LOG_MAX)
         if self.kind == ASYMPTOTIC:
             names.update(beta=self.beta, v=self.v, r_v=self.r / self.v)
         elif self.kind == EXPONENTIAL:

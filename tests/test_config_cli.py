@@ -1,5 +1,6 @@
 """Config parsing, validation, bundled experiments, and CLI exit behavior."""
 
+import copy
 import dataclasses
 import re
 import subprocess
@@ -266,7 +267,9 @@ def test_cli_run_cost_column_overflow_exits_3(tmp_path, monkeypatch, capsys):
     def overflow(theta):
         raise OverflowError("cost out of range")
 
-    cfg = dataclasses.replace(cfg, map=dataclasses.replace(cfg.map, eval=overflow), horizon=1.0)
+    broken = copy.copy(cfg.map)
+    object.__setattr__(broken, "eval", overflow)  # the loop reads the value text; only the cost column overflows
+    cfg = dataclasses.replace(cfg, map=broken, horizon=1.0)
     monkeypatch.setattr(cli, "resolve_config", lambda arg: cfg)
     monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
     assert cli.main(["run", "fig2_nominal_a"]) == 3
@@ -387,6 +390,16 @@ def test_cli_lemma_check_verdicts(capsys):
     # a step too coarse for the tolerance is a numeric failure, not a crash
     assert cli.main(base + ["--p", "0.5", "--t1", "100", "--dt", "1.0"]) == 3
     assert "FAIL" in capsys.readouterr().out
+    # non-finite flags and grids of more than MAX_STEPS steps are config errors naming the flag
+    for flags, named in ((["--dt", "nan"], "--dt"), (["--t1", "nan"], "--t1"), (["--t1", "inf"], "--t1"),
+                         (["--v0", "inf"], "--v0"), (["--t1", "1e9"], "--t1"), (["--dt", "1e-320"], "--dt")):
+        assert cli.main(base + ["--p", "0.5"] + flags) == 2  # a repeated flag takes its last value
+        assert named in capsys.readouterr().err
+    # a stage that leaves V >= 0 is a numeric failure, one line
+    coarse = ["lemma-check", "--beta", "1", "--eps1", "50", "--eps2", "0.1", "--p", "0.5", "--q", "2", "--v0", "1"]
+    assert cli.main(coarse + ["--dt", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "V must be nonnegative" in err and err.count("\n") == 1
 
 
 def test_cli_module_entrypoint():

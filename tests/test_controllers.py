@@ -11,6 +11,8 @@ from ueslab.controllers import phase_error
 from ueslab.errors import AssemblyError, CapabilityError, IntegrationDiverged
 from ueslab.sim import rk4_loop
 
+from test_sim import _quadratic_config
+
 
 def test_default_frequency_ratios():
     np.testing.assert_allclose(u.default_omega_hat(3), [1.0, 1.5, 2.25])
@@ -197,7 +199,7 @@ def test_transformed_frame_needs_growth_and_optimum(quartic):
     # the vector-field decomposition checks the frame when it is assembled
     with pytest.raises(CapabilityError, match="nominal"):
         u.transformed_b_fields(p_nom, quartic)
-    blind = u.CostMap(dim=1, eval=lambda th: 1.0 + (th[0] - 2.0) ** 4, kappa=2)
+    blind = u.CostMap(dim=1, value_text=("1.0 + ({0} - 2.0) ** 4", {}), kappa=2)
     p = u.assemble(blind, u.Schedule.asymptotic(beta=0.1, v=1.0 / 3.0, r=4.0), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
     with pytest.raises(CapabilityError, match="optimum"):
         u.transformed_closed_loop(p, blind)
@@ -234,18 +236,24 @@ def test_transformed_loop_consistent_by_chain_rule(quartic, fig3_params, exp_map
     rng = np.random.default_rng(3)
     err_asym = _chain_rule_worst_error(quartic, fig3_params, fig3_params.schedule, rng)
     err_expo = _chain_rule_worst_error(exp_map, exp_params, exp_params.schedule, rng)
+    # four channels: the 4-channel quadratic under the exponential schedule
+    four = _quadratic_config(4)
+    err_four = _chain_rule_worst_error(four.map, four.params, four.params.schedule, rng)
     assert err_asym < 1e-9
     assert err_expo < 1e-9
+    assert err_four < 1e-9
 
 
 def test_loops_check_the_map_at_assembly(quartic, fig3_params):
-    # the right-hand sides call the map's closed forms without validating their input
+    # the right-hand sides write the map's form texts inline, so the map is checked once, here
     with pytest.raises(AssemblyError, match="dimension 2"):
         u.es_closed_loop(fig3_params, u.quadratic(q=[1.0, 2.0], theta_star=[0.0, 0.0]))
     with pytest.raises(CapabilityError, match="centered"):
-        u.transformed_closed_loop(fig3_params, dataclasses.replace(quartic, centered=None))
+        u.transformed_closed_loop(fig3_params, dataclasses.replace(quartic, centered_text=None))
     with pytest.raises(CapabilityError, match="grad"):
-        u.averaged_closed_loop(fig3_params, dataclasses.replace(quartic, grad=None))
+        u.averaged_closed_loop(fig3_params, dataclasses.replace(quartic, grad_text=None))
+    with pytest.raises(CapabilityError, match="optimum"):
+        u.averaged_closed_loop(fig3_params, dataclasses.replace(quartic, optimum=None))
 
 
 def test_with_omega_rebuilds_derived_quantities(fig3_params):

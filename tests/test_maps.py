@@ -1,5 +1,7 @@
 """Cost maps: values, derivatives, validation, and envelope verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,14 +102,23 @@ def test_closed_forms_take_batches():
 
 
 def test_fd_fallback_when_no_closed_forms():
-    m = u.CostMap(dim=1, eval=lambda th: (th[0] - 1.0) ** 2, kappa=1)
+    m = u.CostMap(dim=1, value_text=("({0} - 1.0) ** 2", {}), kappa=1)
     np.testing.assert_allclose(m.gradient([2.0]), [2.0], rtol=1e-8)
     np.testing.assert_allclose(m.hessian([2.0]), [[2.0]], rtol=1e-6)
 
 
+def test_replacing_a_text_recompiles_its_form(fig3_params):
+    # a map's forms are compiled from its texts, so its value is the one its loop text integrates
+    m = dataclasses.replace(u.quartic_paper(), value_text=("{0} * {0}", {}))
+    assert m([3.0]) == m.eval((3.0,)) == 9.0
+    assert u.es_closed_loop(fig3_params, m)((3.0, 0.0), 0.0)[1] == fig3_params.omega_h * 9.0
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(m, eval=lambda th: 0.0)
+
+
 def test_declared_optimum_must_be_critical():
     with pytest.raises(ValueError, match="optimum"):
-        u.CostMap(dim=1, eval=lambda th: (th[0] - 1.0) ** 2, kappa=1, optimum=[0.0])
+        u.CostMap(dim=1, value_text=("({0} - 1.0) ** 2", {}), kappa=1, optimum=[0.0])
 
 
 def test_input_dimension_validated():
@@ -117,7 +128,7 @@ def test_input_dimension_validated():
 
 
 def test_centered_value_needs_reference():
-    m = u.CostMap(dim=1, eval=lambda th: th[0] ** 2, kappa=1)
+    m = u.CostMap(dim=1, value_text=("{0} ** 2", {}), kappa=1)
     with pytest.raises(CapabilityError):
         m.centered_value([1.0])
 
@@ -142,9 +153,9 @@ def test_verify_power_bounds_flags_maximum():
     # a critical point that is a maximum: centered cost is negative nearby
     m = u.CostMap(
         dim=1,
-        eval=lambda th: 1.0 - th[0] ** 2,
+        value_text=("1.0 - {0} ** 2", {}),
         kappa=1,
-        grad=lambda th: np.array([-2.0 * th[0]]),
+        grad_text=("(-2.0 * {0}, )", {}),
         hess=lambda th: np.array([[-2.0]]),
         optimum=[0.0],
         optimal_value=1.0,

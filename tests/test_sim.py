@@ -634,19 +634,13 @@ def _run_config(name):
     return _quadratic_config(4) if name == "quadratic4" else cli.resolve_config(name)
 
 
-def _frame_loops(cfg, map_=None):
-    """The averaged loop of cfg, on map_ (default cfg's map), and its transformed loop where the frame is
-    defined, and the transformed start matched to cfg's start."""
-    map_ = map_ or cfg.map
-    loops = [u.averaged_closed_loop(cfg.params, map_)]
+def _frame_loops(cfg):
+    """The averaged loop of cfg and its transformed loop where the frame is defined, and the transformed
+    start matched to cfg's start."""
+    loops = [u.averaged_closed_loop(cfg.params, cfg.map)]
     if cfg.params.schedule.kind != "nominal":
-        loops.append(u.transformed_closed_loop(cfg.params, map_))
+        loops.append(u.transformed_closed_loop(cfg.params, cfg.map))
     return loops, (*(cfg.theta0 - cfg.map.optimum).tolist(), cfg.eta0 - cfg.map.optimal_value)
-
-
-def _text_free(map_):
-    """map_ stripped of its centered and grad text, which the frame loops must then call."""
-    return dataclasses.replace(map_, centered_text=None, grad_text=None)
 
 
 @pytest.mark.parametrize("name", _RUNS)
@@ -661,47 +655,12 @@ def test_fused_step_equals_call_path_on_runs(name):
         assert isinstance(traj, u.Trajectory)
 
 
-def _called_map_loop(cfg):
-    """The deployed loop over cfg's map stripped of its value text, which the loop must call."""
-    called = dataclasses.replace(cfg.map, value_text=None)
-    rhs = u.es_closed_loop(cfg.params, called)
-    assert rhs.__globals__["cost"] is called.eval
-    return rhs
-
-
-@pytest.mark.parametrize("name", ["fig2_nominal_a", "fig3_asymptotic_ues", "exponential_ues", "quadratic4"])
-def test_map_without_value_text_integrates_to_same_bits(name):
-    # the deployed loop, then the frame loops over the map stripped of its centered and grad text
-    cfg = _run_config(name)
-    n, t0 = cfg.params.n, cfg.params.schedule.t0
-    x0, t1 = (*cfg.theta0.tolist(), cfg.eta0), t0 + cfg.horizon
-    want = u.integrate(u.es_closed_loop(cfg.params, cfg.map), x0, t0, t1, cfg.dt, n=n)
-    _assert_same_bits(u.integrate(_called_map_loop(cfg), x0, t0, t1, cfg.dt, n=n), want)
-    called = _text_free(cfg.map)
-    (loops, z0), text_loops = _frame_loops(cfg, called), _frame_loops(cfg)[0]
-    for rhs, text_loop in zip(loops, text_loops):
-        assert rhs.__globals__["centered"] is called.centered
-        assert "grad" not in rhs.__globals__ or rhs.__globals__["grad"] is called.grad
-        _assert_same_bits(u.integrate(rhs, z0, t0, t1, cfg.dt, n=n), u.integrate(text_loop, z0, t0, t1, cfg.dt, n=n))
-
-
-def test_fused_step_equals_call_path_with_map_without_value_text():
-    cfg = _run_config("quadratic4")
-    t0 = cfg.params.schedule.t0
-    x0 = (*cfg.theta0.tolist(), cfg.eta0)
-    frame_loops, z0 = _frame_loops(cfg, _text_free(cfg.map))
-    for rhs, start in [(_called_map_loop(cfg), x0)] + [(f, z0) for f in frame_loops]:
-        traj = _assert_fused_equals_called(rhs, start, t0, t0 + cfg.horizon, cfg.dt, cfg.params.n)
-        assert isinstance(traj, u.Trajectory)
-
-
 @pytest.mark.parametrize("name", _RUNS)
 def test_run_loop_locals_shadow_no_namespace_name(name):
     # the loop's text runs in the namespace of the rhs's names (the schedule's t0 among them): a local of the
-    # same name would hide that name from every stage; the deployed loop, then the frame loops, with and
-    # without the map's centered and grad text
+    # same name would hide that name from every stage; the deployed loop, then the frame loops
     cfg = _run_config(name)
-    loops = [u.es_closed_loop(cfg.params, cfg.map)] + _frame_loops(cfg)[0] + _frame_loops(cfg, _text_free(cfg.map))[0]
+    loops = [u.es_closed_loop(cfg.params, cfg.map)] + _frame_loops(cfg)[0]
     for rhs in loops:
         run = rk4_loop(rhs, (cfg.params.n + 1,))
         assert {"t0", "factors", "omega_h"} <= set(run.__globals__)
