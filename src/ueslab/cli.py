@@ -153,10 +153,12 @@ def cmd_lemma_check(args) -> int:
         if not math.isfinite(getattr(args, flag)):
             print(f"config error: --{flag} must be finite, got {getattr(args, flag)}", file=sys.stderr)
             return EXIT_CONFIG
+    values = {flag: getattr(args, flag) for flag in ("beta", "eps1", "eps2", "p", "q", "v0")}
     try:
-        params = Lemma1Params(beta=args.beta, eps1=args.eps1, eps2=args.eps2, p=args.p, q=args.q, v0=args.v0)
+        params = Lemma1Params(**values)
     except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
+        given = ", ".join(f"--{flag} {value}" for flag, value in values.items())
+        print(f"config error: {e}; given {given}", file=sys.stderr)
         return EXIT_CONFIG
     if args.t1 <= params.t0 or args.dt <= 0.0 or (args.t1 - params.t0) / args.dt > MAX_STEPS:
         print(f"config error: need --t1 > {params.t0}, --dt > 0 and at most {MAX_STEPS:g} RK4 steps, "

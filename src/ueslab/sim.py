@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import textwrap
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,6 +32,8 @@ from .errors import IntegrationDiverged
 Array = np.ndarray
 
 STEPS_PER_PERIOD = 40
+# rows of a CSV or points of a polyline formatted at once, which bounds the Python floats held for its text
+FORMAT_BLOCK = 2048
 
 
 def dither_step_bound(omega_max: float) -> float:
@@ -51,6 +54,9 @@ class Trajectory:
     states  (m, d) raw state record, one row per sample
     n       number of leading state columns holding the controller input
     y       optional (m,) measured cost when a map was in the loop
+
+    ``integrate`` hands over its flat float buffers as times and states without a copy, so a recorded row
+    costs its d + 1 floats.  ``to_csv`` formats FORMAT_BLOCK rows at a time.
     """
 
     times: Array
@@ -100,7 +106,10 @@ class Trajectory:
             blocks.append(self.y[:, None])
         data = np.hstack(blocks)
         row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-        return ",".join(cols) + "\n" + (row * len(data)) % tuple(data.ravel().tolist())
+        return "".join([",".join(cols) + "\n"] + [
+            (row * len(block)) % tuple(block.ravel().tolist())
+            for block in (data[i : i + FORMAT_BLOCK] for i in range(0, len(data), FORMAT_BLOCK))
+        ])
 
 
 # generated text, compiled once per distinct text
@@ -109,8 +118,9 @@ compiled = functools.cache(compile)
 
 def rk4_text(shape: tuple, stage: Optional[Callable] = None, factors: Optional[Callable] = None) -> str:
     """Text of ``run(x, t_start, t_end, dt, steps, every, times, rows)``, integrate's whole RK4 loop over a
-    float (shape ``()``, left unpacked) or a tuple of d floats (``(d,)``), its sums per component.  run appends
-    each recorded sample to times and rows and returns None at t_end, else the message and the
+    float (shape ``()``, left unpacked) or a tuple of d floats (``(d,)``), its sums per component.  times and
+    rows are flat ``array('d')`` buffers: run appends each recorded sample's t to times and extends rows by
+    its d components x_0..x_{d-1}, no object per row.  It returns None at t_end, else the message and the
     OverflowError/FloatingPointError that ended a step (None at a non-finite state).
 
     ``stage(inputs, t, f, k)`` is text setting k_0..k_{d-1} to the rates at the state of the d expressions
@@ -144,7 +154,7 @@ def rk4_text(shape: tuple, stage: Optional[Callable] = None, factors: Optional[C
             return f"state became non-finite at t = {{t:g}}", None
         if step % every == 0 or step == steps:
             times.append(t)
-            rows.append([{", ".join(xs)}])
+            rows.extend({pack(xs)})
 """
 
 
@@ -174,9 +184,10 @@ def integrate(
     float state and exactly d components for a tuple, or the first step raises ValueError, as does a
     TypeError from the loop when rhs at the start raises one too or returns another shape than x0's.
     n, the number of leading state columns holding the controller input, defaults to d and must lie in
-    1..d.  Samples are recorded every ``record_every`` steps and at both ends.  A non-finite state, or an
-    OverflowError/FloatingPointError raised by rhs, aborts with IntegrationDiverged carrying the
-    trajectory recorded so far.
+    1..d.  Samples are recorded every ``record_every`` steps and at both ends, into two flat ``array('d')``
+    buffers that the Trajectory views without a copy: 8 (d + 1) bytes per recorded row.  A non-finite
+    state, or an OverflowError/FloatingPointError raised by rhs, aborts with IntegrationDiverged carrying
+    the trajectory recorded so far, viewed the same way.
     """
     if t1 <= t0:
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
@@ -197,13 +208,13 @@ def integrate(
     if len(shape) > 1 or shape == (0,):
         raise ValueError(f"integrate takes one state, a float or a 1-D sequence of 1 or more, got shape {shape}")
     x = tuple(map(float, x0)) if shape else float(x0)
-    rows = [list(x) if shape else [x]]
-    width = len(rows[0])
+    rows = array("d", x if shape else (x,))
+    width = len(rows)
     n = width if n is None else n
     if not 1 <= n <= width:
         raise ValueError(f"n = {n} incompatible with state width {width}")
 
-    times = [t0]
+    times = array("d", (t0,))
     try:
         stop = rk4_loop(rhs, shape)(x, t0, t1, dt, step_count(t0, t1, dt), record_every, times, rows)
     except TypeError as error:  # diagnosed by one rhs call at the start
@@ -214,7 +225,7 @@ def integrate(
         if np.shape(rates) != shape:
             raise ValueError(f"rhs returns rates of shape {np.shape(rates)} for a start of shape {shape}") from error
         raise
-    recorded = Trajectory(np.asarray(times), np.asarray(rows), n)
+    recorded = Trajectory(np.frombuffer(times), np.frombuffer(rows).reshape(-1, width), n)
     if stop is None:
         return recorded
     message, error = stop
@@ -244,8 +255,10 @@ class Lemma1Params:
             raise ValueError(f"v0 > 0 required, got {self.v0}")
         if self.t0 < 0.0:
             raise ValueError(f"t0 >= 0 required, got {self.t0}")
-        if self.eps3 <= 0.0:
-            raise ValueError(f"derived eps3 = {self.eps3} must be positive")
+        if not (math.isfinite(self.eps3) and self.eps3 > 0.0):
+            raise ValueError(
+                f"derived eps3 = eps1 (q-1)/beta / (eps2 (q-1)/beta + 1 - p) = {self.eps3} must be finite and positive"
+            )
 
     @property
     def eps3(self) -> float:
@@ -266,13 +279,20 @@ def lemma1_solution(p: Lemma1Params, t: float) -> float:
     """Closed-form solution of the comparison ODE with V(t0) = v0.
 
     V(t) = [ s^c / (v0^(1-q) + eps3 (s^(c+1-p) - 1)) ]^(1/(q-1)),
-    s = 1 + beta (t - t0), c = eps2 (q-1) / beta.
+    s = 1 + beta (t - t0), c = eps2 (q-1) / beta.  FloatingPointError, naming t, where the denominator is not
+    positive or a term leaves double range.
     """
     if t < p.t0:
         raise ValueError(f"t = {t} precedes t0 = {p.t0}")
     s = 1.0 + p.beta * (t - p.t0)
     c = p.eps2 * (p.q - 1.0) / p.beta
-    denom = p.v0 ** (1.0 - p.q) + p.eps3 * (s ** (c + 1.0 - p.p) - 1.0)
-    if denom <= 0.0:
-        raise FloatingPointError(f"closed-form denominator {denom:g} <= 0 at t = {t:g}")
-    return (s**c / denom) ** (1.0 / (p.q - 1.0))
+    try:
+        denom = p.v0 ** (1.0 - p.q) + p.eps3 * (s ** (c + 1.0 - p.p) - 1.0)
+        if denom <= 0.0:
+            raise FloatingPointError(f"closed-form denominator {denom:g} <= 0 at t = {t:g}")
+        V = (s**c / denom) ** (1.0 / (p.q - 1.0))
+    except OverflowError:
+        V = math.inf
+    if not math.isfinite(V):
+        raise FloatingPointError(f"closed form left double range at t = {t:g} (s = 1 + beta (t - t0) = {s:g}, c = {c:g})")
+    return V

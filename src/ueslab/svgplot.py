@@ -11,12 +11,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .sim import FORMAT_BLOCK
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 WIDTH, HEIGHT = 760, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 14.0, 34.0, 42.0
-# points of a polyline formatted at once, which bounds the Python floats held for its text
-_BLOCK = 2048
 
 
 def _too_narrow(lo: float, hi: float) -> bool:
@@ -115,7 +115,7 @@ def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str =
             xy = np.column_stack([px(x), py(y)])
         points = " ".join(
             " ".join(["%.2f,%.2f"] * len(block)) % tuple(block.ravel().tolist())
-            for block in (xy[i : i + _BLOCK] for i in range(0, len(xy), _BLOCK))
+            for block in (xy[i : i + FORMAT_BLOCK] for i in range(0, len(xy), FORMAT_BLOCK))
         )
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>')
         if label:

@@ -400,6 +400,16 @@ def test_cli_lemma_check_verdicts(capsys):
     assert cli.main(coarse + ["--dt", "0.5"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and "V must be nonnegative" in err and err.count("\n") == 1
+    # a beta so small that the derived eps3 is inf / inf is a config error naming eps3 and the flags
+    mild = ["lemma-check", "--eps1", "0.2", "--eps2", "0.3", "--p", "0.5", "--q", "2", "--v0", "1", "--t1", "10"]
+    assert cli.main(mild + ["--beta", "1e-320"]) == 2
+    err = capsys.readouterr().err
+    assert "eps3 = eps1 (q-1)/beta / (eps2 (q-1)/beta + 1 - p) = nan" in err and "--beta 1e-320" in err
+    # a beta so large that s = 1 + beta t overflows: the closed form leaves double range at the first t past 1.797...
+    assert cli.main(mild + ["--beta", "1e308"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric failure: closed form left double range at t = 1.798 (s = 1 + beta (t - t0) = inf, c = 3e-309)\n"
 
 
 def test_cli_module_entrypoint():

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from ueslab.averaging import _trial_starts
 from ueslab.config import config_from_text
 from ueslab.controllers import phase_error
 from ueslab.errors import IntegrationDiverged
-from ueslab.sim import rk4_loop, step_count
+from ueslab.sim import FORMAT_BLOCK, rk4_loop, step_count
 
 
 def test_rk4_exact_on_cubic_time_polynomial():
@@ -238,6 +239,46 @@ def test_trajectory_csv_round_trip():
     assert row == [0.5, 0.3, 0.4, 2.5]
 
 
+@pytest.mark.parametrize("m", [1, FORMAT_BLOCK, 2 * FORMAT_BLOCK + 1])
+@pytest.mark.parametrize("eta", [False, True])
+@pytest.mark.parametrize("y", [False, True])
+def test_csv_blocks_equal_one_shot_formatting(m, eta, y):
+    # one row, one full block, and three blocks of which the last holds one row; the reference formats all
+    # rows with one template at once
+    rng = np.random.default_rng(m)
+    times = np.cumsum(rng.uniform(1e-3, 1.0, m))
+    states = rng.standard_normal((m, 3 if eta else 2)) * 10.0 ** rng.uniform(-5, 5, (m, 1))
+    cost = rng.standard_normal(m) if y else None
+    data = np.hstack([times[:, None], states] + ([cost[:, None]] if y else []))
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    text = u.Trajectory(times, states, 2, cost).to_csv()
+    assert text.split("\n", 1)[1] == (row * len(data)) % tuple(data.ravel().tolist())
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recording_and_csv_memory_per_row():
+    # exponential_ues recorded at every step: a row of the record costs about its 24 bytes of floats, not a list
+    # of float objects, and the CSV text is built without holding several copies of itself
+    cfg = cli.resolve_config("exponential_ues")
+    rhs, x0, t0 = u.es_closed_loop(cfg.params, cfg.map), (*cfg.theta0.tolist(), cfg.eta0), cfg.params.schedule.t0
+    u.integrate(rhs, x0, t0, t0 + 1.0, cfg.dt, n=1)  # compiles the loop before the traced run
+    traj, peak = _traced_peak(lambda: u.integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, n=1))
+    assert len(traj.times) == step_count(t0, t0 + cfg.horizon, cfg.dt) + 1
+    assert peak <= 64 * len(traj.times)
+    traj = dataclasses.replace(traj, y=[cfg.map.eval(theta) for theta in zip(*traj.theta.T.tolist())])
+    text, peak = _traced_peak(traj.to_csv)
+    assert peak <= 3 * len(text)
+
+
 def test_comparison_ode_closed_form():
     p = u.Lemma1Params(beta=0.1, eps1=1.0, eps2=1.0, p=0.5, q=1.5, v0=1.0)
     assert u.lemma1_solution(p, 0.0) == 1.0
@@ -277,6 +318,19 @@ def test_comparison_ode_parameter_validation():
         u.Lemma1Params(beta=-0.5, eps1=0.2, eps2=0.3, p=0.5, q=2.0, v0=1.0)
     with pytest.raises(ValueError):
         u.lemma1_rhs(u.Lemma1Params(beta=0.5, eps1=0.2, eps2=0.3, p=0.5, q=2.0, v0=1.0), -1.0, 0.0)
+    for beta, eps1 in ((1e-320, 0.2), (1.0, 1e308)):  # eps3 = inf / inf, and eps3 = inf
+        with pytest.raises(ValueError, match="eps3 .* must be finite and positive"):
+            u.Lemma1Params(beta=beta, eps1=eps1, eps2=0.3, p=0.5, q=3.0, v0=1.0)
+
+
+def test_closed_form_refuses_values_out_of_double_range():
+    # s = 1 + beta t overflows to inf past t = 1.797; s^c with c = 200 raises OverflowError past s = 10^1.54,
+    # where V itself is still finite
+    for beta, eps2, q, t_ok, t_out in ((1e308, 0.3, 2.0, 1.79, 1.8), (1.0, 100.0, 3.0, 10.0, 100.0)):
+        p = u.Lemma1Params(beta=beta, eps1=0.2, eps2=eps2, p=0.5, q=q, v0=1.0)
+        assert math.isfinite(u.lemma1_solution(p, t_ok))
+        with pytest.raises(FloatingPointError, match=f"closed form left double range at t = {t_out:g}"):
+            u.lemma1_solution(p, t_out)
 
 
 @settings(max_examples=40, deadline=None)

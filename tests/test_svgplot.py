@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ueslab.svgplot import _BLOCK, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, HEIGHT, WIDTH, _too_narrow, line_plot
+from ueslab.sim import FORMAT_BLOCK
+from ueslab.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, HEIGHT, WIDTH, _too_narrow, line_plot
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -63,7 +64,7 @@ def test_polyline_points_equal_per_point_formatting(seed):
     # one wide random series: no axis is widened, so the bounds are its extremes and y's 4% pad;
     # the last seed's series spans three formatting blocks, the last of one point
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 300)) if seed < 4 else 2 * _BLOCK + 1
+    m = int(rng.integers(2, 300)) if seed < 4 else 2 * FORMAT_BLOCK + 1
     x = np.sort(rng.uniform(-1.0, 1.0, m)) * 10.0 ** rng.uniform(-5, 5)
     y = rng.standard_normal(m) * 10.0 ** rng.uniform(-5, 5) + rng.uniform(-1e3, 1e3)
     x_lo, x_hi, y_lo, y_hi = float(x.min()), float(x.max()), float(y.min()), float(y.max())
