@@ -19,7 +19,6 @@ from .analysis import (
 from .averaging import (
     ProbeConfig,
     ProbeRow,
-    averaged_closed_loop,
     lie_bracket,
     practical_stability_probe,
     probe_rows_csv,
@@ -29,6 +28,7 @@ from .config import ExperimentConfig, config_from_text, load_config
 from .controllers import (
     EsParams,
     assemble,
+    averaged_closed_loop,
     default_omega_hat,
     es_closed_loop,
     transformed_closed_loop,

@@ -1,13 +1,13 @@
-"""Lie brackets, averaged comparison systems, and the practical-stability probe.
+"""Lie brackets, the transformed loop's b-fields, and the practical-stability probe.
 
 The transformed loop has the control-affine shape
 
     dz/dt = b0(z, t) + sum_i sqrt(w_i) (b_c_i(z, t) cos(w_i t) - b_s_i(z, t) sin(w_i t))
 
 and its Lie-bracket average is b0 - (1/2) sum_i [b_c_i, b_s_i].  The rhs of
-``averaged_closed_loop`` is b0 minus the closed form of that bracket sum,
-generated from the transformed frame's stage text in ``controllers``; the
-numeric ``lie_bracket`` operator exists so tests can confirm the identity on
+``controllers.averaged_closed_loop`` is b0 minus the closed form of that
+bracket sum, generated from the transformed frame's stage text; the numeric
+``lie_bracket`` operator exists so tests can confirm the identity on
 ``transformed_b_fields`` instead of trusting the algebra.
 
 Every right-hand side here takes one state, a sequence of d floats, and
@@ -30,10 +30,9 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .controllers import EsParams, _check_loop_map, _frame_loop, _require_transformable, es_closed_loop, phase_error
-from .errors import CapabilityError, IntegrationDiverged, WorkerLost
+from .controllers import EsParams, averaged_closed_loop, es_closed_loop, phase_error, require_transformable
+from .errors import IntegrationDiverged, WorkerLost
 from .maps import CostMap
-from .schedules import EXPONENTIAL
 from .sim import STEPS_PER_PERIOD, dither_step_bound, integrate
 
 Array = np.ndarray
@@ -73,7 +72,7 @@ def transformed_b_fields(p: EsParams, map: CostMap):
     cos/sin of the per-channel phase; only b0 touches eta_f.  Written per
     component, they are a reference for the generated loops, not a loop.
     """
-    _require_transformable(p, map)
+    require_transformable(p, map)
     n, kappa2, omega_h, star, sqrt_alpha = p.n, 2.0 * map.kappa, p.omega_h, map.optimum.tolist(), np.sqrt(p.alpha)
 
     def drift(z: Array, t: float):
@@ -94,27 +93,6 @@ def transformed_b_fields(p: EsParams, map: CostMap):
         return b
 
     return (lambda z, t: drift(z, t)[0]), [(dither_field(i, math.cos), dither_field(i, math.sin)) for i in range(n)]
-
-
-def require_averageable(p: EsParams, map: CostMap) -> None:
-    """Raise CapabilityError unless the averaged system of p on map is defined and its loop can be assembled:
-    under an exponential schedule the averaged dynamics are only defined for strongly convex (kappa = 1) maps."""
-    if p.schedule.kind == EXPONENTIAL and map.kappa != 1:
-        raise CapabilityError(f"exponential averaged dynamics cover kappa = 1 maps, got kappa = {map.kappa}")
-    _check_loop_map(p, map, "centered", "grad")
-
-
-def averaged_closed_loop(p: EsParams, map: CostMap):
-    """rhs(x, t) of the averaged system over one packed state x = (theta_f..., eta_f), returning a tuple,
-    and its own RK4 loop, as ``es_closed_loop``'s.
-
-    Covers all three schedule kinds; the nominal case degenerates to the
-    classic constant-gain averaged loop (xi = 1, zero growth drift).  Its
-    theta_f rates are g theta_f_i - (1/2) k_i alpha_i phi(t) dJ_f/dtheta_f_i,
-    with dJ_f/dtheta_f = grad J(theta* + theta_f/xi) / xi.
-    """
-    require_averageable(p, map)
-    return _frame_loop(p, map, averaged=True)
 
 
 @dataclass(frozen=True)
@@ -187,15 +165,13 @@ def probe_rows_csv(rows: Sequence[ProbeRow]) -> str:
 def _hermite(times: Array, values: Array, slopes: Array, at: Array) -> Array:
     """Cubic Hermite interpolant through (times, values) with the given slopes, read at `at`.
 
-    times (N,) ascending with N >= 2, values and slopes (N, ...) of one shape,
-    at (m,) within [times[0], times[-1]]; the result is (m, ...).  At a node it
-    returns that node's values bit for bit.
+    times (N,) ascending with N >= 2, values and slopes (N, n), at (m,) within [times[0], times[-1]];
+    the result is (m, n).  At a node it returns that node's values bit for bit.
     """
     k = np.clip(np.searchsorted(times, at, side="right") - 1, 0, len(times) - 2)
     h = times[k + 1] - times[k]
     s = (at - times[k]) / h
-    column = (-1,) + (1,) * (values.ndim - 1)
-    h, s = h.reshape(column), s.reshape(column)
+    h, s = h[:, None], s[:, None]
     r = 1.0 - s
     return (
         (1.0 + 2.0 * s) * r * r * values[k]
@@ -245,15 +221,16 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, cpus)
 
 
-def _run_jobs(jobs: Sequence[Callable[[], object]], steps: Sequence[float]) -> list:
-    """Each job's result, in job order.
+def _run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
+    """Each job's result, in job order; the jobs come listed from the fewest RK4 steps to the most.
 
     With one worker the jobs run here, in order.  Otherwise they run in
-    forked worker processes, one job at a time each, the most steps first.
-    The jobs close over right-hand sides, which cannot be pickled, so the
-    workers inherit them through _JOBS and receive only indices.  A job that
-    diverged gives None, another exception raised in a job is raised here,
-    and a dead worker raises WorkerLost instead of leaving the probe waiting.
+    forked worker processes, one job at a time each, from the last job back,
+    so that the longest start first.  The jobs close over right-hand sides,
+    which cannot be pickled, so the workers inherit them through _JOBS and
+    receive only indices.  A job that diverged gives None, another exception
+    raised in a job is raised here, and a dead worker raises WorkerLost
+    instead of leaving the probe waiting.
     """
     workers = _worker_count(len(jobs))
     _JOBS[:] = jobs
@@ -266,13 +243,11 @@ def _run_jobs(jobs: Sequence[Callable[[], object]], steps: Sequence[float]) -> l
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        order = sorted(range(len(jobs)), key=steps.__getitem__, reverse=True)
         try:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                results = dict(zip(order, pool.map(_run_job, order)))
+                return list(pool.map(_run_job, reversed(range(len(jobs)))))[::-1]
         except BrokenProcessPool as e:
             raise WorkerLost(f"a probe worker process ended without returning its result ({e})") from e
-        return [results[i] for i in range(len(jobs))]
     finally:
         _JOBS.clear()
 
@@ -313,12 +288,12 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     t0 = p.schedule.t0
     t1 = t0 + cfg.horizon
 
-    # the averaged jobs step at the smallest omega's step; the full-loop jobs sample once per dither period
+    # from the fewest steps to the most: the averaged jobs at the smallest omega's step, then the full-loop
+    # jobs by ascending omega, which sample once per dither period
     jobs = [partial(_integrate_averaged, averaged, z0, t0, t1, dts[0], n) for z0 in avg_starts] + [
         partial(integrate, f, x0, t0, t1, dt, STEPS_PER_PERIOD, n=n) for f, dt in zip(full_rhss, dts) for x0 in starts
     ]
-    steps = [cfg.horizon / dt for dt in [dts[0]] + dts for _ in starts]
-    results = _run_jobs(jobs, steps)
+    results = _run_jobs(jobs)
     avgs, fulls = results[:trials], results[trials:]
 
     rows: List[ProbeRow] = []

@@ -68,7 +68,7 @@ def _write_run_artifacts(cfg: ExperimentConfig, out: Path, traj: Trajectory, fit
     series = [(traj.times, traj.theta[:, i], f"theta_{i + 1}") for i in range(traj.n)]
     if traj.y is not None:
         series.append((traj.times, traj.y, "y"))
-    svg = line_plot(series, title=cfg.name, xlabel="t")
+    svg = line_plot(series, cfg.name)
     (out / f"{cfg.name}.svg").write_text(svg, encoding="utf-8")
 
 
@@ -92,8 +92,7 @@ def _run_one(cfg: ExperimentConfig) -> int:
     try:
         traj = measured(integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, cfg.record_every, n=p.n))
     except IntegrationDiverged as e:
-        if e.trajectory is not None:
-            _write_run_artifacts(cfg, out, measured(e.trajectory), [])
+        _write_run_artifacts(cfg, out, measured(e.trajectory), [])
         print(f"{cfg.name}: integration diverged at t = {e.t_last:g}; partial artifacts in {out}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -160,12 +159,12 @@ def cmd_lemma_check(args) -> int:
         given = ", ".join(f"--{flag} {value}" for flag, value in values.items())
         print(f"config error: {e}; given {given}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.t1 <= params.t0 or args.dt <= 0.0 or (args.t1 - params.t0) / args.dt > MAX_STEPS:
-        print(f"config error: need --t1 > {params.t0}, --dt > 0 and at most {MAX_STEPS:g} RK4 steps, "
+    if args.t1 <= 0.0 or args.dt <= 0.0 or args.t1 / args.dt > MAX_STEPS:
+        print(f"config error: need --t1 > 0, --dt > 0 and at most {MAX_STEPS:g} RK4 steps, "
               f"got --t1 = {args.t1}, --dt = {args.dt}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        traj = integrate(lambda V, t: lemma1_rhs(params, V, t), params.v0, params.t0, args.t1, args.dt)
+        traj = integrate(lambda V, t: lemma1_rhs(params, V, t), params.v0, 0.0, args.t1, args.dt)
     except ValueError as e:  # from lemma1_rhs: a stage left the domain V >= 0
         print(f"numeric failure: {e}; --dt = {args.dt:g} is too coarse", file=sys.stderr)
         return EXIT_NUMERIC
@@ -173,7 +172,7 @@ def cmd_lemma_check(args) -> int:
     exact = np.array([lemma1_solution(params, t) for t in traj.times])
     rel = float(np.max(np.abs(numeric - exact) / exact))
     verdict = "ok" if rel < LEMMA_TOL else "FAIL"
-    print(f"comparison-ODE check: max relative error {rel:.3e} on [{params.t0:g}, {args.t1:g}] with dt = {args.dt:g} ({verdict})")
+    print(f"comparison-ODE check: max relative error {rel:.3e} on [0, {args.t1:g}] with dt = {args.dt:g} ({verdict})")
     return EXIT_OK if rel < LEMMA_TOL else EXIT_NUMERIC
 
 

@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .analysis import MIN_WINDOW_SAMPLES, check_window
-from .averaging import ProbeConfig, require_averageable
-from .controllers import EsParams, assemble
+from .averaging import ProbeConfig
+from .controllers import EsParams, assemble, require_averageable
 from .errors import AssemblyError, CapabilityError, ConfigError
 from .maps import CostMap, named_map
 from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Schedule
@@ -188,10 +188,15 @@ def _build_probe(r: _Reader) -> Optional[ProbeConfig]:
         raise ConfigError(f"{r.source}: probe.*: {e}") from None
 
 
-def _check_time_grid(r: _Reader, key: str, t0: float, horizon: float, dt: float) -> None:
-    """Refuse a horizon that needs more than MAX_STEPS steps of dt, a start time so large that one ulp of
-    t0 + horizon exceeds MAX_ULP_PER_STEP * dt and the steps no longer resolve, or a horizon that t0 + horizon
-    rounds away."""
+def _check_time_grid(r: _Reader, key: str, schedule: Schedule, horizon: float, dt: float) -> None:
+    """Refuse a horizon at whose end the gain phi leaves double range, one that needs more than MAX_STEPS steps
+    of dt, a start time so large that one ulp of t0 + horizon exceeds MAX_ULP_PER_STEP * dt and the steps no
+    longer resolve, or a horizon that t0 + horizon rounds away.  phi never decreases, so its end value decides."""
+    t0 = schedule.t0
+    try:
+        schedule.phi(t0 + horizon)
+    except OverflowError as e:
+        raise ConfigError(f"{r.source}: {key} = {horizon:g} is too long: {e}") from None
     steps = horizon / dt
     if steps > MAX_STEPS:
         raise ConfigError(
@@ -258,10 +263,6 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
     horizon = r.float_("sim.horizon")
     if horizon <= 0.0:
         raise ConfigError(f"{r.source}: sim.horizon must be positive, got {horizon}")
-    try:
-        schedule.phi(schedule.t0 + horizon)
-    except OverflowError as e:
-        raise ConfigError(f"{r.source}: sim.horizon = {horizon:g} is too long: {e}") from None
     dt_max = dither_step_bound(float(np.max(params.omegas)))
     dt = r.float_("sim.dt", dt_max)
     if dt <= 0.0 or dt > dt_max * (1.0 + 1e-12):
@@ -269,7 +270,7 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
             f"{r.source}: sim.dt = {dt:g} must lie in (0, {dt_max:g}] "
             f"({STEPS_PER_PERIOD} steps per fastest dither period)"
         )
-    _check_time_grid(r, "sim.horizon", schedule.t0, horizon, dt)
+    _check_time_grid(r, "sim.horizon", schedule, horizon, dt)
     record_every = r.int_("sim.record_every", 1)
     if record_every < 1:
         raise ConfigError(f"{r.source}: sim.record_every must be >= 1, got {record_every}")
@@ -292,7 +293,7 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
         except CapabilityError as e:
             raise ConfigError(f"{r.source}: schedule.kind = {schedule.kind} leaves the probe no averaged system: {e}") from None
         fastest = float(np.max(params.with_omega(probe.omega_values[-1]).omegas))
-        _check_time_grid(r, "probe.horizon", schedule.t0, probe.horizon, dither_step_bound(fastest))
+        _check_time_grid(r, "probe.horizon", schedule, probe.horizon, dither_step_bound(fastest))
     out_dir = r.str_("out.dir", "out")
     r.reject_unknown()
 

@@ -21,8 +21,8 @@ Each loop is one stage text, its channels spelled out and the schedule's
 factor text and the map's form texts inline: its callable rhs and its own
 RK4 loop, with all four stages inline, are generated from it by
 ``_generated_loop``.  The deployed loop's stage is ``_deployed_stage``; the
-transformed loop and its Lie-bracket average (``averaging``) share
-``_frame_stage``, whose phase takes the deployed stage's rule.
+transformed loop and its Lie-bracket average (``averaged_closed_loop``)
+share ``_frame_stage``, whose phase takes the deployed stage's rule.
 """
 
 from __future__ import annotations
@@ -269,7 +269,8 @@ def es_closed_loop(p: EsParams, map: CostMap):
     return rhs
 
 
-def _require_transformable(p: EsParams, map: CostMap):
+def require_transformable(p: EsParams, map: CostMap) -> None:
+    """Raise CapabilityError unless the transformed loop of p on map is defined and can be assembled."""
     if p.schedule.kind == NOMINAL:
         raise CapabilityError("transformed coordinates are undefined for the nominal schedule (xi would stay 1)")
     _check_loop_map(p, map, "centered")
@@ -290,7 +291,28 @@ def _frame_loop(p: EsParams, map: CostMap, averaged: bool):
 def transformed_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over one packed state x = (theta_f_1..theta_f_n, eta_f), returning a tuple, and its own
     RK4 loop, as ``es_closed_loop``'s; an infinite phase gives NaN dither rates there too."""
-    _require_transformable(p, map)
+    require_transformable(p, map)
     rhs = _frame_loop(p, map, averaged=False)
     rhs.dither_omega_max = float(np.max(p._omegas))
     return rhs
+
+
+def require_averageable(p: EsParams, map: CostMap) -> None:
+    """Raise CapabilityError unless the averaged system of p on map is defined and its loop can be assembled:
+    under an exponential schedule the averaged dynamics are only defined for strongly convex (kappa = 1) maps."""
+    if p.schedule.kind == EXPONENTIAL and map.kappa != 1:
+        raise CapabilityError(f"exponential averaged dynamics cover kappa = 1 maps, got kappa = {map.kappa}")
+    _check_loop_map(p, map, "centered", "grad")
+
+
+def averaged_closed_loop(p: EsParams, map: CostMap):
+    """rhs(x, t) of the averaged system over one packed state x = (theta_f..., eta_f), returning a tuple,
+    and its own RK4 loop, as ``es_closed_loop``'s.
+
+    Covers all three schedule kinds; the nominal case degenerates to the
+    classic constant-gain averaged loop (xi = 1, zero growth drift).  Its
+    theta_f rates are g theta_f_i - (1/2) k_i alpha_i phi(t) dJ_f/dtheta_f_i,
+    with dJ_f/dtheta_f = grad J(theta* + theta_f/xi) / xi.
+    """
+    require_averageable(p, map)
+    return _frame_loop(p, map, averaged=True)

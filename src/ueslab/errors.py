@@ -25,10 +25,10 @@ class IntegrationDiverged(RuntimeError):
     """State left the finite range during integration.
 
     Carries the last time with a finite state and the partial trajectory
-    recorded up to that point (may be None if nothing was recorded).
+    recorded up to that point, which holds at least the start.
     """
 
-    def __init__(self, message, t_last, trajectory=None):
+    def __init__(self, message, t_last, trajectory):
         super().__init__(message)
         self.t_last = t_last
         self.trajectory = trajectory

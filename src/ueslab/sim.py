@@ -234,7 +234,7 @@ def integrate(
 
 @dataclass(frozen=True)
 class Lemma1Params:
-    """Parameters of the comparison ODE dV/dt = -eps1 (1+beta s)^(-p) V^q + eps2 (1+beta s)^(-1) V."""
+    """Parameters of the comparison ODE dV/dt = -eps1 (1+beta t)^(-p) V^q + eps2 (1+beta t)^(-1) V, V(0) = v0."""
 
     beta: float
     eps1: float
@@ -242,7 +242,6 @@ class Lemma1Params:
     p: float
     q: float
     v0: float
-    t0: float = 0.0
 
     def __post_init__(self):
         if self.beta <= 0.0 or self.eps1 <= 0.0 or self.eps2 <= 0.0:
@@ -253,8 +252,6 @@ class Lemma1Params:
             raise ValueError(f"q > 1 required, got {self.q}")
         if self.v0 <= 0.0:
             raise ValueError(f"v0 > 0 required, got {self.v0}")
-        if self.t0 < 0.0:
-            raise ValueError(f"t0 >= 0 required, got {self.t0}")
         if not (math.isfinite(self.eps3) and self.eps3 > 0.0):
             raise ValueError(
                 f"derived eps3 = eps1 (q-1)/beta / (eps2 (q-1)/beta + 1 - p) = {self.eps3} must be finite and positive"
@@ -268,31 +265,31 @@ class Lemma1Params:
 
 
 def lemma1_rhs(p: Lemma1Params, V: float, t: float) -> float:
-    """Right-hand side of the comparison ODE; valid for V >= 0, t >= t0."""
+    """Right-hand side of the comparison ODE; valid for V >= 0, t >= 0."""
     if V < 0.0:
         raise ValueError(f"V must be nonnegative, got {V}")
-    s = 1.0 + p.beta * (t - p.t0)
+    s = 1.0 + p.beta * t
     return -p.eps1 * s ** (-p.p) * V**p.q + p.eps2 * V / s
 
 
 def lemma1_solution(p: Lemma1Params, t: float) -> float:
-    """Closed-form solution of the comparison ODE with V(t0) = v0.
+    """Closed-form solution of the comparison ODE at t >= 0.
 
-    V(t) = [ s^c / (v0^(1-q) + eps3 (s^(c+1-p) - 1)) ]^(1/(q-1)),
-    s = 1 + beta (t - t0), c = eps2 (q-1) / beta.  FloatingPointError, naming t, where the denominator is not
-    positive or a term leaves double range.
+    V(t) = [ s^c / (v0^(1-q) + eps3 (s^(c+1-p) - 1)) ]^(1/(q-1)),  s = 1 + beta t, c = eps2 (q-1) / beta.
+    It is evaluated with s^(c+1-p) divided out of the fraction, as [ s^(p-1) / (eps3 + (v0^(1-q) - eps3)
+    s^(p-1-c)) ]^(1/(q-1)): both powers of s are then at most 1, where s^c alone overflows at large c
+    while V stays in range.  FloatingPointError, naming t, where the denominator is not positive or s or
+    V leaves double range.
     """
-    if t < p.t0:
-        raise ValueError(f"t = {t} precedes t0 = {p.t0}")
-    s = 1.0 + p.beta * (t - p.t0)
+    s = 1.0 + p.beta * t
     c = p.eps2 * (p.q - 1.0) / p.beta
     try:
-        denom = p.v0 ** (1.0 - p.q) + p.eps3 * (s ** (c + 1.0 - p.p) - 1.0)
+        denom = p.eps3 + (p.v0 ** (1.0 - p.q) - p.eps3) * s ** (p.p - 1.0 - c)
         if denom <= 0.0:
             raise FloatingPointError(f"closed-form denominator {denom:g} <= 0 at t = {t:g}")
-        V = (s**c / denom) ** (1.0 / (p.q - 1.0))
+        V = (s ** (p.p - 1.0) / denom) ** (1.0 / (p.q - 1.0))
     except OverflowError:
         V = math.inf
-    if not math.isfinite(V):
-        raise FloatingPointError(f"closed form left double range at t = {t:g} (s = 1 + beta (t - t0) = {s:g}, c = {c:g})")
+    if not (math.isfinite(s) and math.isfinite(V)):
+        raise FloatingPointError(f"closed form left double range at t = {t:g} (s = 1 + beta t = {s:g}, c = {c:g})")
     return V

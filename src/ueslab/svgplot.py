@@ -17,6 +17,8 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 WIDTH, HEIGHT = 760, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 14.0, 34.0, 42.0
+_XLABEL = "t"  # every plot is over time
+_TICKS = 6  # round ticks each axis aims at
 
 
 def _too_narrow(lo: float, hi: float) -> bool:
@@ -24,11 +26,11 @@ def _too_narrow(lo: float, hi: float) -> bool:
     return not hi - lo > 1e-9 * max(abs(lo), abs(hi), 1e-290)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> List[float]:
+def _nice_ticks(lo: float, hi: float) -> List[float]:
     """Round tick values over [lo, hi], which line_plot has widened past _too_narrow; none for an infinite span."""
     if not math.isfinite(hi - lo):
         return []
-    raw = (hi - lo) / max(1, target - 1)
+    raw = (hi - lo) / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag + 1e-15 * mag)
     first = math.ceil(lo / step - 1e-9) * step
@@ -44,8 +46,8 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str = "", xlabel: str = "") -> str:
-    """SVG text for one WIDTH x HEIGHT axes with several (x, y, label) polylines.
+def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str) -> str:
+    """SVG text for one WIDTH x HEIGHT axes, titled, with several labelled (x, y, label) polylines over x = t.
 
     Non-finite samples are dropped.
     """
@@ -90,9 +92,8 @@ def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str =
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
+        f'<text x="{WIDTH / 2:.2f}" y="20" text-anchor="middle" font-size="13">{_esc(title)}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{WIDTH / 2:.2f}" y="20" text-anchor="middle" font-size="13">{_esc(title)}</text>')
 
     for tick in _nice_ticks(x_lo, x_hi):
         X = px(tick)
@@ -106,8 +107,7 @@ def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str =
             f'<line x1="{_MARGIN_L:.2f}" y1="{Y:.2f}" x2="{_MARGIN_L + plot_w:.2f}" y2="{Y:.2f}" '
             'stroke="#ddd" stroke-width="0.5"/>'
         )
-    if xlabel:
-        parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 8:.2f}" text-anchor="middle">{_esc(xlabel)}</text>')
+    parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 8:.2f}" text-anchor="middle">{_XLABEL}</text>')
 
     for idx, (x, y, label) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
@@ -118,11 +118,10 @@ def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str =
             for block in (xy[i : i + FORMAT_BLOCK] for i in range(0, len(xy), FORMAT_BLOCK))
         )
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>')
-        if label:
-            Yl = _MARGIN_T + 14 + 14 * idx
-            Xl = _MARGIN_L + plot_w - 10
-            parts.append(f'<line x1="{Xl - 26:.2f}" y1="{Yl - 3.5:.2f}" x2="{Xl - 8:.2f}" y2="{Yl - 3.5:.2f}" stroke="{color}" stroke-width="2"/>')
-            parts.append(f'<text x="{Xl - 30:.2f}" y="{Yl:.2f}" text-anchor="end">{_esc(label)}</text>')
+        Yl = _MARGIN_T + 14 + 14 * idx
+        Xl = _MARGIN_L + plot_w - 10
+        parts.append(f'<line x1="{Xl - 26:.2f}" y1="{Yl - 3.5:.2f}" x2="{Xl - 8:.2f}" y2="{Yl - 3.5:.2f}" stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<text x="{Xl - 30:.2f}" y="{Yl:.2f}" text-anchor="end">{_esc(label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -75,7 +75,7 @@ def _rendered(name: str) -> dict:
     traj = u.Trajectory(times, states, cfg.params.n)
     traj = dataclasses.replace(traj, y=[float(COSTS[name](theta)) for theta in traj.theta])
     series = [(traj.times, traj.theta[:, i], f"theta_{i + 1}") for i in range(traj.n)] + [(traj.times, traj.y, "y")]
-    return {f"{name}.trajectory.csv": traj.to_csv(), f"{name}.svg": line_plot(series, title=name, xlabel="t")}
+    return {f"{name}.trajectory.csv": traj.to_csv(), f"{name}.svg": line_plot(series, name)}
 
 
 def _largest_difference(got: list, want: list) -> float:

@@ -1,9 +1,11 @@
 """Averaged dynamics, bracket computations, and the stability probe."""
 
 import dataclasses
+import functools
 import math
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -198,7 +200,7 @@ def _counting_integrate(monkeypatch, fail_trial=None):
         kind = "averaged" if getattr(rhs, "dither_omega_max", None) is None else "full"  # only the averaged rhs is untagged
         calls.append((kind, np.shape(x0)))
         if kind == "averaged" and len(calls) - 1 == fail_trial:  # the averaged jobs come first, one per trial
-            raise IntegrationDiverged("forced", t_last=args[0])
+            raise IntegrationDiverged("forced", t_last=args[0], trajectory=u.Trajectory([args[0]], [x0], len(x0) - 1))
         return real(rhs, x0, *args, **kwargs)
 
     monkeypatch.setattr(averaging, "integrate", integrate)
@@ -282,6 +284,26 @@ def test_probe_jobs_run_in_workers(quartic, fig3_params, monkeypatch, tmp_path):
     assert len(seen) == (1 + len(PROBE_CFG.omega_values)) * PROBE_CFG.trials
     assert os.getpid() not in seen
     assert len(set(seen)) <= 2
+    assert averaging._JOBS == []
+
+
+def test_run_jobs_pool_returns_results_in_job_order(monkeypatch, tmp_path):
+    # toy jobs, listed shortest first as the probe lists its own, in two forked workers: the results come back
+    # in job order, a diverged job gives None, and the two longest jobs start first
+    starts = tmp_path / "starts"
+
+    def job(i):
+        with open(starts, "a") as f:
+            f.write(f"{i}\n")
+        time.sleep(0.05)
+        if i == 2:
+            raise IntegrationDiverged("forced", t_last=0.0, trajectory=u.Trajectory([0.0], [[1.0]], 1))
+        return i * i
+
+    _pooled(monkeypatch)
+    assert averaging._run_jobs([functools.partial(job, i) for i in range(6)]) == [0, 1, None, 9, 16, 25]
+    started = [int(line) for line in starts.read_text().split()]
+    assert sorted(started) == list(range(6)) and set(started[:2]) == {4, 5}
     assert averaging._JOBS == []
 
 

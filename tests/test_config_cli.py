@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
-from ueslab import averaging, cli
+from ueslab import cli, controllers
 from ueslab.config import config_from_text, parse_kv_text
 from ueslab.errors import ConfigError
 
@@ -132,6 +132,12 @@ def test_config_defaults():
             "schedule.t0 = 1e6\nsim.horizon = 1\n"
             "probe.omegas = 10, 1e4\nprobe.epsilon = 0.25\nprobe.delta = 1\nprobe.horizon = 1\nprobe.trials = 1\n",
             "schedule.t0 = 1e\\+06 is too large.*probe.horizon",
+        ),
+        (
+            # phi = e^(2 t) leaves double range within the probe's horizon, though not within the run's
+            "map.name = quadratic\nmap.theta_star = 1\nschedule.kind = exponential\nschedule.lambda = 1\nes.k = 3\n"
+            "probe.omegas = 10, 20\nprobe.epsilon = 0.25\nprobe.delta = 1\nprobe.horizon = 400\nprobe.trials = 1\n",
+            "probe.horizon = 400 is too long.*phi",
         ),
     ],
 )
@@ -367,7 +373,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
 def test_config_checks_the_averaged_system_without_assembling_it(monkeypatch):
     # load runs the averaged loop's refusals, not its assembly; the refusal names schedule.kind
     assembled = []
-    monkeypatch.setattr(averaging, "_frame_loop", lambda *args, **kwargs: assembled.append(args))
+    monkeypatch.setattr(controllers, "_frame_loop", lambda *args, **kwargs: assembled.append(args))
     assert config_from_text(SMALL_PROBE, name="probe").probe is not None
     expo = SMALL_PROBE.replace(
         "schedule.kind = asymptotic\nschedule.beta = 0.1\nschedule.v = 0.3333333333333333\nschedule.r = 4\n",
@@ -409,7 +415,14 @@ def test_cli_lemma_check_verdicts(capsys):
     assert cli.main(mild + ["--beta", "1e308"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "numeric failure: closed form left double range at t = 1.798 (s = 1 + beta (t - t0) = inf, c = 3e-309)\n"
+    assert err == "numeric failure: closed form left double range at t = 1.798 (s = 1 + beta t = inf, c = 3e-309)\n"
+    # c = 200: s^c overflows past t = 33.8 while V stays in range, so these flags reach a verdict
+    large_c = ["lemma-check", "--beta", "1", "--eps1", "0.2", "--eps2", "100", "--p", "0.5", "--q", "3", "--v0", "1"]
+    assert cli.main(large_c + ["--t1", "100"]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("comparison-ODE check: max relative error ") and out.endswith(" on [0, 100] with dt = 0.001 (FAIL)\n")
+    assert cli.main(large_c + ["--t1", "100", "--dt", "5e-4"]) == 0
+    assert "(ok)" in capsys.readouterr().out
 
 
 def test_cli_module_entrypoint():

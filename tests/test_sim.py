@@ -324,13 +324,16 @@ def test_comparison_ode_parameter_validation():
 
 
 def test_closed_form_refuses_values_out_of_double_range():
-    # s = 1 + beta t overflows to inf past t = 1.797; s^c with c = 200 raises OverflowError past s = 10^1.54,
-    # where V itself is still finite
-    for beta, eps2, q, t_ok, t_out in ((1e308, 0.3, 2.0, 1.79, 1.8), (1.0, 100.0, 3.0, 10.0, 100.0)):
-        p = u.Lemma1Params(beta=beta, eps1=0.2, eps2=eps2, p=0.5, q=q, v0=1.0)
-        assert math.isfinite(u.lemma1_solution(p, t_ok))
-        with pytest.raises(FloatingPointError, match=f"closed form left double range at t = {t_out:g}"):
-            u.lemma1_solution(p, t_out)
+    # s = 1 + beta t overflows to inf past t = 1.797
+    p = u.Lemma1Params(beta=1e308, eps1=0.2, eps2=0.3, p=0.5, q=2.0, v0=1.0)
+    assert math.isfinite(u.lemma1_solution(p, 1.79))
+    with pytest.raises(FloatingPointError, match="closed form left double range at t = 1.8 "):
+        u.lemma1_solution(p, 1.8)
+    # with c = 200, s^c alone overflows past s = 10^1.54, where V is still finite: past t = 10, s^(c+1-p)
+    # outgrows v0^(1-q) by more than 2^53, and V rounds to its limit (s^(p-1) / eps3)^(1/(q-1))
+    p = u.Lemma1Params(beta=1.0, eps1=0.2, eps2=100.0, p=0.5, q=3.0, v0=1.0)
+    for t in (10.0, 100.0, 1e300):
+        assert u.lemma1_solution(p, t) == pytest.approx(((1.0 + t) ** -0.5 / p.eps3) ** 0.5, rel=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
