@@ -9,7 +9,9 @@ float, or one tuple of floats, which a tuple, a list or a 1-D array start
 becomes; ``integrate`` integrates one state per call, in one RK4 loop that
 ``rk4_text`` writes out per component and that is compiled once per distinct
 text.  Its stages call the rhs, or are inline text when that very function
-object carries its own loop (the deployed loop's ``rk4_loop`` tag).
+object carries its own loop (the deployed loop's ``rk4_loop`` tag).  A
+``Trajectory`` gives its CSV text in blocks of ``FORMAT_BLOCK`` rows, so a
+caller can write it to a file without holding the whole text.
 
 ``lemma1_rhs`` / ``lemma1_solution`` form a self-oracle pair: a scalar
 comparison ODE with a known closed-form solution, used to validate the
@@ -23,7 +25,7 @@ import math
 import textwrap
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -56,7 +58,9 @@ class Trajectory:
     y       optional (m,) measured cost when a map was in the loop
 
     ``integrate`` hands over its flat float buffers as times and states without a copy, so a recorded row
-    costs its d + 1 floats.  ``to_csv`` formats FORMAT_BLOCK rows at a time.
+    costs its d + 1 floats.  ``csv_blocks`` yields the CSV text FORMAT_BLOCK rows at a time, each block
+    stacked from its own slices of the columns, so writing it holds one block's floats and text, not the
+    record's; ``to_csv`` joins those blocks.
     """
 
     times: Array
@@ -71,7 +75,7 @@ class Trajectory:
             raise ValueError("times must be 1-D and states (m, d)")
         if len(self.times) != len(self.states):
             raise ValueError(f"{len(self.times)} times vs {len(self.states)} state rows")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
+        if not np.all(self.times[1:] > self.times[:-1]):
             raise ValueError("sample times must be strictly increasing")
         if not (0 < self.n <= self.states.shape[1]):
             raise ValueError(f"n = {self.n} incompatible with state width {self.states.shape[1]}")
@@ -94,22 +98,26 @@ class Trajectory:
             raise ValueError("trajectory has no washout-filter column")
         return self.states[:, self.n]
 
-    def to_csv(self) -> str:
-        """CSV text: header t,theta_1..theta_n,eta,y; 17 significant digits."""
+    def csv_blocks(self) -> Iterator[str]:
+        """CSV text in pieces: the header t,theta_1..theta_n,eta,y, then one string per FORMAT_BLOCK rows;
+        17 significant digits.  A block is stacked from that block's slices of the columns."""
         cols = ["t"] + [f"theta_{i + 1}" for i in range(self.n)]
-        blocks = [self.times[:, None], self.theta]
+        columns = [self.times[:, None], self.theta]
         if self.states.shape[1] == self.n + 1:
             cols.append("eta")
-            blocks.append(self.states[:, self.n : self.n + 1])
+            columns.append(self.states[:, self.n : self.n + 1])
         if self.y is not None:
             cols.append("y")
-            blocks.append(self.y[:, None])
-        data = np.hstack(blocks)
-        row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-        return "".join([",".join(cols) + "\n"] + [
-            (row * len(block)) % tuple(block.ravel().tolist())
-            for block in (data[i : i + FORMAT_BLOCK] for i in range(0, len(data), FORMAT_BLOCK))
-        ])
+            columns.append(self.y[:, None])
+        yield ",".join(cols) + "\n"
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        for i in range(0, len(self.times), FORMAT_BLOCK):
+            block = np.hstack([column[i : i + FORMAT_BLOCK] for column in columns])
+            yield (row * len(block)) % tuple(block.ravel().tolist())
+
+    def to_csv(self) -> str:
+        """The whole CSV text of ``csv_blocks``."""
+        return "".join(self.csv_blocks())
 
 
 # generated text, compiled once per distinct text

@@ -2,12 +2,15 @@
 
 Diagnostic output only: the CSV artifacts are the contract, the plot is for
 eyeballs.  Pure text generation, byte-stable for identical inputs.
+``line_plot_blocks`` yields the text in pieces, a polyline's points
+``FORMAT_BLOCK`` at a time, so a caller can write it to a file without
+holding the whole text; ``line_plot`` joins the pieces.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,10 +49,11 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str) -> str:
-    """SVG text for one WIDTH x HEIGHT axes, titled, with several labelled (x, y, label) polylines over x = t.
+def line_plot_blocks(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str) -> Iterator[str]:
+    """SVG text in pieces for one WIDTH x HEIGHT axes, titled, with several labelled (x, y, label) polylines
+    over x = t: one string per element, and each polyline's points FORMAT_BLOCK at a time.
 
-    Non-finite samples are dropped.
+    Non-finite samples are dropped before the points are cut into blocks, so no block is empty.
     """
     if not series:
         raise ValueError("need at least one series")
@@ -86,45 +90,49 @@ def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str) 
     def py(v):
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
-    parts = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="monospace" font-size="11">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="monospace" font-size="11">\n'
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
         f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" height="{plot_h:.2f}" '
-        'fill="none" stroke="#444" stroke-width="1"/>',
-        f'<text x="{WIDTH / 2:.2f}" y="20" text-anchor="middle" font-size="13">{_esc(title)}</text>',
-    ]
+        'fill="none" stroke="#444" stroke-width="1"/>\n'
+        f'<text x="{WIDTH / 2:.2f}" y="20" text-anchor="middle" font-size="13">{_esc(title)}</text>\n'
+    )
 
     for tick in _nice_ticks(x_lo, x_hi):
         X = px(tick)
-        parts.append(f'<line x1="{X:.2f}" y1="{_MARGIN_T + plot_h:.2f}" x2="{X:.2f}" y2="{_MARGIN_T + plot_h + 5:.2f}" stroke="#444"/>')
-        parts.append(f'<text x="{X:.2f}" y="{_MARGIN_T + plot_h + 17:.2f}" text-anchor="middle">{_fmt(tick)}</text>')
+        yield f'<line x1="{X:.2f}" y1="{_MARGIN_T + plot_h:.2f}" x2="{X:.2f}" y2="{_MARGIN_T + plot_h + 5:.2f}" stroke="#444"/>\n'
+        yield f'<text x="{X:.2f}" y="{_MARGIN_T + plot_h + 17:.2f}" text-anchor="middle">{_fmt(tick)}</text>\n'
     for tick in _nice_ticks(y_lo, y_hi):
         Y = py(tick)
-        parts.append(f'<line x1="{_MARGIN_L - 5:.2f}" y1="{Y:.2f}" x2="{_MARGIN_L:.2f}" y2="{Y:.2f}" stroke="#444"/>')
-        parts.append(f'<text x="{_MARGIN_L - 8:.2f}" y="{Y + 3.5:.2f}" text-anchor="end">{_fmt(tick)}</text>')
-        parts.append(
+        yield f'<line x1="{_MARGIN_L - 5:.2f}" y1="{Y:.2f}" x2="{_MARGIN_L:.2f}" y2="{Y:.2f}" stroke="#444"/>\n'
+        yield f'<text x="{_MARGIN_L - 8:.2f}" y="{Y + 3.5:.2f}" text-anchor="end">{_fmt(tick)}</text>\n'
+        yield (
             f'<line x1="{_MARGIN_L:.2f}" y1="{Y:.2f}" x2="{_MARGIN_L + plot_w:.2f}" y2="{Y:.2f}" '
-            'stroke="#ddd" stroke-width="0.5"/>'
+            'stroke="#ddd" stroke-width="0.5"/>\n'
         )
-    parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 8:.2f}" text-anchor="middle">{_XLABEL}</text>')
+    yield f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 8:.2f}" text-anchor="middle">{_XLABEL}</text>\n'
 
     for idx, (x, y, label) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass silently, as on Python floats
-            xy = np.column_stack([px(x), py(y)])
-        points = " ".join(
-            " ".join(["%.2f,%.2f"] * len(block)) % tuple(block.ravel().tolist())
-            for block in (xy[i : i + FORMAT_BLOCK] for i in range(0, len(xy), FORMAT_BLOCK))
-        )
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>')
+        yield f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="'
+        for i in range(0, len(x), FORMAT_BLOCK):
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass silently, as on Python floats
+                xy = np.column_stack([px(x[i : i + FORMAT_BLOCK]), py(y[i : i + FORMAT_BLOCK])])
+            # points are separated by one space, also across a block edge
+            yield (" " if i else "") + " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+        yield '"/>\n'
         Yl = _MARGIN_T + 14 + 14 * idx
         Xl = _MARGIN_L + plot_w - 10
-        parts.append(f'<line x1="{Xl - 26:.2f}" y1="{Yl - 3.5:.2f}" x2="{Xl - 8:.2f}" y2="{Yl - 3.5:.2f}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{Xl - 30:.2f}" y="{Yl:.2f}" text-anchor="end">{_esc(label)}</text>')
+        yield f'<line x1="{Xl - 26:.2f}" y1="{Yl - 3.5:.2f}" x2="{Xl - 8:.2f}" y2="{Yl - 3.5:.2f}" stroke="{color}" stroke-width="2"/>\n'
+        yield f'<text x="{Xl - 30:.2f}" y="{Yl:.2f}" text-anchor="end">{_esc(label)}</text>\n'
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "</svg>\n"
+
+
+def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str) -> str:
+    """The whole SVG text of ``line_plot_blocks``."""
+    return "".join(line_plot_blocks(series, title))
 
 
 def _esc(text: str) -> str:

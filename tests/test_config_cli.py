@@ -266,6 +266,24 @@ def test_cli_run_overflow_writes_partial_artifacts(tmp_path, monkeypatch):
         assert (tmp_path / "o" / f"overflow{suffix}").exists()
 
 
+def test_interrupted_artifact_write_leaves_no_truncated_file(tmp_path):
+    # a streamed artifact stops after its first block: nothing appears under its name, and an earlier file
+    # there keeps its bytes
+    def blocks():
+        yield "t,theta_1\n"
+        raise RuntimeError("interrupted")
+
+    path = tmp_path / "run.trajectory.csv"
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli._write_streamed(path, blocks())
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("earlier\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli._write_streamed(path, blocks())
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text(encoding="utf-8") == "earlier\n"
+
+
 def test_cli_run_cost_column_overflow_exits_3(tmp_path, monkeypatch, capsys):
     # the measured-cost column is computed after the integration; its OverflowError is still a numeric failure
     cfg = cli.resolve_config("fig2_nominal_a")

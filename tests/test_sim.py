@@ -274,9 +274,22 @@ def test_recording_and_csv_memory_per_row():
     traj, peak = _traced_peak(lambda: u.integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, n=1))
     assert len(traj.times) == step_count(t0, t0 + cfg.horizon, cfg.dt) + 1
     assert peak <= 64 * len(traj.times)
-    traj = dataclasses.replace(traj, y=[cfg.map.eval(theta) for theta in zip(*traj.theta.T.tolist())])
-    text, peak = _traced_peak(traj.to_csv)
+    text, peak = _traced_peak(cli.measured(traj, cfg.map).to_csv)
     assert peak <= 3 * len(text)
+
+
+def test_run_artifacts_and_cost_column_memory(tmp_path):
+    # exponential_ues recorded at every step: run's y column costs about its 8 bytes a row, and the CSV and the
+    # SVG go to their files a block at a time, so writing them holds far less than the text they make
+    cfg = cli.resolve_config("exponential_ues")
+    rhs, x0, t0 = u.es_closed_loop(cfg.params, cfg.map), (*cfg.theta0.tolist(), cfg.eta0), cfg.params.schedule.t0
+    traj = u.integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, n=1)
+    traj, peak = _traced_peak(lambda: cli.measured(traj, cfg.map))
+    assert peak <= 16 * len(traj.times)
+    _, peak = _traced_peak(lambda: cli._write_run_artifacts(cfg, tmp_path, traj, []))
+    names = [f"exponential_ues{suffix}" for suffix in (".fits.csv", ".svg", ".trajectory.csv")]
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    assert peak <= 0.5 * sum(path.stat().st_size for path in tmp_path.iterdir())
 
 
 def test_comparison_ode_closed_form():

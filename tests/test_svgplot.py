@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ueslab.sim import FORMAT_BLOCK
-from ueslab.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, HEIGHT, WIDTH, _too_narrow, line_plot
+from ueslab.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, HEIGHT, WIDTH, _too_narrow, line_plot, line_plot_blocks
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -59,20 +59,30 @@ def test_nothing_to_plot_is_refused(series):
         line_plot(series, "empty")
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", range(6))
 def test_polyline_points_equal_per_point_formatting(seed):
     # one wide random series: no axis is widened, so the bounds are its extremes and y's 4% pad;
-    # the last seed's series spans three formatting blocks, the last of one point
+    # the last two seeds' series span three formatting blocks, and the last seed's has a non-finite sample
+    # at both block edges of the input and between the two points at each block edge of the points kept
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 300)) if seed < 4 else 2 * FORMAT_BLOCK + 1
+    m = int(rng.integers(2, 300)) if seed < 4 else 2 * FORMAT_BLOCK + (1 if seed == 4 else 8)
     x = np.sort(rng.uniform(-1.0, 1.0, m)) * 10.0 ** rng.uniform(-5, 5)
     y = rng.standard_normal(m) * 10.0 ** rng.uniform(-5, 5) + rng.uniform(-1e3, 1e3)
-    x_lo, x_hi, y_lo, y_hi = float(x.min()), float(x.max()), float(y.min()), float(y.max())
+    B = FORMAT_BLOCK
+    if seed == 5:
+        y[[B - 1, B + 1, 2 * B - 1]] = np.nan, np.inf, -np.inf
+        x[2 * B + 3] = np.nan
+    keep = np.isfinite(x) & np.isfinite(y)
+    if seed == 5:
+        assert np.flatnonzero(keep)[[B - 1, B, 2 * B - 1, 2 * B]].tolist() == [B, B + 2, 2 * B + 2, 2 * B + 4]
+    x_lo, x_hi, y_lo, y_hi = float(x[keep].min()), float(x[keep].max()), float(y[keep].min()), float(y[keep].max())
     assert not (_too_narrow(x_lo, x_hi) or _too_narrow(y_lo, y_hi))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     plot_w, plot_h = WIDTH - _MARGIN_L - _MARGIN_R, HEIGHT - _MARGIN_T - _MARGIN_B
     px = lambda v: _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
     py = lambda v: _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
-    want = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x.tolist(), y.tolist()))
-    assert _polylines(line_plot([(x, y, "s")], "random"))[0].get("points") == want
+    want = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x[keep].tolist(), y[keep].tolist()))
+    streamed = "".join(line_plot_blocks([(x, y, "s")], "random"))
+    assert streamed == line_plot([(x, y, "s")], "random")
+    assert _polylines(streamed)[0].get("points") == want

@@ -47,3 +47,24 @@ def test_tracer_sees_every_averaged_evaluation(monkeypatch):
     metrics = tracer.metrics()
     assert metrics["averaging.avg_integrations"] == 1
     assert metrics["averaging.avg_rhs_evals"] == 4 * steps + steps + 1
+
+
+def test_traced_run_completes_and_counts_its_steps(monkeypatch, tmp_path):
+    # the run path under the tracer, as --trace 1 runs it: a value a tracer hook cannot take fails here
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path))
+    import tracing
+
+    from ueslab import cli
+    from ueslab.sim import step_count
+
+    cfg = cli.resolve_config("fig2_nominal_a")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["run", "fig2_nominal_a"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    t0 = cfg.params.schedule.t0
+    assert tracer.metrics()["sim.rk4_steps"] == step_count(t0, t0 + cfg.horizon, cfg.dt)
