@@ -65,7 +65,8 @@ def line_plot_blocks(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         keep = np.isfinite(x) & np.isfinite(y)
-        x, y = x[keep], y[keep]
+        if not keep.all():  # a copy only when a sample is dropped
+            x, y = x[keep], y[keep]
         if x.size:
             prepared.append((x, y, label))
     if not prepared:

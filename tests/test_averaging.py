@@ -4,7 +4,11 @@ import dataclasses
 import functools
 import math
 import os
+import pickle
 import signal
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
@@ -307,6 +311,120 @@ def test_run_jobs_pool_returns_results_in_job_order(monkeypatch, tmp_path):
     assert averaging._JOBS == []
 
 
+@pytest.fixture
+def deadline():
+    """Fail a test that still waits after 60 s instead of letting it hang."""
+    def give_up(signum, frame):
+        raise TimeoutError("the runner still waits after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_run_jobs_results_larger_than_a_pipe_do_not_stall_workers(monkeypatch, deadline):
+    # each result is about 100 KiB, more than a pipe holds, so a worker finishes sending one only while the parent
+    # reads it: both workers keep taking jobs, where a parent that read one pipe to its end before the other
+    # would leave the second worker stuck on its first result, and the results come back in job order
+    def job(i):
+        time.sleep(0.05)
+        return os.getpid(), bytes([i]) * (100 * 1024)
+
+    _pooled(monkeypatch)
+    results = averaging._run_jobs([functools.partial(job, i) for i in range(8)])
+    assert [payload for _, payload in results] == [bytes([i]) * (100 * 1024) for i in range(8)]
+    taken = [pid for pid, _ in results]
+    assert len(set(taken)) == 2 and os.getpid() not in taken
+    assert min(taken.count(pid) for pid in set(taken)) >= 2
+
+
+def test_run_jobs_more_jobs_than_the_task_pipe_holds(monkeypatch, deadline):
+    # 20,000 four-byte records are more than a 64 KiB pipe takes before the workers start reading; four workers,
+    # more than a two-core machine has, share the task pipe, and every index is run once: a torn or repeated read
+    # would lose some job's result
+    monkeypatch.setattr(averaging, "_worker_count", lambda jobs: 4)
+    assert averaging._run_jobs([functools.partial(int, i) for i in range(20_000)]) == list(range(20_000))
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def test_run_jobs_leaves_no_process_or_descriptor_behind(monkeypatch, deadline):
+    parent = os.getpid()
+
+    def job(i, fail=None):
+        time.sleep(0.02)
+        if i == 3 and fail == "raise":
+            raise ValueError("job 3 refused")
+        if i == 3 and fail == "die" and os.getpid() != parent:
+            os._exit(1)
+        return i
+
+    _pooled(monkeypatch)
+    for fail, raises in ((None, None), ("raise", ValueError), ("die", WorkerLost)):
+        before = _open_fds()
+        jobs = [functools.partial(job, i, fail) for i in range(6)]
+        if raises is None:
+            assert averaging._run_jobs(jobs) == list(range(6))
+        else:
+            with pytest.raises(raises):
+                averaging._run_jobs(jobs)
+        with pytest.raises(ChildProcessError):  # every worker has been reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert _open_fds() == before
+        assert averaging._JOBS == []
+
+
+class _NeedsTwoArguments(Exception):
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")  # args holds one string, so unpickling calls this with one argument
+
+
+@pytest.mark.parametrize("unsent, message", [
+    ("result", r"^probe job 1's result cannot be pickled to leave its worker process \(TypeError: "),
+    ("exception", r"^probe job 1's exception ValueError\(<unlocked _thread.lock object at .*\) cannot be pickled"),
+    ("unpicklable exception", r"^a probe worker's message cannot be unpickled here \(TypeError: "),
+])
+def test_run_jobs_unpicklable_result_or_exception_is_reported(monkeypatch, capfd, deadline, unsent, message):
+    def job(i):
+        if i != 1:
+            return i
+        if unsent == "result":
+            return threading.Lock()
+        if unsent == "exception":
+            raise ValueError(threading.Lock())
+        raise _NeedsTwoArguments("job 1", "refused")
+
+    _pooled(monkeypatch)
+    with pytest.raises(RuntimeError, match=message):
+        averaging._run_jobs([functools.partial(job, i) for i in range(4)])
+    assert "Traceback" not in capfd.readouterr().err  # no worker printed one
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(TypeError):  # the case is what it says: the exception's own pickle does not load
+        pickle.loads(pickle.dumps(_NeedsTwoArguments("a", "b")))
+
+
+def test_sweep_imports_no_process_pool(tmp_path):
+    # a fresh `ueslab sweep omega_sweep`, forced to fork two workers, loads neither module into the parent
+    script = (
+        "import sys\n"
+        "from ueslab import averaging, cli\n"
+        "averaging._worker_count = lambda jobs: min(jobs, 2)\n"
+        "code = cli.main(['sweep', 'omega_sweep'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, UESLAB_OUT=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "omega_sweep.probe.csv").is_file()
+
+
 def test_probe_worker_exception_reaches_parent(quartic, fig3_params, monkeypatch):
     real = averaging.es_closed_loop
 
@@ -328,7 +446,7 @@ def test_probe_worker_exception_reaches_parent(quartic, fig3_params, monkeypatch
     assert averaging._JOBS == []
 
 
-def test_probe_dead_worker_raises_instead_of_waiting(quartic, fig3_params, monkeypatch):
+def test_probe_dead_worker_raises_instead_of_waiting(quartic, fig3_params, monkeypatch, deadline):
     # a worker that exits without returning, as one killed from outside would
     parent = os.getpid()
     real = averaging.integrate
@@ -338,19 +456,10 @@ def test_probe_dead_worker_raises_instead_of_waiting(quartic, fig3_params, monke
             os._exit(1)
         return real(*args, **kwargs)
 
-    def give_up(signum, frame):
-        raise TimeoutError("the probe still waits for a dead worker")
-
     monkeypatch.setattr(averaging, "integrate", integrate)
     _pooled(monkeypatch)
-    previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(60)
-    try:
-        with pytest.raises(WorkerLost, match="ended without returning"):
-            u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(WorkerLost, match="ended without returning"):
+        u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
     assert averaging._JOBS == []
 
 

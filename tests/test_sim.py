@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
-from ueslab import cli
+from ueslab import cli, svgplot
 from ueslab.averaging import _trial_starts
 from ueslab.config import config_from_text
 from ueslab.controllers import phase_error
@@ -290,6 +290,14 @@ def test_run_artifacts_and_cost_column_memory(tmp_path):
     names = [f"exponential_ues{suffix}" for suffix in (".fits.csv", ".svg", ".trajectory.csv")]
     assert sorted(path.name for path in tmp_path.iterdir()) == names
     assert peak <= 0.5 * sum(path.stat().st_size for path in tmp_path.iterdir())
+    # all samples finite: the SVG alone may hold a one-byte finite mask per sample and one block's formatting, but
+    # no copy of the samples, which at 16 bytes a point against about 13 bytes of text a point would alone exceed
+    # the text's size
+    series = [(traj.times, traj.theta[:, 0], "theta_1"), (traj.times, traj.y, "y")]
+    svg = tmp_path / "alone.svg"
+    _, peak = _traced_peak(lambda: cli._write_streamed(svg, svgplot.line_plot_blocks(series, cfg.name)))
+    assert svg.read_bytes() == (tmp_path / "exponential_ues.svg").read_bytes()
+    assert peak <= 0.75 * svg.stat().st_size
 
 
 def test_comparison_ode_closed_form():
