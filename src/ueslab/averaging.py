@@ -17,8 +17,8 @@ the smallest swept omega (it reads neither omega nor omega_hat), and the
 deployed loop once per (omega, trial).  The full-loop samples read the
 averaged run through a cubic Hermite interpolant.  Those integrations share
 no state, so they run as independent jobs in forked worker processes, one
-per available CPU, which take job indices from one pipe and send their
-results back pickled, each on its own pipe.
+per available CPU, which take each job by creating its result file and
+write the job's result there pickled.
 """
 
 from __future__ import annotations
@@ -230,10 +230,10 @@ def _run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
     forked worker processes (see _fork_jobs), one job at a time each, from
     the last job back, so that the longest start first.  The jobs close over
     right-hand sides, which cannot be pickled, so the workers inherit them
-    through _JOBS and receive only indices.  A job that diverged gives None,
-    another exception raised in a job is raised here with its type and
-    message, and a dead worker raises WorkerLost instead of leaving the probe
-    waiting.
+    through _JOBS and only their results are pickled.  A job that diverged
+    gives None; an exception raised in another job is raised here with its
+    type and message, the first in job order once every worker has ended;
+    and a dead worker raises WorkerLost instead of leaving the probe waiting.
     """
     workers = _worker_count(len(jobs))
     _JOBS[:] = jobs
@@ -245,145 +245,87 @@ def _run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
         _JOBS.clear()
 
 
-_RECORD = 4  # bytes of one job index in the task pipe; a read of at most PIPE_BUF bytes is atomic
-_HEADER = 8  # bytes of the length that precedes each pickled message on a result pipe
-
-
 def _fork_jobs(count: int, workers: int) -> list:
     """The results of _JOBS[:count], run by `workers` forked processes.
 
-    One task pipe holds every job index, longest job first, as a _RECORD-byte
-    record; each worker reads one record, runs that job, sends its message
-    and reads the next, until the pipe is empty and closed, so the jobs are
-    balanced as they finish.  The records are written before the first fork
-    as far as the pipe takes them, the rest as workers read.  Each worker
-    sends (index, ok, value) pickled on its own result pipe, and the parent
-    reads every result pipe as data arrives, so no worker waits on a full
-    pipe.  On any exception the workers are killed; every worker is reaped
-    and every pipe closed before this returns or raises.
+    Each worker walks the job indices from the last, the longest job, back to
+    the first, and takes a job by creating its result file, named by its
+    index, in a private temporary directory with O_EXCL: a file that already
+    exists is another worker's job.  So each job runs once and the jobs are
+    balanced as they finish.  The worker writes the pickle of (ok, value) into
+    that file and leaves only through os._exit.  The parent waits for each
+    worker in turn, raises WorkerLost for one that did not exit with status 0,
+    and then reads the files in job order, raising the first exception a job
+    raised.  On any exception the workers are killed; every worker is reaped
+    before the directory is removed and this returns or raises.
     """
     # imported here, not at module level: `run` never forks and would pay for them in start-up time
-    import select
     import signal
+    import tempfile
 
-    tasks = b"".join(i.to_bytes(_RECORD, "little") for i in reversed(range(count)))
-    chunk = select.PIPE_BUF - select.PIPE_BUF % _RECORD  # whole records, written atomically or not at all
-    task_r, task_w = os.pipe()
-    os.set_blocking(task_w, False)
-    fds = {task_r, task_w}  # every descriptor open here
-    owners = {}  # result read end -> pid of the worker writing it
-    results, received = [None] * count, 0
-
-    def feed():
-        nonlocal tasks
+    pids = []  # the workers not yet reaped
+    with tempfile.TemporaryDirectory() as tmp:
         try:
-            while tasks:
-                tasks = tasks[os.write(task_w, tasks[:chunk]) :]
-        except BlockingIOError:  # the pipe is full; more goes in as workers read
-            return
-        except BrokenPipeError:  # every worker has gone; the jobs left are reported lost
-            tasks = b""
-        os.close(task_w)
-        fds.discard(task_w)
-
-    try:
-        feed()
-        for _ in range(workers):
-            result_r, result_w = os.pipe()
-            fds.update((result_r, result_w))
-            pid = os.fork()
-            if pid == 0:  # the worker: nothing it raises leaves this block, and it never returns
-                status = 1
-                try:
-                    for fd in fds - {task_r, result_w}:
-                        os.close(fd)
-                    _work(task_r, result_w)
-                    status = 0
-                finally:
-                    os._exit(status)
-            owners[result_r] = pid
-            os.close(result_w)
-            fds.discard(result_w)
-        os.close(task_r)
-        fds.discard(task_r)
-
-        while owners:
-            readable, writable, _ = select.select(list(owners), [task_w] if tasks else [], [])
-            if writable:
-                feed()
-            for fd in readable:
-                head = _read_exactly(fd, _HEADER)
-                if len(head) == _HEADER:
-                    size = int.from_bytes(head, "little")
-                    body = _read_exactly(fd, size)
-                    if len(body) == size:
-                        index, ok, value = _loads(body)
-                        if not ok:
-                            raise value
-                        results[index] = value
-                        received += 1
-                        continue
-                # the worker closed its pipe, so it has ended: cleanly only with status 0 between two messages
-                os.close(fd)
-                fds.discard(fd)
-                code = os.waitstatus_to_exitcode(os.waitpid(owners.pop(fd), 0)[1])
-                if code or head:
-                    raise _lost(f"exit status {code}" if code >= 0 else f"killed by signal {-code}")
-        if received < count:
-            raise _lost("exit status 0")
-        return results
-    except BaseException:
-        for pid in owners.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for fd in fds:
-            os.close(fd)
-        for pid in owners.values():
-            os.waitpid(pid, 0)
+            for _ in range(workers):
+                pid = os.fork()
+                if pid == 0:  # the worker: nothing it raises leaves this block, and it never returns
+                    status = 1
+                    try:
+                        _work(tmp, count)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+            while pids:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                del pids[0]
+                if code:
+                    how = f"exit status {code}" if code > 0 else f"killed by signal {-code}"
+                    raise WorkerLost(f"a probe worker process ended without returning its result ({how})")
+            return [_result(tmp, index) for index in range(count)]
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid in pids:
+                os.waitpid(pid, 0)
 
 
-def _lost(how: str) -> WorkerLost:
-    return WorkerLost(f"a probe worker process ended without returning its result ({how})")
-
-
-def _work(tasks: int, out: int) -> None:
-    """A forked worker's loop: run the job of each index read from `tasks` and send its message on `out`."""
-    while record := os.read(tasks, _RECORD):
-        index = int.from_bytes(record, "little")
+def _work(tmp: str, count: int) -> None:
+    """A forked worker's loop: take each job no other worker has, from the last back, and write its result file."""
+    for index in reversed(range(count)):
         try:
-            message = (index, True, _run_job(index))
-        except Exception as e:  # sent to the parent, which raises it; an interrupt or exit ends the worker instead
-            message = (index, False, e)
+            fd = os.open(os.path.join(tmp, str(index)), os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+        except FileExistsError:  # another worker took this job
+            continue
+        try:
+            message = (True, _run_job(index))
+        except Exception as e:  # written for the parent, which raises it; an interrupt or exit ends the worker instead
+            message = (False, e)
         try:
             data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
         except Exception as e:
-            what = "result" if message[1] else f"exception {message[2]!r}"
-            data = pickle.dumps((index, False, RuntimeError(
+            what = "result" if message[0] else f"exception {message[1]!r}"
+            data = pickle.dumps((False, RuntimeError(
                 f"probe job {index}'s {what} cannot be pickled to leave its worker process ({type(e).__name__}: {e})")))
-        for part in (len(data).to_bytes(_HEADER, "little"), data):
-            view = memoryview(part)
-            while view:
-                view = view[os.write(out, view) :]
+        with open(fd, "wb") as f:
+            f.write(data)
 
 
-def _read_exactly(fd: int, size: int):
-    """`size` bytes read from fd into one buffer, or fewer if the pipe ends first."""
-    buf = bytearray(size)
-    view, got = memoryview(buf), 0
-    while got < size:
-        n = os.readv(fd, [view[got:]])
-        if n == 0:
-            return buf[:got]
-        got += n
-    return buf
-
-
-def _loads(body):
+def _result(tmp: str, index: int):
+    """Job `index`'s result, read from its file in tmp; an exception the job raised is raised here."""
+    with open(os.path.join(tmp, str(index)), "rb") as f:
+        body = f.read()
+    if not body:  # the worker that took this job exited with status 0 inside it
+        raise WorkerLost("a probe worker process ended without returning its result (exit status 0)")
     try:
-        return pickle.loads(body)
+        ok, value = pickle.loads(body)
     except Exception as e:
         raise RuntimeError(f"a probe worker's message cannot be unpickled here ({type(e).__name__}: {e})") from e
+    if not ok:
+        raise value
+    return value
 
 
 def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> List[ProbeRow]:

@@ -59,8 +59,12 @@ def resolve_config(arg: str) -> ExperimentConfig:
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
+    key = "UESLAB_OUT" if os.environ.get("UESLAB_OUT") else "out.dir"
     out = Path(os.environ.get("UESLAB_OUT") or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"{key} = '{out}' cannot be made the output directory ({type(e).__name__}: {e})") from e
     return out
 
 

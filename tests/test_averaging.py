@@ -8,6 +8,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -325,9 +326,9 @@ def deadline():
 
 
 def test_run_jobs_results_larger_than_a_pipe_do_not_stall_workers(monkeypatch, deadline):
-    # each result is about 100 KiB, more than a pipe holds, so a worker finishes sending one only while the parent
-    # reads it: both workers keep taking jobs, where a parent that read one pipe to its end before the other
-    # would leave the second worker stuck on its first result, and the results come back in job order
+    # each result is about 100 KiB, more than a 64 KiB pipe buffer holds: a worker writes it whole to its job's
+    # file and takes its next job without waiting for the parent, so both workers keep taking jobs, and the
+    # results come back whole and in job order
     def job(i):
         time.sleep(0.05)
         return os.getpid(), bytes([i]) * (100 * 1024)
@@ -341,9 +342,9 @@ def test_run_jobs_results_larger_than_a_pipe_do_not_stall_workers(monkeypatch, d
 
 
 def test_run_jobs_more_jobs_than_the_task_pipe_holds(monkeypatch, deadline):
-    # 20,000 four-byte records are more than a 64 KiB pipe takes before the workers start reading; four workers,
-    # more than a two-core machine has, share the task pipe, and every index is run once: a torn or repeated read
-    # would lose some job's result
+    # 20,000 jobs, more 4-byte indices than a 64 KiB pipe buffer holds, on four workers, more than a two-core
+    # machine has: the workers race to create each job's result file, and only a job taken exactly once gives
+    # its own result in its place
     monkeypatch.setattr(averaging, "_worker_count", lambda jobs: 4)
     assert averaging._run_jobs([functools.partial(int, i) for i in range(20_000)]) == list(range(20_000))
 
@@ -352,7 +353,7 @@ def _open_fds():
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
-def test_run_jobs_leaves_no_process_or_descriptor_behind(monkeypatch, deadline):
+def test_run_jobs_leaves_no_process_or_descriptor_behind(monkeypatch, tmp_path, deadline):
     parent = os.getpid()
 
     def job(i, fail=None):
@@ -361,21 +362,52 @@ def test_run_jobs_leaves_no_process_or_descriptor_behind(monkeypatch, deadline):
             raise ValueError("job 3 refused")
         if i == 3 and fail == "die" and os.getpid() != parent:
             os._exit(1)
+        if i == 3 and fail == "kill" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if i == 3 and fail == "exit 0" and os.getpid() != parent:  # leaves its result file empty
+            os._exit(0)
         return i
 
     _pooled(monkeypatch)
-    for fail, raises in ((None, None), ("raise", ValueError), ("die", WorkerLost)):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where the runner makes its result files
+    for fail, raises, match in ((None, None, None), ("raise", ValueError, "^job 3 refused$"),
+                                ("die", WorkerLost, r"\(exit status 1\)$"),
+                                ("kill", WorkerLost, r"\(killed by signal 9\)$"),
+                                ("exit 0", WorkerLost, r"\(exit status 0\)$")):
         before = _open_fds()
         jobs = [functools.partial(job, i, fail) for i in range(6)]
         if raises is None:
             assert averaging._run_jobs(jobs) == list(range(6))
         else:
-            with pytest.raises(raises):
+            with pytest.raises(raises, match=match):
                 averaging._run_jobs(jobs)
         with pytest.raises(ChildProcessError):  # every worker has been reaped
             os.waitpid(-1, os.WNOHANG)
         assert _open_fds() == before
         assert averaging._JOBS == []
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_run_jobs_with_more_descriptors_open_than_fd_setsize(monkeypatch, deadline):
+    # 1,030 descriptors held open here put the runner's own above FD_SETSIZE (1,024 on Linux), past which
+    # select.select refuses a descriptor; the runner waits on no descriptor, so the results still come back
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    limit = 2048 if hard == resource.RLIM_INFINITY else min(hard, 2048)
+    if limit < 1100:
+        pytest.skip(f"this process may open at most {hard} descriptors")
+    if soft != resource.RLIM_INFINITY and soft < limit:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+    held = []
+    try:
+        for _ in range(1030):
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        _pooled(monkeypatch)
+        assert averaging._run_jobs([functools.partial(int, i) for i in range(6)]) == list(range(6))
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
 
 class _NeedsTwoArguments(Exception):

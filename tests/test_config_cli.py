@@ -334,6 +334,25 @@ def test_cli_out_dir_from_config(tmp_path, monkeypatch):
     assert (tmp_path / "alt" / "small.trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("verb, text", [("run", SMALL_ASYMPTOTIC), ("sweep", SMALL_PROBE)])
+@pytest.mark.parametrize("key", ["UESLAB_OUT", "out.dir"])
+def test_cli_unusable_out_dir_exits_2(tmp_path, monkeypatch, capfd, verb, text, key):
+    # an output directory below a regular file cannot be made: a config error naming where it came from
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    conf = tmp_path / "small.conf"
+    if key == "UESLAB_OUT":
+        conf.write_text(text)
+        monkeypatch.setenv("UESLAB_OUT", str(blocker / "sub"))
+    else:
+        conf.write_text(text + f"out.dir = {blocker / 'sub'}\n")
+        monkeypatch.delenv("UESLAB_OUT", raising=False)
+    assert cli.main([verb, str(conf)]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"config error: {key} = '{blocker / 'sub'}' cannot be made the output directory (")
+    assert "Traceback" not in err
+
+
 def test_cli_sweep(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "probe.conf"
     conf.write_text(SMALL_PROBE)

@@ -15,3 +15,24 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("ueslab")):
                 private += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_binds_an_import_it_never_uses():
+    # a name bound by a module-level import must be read somewhere in its module; `# noqa` marks a deliberate one
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports its imports
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines, tree = source.splitlines(), ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
