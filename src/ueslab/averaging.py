@@ -106,7 +106,7 @@ class ProbeConfig:
     delta         initial-condition ball radius (epsilon <= delta)
     horizon       integration span per trial
     trials        seeded initial conditions per omega
-    seed          draw seed; trials are shared across omega values
+    seed          draw seed >= 0; trials are shared across omega values
     """
 
     omega_values: Tuple[float, ...]
@@ -131,6 +131,8 @@ class ProbeConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -185,13 +187,16 @@ def _hermite(times: Array, values: Array, slopes: Array, at: Array) -> Array:
 
 def _trial_starts(map: CostMap, cfg: ProbeConfig) -> Array:
     """The probe's seeded starts x = [theta, J(theta)], shape (trials, n + 1),
-    with theta uniform in the delta-ball around theta*."""
+    with theta uniform in the delta-ball around theta*; a start whose cost leaves double range raises."""
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.standard_normal((cfg.trials, map.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = cfg.delta * rng.random(cfg.trials) ** (1.0 / map.dim)
     theta0s = map.optimum + radii[:, None] * dirs
-    return np.column_stack([theta0s, [map(theta0) for theta0 in theta0s]])
+    costs = [map(theta0) for theta0 in theta0s]
+    if not all(math.isfinite(cost) for cost in costs):
+        raise FloatingPointError(f"probe.delta = {cfg.delta:g} draws a start whose cost J(theta) is out of double range")
+    return np.column_stack([theta0s, costs])
 
 
 def _integrate_averaged(rhs: Callable, x0: tuple, t0: float, t1: float, dt: float, n: int):

@@ -119,13 +119,11 @@ def _run_one(cfg: ExperimentConfig) -> int:
         print(f"{cfg.name}: integration diverged at t = {e.t_last:g}; partial artifacts in {out}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    bits = [f"{cfg.name}:"]
-    if map_.optimum is not None:
-        gap = float(np.linalg.norm(traj.theta[-1] - map_.optimum))
-        bits.append(f"final |theta - theta*| = {gap:.6g};")
+    gap = float(np.linalg.norm(traj.theta[-1] - map_.optimum))
+    bits = [f"{cfg.name}:", f"final |theta - theta*| = {gap:.6g};"]
 
     fits = []
-    if map_.optimum is not None and p.schedule.kind != NOMINAL:
+    if p.schedule.kind != NOMINAL:
         window = cfg.fit_window or default_fit_window(t0, cfg.horizon)
         try:
             if p.schedule.kind == ASYMPTOTIC:
@@ -138,7 +136,7 @@ def _run_one(cfg: ExperimentConfig) -> int:
             fits.append(fit)
         except WindowTooLate as e:
             bits.append(f"rate fit skipped ({e});")
-    elif p.schedule.kind == NOMINAL:
+    else:
         try:
             _, amp = oscillation_amplitude(traj, cfg.tail_fraction)
             bits.append(f"tail oscillation amplitude = {amp:.4g};")

@@ -280,7 +280,7 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
         if len(window) != 2 or window[1] <= window[0]:
             raise ConfigError(f"{r.source}: analysis.fit_window needs two values 'start, end' with end > start")
         window = (window[0], window[1])
-    if window is not None or (schedule.kind != NOMINAL and map_.optimum is not None):  # given, or read by a rate fit
+    if window is not None or schedule.kind != NOMINAL:  # given, or read by a rate fit
         _check_fit_window(r, window, schedule.t0, horizon, dt, record_every)
     tail_fraction = r.float_("analysis.tail_fraction", 0.2)
     if not (0.0 < tail_fraction <= 1.0):
@@ -310,4 +310,6 @@ def load_config(path) -> ExperimentConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config '{path}': {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"cannot read config '{path}': not UTF-8 text ({e.reason} at byte {e.start})") from None
     return config_from_text(text, name=path.stem, source=str(path))

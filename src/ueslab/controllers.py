@@ -130,8 +130,8 @@ def assemble(
     Scalars for alpha/k broadcast over map.dim channels.  Checks the coupled
     conditions the schedule alone cannot see: the growth-order condition
     v > 2 kappa - r >= 0 for asymptotic schedules, and for exponential
-    schedules against a strongly convex map with declared bounds the gain
-    condition k_i alpha_i > 2 lambda a2 (2 a2 + b2) / (a1 b1^2).
+    schedules against a strongly convex map the gain condition
+    k_i alpha_i > 2 lambda a2 (2 a2 + b2) / (a1 b1^2), from the map's bounds.
     """
     try:
         alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (map.dim,)).copy()
@@ -147,7 +147,7 @@ def assemble(
             raise AssemblyError(f"need 2 kappa - r >= 0, got 2*{map.kappa} - {schedule.r} = {lo}")
         if schedule.v <= lo:
             raise AssemblyError(f"need v > 2 kappa - r, got v = {schedule.v} vs 2 kappa - r = {lo}")
-    if schedule.kind == EXPONENTIAL and map.kappa == 1 and map.bounds is not None:
+    if schedule.kind == EXPONENTIAL and map.kappa == 1:
         b = map.bounds
         floor = 2.0 * schedule.lam * b.a2 * (2.0 * b.a2 + b.b2) / (b.a1 * b.b1**2)
         ka = p.k * p.alpha
@@ -173,16 +173,10 @@ def phase_error(f: Factors, err: float) -> float:
     return f.phi * err
 
 
-def _check_loop_map(p: EsParams, map: CostMap, *forms: str) -> None:
-    """Check once, when a loop is assembled, that the map has the dimension and the form texts its rhs reads;
-    the frame loops, which name the forms they read, also need the optimum and optimal value."""
+def _check_loop_map(p: EsParams, map: CostMap) -> None:
+    """Check once, when a loop is assembled, that the map has the dimension its rhs reads."""
     if map.dim != p.n:
         raise AssemblyError(f"map '{map.name}' has dimension {map.dim}, the controller has {p.n} channels")
-    if forms and (map.optimum is None or map.optimal_value is None):
-        raise CapabilityError(f"map '{map.name}' lacks optimum/optimal_value; transformed coordinates need both")
-    for form in forms:
-        if getattr(map, f"{form}_text") is None:
-            raise CapabilityError(f"map '{map.name}' has no closed {form} form, which the loop evaluates")
 
 
 # phi(t) err by phase_error's rule in its test order: phi's range is tested, and Factors.phi raises, only where
@@ -273,7 +267,7 @@ def require_transformable(p: EsParams, map: CostMap) -> None:
     """Raise CapabilityError unless the transformed loop of p on map is defined and can be assembled."""
     if p.schedule.kind == NOMINAL:
         raise CapabilityError("transformed coordinates are undefined for the nominal schedule (xi would stay 1)")
-    _check_loop_map(p, map, "centered")
+    _check_loop_map(p, map)
 
 
 def _frame_loop(p: EsParams, map: CostMap, averaged: bool):
@@ -302,7 +296,7 @@ def require_averageable(p: EsParams, map: CostMap) -> None:
     under an exponential schedule the averaged dynamics are only defined for strongly convex (kappa = 1) maps."""
     if p.schedule.kind == EXPONENTIAL and map.kappa != 1:
         raise CapabilityError(f"exponential averaged dynamics cover kappa = 1 maps, got kappa = {map.kappa}")
-    _check_loop_map(p, map, "centered", "grad")
+    _check_loop_map(p, map)
 
 
 def averaged_closed_loop(p: EsParams, map: CostMap):

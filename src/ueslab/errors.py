@@ -10,7 +10,7 @@ class AssemblyError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """Operation needs map data (optimum, bounds, convexity order) that is absent."""
+    """The transformed frame or the averaged system is undefined for this schedule and map's convexity order."""
 
 
 class AssumptionViolation(RuntimeError):

@@ -1,10 +1,11 @@
 """Scalar cost maps, their derivatives, and growth-envelope verification.
 
-A cost map is a smooth scalar objective over R^n with a unique minimizer.
-Closed-form gradients/Hessians are optional; central finite differences fill
-in when they are absent.  ``verify_power_bounds`` measures empirical two-sided
-power-law envelopes of the cost, its gradient, and its Hessian on a ball
-around the minimizer.
+A cost map is a smooth scalar objective over R^n with a unique minimizer,
+built complete: its minimizer, optimal value, envelope bounds and closed-form
+gradient and Hessian are all required.  ``grad_fd`` and ``hess_fd`` check the
+closed forms by central differences; ``verify_power_bounds`` measures
+empirical two-sided power-law envelopes of the cost, its gradient, and its
+Hessian on a ball around the minimizer.
 
 A map is built from the texts of its closed forms, each one expression with
 {i} for coordinate i: ``eval``, ``centered`` and ``grad`` are compiled from
@@ -19,11 +20,11 @@ array, ``grad`` a sequence of n components of the same kind.  ``__call__``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, Mapping, Tuple
 
 import numpy as np
 
-from .errors import AssumptionViolation, CapabilityError
+from .errors import AssumptionViolation
 from .sim import compiled
 
 Array = np.ndarray
@@ -63,31 +64,31 @@ class CostMap:
     kappa          convexity order: 1 for strongly convex behavior, larger for flatter minima
     value_text     (text, names): the cost as one expression with {i} for coordinate i, and the
                    numbers it reads by name (q_i, star_i), which no loop text uses
-    hess           optional closed-form Hessian; finite differences are used when absent
-    optimum        minimizer, for tests and diagnostics only
-    optimal_value  cost at the minimizer
-    bounds         optional analytic PowerBounds
-    centered_text  optional (text, names) of the cancellation-free value - optimal_value
-    grad_text      optional (text, names) of the gradient, one tuple display of n components
+    centered_text  (text, names) of the cancellation-free value - optimal_value
+    grad_text      (text, names) of the gradient, one tuple display of n components
+    hess           closed-form Hessian
+    optimum        minimizer theta*, at which the gradient must vanish
+    optimal_value  cost J* at the minimizer
+    bounds         analytic PowerBounds
+    name           the map's name, as configs address it
 
-    ``eval``, ``centered`` and ``grad`` are compiled from the texts when the map is built, the last two
-    None without theirs.  The closed loops write the texts inline and refuse, when they are assembled,
-    a map without a text they need.
+    ``eval``, ``centered`` and ``grad`` are compiled from the texts when the map is built, and the closed
+    loops write the same texts inline.
     """
 
     dim: int
     kappa: int
     value_text: Tuple[str, Mapping[str, float]]
-    hess: Optional[Callable[[Array], Array]] = None
-    optimum: Optional[Array] = None
-    optimal_value: Optional[float] = None
-    bounds: Optional[PowerBounds] = None
-    name: str = "custom"
-    centered_text: Optional[Tuple[str, Mapping[str, float]]] = None
-    grad_text: Optional[Tuple[str, Mapping[str, float]]] = None
+    centered_text: Tuple[str, Mapping[str, float]]
+    grad_text: Tuple[str, Mapping[str, float]]
+    hess: Callable[[Array], Array]
+    optimum: Array
+    optimal_value: float
+    bounds: PowerBounds
+    name: str
     eval: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
-    centered: Optional[Callable[[Array], Array]] = field(init=False, repr=False, compare=False)
-    grad: Optional[Callable[[Array], Array]] = field(init=False, repr=False, compare=False)
+    centered: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
+    grad: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -95,13 +96,12 @@ class CostMap:
         if self.kappa < 1:
             raise ValueError(f"kappa must be a positive integer, got {self.kappa}")
         for form, text in (("eval", self.value_text), ("centered", self.centered_text), ("grad", self.grad_text)):
-            object.__setattr__(self, form, None if text is None else form_function(self.dim, text))
-        if self.optimum is not None:
-            star = np.asarray(self.optimum, dtype=float).reshape(self.dim)
-            object.__setattr__(self, "optimum", star)
-            g = self.gradient(star)
-            if not np.all(np.isfinite(g)) or np.linalg.norm(g) >= 1e-8:
-                raise ValueError(f"gradient at declared optimum must vanish, |grad| = {np.linalg.norm(g):g}")
+            object.__setattr__(self, form, form_function(self.dim, text))
+        star = np.asarray(self.optimum, dtype=float).reshape(self.dim)
+        object.__setattr__(self, "optimum", star)
+        g = self.gradient(star)
+        if not np.all(np.isfinite(g)) or np.linalg.norm(g) >= 1e-8:
+            raise ValueError(f"gradient at declared optimum must vanish, |grad| = {np.linalg.norm(g):g}")
 
     def _as_input(self, theta) -> Array:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -114,25 +114,14 @@ class CostMap:
         return float(self.eval(self._as_input(theta)))
 
     def centered_value(self, theta) -> float:
-        """eval(theta) - optimal_value, using the cancellation-free form when available."""
-        th = self._as_input(theta)
-        if self.centered is not None:
-            return float(self.centered(th))
-        if self.optimal_value is None:
-            raise CapabilityError(f"map '{self.name}' has no optimal_value; centered evaluation unavailable")
-        return float(self.eval(th)) - self.optimal_value
+        """eval(theta) - optimal_value by the cancellation-free form."""
+        return float(self.centered(self._as_input(theta)))
 
     def gradient(self, theta) -> Array:
-        th = self._as_input(theta)
-        if self.grad is not None:
-            return np.asarray(self.grad(th), dtype=float).reshape(self.dim)
-        return grad_fd(self, th)
+        return np.asarray(self.grad(self._as_input(theta)), dtype=float).reshape(self.dim)
 
     def hessian(self, theta) -> Array:
-        th = self._as_input(theta)
-        if self.hess is not None:
-            return np.asarray(self.hess(th), dtype=float).reshape(self.dim, self.dim)
-        return hess_fd(self, th)
+        return np.asarray(self.hess(self._as_input(theta)), dtype=float).reshape(self.dim, self.dim)
 
 
 def grad_fd(map: CostMap, theta) -> Array:
@@ -175,11 +164,8 @@ def verify_power_bounds(map: CostMap, radius: float, samples: int, seed: int) ->
     optimum (the optimum itself is excluded to avoid 0/0) and returns the
     observed infima/suprema of the three centered ratios.  The result is a
     valid witness on the sampled set only; the ball radius is the caller's
-
     choice and is echoed in error messages.
     """
-    if map.optimum is None or map.optimal_value is None:
-        raise CapabilityError(f"map '{map.name}' needs optimum and optimal_value for bound verification")
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     if samples < 2:

@@ -139,6 +139,12 @@ def test_config_defaults():
             "probe.omegas = 10, 20\nprobe.epsilon = 0.25\nprobe.delta = 1\nprobe.horizon = 400\nprobe.trials = 1\n",
             "probe.horizon = 400 is too long.*phi",
         ),
+        # numpy's generator takes no negative seed
+        (
+            "probe.omegas = 10\nprobe.epsilon = 0.25\nprobe.delta = 1\nprobe.horizon = 4\nprobe.trials = 1\n"
+            "probe.seed = -1\n",
+            "probe.\\*: seed must be >= 0, got -1",
+        ),
     ],
 )
 def test_config_rejects(extra, fragment):
@@ -326,6 +332,23 @@ def test_cli_run_fuzzed_config_never_raises(tmp_path_factory, bad, extra, horizo
         assert cli.main(["run", str(conf)]) in (0, 2, 3)
 
 
+SMALL_PROBE_ITEMS = dict(line.split(" = ") for line in SMALL_PROBE.splitlines() if line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad=st.dictionaries(st.sampled_from([key for key in SMALL_PROBE_ITEMS if key.startswith("probe.")]),
+                           st.sampled_from(BAD_VALUES), max_size=2))
+def test_cli_sweep_fuzzed_probe_never_raises(tmp_path_factory, bad):
+    # every probe setting that loads also sweeps: each input ends in exit 0, 2 or 3
+    values = {**SMALL_PROBE_ITEMS, "probe.horizon": "0.2", **bad}  # a short valid horizon keeps each sweep quick
+    tmp = tmp_path_factory.mktemp("fuzz")
+    conf = tmp / "fuzz.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items() if value is not None))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("UESLAB_OUT", str(tmp / "o"))
+        assert cli.main(["sweep", str(conf)]) in (0, 2, 3)
+
+
 def test_cli_out_dir_from_config(tmp_path, monkeypatch):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_ASYMPTOTIC + f"out.dir = {tmp_path / 'alt'}\n")
@@ -405,6 +428,18 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     ))
     assert cli.main(["sweep", str(expo)]) == 2
     assert "schedule.kind" in capsys.readouterr().err
+    # a config file that is not UTF-8 text is a config error naming the file
+    latin = tmp_path / "latin.conf"
+    latin.write_bytes(b"# caf\xe9\n" + MINIMAL.encode())
+    assert cli.main(["run", str(latin)]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot read config '{latin}': not UTF-8 text "
+                                       "(invalid continuation byte at byte 5)\n")
+    # a delta-ball start near 1e300 has a quartic cost out of double range: a numeric failure naming probe.delta
+    wide = tmp_path / "wide.conf"
+    wide.write_text(SMALL_PROBE.replace("probe.delta = 1\n", "probe.delta = 1e300\n"))
+    assert cli.main(["sweep", str(wide)]) == 3
+    assert capsys.readouterr().err == ("numeric failure: probe.delta = 1e+300 draws a start whose cost J(theta) "
+                                       "is out of double range\n")
 
 
 def test_config_checks_the_averaged_system_without_assembling_it(monkeypatch):

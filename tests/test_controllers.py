@@ -1,6 +1,5 @@
 """Controller dynamics in both frames, parameter assembly, and coupled checks."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -199,10 +198,6 @@ def test_transformed_frame_needs_growth_and_optimum(quartic):
     # the vector-field decomposition checks the frame when it is assembled
     with pytest.raises(CapabilityError, match="nominal"):
         u.transformed_b_fields(p_nom, quartic)
-    blind = u.CostMap(dim=1, value_text=("1.0 + ({0} - 2.0) ** 4", {}), kappa=2)
-    p = u.assemble(blind, u.Schedule.asymptotic(beta=0.1, v=1.0 / 3.0, r=4.0), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
-    with pytest.raises(CapabilityError, match="optimum"):
-        u.transformed_closed_loop(p, blind)
 
 
 def _chain_rule_worst_error(map_, params, schedule, rng, trials=50):
@@ -245,15 +240,10 @@ def test_transformed_loop_consistent_by_chain_rule(quartic, fig3_params, exp_map
 
 
 def test_loops_check_the_map_at_assembly(quartic, fig3_params):
-    # the right-hand sides write the map's form texts inline, so the map is checked once, here
+    # the right-hand sides write the map's form texts inline over the controller's channels, so the map's
+    # dimension is checked once, here
     with pytest.raises(AssemblyError, match="dimension 2"):
         u.es_closed_loop(fig3_params, u.quadratic(q=[1.0, 2.0], theta_star=[0.0, 0.0]))
-    with pytest.raises(CapabilityError, match="centered"):
-        u.transformed_closed_loop(fig3_params, dataclasses.replace(quartic, centered_text=None))
-    with pytest.raises(CapabilityError, match="grad"):
-        u.averaged_closed_loop(fig3_params, dataclasses.replace(quartic, grad_text=None))
-    with pytest.raises(CapabilityError, match="optimum"):
-        u.averaged_closed_loop(fig3_params, dataclasses.replace(quartic, optimum=None))
 
 
 def test_with_omega_rebuilds_derived_quantities(fig3_params):

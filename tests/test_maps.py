@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
-from ueslab.errors import AssumptionViolation, CapabilityError
+from ueslab.errors import AssumptionViolation
 
 
 def test_quartic_values():
@@ -101,12 +101,6 @@ def test_closed_forms_take_batches():
         np.testing.assert_allclose(grads, np.column_stack([np.asarray(m.grad(col)) for col in th.T]), rtol=1e-15)
 
 
-def test_fd_fallback_when_no_closed_forms():
-    m = u.CostMap(dim=1, value_text=("({0} - 1.0) ** 2", {}), kappa=1)
-    np.testing.assert_allclose(m.gradient([2.0]), [2.0], rtol=1e-8)
-    np.testing.assert_allclose(m.hessian([2.0]), [[2.0]], rtol=1e-6)
-
-
 def test_replacing_a_text_recompiles_its_form(fig3_params):
     # a map's forms are compiled from its texts, so its value is the one its loop text integrates
     m = dataclasses.replace(u.quartic_paper(), value_text=("{0} * {0}", {}))
@@ -117,20 +111,15 @@ def test_replacing_a_text_recompiles_its_form(fig3_params):
 
 
 def test_declared_optimum_must_be_critical():
+    # the quartic's gradient at 0 is -32
     with pytest.raises(ValueError, match="optimum"):
-        u.CostMap(dim=1, value_text=("({0} - 1.0) ** 2", {}), kappa=1, optimum=[0.0])
+        dataclasses.replace(u.quartic_paper(), optimum=[0.0])
 
 
 def test_input_dimension_validated():
     m = u.quartic_paper()
     with pytest.raises(ValueError, match="shape"):
         m([1.0, 2.0])
-
-
-def test_centered_value_needs_reference():
-    m = u.CostMap(dim=1, value_text=("{0} ** 2", {}), kappa=1)
-    with pytest.raises(CapabilityError):
-        m.centered_value([1.0])
 
 
 def test_power_bounds_validation():
@@ -151,13 +140,12 @@ def test_verify_power_bounds_quartic_exact():
 
 def test_verify_power_bounds_flags_maximum():
     # a critical point that is a maximum: centered cost is negative nearby
-    m = u.CostMap(
-        dim=1,
+    m = dataclasses.replace(
+        u.quadratic(),
         value_text=("1.0 - {0} ** 2", {}),
-        kappa=1,
+        centered_text=("-{0} ** 2", {}),
         grad_text=("(-2.0 * {0}, )", {}),
         hess=lambda th: np.array([[-2.0]]),
-        optimum=[0.0],
         optimal_value=1.0,
         name="hilltop",
     )
