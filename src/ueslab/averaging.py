@@ -16,9 +16,10 @@ integrates the averaged system once per trial, at the full loop's step for
 the smallest swept omega (it reads neither omega nor omega_hat), and the
 deployed loop once per (omega, trial).  The full-loop samples read the
 averaged run through a cubic Hermite interpolant.  Those integrations share
-no state, so they run as independent jobs in forked worker processes, one
-per available CPU, which take each job by creating its result file and
-write the job's result there pickled.
+no state, so ``_run_jobs`` runs them as independent jobs in forked worker
+processes, one per available CPU.  Each worker inherits the job list of the
+call that forked it, takes each job by creating its result file, and writes
+the job's result there pickled; no module-level state holds the jobs.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ class ProbeConfig:
     horizon       integration span per trial
     trials        seeded initial conditions per omega
     seed          draw seed >= 0; trials are shared across omega values
+
+    A refusal names the probe.* config key that sets the refused field.
     """
 
     omega_values: Tuple[float, ...]
@@ -120,19 +123,21 @@ class ProbeConfig:
         vals = tuple(float(w) for w in self.omega_values)
         object.__setattr__(self, "omega_values", vals)
         if len(vals) == 0:
-            raise ValueError("omega_values must not be empty")
+            raise ValueError("probe.omegas must not be empty")
         if any(w <= 0.0 for w in vals) or any(a >= b for a, b in zip(vals, vals[1:])):
-            raise ValueError(f"omega_values must be ascending and positive, got {vals}")
-        if self.epsilon <= 0.0 or self.delta <= 0.0:
-            raise ValueError("epsilon and delta must be positive")
+            raise ValueError(f"probe.omegas must be ascending and positive, got {', '.join(map(format, vals))}")
+        if self.epsilon <= 0.0:
+            raise ValueError(f"probe.epsilon must be positive, got {self.epsilon}")
+        if self.delta <= 0.0:
+            raise ValueError(f"probe.delta must be positive, got {self.delta}")
         if self.epsilon > self.delta:
-            raise ValueError(f"epsilon = {self.epsilon} must not exceed delta = {self.delta}")
+            raise ValueError(f"probe.epsilon = {self.epsilon} must not exceed probe.delta = {self.delta}")
         if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+            raise ValueError(f"probe.horizon must be positive, got {self.horizon}")
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise ValueError(f"probe.trials must be >= 1, got {self.trials}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"probe.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -205,14 +210,9 @@ def _integrate_averaged(rhs: Callable, x0: tuple, t0: float, t1: float, dt: floa
     return avg, np.array([rhs(x, t)[:n] for x, t in zip(avg.states.tolist(), avg.times.tolist())])
 
 
-# the running probe's jobs, which forked workers inherit; it holds one probe's
-# jobs at a time, so probes in threads of one process would clobber each other
-_JOBS: List[Callable[[], object]] = []
-
-
-def _run_job(index: int):
+def _run_job(job: Callable[[], object]):
     try:
-        return _JOBS[index]()
+        return job()
     except IntegrationDiverged:
         return None
 
@@ -231,39 +231,24 @@ def _worker_count(jobs: int) -> int:
 def _run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
     """Each job's result, in job order; the jobs come listed from the fewest RK4 steps to the most.
 
-    With one worker the jobs run here, in order.  Otherwise they run in
-    forked worker processes (see _fork_jobs), one job at a time each, from
-    the last job back, so that the longest start first.  The jobs close over
-    right-hand sides, which cannot be pickled, so the workers inherit them
-    through _JOBS and only their results are pickled.  A job that diverged
-    gives None; an exception raised in another job is raised here with its
-    type and message, the first in job order once every worker has ended;
-    and a dead worker raises WorkerLost instead of leaving the probe waiting.
+    A job that diverged gives None.  With one worker the jobs run here, in
+    order.  Otherwise forked worker processes run them; the jobs close over
+    right-hand sides, which cannot be pickled, so each worker inherits this
+    call's `jobs` and only their results are pickled.  Each worker walks the
+    jobs from the last, the longest, back to the first, and takes a job by
+    creating its result file, named by its index, in a private temporary
+    directory with O_EXCL: a file that already exists is another worker's
+    job.  So each job runs once and the jobs are balanced as they finish.
+    The worker writes the pickle of (ok, value) into that file and leaves
+    only through os._exit.  The parent waits for each worker in turn, raises
+    WorkerLost for one that did not exit with status 0, and then reads the
+    files in job order, raising the first exception a job raised, with its
+    type and message.  On any exception the workers are killed; every worker
+    is reaped before the directory is removed and this returns or raises.
     """
     workers = _worker_count(len(jobs))
-    _JOBS[:] = jobs
-    try:
-        if workers == 1:
-            return list(map(_run_job, range(len(jobs))))
-        return _fork_jobs(len(jobs), workers)
-    finally:
-        _JOBS.clear()
-
-
-def _fork_jobs(count: int, workers: int) -> list:
-    """The results of _JOBS[:count], run by `workers` forked processes.
-
-    Each worker walks the job indices from the last, the longest job, back to
-    the first, and takes a job by creating its result file, named by its
-    index, in a private temporary directory with O_EXCL: a file that already
-    exists is another worker's job.  So each job runs once and the jobs are
-    balanced as they finish.  The worker writes the pickle of (ok, value) into
-    that file and leaves only through os._exit.  The parent waits for each
-    worker in turn, raises WorkerLost for one that did not exit with status 0,
-    and then reads the files in job order, raising the first exception a job
-    raised.  On any exception the workers are killed; every worker is reaped
-    before the directory is removed and this returns or raises.
-    """
+    if workers == 1:
+        return list(map(_run_job, jobs))
     # imported here, not at module level: `run` never forks and would pay for them in start-up time
     import signal
     import tempfile
@@ -276,7 +261,7 @@ def _fork_jobs(count: int, workers: int) -> list:
                 if pid == 0:  # the worker: nothing it raises leaves this block, and it never returns
                     status = 1
                     try:
-                        _work(tmp, count)
+                        _work(tmp, jobs)
                         status = 0
                     finally:
                         os._exit(status)
@@ -287,7 +272,7 @@ def _fork_jobs(count: int, workers: int) -> list:
                 if code:
                     how = f"exit status {code}" if code > 0 else f"killed by signal {-code}"
                     raise WorkerLost(f"a probe worker process ended without returning its result ({how})")
-            return [_result(tmp, index) for index in range(count)]
+            return [_result(tmp, index) for index in range(len(jobs))]
         except BaseException:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
@@ -297,15 +282,15 @@ def _fork_jobs(count: int, workers: int) -> list:
                 os.waitpid(pid, 0)
 
 
-def _work(tmp: str, count: int) -> None:
+def _work(tmp: str, jobs: Sequence[Callable[[], object]]) -> None:
     """A forked worker's loop: take each job no other worker has, from the last back, and write its result file."""
-    for index in reversed(range(count)):
+    for index in reversed(range(len(jobs))):
         try:
             fd = os.open(os.path.join(tmp, str(index)), os.O_WRONLY | os.O_CREAT | os.O_EXCL)
         except FileExistsError:  # another worker took this job
             continue
         try:
-            message = (True, _run_job(index))
+            message = (True, _run_job(jobs[index]))
         except Exception as e:  # written for the parent, which raises it; an interrupt or exit ends the worker instead
             message = (False, e)
         try:
@@ -355,8 +340,9 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     inf sup_gap at every omega.  Rows are returned omega-major.
 
     The integrations are independent jobs run by ``_run_jobs``, in forked
-    workers when more than one CPU is available; every row is computed here
-    from their results, so the rows do not depend on how the jobs were run.
+    workers that inherit this call's job list when more than one CPU is
+    available; every row is computed here from their results, so the rows do
+    not depend on how the jobs were run.
     """
     averaged = averaged_closed_loop(p, map)
     full_rhss = [es_closed_loop(p.with_omega(omega), map) for omega in cfg.omega_values]

@@ -9,7 +9,8 @@ Verbs:
 Configs are file paths or bundled names (see ueslab/configs/).  The env var
 UESLAB_OUT overrides the output directory.  The trajectory CSV and the SVG are
 written piece by piece to <file>.part, which replaces <file> once complete.
-Exit codes: 0 ok, 2 config error, 3 numeric failure or a probe worker that died.
+Exit codes: 0 ok, 2 config error, 3 numeric failure (for sweep, also a probe in which every
+trial diverged) or a probe worker that died.
 """
 
 from __future__ import annotations
@@ -165,6 +166,9 @@ def cmd_sweep(args) -> int:
     fitted = ("averaging order undefined (needs two omegas with finite, positive worst sup_gap)" if order is None
               else f"fitted averaging order {order:.4g} (worst sup_gap ~ omega^-order)")
     print(f"{cfg.name}: probe wrote {len(rows)} rows ({gaps}); {fitted}; artifacts in {out}")
+    if not any(math.isfinite(row.sup_gap) for row in rows):
+        print(f"{cfg.name}: every trial diverged in its full-loop or averaged run; no sup_gap is finite", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -147,7 +147,7 @@ def _build_schedule(r: _Reader) -> Schedule:
         if kind == EXPONENTIAL:
             return Schedule.exponential(lam=r.float_("schedule.lambda"), t0=t0)
     except ValueError as e:
-        raise ConfigError(f"{r.source}: schedule.*: {e}") from None
+        raise ConfigError(f"{r.source}: {e}") from None
     raise ConfigError(f"{r.source}: schedule.kind must be nominal, asymptotic, or exponential, got '{kind}'")
 
 
@@ -185,7 +185,7 @@ def _build_probe(r: _Reader) -> Optional[ProbeConfig]:
             seed=r.int_("probe.seed", 0),
         )
     except ValueError as e:
-        raise ConfigError(f"{r.source}: probe.*: {e}") from None
+        raise ConfigError(f"{r.source}: {e}") from None
 
 
 def _check_time_grid(r: _Reader, key: str, schedule: Schedule, horizon: float, dt: float) -> None:
@@ -253,11 +253,18 @@ def config_from_text(text: str, name: str, source: str = "<config>") -> Experime
             omega=omega, omega_h=omega_h, omega_hat=omega_hat,
         )
     except AssemblyError as e:
-        raise ConfigError(f"{r.source}: es.*: {e}") from None
+        raise ConfigError(f"{r.source}: {e}") from None
 
     theta0 = np.asarray(r.list_("es.theta0", [0.0] * map_.dim), dtype=float)
     if theta0.shape != (map_.dim,):
         raise ConfigError(f"{r.source}: es.theta0 must list {map_.dim} value(s), got {theta0.size}")
+    try:  # on Python floats, as `run` measures its cost column: there ** raises where numpy gives inf
+        finite = math.isfinite(map_.eval(theta0.tolist()))
+    except OverflowError:
+        finite = False
+    if not finite:
+        given = ", ".join(map(format, theta0.tolist()))
+        raise ConfigError(f"{r.source}: es.theta0 = {given} has a cost J(theta0) out of double range")
     eta0 = r.float_("es.eta0", 0.0)
 
     horizon = r.float_("sim.horizon")

@@ -89,13 +89,13 @@ class EsParams:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "omega_hat", hat)
         if hat.shape != (n,):
-            raise AssemblyError(f"omega_hat must have one entry per channel, got shape {hat.shape} for n = {n}")
-        if np.any(alpha <= 0.0) or np.any(k <= 0.0):
-            raise AssemblyError("all alpha_i and k_i must be positive")
-        if self.omega <= 0.0 or self.omega_h <= 0.0 or np.any(hat <= 0.0):
-            raise AssemblyError("omega, omega_h, and all omega_hat_i must be positive")
+            raise AssemblyError(f"es.omega_hat must have one entry per channel, got shape {hat.shape} for n = {n}")
+        for key, values in (("es.alpha", alpha), ("es.k", k), ("es.omega", self.omega), ("es.omega_h", self.omega_h),
+                            ("es.omega_hat", hat)):
+            if np.any(np.asarray(values) <= 0.0):
+                raise AssemblyError(f"{key} must be positive, got {', '.join(map(format, np.atleast_1d(values).tolist()))}")
         if len(set(hat.tolist())) != n:
-            raise AssemblyError(f"frequency ratios omega_hat must be pairwise distinct, got {hat.tolist()}")
+            raise AssemblyError(f"frequency ratios es.omega_hat must be pairwise distinct, got {hat.tolist()}")
         if self.schedule.kind == EXPONENTIAL and self.omega_h <= 2.0 * self.schedule.lam:
             raise AssemblyError(
                 f"exponential schedule needs omega_h > 2 lambda, got omega_h = {self.omega_h} vs 2 lambda = {2.0 * self.schedule.lam}"
@@ -133,14 +133,14 @@ def assemble(
     schedules against a strongly convex map the gain condition
     k_i alpha_i > 2 lambda a2 (2 a2 + b2) / (a1 b1^2), from the map's bounds.
     """
-    try:
-        alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (map.dim,)).copy()
-        k = np.broadcast_to(np.asarray(k, dtype=float), (map.dim,)).copy()
-    except ValueError:
-        raise AssemblyError(
-            f"alpha/k must be scalars or length-{map.dim} lists to match map '{map.name}'"
-        ) from None
-    p = EsParams(alpha=alpha, k=k, omega=omega, omega_h=omega_h, schedule=schedule, omega_hat=omega_hat)
+    def per_channel(key: str, values) -> Array:
+        try:
+            return np.broadcast_to(np.asarray(values, dtype=float), (map.dim,)).copy()
+        except ValueError:
+            raise AssemblyError(f"{key} must be a scalar or a length-{map.dim} list to match map '{map.name}'") from None
+
+    p = EsParams(alpha=per_channel("es.alpha", alpha), k=per_channel("es.k", k), omega=omega, omega_h=omega_h,
+                 schedule=schedule, omega_hat=omega_hat)
     if schedule.kind == ASYMPTOTIC:
         lo = 2.0 * map.kappa - schedule.r
         if lo < 0.0:

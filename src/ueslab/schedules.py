@@ -72,17 +72,17 @@ class Schedule:
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind '{self.kind}'; expected one of {KINDS}")
         if self.t0 < 0.0:
-            raise ValueError(f"t0 must be >= 0, got {self.t0}")
+            raise ValueError(f"schedule.t0 must be >= 0, got {self.t0}")
         if self.kind == ASYMPTOTIC:
             if self.beta is None or self.beta <= 0.0:
-                raise ValueError(f"asymptotic schedule needs beta > 0, got {self.beta}")
+                raise ValueError(f"asymptotic schedule needs schedule.beta > 0, got {self.beta}")
             if self.v is None or self.v <= 0.0:
-                raise ValueError(f"asymptotic schedule needs v > 0, got {self.v}")
+                raise ValueError(f"asymptotic schedule needs schedule.v > 0, got {self.v}")
             if self.r is None or self.r < 0.0:
-                raise ValueError(f"asymptotic schedule needs r >= 0, got {self.r}")
+                raise ValueError(f"asymptotic schedule needs schedule.r >= 0, got {self.r}")
         elif self.kind == EXPONENTIAL:
             if self.lam is None or self.lam <= 0.0:
-                raise ValueError(f"exponential schedule needs lam > 0, got {self.lam}")
+                raise ValueError(f"exponential schedule needs schedule.lambda > 0, got {self.lam}")
 
     @classmethod
     def nominal(cls, t0: float = 0.0) -> "Schedule":

@@ -289,7 +289,6 @@ def test_probe_jobs_run_in_workers(quartic, fig3_params, monkeypatch, tmp_path):
     assert len(seen) == (1 + len(PROBE_CFG.omega_values)) * PROBE_CFG.trials
     assert os.getpid() not in seen
     assert len(set(seen)) <= 2
-    assert averaging._JOBS == []
 
 
 def test_run_jobs_pool_returns_results_in_job_order(monkeypatch, tmp_path):
@@ -309,7 +308,37 @@ def test_run_jobs_pool_returns_results_in_job_order(monkeypatch, tmp_path):
     assert averaging._run_jobs([functools.partial(job, i) for i in range(6)]) == [0, 1, None, 9, 16, 25]
     started = [int(line) for line in starts.read_text().split()]
     assert sorted(started) == list(range(6)) and set(started[:2]) == {4, 5}
-    assert averaging._JOBS == []
+
+
+def test_two_runners_in_threads_keep_their_own_jobs(monkeypatch):
+    # thread A's first job waits until thread B's whole run has ended: each run reads only the jobs it was given
+    _in_process(monkeypatch)
+    a_started, b_ended = threading.Event(), threading.Event()
+    results = {}
+
+    def job(name, i):
+        if name == "a" and i == 0:
+            a_started.set()
+            assert b_ended.wait(60)
+        return f"{name}{i}"
+
+    def run(name, before=None):
+        if before is not None:
+            assert before.wait(60)
+        try:
+            results[name] = averaging._run_jobs([functools.partial(job, name, i) for i in range(2)])
+        except Exception as e:
+            results[name] = repr(e)
+        if name == "b":
+            b_ended.set()
+
+    threads = [threading.Thread(target=run, args=("a",)), threading.Thread(target=run, args=("b", a_started))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+    assert results == {"a": ["a0", "a1"], "b": ["b0", "b1"]}
 
 
 @pytest.fixture
@@ -384,7 +413,6 @@ def test_run_jobs_leaves_no_process_or_descriptor_behind(monkeypatch, tmp_path, 
         with pytest.raises(ChildProcessError):  # every worker has been reaped
             os.waitpid(-1, os.WNOHANG)
         assert _open_fds() == before
-        assert averaging._JOBS == []
         assert list(tmp_path.iterdir()) == []
 
 
@@ -475,7 +503,6 @@ def test_probe_worker_exception_reaches_parent(quartic, fig3_params, monkeypatch
         u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
     assert type(err.value) is ValueError
     assert f"process {os.getpid()}" not in str(err.value)
-    assert averaging._JOBS == []
 
 
 def test_probe_dead_worker_raises_instead_of_waiting(quartic, fig3_params, monkeypatch, deadline):
@@ -492,7 +519,6 @@ def test_probe_dead_worker_raises_instead_of_waiting(quartic, fig3_params, monke
     _pooled(monkeypatch)
     with pytest.raises(WorkerLost, match="ended without returning"):
         u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
-    assert averaging._JOBS == []
 
 
 def test_cli_sweep_dead_worker_exits_3(monkeypatch, capfd, tmp_path):
@@ -512,4 +538,3 @@ def test_cli_sweep_dead_worker_exits_3(monkeypatch, capfd, tmp_path):
     err = capfd.readouterr().err
     assert "probe failure: a probe worker process ended without returning its result" in err
     assert "Traceback" not in err
-    assert averaging._JOBS == []

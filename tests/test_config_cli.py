@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
@@ -36,6 +36,9 @@ es.omega = 5
 es.omega_h = 3
 sim.horizon = 5
 """
+
+# a valid probe group for MINIMAL; a case replaces one of its values with one it refuses
+PROBE_GROUP = "probe.omegas = 10\nprobe.epsilon = 0.25\nprobe.delta = 1\nprobe.horizon = 4\nprobe.trials = 1\n"
 
 SMALL_PROBE = SMALL_ASYMPTOTIC + """
 probe.omegas = 10, 30
@@ -140,11 +143,27 @@ def test_config_defaults():
             "probe.horizon = 400 is too long.*phi",
         ),
         # numpy's generator takes no negative seed
-        (
-            "probe.omegas = 10\nprobe.epsilon = 0.25\nprobe.delta = 1\nprobe.horizon = 4\nprobe.trials = 1\n"
-            "probe.seed = -1\n",
-            "probe.\\*: seed must be >= 0, got -1",
-        ),
+        (PROBE_GROUP + "probe.seed = -1\n", "^<config>: probe.seed must be >= 0, got -1$"),
+        # each refusal names the one config key it refuses
+        (PROBE_GROUP.replace("probe.omegas = 10\n", "probe.omegas = 10, 5\n"),
+         "^<config>: probe.omegas must be ascending and positive, got 10.0, 5.0$"),
+        (PROBE_GROUP.replace("probe.epsilon = 0.25\n", "probe.epsilon = -1\n"),
+         "^<config>: probe.epsilon must be positive, got -1.0$"),
+        (PROBE_GROUP.replace("probe.delta = 1\n", "probe.delta = -1\n"),
+         "^<config>: probe.delta must be positive, got -1.0$"),
+        (PROBE_GROUP.replace("probe.horizon = 4\n", "probe.horizon = -1\n"),
+         "^<config>: probe.horizon must be positive, got -1.0$"),
+        (PROBE_GROUP.replace("probe.trials = 1\n", "probe.trials = 0\n"),
+         "^<config>: probe.trials must be >= 1, got 0$"),
+        ("schedule.kind = exponential\nschedule.lambda = -1\n", "^<config>: .* needs schedule.lambda > 0, got -1.0$"),
+        ("schedule.t0 = -1\n", "^<config>: schedule.t0 must be >= 0, got -1.0$"),
+        ("es.alpha = -1\n", "^<config>: es.alpha must be positive, got -1.0$"),
+        ("es.k = -1\n", "^<config>: es.k must be positive, got -1.0$"),
+        ("es.alpha = 1, 2\n", "^<config>: es.alpha must be a scalar or a length-1 list to match map 'quartic_paper'$"),
+        ("es.omega = -1\n", "^<config>: es.omega must be positive, got -1.0$"),
+        ("es.omega_h = -1\n", "^<config>: es.omega_h must be positive, got -1.0$"),
+        # a start whose cost leaves double range: `run` measured it only after the integration
+        ("es.theta0 = 1e300\n", "^<config>: es.theta0 = 1e\\+300 has a cost J\\(theta0\\) out of double range$"),
     ],
 )
 def test_config_rejects(extra, fragment):
@@ -309,7 +328,7 @@ def test_cli_run_cost_column_overflow_exits_3(tmp_path, monkeypatch, capsys):
 BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "abc", None]  # None drops the key
 MINIMAL_ITEMS = dict(line.split(" = ") for line in MINIMAL.strip().splitlines())
 # keys MINIMAL leaves at their defaults, drawn from values that also stress the time grid and the list lengths
-EXTRA_KEYS = ["schedule.t0", "es.alpha", "es.omega_hat"]
+EXTRA_KEYS = ["schedule.t0", "es.alpha", "es.omega_hat", "es.theta0"]
 EXTRA_VALUES = BAD_VALUES + ["1e15", "1e20", "1, 2", "0.5"]
 
 
@@ -321,15 +340,20 @@ EXTRA_VALUES = BAD_VALUES + ["1e15", "1e20", "1, 2", "0.5"]
     # a long valid horizon would only make an example slow
     horizon=st.one_of(st.sampled_from(BAD_VALUES), st.floats(-2.0, 2.0).map(repr)),
 )
+@example(bad={}, extra={"es.theta0": "1e300"}, horizon="1.0")  # a start cost out of double range, drawn unaided on 1 of 20 seeds
 def test_cli_run_fuzzed_config_never_raises(tmp_path_factory, bad, extra, horizon):
-    # a config that loads is a config that runs: every input ends in exit 0, 2 or 3
+    # a config that loads is a config that runs: every input ends in exit 0, 2 or 3, and a run that ends in
+    # exit 3 has written its partial artifacts
     values = {**MINIMAL_ITEMS, **bad, **extra, "sim.horizon": horizon}
     tmp = tmp_path_factory.mktemp("fuzz")
     conf = tmp / "fuzz.conf"
     conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items() if value is not None))
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("UESLAB_OUT", str(tmp / "o"))
-        assert cli.main(["run", str(conf)]) in (0, 2, 3)
+        code = cli.main(["run", str(conf)])
+    assert code in (0, 2, 3)
+    if code == 3:
+        assert sorted(path.name for path in (tmp / "o").iterdir()) == ["fuzz.fits.csv", "fuzz.svg", "fuzz.trajectory.csv"]
 
 
 SMALL_PROBE_ITEMS = dict(line.split(" = ") for line in SMALL_PROBE.splitlines() if line)
@@ -440,6 +464,17 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["sweep", str(wide)]) == 3
     assert capsys.readouterr().err == ("numeric failure: probe.delta = 1e+300 draws a start whose cost J(theta) "
                                        "is out of double range\n")
+    # a delta-ball start near 1e77 has a finite cost, but every integration diverges: the sweep writes its inf
+    # rows and prints its line, then exits 3
+    diverged = tmp_path / "diverged.conf"
+    diverged.write_text(SMALL_PROBE.replace("probe.delta = 1\n", "probe.delta = 1e77\n")
+                        .replace("probe.horizon = 4\n", "probe.horizon = 1\n").replace("probe.trials = 1\n", "probe.trials = 2\n"))
+    assert cli.main(["sweep", str(diverged)]) == 3
+    out, err = capsys.readouterr()
+    assert "diverged: probe wrote 4 rows (omega=10: worst sup_gap inf, omega=30: worst sup_gap inf)" in out
+    assert err == "diverged: every trial diverged in its full-loop or averaged run; no sup_gap is finite\n"
+    rows = (tmp_path / "o" / "diverged.probe.csv").read_text().splitlines()
+    assert len(rows) == 5 and all(row.endswith(",inf,0,inf") for row in rows[1:])
 
 
 def test_config_checks_the_averaged_system_without_assembling_it(monkeypatch):
