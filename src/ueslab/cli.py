@@ -31,7 +31,7 @@ from .analysis import fit_averaging_order, fit_exp_rate, fit_power_rate, fit_rep
 from .averaging import practical_stability_probe, probe_rows_csv
 from .config import MAX_STEPS, ExperimentConfig, config_from_text, default_fit_window, load_config
 from .controllers import es_closed_loop
-from .errors import AssemblyError, ConfigError, IntegrationDiverged, WindowTooLate, WorkerLost
+from .errors import ConfigError, IntegrationDiverged, WindowTooLate, WorkerLost
 from .schedules import ASYMPTOTIC, NOMINAL
 from .sim import Lemma1Params, Trajectory, integrate, lemma1_rhs, lemma1_solution
 from .svgplot import line_plot, line_plot_blocks  # noqa: F401 line_plot: the benchmark's tracer patches cli.line_plot
@@ -228,7 +228,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # a diverging state is reported once, as exit 3, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (ConfigError, AssemblyError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationDiverged, FloatingPointError, OverflowError) as e:

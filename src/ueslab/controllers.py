@@ -97,9 +97,8 @@ class EsParams:
         if len(set(hat.tolist())) != n:
             raise AssemblyError(f"frequency ratios es.omega_hat must be pairwise distinct, got {hat.tolist()}")
         if self.schedule.kind == EXPONENTIAL and self.omega_h <= 2.0 * self.schedule.lam:
-            raise AssemblyError(
-                f"exponential schedule needs omega_h > 2 lambda, got omega_h = {self.omega_h} vs 2 lambda = {2.0 * self.schedule.lam}"
-            )
+            raise AssemblyError(f"exponential schedule needs es.omega_h > 2 lambda, got es.omega_h = {self.omega_h} "
+                                f"vs 2 lambda = {2.0 * self.schedule.lam} with schedule.lambda = {self.schedule.lam}")
         object.__setattr__(self, "_omegas", self.omega * hat)
         object.__setattr__(self, "_amp", np.sqrt(alpha * self.omega * hat))
 
@@ -144,17 +143,21 @@ def assemble(
     if schedule.kind == ASYMPTOTIC:
         lo = 2.0 * map.kappa - schedule.r
         if lo < 0.0:
-            raise AssemblyError(f"need 2 kappa - r >= 0, got 2*{map.kappa} - {schedule.r} = {lo}")
+            raise AssemblyError(f"need 2 kappa - r >= 0, got schedule.r = {schedule.r} against 2 kappa = "
+                                f"{2 * map.kappa} of map '{map.name}'")
         if schedule.v <= lo:
-            raise AssemblyError(f"need v > 2 kappa - r, got v = {schedule.v} vs 2 kappa - r = {lo}")
+            raise AssemblyError(f"need v > 2 kappa - r, got schedule.v = {schedule.v} vs 2 kappa - r = {lo} "
+                                f"with schedule.r = {schedule.r} on map '{map.name}'")
     if schedule.kind == EXPONENTIAL and map.kappa == 1:
         b = map.bounds
-        floor = 2.0 * schedule.lam * b.a2 * (2.0 * b.a2 + b.b2) / (b.a1 * b.b1**2)
+        # by ratios, so that no product of bounds leaves double range on its own
+        floor = 2.0 * schedule.lam * (b.a2 / b.a1) * (2.0 * b.a2 + b.b2) / b.b1 / b.b1
         ka = p.k * p.alpha
         if np.any(ka <= floor):
             raise AssemblyError(
-                f"exponential gain condition violated: min k_i alpha_i = {ka.min():g} "
-                f"must exceed 2 lambda a2 (2 a2 + b2) / (a1 b1^2) = {floor:g}"
+                f"exponential gain condition violated: es.k * es.alpha = {ka.min():g} on its smallest channel "
+                f"must exceed 2 lambda a2 (2 a2 + b2) / (a1 b1^2) = {floor:g} with schedule.lambda = {schedule.lam} "
+                f"on map '{map.name}'"
             )
     return p
 

@@ -230,9 +230,9 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
     qv = np.atleast_1d(np.asarray(q, dtype=float))
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     if qv.shape != star.shape:
-        raise ValueError(f"q and theta_star must have matching shapes, got {qv.shape} and {star.shape}")
+        raise ValueError(f"map.q and map.theta_star must list equally many values, got {qv.size} and {star.size}")
     if np.any(qv <= 0.0):
-        raise ValueError(f"all curvature weights must be positive, got {qv}")
+        raise ValueError(f"map.q must be positive, got {', '.join(map(format, qv.tolist()))}")
     n, qmin, qmax = qv.size, float(qv.min()), float(qv.max())
     # left to right over floats or (B,) arrays, as numpy's (qv * (th.T - star) ** 2).sum(axis=-1)
     # adds for n < 8; the builtin sum() compensates its rounding from Python 3.12 on.  The first
@@ -253,5 +253,5 @@ def named_map(name: str, **kwargs) -> CostMap:
     try:
         builder = BUILTIN_MAPS[name]
     except KeyError:
-        raise ValueError(f"unknown map '{name}'; available: {sorted(BUILTIN_MAPS)}") from None
+        raise ValueError(f"map.name = '{name}' is not a known map; available: {', '.join(sorted(BUILTIN_MAPS))}") from None
     return builder(**kwargs)

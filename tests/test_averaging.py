@@ -370,10 +370,10 @@ def test_run_jobs_results_larger_than_a_pipe_do_not_stall_workers(monkeypatch, d
     assert min(taken.count(pid) for pid in set(taken)) >= 2
 
 
-def test_run_jobs_more_jobs_than_the_task_pipe_holds(monkeypatch, deadline):
-    # 20,000 jobs, more 4-byte indices than a 64 KiB pipe buffer holds, on four workers, more than a two-core
-    # machine has: the workers race to create each job's result file, and only a job taken exactly once gives
-    # its own result in its place
+def test_run_jobs_racing_workers_take_each_job_once(monkeypatch, deadline):
+    # four workers, more than a two-core machine runs at once, race through 20,000 short jobs, each taking a job
+    # by creating its result file: every job must be taken exactly once, since one that no worker took leaves no
+    # result, and two writers of one file could interleave their pickles
     monkeypatch.setattr(averaging, "_worker_count", lambda jobs: 4)
     assert averaging._run_jobs([functools.partial(int, i) for i in range(20_000)]) == list(range(20_000))
 

@@ -40,6 +40,15 @@ sim.horizon = 5
 # a valid probe group for MINIMAL; a case replaces one of its values with one it refuses
 PROBE_GROUP = "probe.omegas = 10\nprobe.epsilon = 0.25\nprobe.delta = 1\nprobe.horizon = 4\nprobe.trials = 1\n"
 
+# schedule keys for MINIMAL: an asymptotic schedule; a case sets the values a relation or the rate fit refuses
+ASYMPTOTIC_KEYS = "schedule.kind = asymptotic\nschedule.beta = {beta}\nschedule.v = {v}\nschedule.r = {r}\n"
+# map and schedule keys for MINIMAL: a quadratic of curvature q under an exponential schedule of rate 1
+EXPONENTIAL_KEYS = ("map.name = quadratic\nmap.q = {q}\nmap.theta_star = 1\n"
+                    "schedule.kind = exponential\nschedule.lambda = 1\nes.k = {k}\n")
+GAIN_REFUSAL = ("^<config>: exponential gain condition violated: es.k \\* es.alpha = {ka} on its smallest channel "
+                "must exceed 2 lambda a2 \\(2 a2 \\+ b2\\) / \\(a1 b1\\^2\\) = {floor} "
+                "with schedule.lambda = 1.0 on map 'quadratic'$")
+
 SMALL_PROBE = SMALL_ASYMPTOTIC + """
 probe.omegas = 10, 30
 probe.epsilon = 0.25
@@ -164,6 +173,31 @@ def test_config_defaults():
         ("es.omega_h = -1\n", "^<config>: es.omega_h must be positive, got -1.0$"),
         # a start whose cost leaves double range: `run` measured it only after the integration
         ("es.theta0 = 1e300\n", "^<config>: es.theta0 = 1e\\+300 has a cost J\\(theta0\\) out of double range$"),
+        # the map's refusals name their keys
+        ("map.name = nosuch\n", "^<config>: map.name = 'nosuch' is not a known map; available: quadratic, quartic_paper$"),
+        ("map.name = quadratic\nmap.q = -1\n", "^<config>: map.q must be positive, got -1.0$"),
+        ("map.name = quadratic\nmap.theta_star = 1, 2\n",
+         "^<config>: map.q and map.theta_star must list equally many values, got 1 and 2$"),
+        # so do the refusals of a relation between values
+        (ASYMPTOTIC_KEYS.format(beta=0.1, v=0.1, r=0),
+         "^" + re.escape("<config>: need v > 2 kappa - r, got schedule.v = 0.1 vs 2 kappa - r = 4.0 "
+                         "with schedule.r = 0.0 on map 'quartic_paper'") + "$"),
+        (ASYMPTOTIC_KEYS.format(beta=0.1, v=1, r=5),
+         "^" + re.escape("<config>: need 2 kappa - r >= 0, got schedule.r = 5.0 against 2 kappa = 4 "
+                         "of map 'quartic_paper'") + "$"),
+        ("schedule.kind = exponential\nschedule.lambda = 2\n",
+         "^" + re.escape("<config>: exponential schedule needs es.omega_h > 2 lambda, got es.omega_h = 3.0 "
+                         "vs 2 lambda = 4.0 with schedule.lambda = 2.0") + "$"),
+        # the gain floor 2 lambda a2 (2 a2 + b2) / (a1 b1^2) of a quadratic with q = 1 is 4 lambda: 2 here;
+        # with q = 1e-200 it is 2e200, and with q = 5e-324 it leaves double range, where a1 b1^2 once
+        # underflowed to a ZeroDivisionError
+        (EXPONENTIAL_KEYS.format(q=1, k=0.1), GAIN_REFUSAL.format(ka="0.1", floor="2")),
+        (EXPONENTIAL_KEYS.format(q=1e-200, k=3), GAIN_REFUSAL.format(ka="3", floor="2e\\+200")),
+        (EXPONENTIAL_KEYS.format(q=5e-324, k=3), GAIN_REFUSAL.format(ka="3", floor="inf")),
+        # every square of the power-law fit's regressor underflows: the fit once ended in a LinAlgError
+        (ASYMPTOTIC_KEYS.format(beta=1e-200, v=0.3333333333333333, r=4) + "sim.horizon = 1\n",
+         "^" + re.escape("<config>: schedule.beta = 1e-200 is too small for the power-law fit over the default "
+                         "analysis.fit_window = 0.1, 1: its regressor log1p(beta (t - t0)) squares to zero there") + "$"),
     ],
 )
 def test_config_rejects(extra, fragment):
@@ -326,25 +360,42 @@ def test_cli_run_cost_column_overflow_exits_3(tmp_path, monkeypatch, capsys):
 
 
 BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "abc", None]  # None drops the key
-MINIMAL_ITEMS = dict(line.split(" = ") for line in MINIMAL.strip().splitlines())
-# keys MINIMAL leaves at their defaults, drawn from values that also stress the time grid and the list lengths
-EXTRA_KEYS = ["schedule.t0", "es.alpha", "es.omega_hat", "es.theta0"]
-EXTRA_VALUES = BAD_VALUES + ["1e15", "1e20", "1, 2", "0.5"]
+SMALL_EXPONENTIAL = """
+map.name = quadratic
+map.theta_star = 1
+schedule.kind = exponential
+schedule.lambda = 0.1
+es.k = 3
+es.omega = 5
+es.omega_h = 3
+sim.horizon = 5
+"""
+# a base config of each schedule kind
+RUN_BASES = {kind: dict(line.split(" = ") for line in text.strip().splitlines()) for kind, text in
+             (("nominal", MINIMAL), ("asymptotic", SMALL_ASYMPTOTIC), ("exponential", SMALL_EXPONENTIAL))}
+# every key `run` reads but out.dir and sim.horizon, which is drawn on its own; the values also stress the time
+# grid, the list lengths, and the scale of the gain floor and of the power-law fit's regressor
+RUN_KEYS = ["map.name", "map.q", "map.theta_star", "schedule.kind", "schedule.t0", "schedule.beta", "schedule.v",
+            "schedule.r", "schedule.lambda", "es.alpha", "es.k", "es.omega", "es.omega_h", "es.omega_hat", "es.theta0",
+            "es.eta0", "sim.dt", "sim.record_every", "analysis.fit_window", "analysis.tail_fraction"]
+RUN_VALUES = BAD_VALUES + ["1e15", "1e20", "1e-200", "1, 2", "0.5", "3"]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    bad=st.dictionaries(st.sampled_from([key for key in MINIMAL_ITEMS if key != "sim.horizon"]),
-                        st.sampled_from(BAD_VALUES), max_size=2),
-    extra=st.dictionaries(st.sampled_from(EXTRA_KEYS), st.sampled_from(EXTRA_VALUES), max_size=2),
+    kind=st.sampled_from(sorted(RUN_BASES)),
+    drawn=st.dictionaries(st.sampled_from(RUN_KEYS), st.sampled_from(RUN_VALUES), max_size=3),
     # a long valid horizon would only make an example slow
     horizon=st.one_of(st.sampled_from(BAD_VALUES), st.floats(-2.0, 2.0).map(repr)),
 )
-@example(bad={}, extra={"es.theta0": "1e300"}, horizon="1.0")  # a start cost out of double range, drawn unaided on 1 of 20 seeds
-def test_cli_run_fuzzed_config_never_raises(tmp_path_factory, bad, extra, horizon):
+@example(kind="nominal", drawn={"es.theta0": "1e300"}, horizon="1.0")  # a start cost out of double range
+@example(kind="exponential", drawn={"map.q": "1e-200"}, horizon="1.0")  # the gain floor's a1 b1^2 underflowed
+@example(kind="exponential", drawn={"map.q": "1e300"}, horizon="1.0")  # and here overflowed
+@example(kind="asymptotic", drawn={"schedule.beta": "1e-200"}, horizon="1.0")  # the rate fit's regressor squared to 0
+def test_cli_run_fuzzed_config_never_raises(tmp_path_factory, kind, drawn, horizon):
     # a config that loads is a config that runs: every input ends in exit 0, 2 or 3, and a run that ends in
     # exit 3 has written its partial artifacts
-    values = {**MINIMAL_ITEMS, **bad, **extra, "sim.horizon": horizon}
+    values = {**RUN_BASES[kind], **drawn, "sim.horizon": horizon}
     tmp = tmp_path_factory.mktemp("fuzz")
     conf = tmp / "fuzz.conf"
     conf.write_text("".join(f"{key} = {value}\n" for key, value in values.items() if value is not None))
@@ -458,6 +509,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", str(latin)]) == 2
     assert capsys.readouterr().err == (f"config error: cannot read config '{latin}': not UTF-8 text "
                                        "(invalid continuation byte at byte 5)\n")
+    # a quadratic with q = 1e300, whose gain floor once overflowed at load, and a power-law fit whose regressor
+    # squares to subnormals, not to zero, both run
+    steep = tmp_path / "steep.conf"
+    steep.write_text(SMALL_EXPONENTIAL + "map.q = 1e300\n")
+    flat = tmp_path / "flat.conf"
+    flat.write_text(SMALL_ASYMPTOTIC.replace("schedule.beta = 0.1\n", "schedule.beta = 1e-160\n")
+                    .replace("sim.horizon = 5\n", "sim.horizon = 1\n"))
+    assert cli.main(["run", str(steep), str(flat)]) == 0
+    assert capsys.readouterr().out.count("; artifacts in ") == 2
     # a delta-ball start near 1e300 has a quartic cost out of double range: a numeric failure naming probe.delta
     wide = tmp_path / "wide.conf"
     wide.write_text(SMALL_PROBE.replace("probe.delta = 1\n", "probe.delta = 1e300\n"))
