@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import random
+import tempfile
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Sequence, Tuple
@@ -192,16 +194,24 @@ def _hermite(times: Array, values: Array, slopes: Array, at: Array) -> Array:
 
 def _trial_starts(map: CostMap, cfg: ProbeConfig) -> Array:
     """The probe's seeded starts x = [theta, J(theta)], shape (trials, n + 1),
-    with theta uniform in the delta-ball around theta*; a start whose cost leaves double range raises."""
-    rng = np.random.default_rng(cfg.seed)
-    dirs = rng.standard_normal((cfg.trials, map.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = cfg.delta * rng.random(cfg.trials) ** (1.0 / map.dim)
-    theta0s = map.optimum + radii[:, None] * dirs
-    costs = [map(theta0) for theta0 in theta0s]
-    if not all(math.isfinite(cost) for cost in costs):
+    with theta uniform in the delta-ball around theta*; a start whose cost leaves double range raises.
+
+    Every number comes from the standard library's `random.Random(cfg.seed)`,
+    whose stream Python keeps across versions.  Per trial, each of the n
+    direction components is a Box-Muller normal from two draws, and one more
+    draw u sets the radius delta * u^(1/n).
+    """
+    draw = random.Random(cfg.seed).random
+    star, n = map.optimum.tolist(), map.dim
+    starts = []
+    for _ in range(cfg.trials):
+        direction = [math.sqrt(-2.0 * math.log(1.0 - draw())) * math.cos(2.0 * math.pi * draw()) for _ in range(n)]
+        scale = cfg.delta * draw() ** (1.0 / n) / math.hypot(*direction)
+        theta = [s + scale * d for s, d in zip(star, direction)]
+        starts.append(theta + [map(theta)])
+    if not all(math.isfinite(start[-1]) for start in starts):
         raise FloatingPointError(f"probe.delta = {cfg.delta:g} draws a start whose cost J(theta) is out of double range")
-    return np.column_stack([theta0s, costs])
+    return np.array(starts)
 
 
 def _integrate_averaged(rhs: Callable, x0: tuple, t0: float, t1: float, dt: float, n: int):
@@ -249,9 +259,7 @@ def _run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
     workers = _worker_count(len(jobs))
     if workers == 1:
         return list(map(_run_job, jobs))
-    # imported here, not at module level: `run` never forks and would pay for them in start-up time
-    import signal
-    import tempfile
+    import signal  # imported here, not at module level: `run` never forks, and nothing else it imports loads signal
 
     pids = []  # the workers not yet reaped
     with tempfile.TemporaryDirectory() as tmp:

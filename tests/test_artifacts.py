@@ -35,7 +35,7 @@ SHA256 = {
     "exponential_ues.trajectory.csv": "dd3bd9235323677c9446c6898036aa86191dd112320602a6a83094b7a9b12f65",
     "exponential_ues.fits.csv": "0f14e82205f9bf192c42d848813392d472fed11c83018e1a479cbf74376a37c7",
     "exponential_ues.svg": "b3f5737919d3f9975bc67d432b11335dee634093f221dfce7cc7d51784bf260f",
-    "omega_sweep.probe.csv": "e24bf505bc725c5e28167f6bd6eae24e5095d818093ccd6f8b393e6d8f6291b1",
+    "omega_sweep.probe.csv": "30bc57ed784281f5992b52b5ff3065ec67a9936953ec72fccc728a37dd33330e",
 }
 
 _NO_FIT = "model,estimate,residual,window_start,window_end\n"
@@ -45,12 +45,12 @@ TEXT = {
     "fig3_asymptotic_ues.fits.csv": _NO_FIT + "power_law,2.8146186241567182,0.61629813896743879,10,100\n",
     "exponential_ues.fits.csv": _NO_FIT + "exponential,0.099990250479542797,0.0089161492951842069,5,60\n",
     "omega_sweep.probe.csv": """omega,trial,entry_time,stayed,sup_gap
-10,0,3.7699111843077522,1,0.027345719902713839
-10,1,0,1,0.016288504989337316
-50,0,3.7699111843077522,1,0.01028852954486581
-50,1,0,1,0.0041151431133741312
-250,0,3.7447784430790332,1,0.0035541804170313718
-250,1,0,1,0.0024273207492231386
+10,0,3.7699111843077522,1,0.021978712295061431
+10,1,3.1415926535897936,1,0.011796050613685383
+50,0,3.6442474781641603,1,0.0072106776070359757
+50,1,2.8902652413026098,1,0.0048388228467541872
+250,0,3.6693802193928784,1,0.0024253404394363187
+250,1,2.9153979825313279,1,0.0022038246224593827
 """,
 }
 

@@ -142,24 +142,42 @@ def test_hermite_nodes_and_cubics():
     np.testing.assert_allclose(_hermite(times, values, slopes, at), poly(at), rtol=1e-12)
 
 
+@pytest.mark.parametrize("map_", [u.quartic_paper(), u.quadratic([1.0, 2.0, 3.0, 4.0], [0.5, -0.25, 1.0, -1.0])],
+                         ids=["n1", "n4"])
+def test_trial_starts_lie_in_the_delta_ball(map_):
+    for seed in range(20):
+        cfg = dataclasses.replace(PROBE_CFG, trials=8, seed=seed)
+        starts = averaging._trial_starts(map_, cfg)
+        assert starts.shape == (cfg.trials, map_.dim + 1)
+        for start in starts:
+            theta = start[:-1]
+            assert np.linalg.norm(theta - map_.optimum) <= cfg.delta
+            assert start[-1] == map_(theta)
+
+
+def test_trial_starts_pin_the_bundled_sweep():
+    # the standard library's stream for seed 7: two Box-Muller draws, then one radius draw, per trial
+    cfg = cli.resolve_config("omega_sweep")
+    assert averaging._trial_starts(cfg.map, cfg.probe).tolist() == [
+        [2.6509344730398539, 1.1795349844197425],
+        [1.6343110830874146, 1.0178832806746008],
+    ]
+
+
 def _per_omega_probe(p, map_, cfg):
     """The probe with the averaged system integrated per (omega, trial) at that omega's step."""
     star = map_.optimum
-    rng = np.random.default_rng(cfg.seed)
-    dirs = rng.standard_normal((cfg.trials, map_.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    theta0s = star + (cfg.delta * rng.random(cfg.trials) ** (1.0 / map_.dim))[:, None] * dirs
+    starts = averaging._trial_starts(map_, cfg).tolist()
     averaged = u.averaged_closed_loop(p, map_)
     t0 = p.schedule.t0
     rows = []
     for omega in cfg.omega_values:
         full_rhs = u.es_closed_loop(p.with_omega(omega), map_)
         dt = u.dither_step_bound(full_rhs.dither_omega_max)
-        for trial, theta0 in enumerate(theta0s):
-            eta0 = map_(theta0)
+        for trial, x0 in enumerate(starts):
             every = dict(record_every=STEPS_PER_PERIOD, n=map_.dim)
-            full = u.integrate(full_rhs, (*theta0.tolist(), eta0), t0, t0 + cfg.horizon, dt, **every)
-            avg = u.integrate(averaged, np.append(theta0 - star, eta0 - map_.optimal_value),
+            full = u.integrate(full_rhs, tuple(x0), t0, t0 + cfg.horizon, dt, **every)
+            avg = u.integrate(averaged, np.append(np.array(x0[:-1]) - star, x0[-1] - map_.optimal_value),
                               t0, t0 + cfg.horizon, dt, **every)
             inside = np.linalg.norm(full.theta - star, axis=1) <= cfg.epsilon
             first = int(np.flatnonzero(inside)[0])

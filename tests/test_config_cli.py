@@ -475,6 +475,18 @@ def test_cli_run_prints_design_rate(tmp_path, monkeypatch, capsys):
     assert "; exponential rate = 0.09999 (design 0.1; residual 0.00892);" in expo
 
 
+def test_cli_sweep_never_imports_numpy_random(tmp_path, monkeypatch):
+    # the probe draws its starts from the standard library's generator; numpy.random costs memory and start-up time
+    conf = tmp_path / "probe.conf"
+    conf.write_text(SMALL_PROBE)
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
+    script = (f"import sys; from ueslab import cli; code = cli.main(['sweep', {str(conf)!r}]); "
+              "print('numpy.random' in sys.modules); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_sweep_needs_probe_settings(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_ASYMPTOTIC)
