@@ -4,6 +4,12 @@ Rate fits work on the envelope of |theta - theta*|: the sequence of strict
 local maxima of the distance signal.  Fitting the envelope instead of the raw
 signal makes the estimate robust to the dither ripple, whose peaks follow the
 schedule while the troughs repeatedly touch zero.
+
+The log-domain line is fit in closed form, as the least-squares slope about
+the means from numpy reductions.  np.polyfit would reach the same line
+through LAPACK's dgelsd, whose first call pages in about 1 MiB that stays
+resident; a two-parameter line needs no factorization, so neither `run` nor
+`sweep` calls LAPACK.
 """
 
 from __future__ import annotations
@@ -73,8 +79,9 @@ def _envelope(times: Array, dist: Array, window) -> Tuple[Array, Array]:
 
     Peaks are strict local maxima over a 3-sample stencil.  Signals without
     enough peaks (monotone or constant ones) fall back to all window samples.
-    Values at or below the noise floor are discarded; losing everything means
-    the window starts after the signal has decayed into round-off.
+    Values at or below the noise floor are discarded; keeping fewer than two,
+    which fit no line, means the window starts after the signal has decayed
+    into round-off.
     """
     mask = _window_mask(times, window)
     t_w, d_w = times[mask], dist[mask]
@@ -85,18 +92,20 @@ def _envelope(times: Array, dist: Array, window) -> Tuple[Array, Array]:
     if idx.size < MIN_ENVELOPE_POINTS:
         idx = np.arange(len(t_w))
     keep = d_w[idx] > NOISE_FLOOR
-    if not np.any(keep):
+    kept = np.count_nonzero(keep)
+    if kept < 2:
         raise WindowTooLate(
-            f"all envelope values in ({window[0]}, {window[1]}) are at or below the {NOISE_FLOOR:g} noise floor; "
-            "fit an earlier window"
+            f"{kept} envelope value(s) in ({window[0]}, {window[1]}) lie above the "
+            f"{NOISE_FLOOR:g} noise floor, and a rate fit needs 2; fit an earlier window"
         )
     return t_w[idx[keep]], d_w[idx[keep]]
 
 
 def _log_fit(x: Array, logd: Array) -> Tuple[float, float]:
-    slope, intercept = np.polyfit(x, logd, 1)
-    resid = logd - (slope * x + intercept)
-    return float(slope), float(math.sqrt(np.mean(resid**2)))
+    """Least-squares slope of logd against x and the RMS of its residuals, from the line through the means."""
+    dx, dy = x - x.mean(), logd - logd.mean()
+    slope = np.sum(dx * dy) / np.sum(dx * dx)
+    return float(slope), math.sqrt(np.mean((dy - slope * dx) ** 2))
 
 
 def fit_power_rate(traj: Trajectory, theta_star, beta: float, t0: float, window) -> RateFit:

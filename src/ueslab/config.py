@@ -30,6 +30,10 @@ Array = np.ndarray
 MAX_STEPS = 10**7
 # largest ulp of the end time t0 + horizon, as a fraction of the step, so that the step still resolves there
 MAX_ULP_PER_STEP = 1e-6
+# least growth of log(1 + beta (t - t0)) over the power-law fit's window: below it nu and phi move by under 0.1%
+# (per unit of 1/v and r/v), so the run is effectively nominal, and the fitted exponent would be the envelope's
+# ripple (log residual 1e-2 to 0.6 on the bundled runs) divided by that growth
+MIN_FIT_LOG_GROWTH = 1e-3
 
 _REQUIRED = object()
 # what _Reader.get refuses a value for not being, by its parse
@@ -163,8 +167,8 @@ def default_fit_window(t0: float, horizon: float) -> Tuple[float, float]:
 
 def _check_fit_window(window, schedule: Schedule, horizon: float, dt: float, every: int) -> None:
     """Refuse a fit window, the given one or (None) the default, outside the run, holding fewer samples than
-    the rate fit needs on integrate's grid, or, under an asymptotic schedule, at whose every sample the power-law
-    fit's regressor log1p(beta (t - t0)) squares to zero, which leaves its least squares no column scale."""
+    the rate fit needs on integrate's grid, or, under an asymptotic schedule, across whose samples the power-law
+    fit's regressor log1p(beta (t - t0)) grows by less than MIN_FIT_LOG_GROWTH."""
     key = "analysis.fit_window" if window else "the default analysis.fit_window"
     t0 = schedule.t0
     window, t1 = window or default_fit_window(t0, horizon), t0 + horizon
@@ -174,14 +178,19 @@ def _check_fit_window(window, schedule: Schedule, horizon: float, dt: float, eve
         raise ValueError(f"{key}: {e}") from None
     count = (step_count(t0, t1, dt) - 1) // every + 2
     time = lambda j: t1 if j == count - 1 else t0 + (j * every) * dt
+    start = bisect.bisect_left(range(count), window[0], key=time)
     end = bisect.bisect_right(range(count), window[1], key=time)
-    held = end - bisect.bisect_left(range(count), window[0], key=time)
-    if held < MIN_WINDOW_SAMPLES:
-        raise ValueError(f"{key} = {window[0]:g}, {window[1]:g} holds {held} recorded sample(s), "
+    if end - start < MIN_WINDOW_SAMPLES:
+        raise ValueError(f"{key} = {window[0]:g}, {window[1]:g} holds {end - start} recorded sample(s), "
                          f"one every {every} step(s) of dt = {dt:g}; the rate fit needs {MIN_WINDOW_SAMPLES}")
-    if schedule.kind == ASYMPTOTIC and math.log1p(schedule.beta * (time(end - 1) - t0)) ** 2 == 0.0:
-        raise ValueError(f"schedule.beta = {schedule.beta:g} is too small for the power-law fit over {key} = "
-                         f"{window[0]:g}, {window[1]:g}: its regressor log1p(beta (t - t0)) squares to zero there")
+    if schedule.kind == ASYMPTOTIC:
+        beta, t_a = schedule.beta, time(start)  # log(s_b / s_a), s = 1 + beta (t - t0), as log1p((s_b - s_a) / s_a)
+        growth = math.log1p(beta * (time(end - 1) - t_a) / (1.0 + beta * (t_a - t0)))
+        if growth < MIN_FIT_LOG_GROWTH:
+            raise ValueError(f"schedule.beta = {beta:g} is too small for the power-law fit over {key} = "
+                             f"{window[0]:g}, {window[1]:g}: log(1 + beta (t - t0)) grows by {growth:.4g} across "
+                             f"its samples, under the {MIN_FIT_LOG_GROWTH:g} below which the schedule is "
+                             "effectively nominal and has no power-law rate")
 
 
 def config_from_text(text: str, name: str, source: str = "<config>") -> ExperimentConfig:

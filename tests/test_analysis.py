@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
-from ueslab.analysis import EXPONENTIAL_DECAY, POWER_LAW
+from ueslab.analysis import EXPONENTIAL_DECAY, POWER_LAW, _log_fit
 from ueslab.errors import WindowTooLate
 
 T = np.linspace(0.0, 100.0, 4001)
@@ -57,6 +57,40 @@ def test_window_after_decay_raises():
     # signal is in round-off everywhere past t = 0: nothing left to fit
     with pytest.raises(WindowTooLate):
         u.fit_exp_rate(_traj(np.full_like(T, 1.0 + 1e-16)), [1.0], (50.0, 100.0))
+
+
+def test_one_envelope_value_above_noise_floor_is_skipped():
+    # one peak above the floor fits no line: np.polyfit once gave its min-norm answer, "exponential rate" 0.6908,
+    # with only a RankWarning, and the closed form alone gives nan
+    t = np.linspace(0.0, 10.0, 201)
+    d = np.full_like(t, 1e-15)
+    d[100] = 1e-3
+    traj = u.Trajectory(t, d.reshape(-1, 1), 1)
+    with pytest.raises(WindowTooLate, match=r"^1 envelope value\(s\) in \(0.0, 10.0\) lie above the 1e-13 noise floor"):
+        u.fit_exp_rate(traj, [0.0], (0.0, 10.0))
+    with pytest.raises(WindowTooLate, match=r"^1 envelope value\(s\)"):
+        u.fit_power_rate(traj, [0.0], 0.1, 0.0, (0.0, 10.0))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_log_fit_against_polyfit(seed):
+    # on regressors like both fits' (t and log1p(beta t)): an exact line's slope comes back to 1e-12 relative with a
+    # residual under 1e-12 of the line's spread; on noisy data slope and residual agree with np.polyfit, a test-only
+    # oracle off every command path, to 1e-9 relative
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 100.0, rng.integers(3, 400)))
+    if seed % 2:
+        x = np.log1p(0.1 * x)
+    slope, intercept = rng.uniform(-5.0, 5.0, 2)
+    fitted, residual = _log_fit(x, slope * x + intercept)
+    assert fitted == pytest.approx(slope, rel=1e-12)
+    assert 0.0 <= residual <= 1e-12 * (abs(slope) * np.ptp(x) + abs(intercept))
+    logd = slope * x + intercept + rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 0.0), x.size)
+    fitted, residual = _log_fit(x, logd)
+    oracle_slope, oracle_intercept = np.polyfit(x, logd, 1)
+    assert fitted == pytest.approx(oracle_slope, rel=1e-9)
+    assert residual == pytest.approx(np.sqrt(np.mean((logd - (oracle_slope * x + oracle_intercept)) ** 2)), rel=1e-9)
+    assert residual >= 0.0
 
 
 @pytest.mark.parametrize("scale", [0.1, 10.0])

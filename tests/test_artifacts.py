@@ -33,7 +33,7 @@ SHA256 = {
     "fig3_asymptotic_ues.fits.csv": "3830a6a8bc54b7508b09642fb2646dc9ee172a14625b643fc6625ab63f56200f",
     "fig3_asymptotic_ues.svg": "9b9cd19ae8049bee8d09c194313fc7c9f1285588d60bf8efc35736408e7a8e4f",
     "exponential_ues.trajectory.csv": "dd3bd9235323677c9446c6898036aa86191dd112320602a6a83094b7a9b12f65",
-    "exponential_ues.fits.csv": "0f14e82205f9bf192c42d848813392d472fed11c83018e1a479cbf74376a37c7",
+    "exponential_ues.fits.csv": "254538115343bd1fecf307a5e7c4551b6184acd45fb7fef31c4a63c874cf20eb",
     "exponential_ues.svg": "b3f5737919d3f9975bc67d432b11335dee634093f221dfce7cc7d51784bf260f",
     "omega_sweep.probe.csv": "30bc57ed784281f5992b52b5ff3065ec67a9936953ec72fccc728a37dd33330e",
 }
@@ -43,7 +43,7 @@ TEXT = {
     "fig2_nominal_a.fits.csv": _NO_FIT,
     "fig2_nominal_b.fits.csv": _NO_FIT,
     "fig3_asymptotic_ues.fits.csv": _NO_FIT + "power_law,2.8146186241567182,0.61629813896743879,10,100\n",
-    "exponential_ues.fits.csv": _NO_FIT + "exponential,0.099990250479542797,0.0089161492951842069,5,60\n",
+    "exponential_ues.fits.csv": _NO_FIT + "exponential,0.099990250479542797,0.0089161492951842017,5,60\n",
     "omega_sweep.probe.csv": """omega,trial,entry_time,stayed,sup_gap
 10,0,3.7699111843077522,1,0.021978712295061431
 10,1,3.1415926535897936,1,0.011796050613685383

@@ -194,10 +194,18 @@ def test_config_defaults():
         (EXPONENTIAL_KEYS.format(q=1, k=0.1), GAIN_REFUSAL.format(ka="0.1", floor="2")),
         (EXPONENTIAL_KEYS.format(q=1e-200, k=3), GAIN_REFUSAL.format(ka="3", floor="2e\\+200")),
         (EXPONENTIAL_KEYS.format(q=5e-324, k=3), GAIN_REFUSAL.format(ka="3", floor="inf")),
-        # every square of the power-law fit's regressor underflows: the fit once ended in a LinAlgError
+        # the power-law fit's regressor barely grows over the window: once a LinAlgError (1e-200) or a meaningless
+        # exponent (1e-160); a growth just under the 1e-3 floor is refused as well, with a window given
         (ASYMPTOTIC_KEYS.format(beta=1e-200, v=0.3333333333333333, r=4) + "sim.horizon = 1\n",
          "^" + re.escape("<config>: schedule.beta = 1e-200 is too small for the power-law fit over the default "
-                         "analysis.fit_window = 0.1, 1: its regressor log1p(beta (t - t0)) squares to zero there") + "$"),
+                         "analysis.fit_window = 0.1, 1: log(1 + beta (t - t0)) grows by 8.743e-201 across its samples, "
+                         "under the 0.001 below which the schedule is effectively nominal and has no power-law rate")
+         + "$"),
+        (ASYMPTOTIC_KEYS.format(beta=9e-5, v=0.3333333333333333, r=4) + "analysis.fit_window = 0, 10\n",
+         "^" + re.escape("<config>: schedule.beta = 9e-05 is too small for the power-law fit over "
+                         "analysis.fit_window = 0, 10: log(1 + beta (t - t0)) grows by 0.0008996 across its samples, "
+                         "under the 0.001 below which the schedule is effectively nominal and has no power-law rate")
+         + "$"),
     ],
 )
 def test_config_rejects(extra, fragment):
@@ -206,6 +214,13 @@ def test_config_rejects(extra, fragment):
     kept = "".join(line + "\n" for line in MINIMAL.splitlines() if line.split("=")[0].strip() not in keys)
     with pytest.raises(ConfigError, match=fragment):
         config_from_text(kept + extra, name="bad")
+
+
+def test_power_fit_growth_floor_admits_what_clears_it():
+    # over a window 0, 10, beta = 1.1e-4 grows log(1 + beta t) by 1.0994e-3, just over the 1e-3 floor that 9e-5 misses
+    text = (SMALL_ASYMPTOTIC.replace("schedule.beta = 0.1\n", "schedule.beta = 1.1e-4\n")
+            .replace("sim.horizon = 5\n", "sim.horizon = 10\nanalysis.fit_window = 0, 10\n"))
+    assert config_from_text(text, name="slow").params.schedule.beta == 1.1e-4
 
 
 @settings(max_examples=80, deadline=None)
@@ -392,6 +407,7 @@ RUN_VALUES = BAD_VALUES + ["1e15", "1e20", "1e-200", "1, 2", "0.5", "3"]
 @example(kind="exponential", drawn={"map.q": "1e-200"}, horizon="1.0")  # the gain floor's a1 b1^2 underflowed
 @example(kind="exponential", drawn={"map.q": "1e300"}, horizon="1.0")  # and here overflowed
 @example(kind="asymptotic", drawn={"schedule.beta": "1e-200"}, horizon="1.0")  # the rate fit's regressor squared to 0
+@example(kind="asymptotic", drawn={"schedule.beta": "1e-160"}, horizon="1.0")  # and spanned 1e-160: exponent -4e+158
 def test_cli_run_fuzzed_config_never_raises(tmp_path_factory, kind, drawn, horizon):
     # a config that loads is a config that runs: every input ends in exit 0, 2 or 3, and a run that ends in
     # exit 3 has written its partial artifacts
@@ -487,6 +503,29 @@ def test_cli_sweep_never_imports_numpy_random(tmp_path, monkeypatch):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+# numpy's least squares and numpy.linalg's LAPACK-backed entry points; np.linalg.norm of a vector reaches none
+LAPACK_CALLS = [(np, "polyfit")] + [(np.linalg, name) for name in
+                                    ("lstsq", "solve", "inv", "pinv", "svd", "qr", "eig", "eigh", "cholesky", "det")]
+
+
+def test_run_and_sweep_call_no_lapack(tmp_path, monkeypatch, capsys):
+    # the first LAPACK call pages in about 1 MiB that stays resident; the rate fits are closed-form instead
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+
+    for module, name in LAPACK_CALLS:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
+    assert cli.main(["run", "fig2_nominal_a", "fig2_nominal_b", "fig3_asymptotic_ues", "exponential_ues"]) == 0
+    conf = tmp_path / "probe.conf"  # the shape of test_averaging's PROBE_CFG: two omegas, two trials
+    conf.write_text(SMALL_PROBE.replace("probe.horizon = 4\n", "probe.horizon = 5\n")
+                    .replace("probe.trials = 1\n", "probe.trials = 2\n"))
+    assert cli.main(["sweep", str(conf)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("; power-law exponent = ") == 1 and out.count("; exponential rate = ") == 1
+    assert "; fitted averaging order " in out
+
+
 def test_cli_sweep_needs_probe_settings(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_ASYMPTOTIC)
@@ -521,15 +560,22 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", str(latin)]) == 2
     assert capsys.readouterr().err == (f"config error: cannot read config '{latin}': not UTF-8 text "
                                        "(invalid continuation byte at byte 5)\n")
-    # a quadratic with q = 1e300, whose gain floor once overflowed at load, and a power-law fit whose regressor
-    # squares to subnormals, not to zero, both run
+    # a quadratic with q = 1e300, whose gain floor once overflowed at load, runs
     steep = tmp_path / "steep.conf"
     steep.write_text(SMALL_EXPONENTIAL + "map.q = 1e300\n")
-    flat = tmp_path / "flat.conf"
-    flat.write_text(SMALL_ASYMPTOTIC.replace("schedule.beta = 0.1\n", "schedule.beta = 1e-160\n")
-                    .replace("sim.horizon = 5\n", "sim.horizon = 1\n"))
-    assert cli.main(["run", str(steep), str(flat)]) == 0
-    assert capsys.readouterr().out.count("; artifacts in ") == 2
+    assert cli.main(["run", str(steep)]) == 0
+    assert capsys.readouterr().out.count("; artifacts in ") == 1
+    # a power-law schedule that never leaves its start over the fit window has no rate to fit: 1e-160 once printed
+    # an exponent of -4.455e+158 and exited 0, and 3e-162 one of -1.485e+160
+    for beta in ("1e-160", "3e-162"):
+        flat = tmp_path / "flat.conf"
+        flat.write_text(SMALL_ASYMPTOTIC.replace("schedule.beta = 0.1\n", f"schedule.beta = {beta}\n")
+                        .replace("sim.horizon = 5\n", "sim.horizon = 1\n"))
+        assert cli.main(["run", str(flat)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: {flat}: schedule.beta = {beta} is too small for the power-law fit "
+                              "over the default analysis.fit_window = 0.1, 1: log(1 + beta (t - t0)) grows by ")
     # a delta-ball start near 1e300 has a quartic cost out of double range: a numeric failure naming probe.delta
     wide = tmp_path / "wide.conf"
     wide.write_text(SMALL_PROBE.replace("probe.delta = 1\n", "probe.delta = 1e300\n"))
