@@ -21,13 +21,17 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import WindowTooLate
-from .sim import Trajectory
+from .sim import Trajectory, csv_text
 
 Array = np.ndarray
 
 NOISE_FLOOR = 1e-13
 MIN_ENVELOPE_POINTS = 10
 MIN_WINDOW_SAMPLES = 3
+# least growth of log(1 + beta (t - t0)) over the power-law fit's window: below it nu and phi move by under 0.1%
+# (per unit of 1/v and r/v), so the run is effectively nominal, and the fitted exponent would be the envelope's
+# ripple (log residual 1e-2 to 0.6 on the bundled runs) divided by that growth
+MIN_FIT_LOG_GROWTH = 1e-3
 POWER_LAW = "power_law"
 EXPONENTIAL_DECAY = "exponential"
 
@@ -50,8 +54,8 @@ class RateFit:
     def __post_init__(self):
         if self.window[1] <= self.window[0]:
             raise ValueError(f"window end must exceed start, got {self.window}")
-        if self.residual < 0.0:
-            raise ValueError(f"residual must be >= 0, got {self.residual}")
+        if not (math.isfinite(self.estimate) and math.isfinite(self.residual) and self.residual >= 0.0):
+            raise ValueError(f"estimate must be finite and residual finite and >= 0, got {self.estimate}, {self.residual}")
 
 
 def _distance_series(traj: Trajectory, theta_star) -> Array:
@@ -108,11 +112,22 @@ def _log_fit(x: Array, logd: Array) -> Tuple[float, float]:
     return float(slope), math.sqrt(np.mean((dy - slope * dx) ** 2))
 
 
+def log_growth(beta: float, t0: float, t_a: float, t_b: float) -> float:
+    """Growth of the power-law regressor log(1 + beta (t - t0)) from t_a to t_b, as log1p((s_b - s_a) / s_a)."""
+    return math.log1p(beta * (t_b - t_a) / (1.0 + beta * (t_a - t0)))
+
+
 def fit_power_rate(traj: Trajectory, theta_star, beta: float, t0: float, window) -> RateFit:
-    """Exponent of |theta - theta*| ~ (1 + beta (t - t0))^(-estimate) on the peak envelope."""
+    """Exponent of |theta - theta*| ~ (1 + beta (t - t0))^(-estimate) on the peak envelope; ValueError naming
+    beta when the regressor grows by less than MIN_FIT_LOG_GROWTH across the window's samples."""
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     t_pk, d_pk = _envelope(traj.times, _distance_series(traj, theta_star), window)
+    t_w = traj.times[_window_mask(traj.times, window)]
+    growth = log_growth(beta, t0, float(t_w[0]), float(t_w[-1]))
+    if growth < MIN_FIT_LOG_GROWTH:
+        raise ValueError(f"beta = {beta:g} is too small for a power-law fit over ({window[0]:g}, {window[1]:g}): "
+                         f"log(1 + beta (t - t0)) grows by {growth:.4g} across its samples, under {MIN_FIT_LOG_GROWTH:g}")
     slope, rms = _log_fit(np.log1p(beta * (t_pk - t0)), np.log(d_pk))
     return RateFit(POWER_LAW, -slope, rms, (float(window[0]), float(window[1])))
 
@@ -138,13 +153,8 @@ def fit_averaging_order(omegas: Sequence[float], gaps: Sequence[float]) -> Optio
 
 
 def fit_report_csv(fits: Sequence[RateFit]) -> str:
-    lines = ["model,estimate,residual,window_start,window_end"]
-    for f in fits:
-        lines.append(
-            f"{f.model},{format(f.estimate, '.17g')},{format(f.residual, '.17g')},"
-            f"{format(f.window[0], '.17g')},{format(f.window[1], '.17g')}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(("model", "estimate", "residual", "window_start", "window_end"),
+                    ((f.model, f.estimate, f.residual, *f.window) for f in fits))
 
 
 def oscillation_amplitude(traj: Trajectory, tail_fraction: float) -> Tuple[Array, float]:
@@ -160,7 +170,7 @@ def oscillation_amplitude(traj: Trajectory, tail_fraction: float) -> Tuple[Array
     start = min(m - int(math.ceil(m * tail_fraction)), m - 1)
     tail = traj.theta[start:]
     if len(tail) < 20:
-        raise ValueError(f"tail window holds {len(tail)} samples; need at least 20")
+        raise ValueError(f"tail window holds {len(tail)} sample(s); need at least 20")
     mean = tail.mean(axis=0)
     half_p2p = 0.5 * (tail.max(axis=0) - tail.min(axis=0))
     return mean, float(half_p2p.max())

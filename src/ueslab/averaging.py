@@ -38,7 +38,7 @@ import numpy as np
 from .controllers import EsParams, averaged_closed_loop, es_closed_loop, phase_error, require_transformable
 from .errors import IntegrationDiverged, WorkerLost
 from .maps import CostMap
-from .sim import STEPS_PER_PERIOD, dither_step_bound, integrate
+from .sim import STEPS_PER_PERIOD, csv_text, dither_step_bound, integrate
 
 Array = np.ndarray
 
@@ -164,13 +164,8 @@ class ProbeRow:
 
 
 def probe_rows_csv(rows: Sequence[ProbeRow]) -> str:
-    lines = ["omega,trial,entry_time,stayed,sup_gap"]
-    for row in rows:
-        lines.append(
-            f"{format(row.omega, '.17g')},{row.trial},{format(row.entry_time, '.17g')},"
-            f"{int(row.stayed)},{format(row.sup_gap, '.17g')}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(("omega", "trial", "entry_time", "stayed", "sup_gap"),
+                    ((r.omega, r.trial, r.entry_time, int(r.stayed), r.sup_gap) for r in rows))
 
 
 def _hermite(times: Array, values: Array, slopes: Array, at: Array) -> Array:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import fit_averaging_order, fit_exp_rate, fit_power_rate, fit_report_csv, oscillation_amplitude
 from .averaging import practical_stability_probe, probe_rows_csv
-from .config import MAX_STEPS, ExperimentConfig, config_from_text, default_fit_window, load_config
+from .config import MAX_STEPS, ExperimentConfig, config_from_text, load_config
 from .controllers import es_closed_loop
 from .errors import ConfigError, IntegrationDiverged, WindowTooLate, WorkerLost
 from .schedules import ASYMPTOTIC, NOMINAL
@@ -85,9 +85,7 @@ def _write_streamed(path: Path, blocks: Iterable[str]) -> None:
 def _write_run_artifacts(cfg: ExperimentConfig, out: Path, traj: Trajectory, fits) -> None:
     _write_streamed(out / f"{cfg.name}.trajectory.csv", traj.csv_blocks())
     (out / f"{cfg.name}.fits.csv").write_text(fit_report_csv(fits), encoding="utf-8")
-    series = [(traj.times, traj.theta[:, i], f"theta_{i + 1}") for i in range(traj.n)]
-    if traj.y is not None:
-        series.append((traj.times, traj.y, "y"))
+    series = [(traj.times, traj.theta[:, i], f"theta_{i + 1}") for i in range(traj.n)] + [(traj.times, traj.y, "y")]
     _write_streamed(out / f"{cfg.name}.svg", line_plot_blocks(series, cfg.name))
 
 
@@ -125,13 +123,12 @@ def _run_one(cfg: ExperimentConfig) -> int:
 
     fits = []
     if p.schedule.kind != NOMINAL:
-        window = cfg.fit_window or default_fit_window(t0, cfg.horizon)
         try:
             if p.schedule.kind == ASYMPTOTIC:
-                fit = fit_power_rate(traj, map_.optimum, p.schedule.beta, t0, window)
+                fit = fit_power_rate(traj, map_.optimum, p.schedule.beta, t0, cfg.fit_window)
                 label, design = "power-law exponent", 1.0 / p.schedule.v
             else:
-                fit = fit_exp_rate(traj, map_.optimum, window)
+                fit = fit_exp_rate(traj, map_.optimum, cfg.fit_window)
                 label, design = "exponential rate", p.schedule.lam
             bits.append(f"{label} = {fit.estimate:.4g} (design {design:.4g}; residual {fit.residual:.3g});")
             fits.append(fit)
@@ -141,8 +138,8 @@ def _run_one(cfg: ExperimentConfig) -> int:
         try:
             _, amp = oscillation_amplitude(traj, cfg.tail_fraction)
             bits.append(f"tail oscillation amplitude = {amp:.4g};")
-        except ValueError:
-            pass
+        except ValueError as e:
+            bits.append(f"tail oscillation amplitude skipped ({e});")
 
     _write_run_artifacts(cfg, out, traj, fits)
     bits.append(f"artifacts in {out}")

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .analysis import MIN_WINDOW_SAMPLES, check_window
+from .analysis import MIN_FIT_LOG_GROWTH, MIN_WINDOW_SAMPLES, check_window, log_growth
 from .averaging import ProbeConfig
 from .controllers import EsParams, assemble, require_averageable
 from .errors import CapabilityError, ConfigError
@@ -28,12 +28,11 @@ Array = np.ndarray
 
 # most RK4 steps a config may ask of one integration, so that every config that loads also ends
 MAX_STEPS = 10**7
+# most RK4 steps of one sweep, over its trials * (1 + omegas) integrations, which MAX_STEPS alone does not bound:
+# it admits four 64-trial sweeps of the bundled omega_sweep (1.04e7 steps) and refuses those that would run for hours
+MAX_SWEEP_STEPS = 10 * MAX_STEPS
 # largest ulp of the end time t0 + horizon, as a fraction of the step, so that the step still resolves there
 MAX_ULP_PER_STEP = 1e-6
-# least growth of log(1 + beta (t - t0)) over the power-law fit's window: below it nu and phi move by under 0.1%
-# (per unit of 1/v and r/v), so the run is effectively nominal, and the fitted exponent would be the envelope's
-# ripple (log residual 1e-2 to 0.6 on the bundled runs) divided by that growth
-MIN_FIT_LOG_GROWTH = 1e-3
 
 _REQUIRED = object()
 # what _Reader.get refuses a value for not being, by its parse
@@ -160,18 +159,15 @@ def _check_time_grid(key: str, schedule: Schedule, horizon: float, dt: float) ->
         raise ValueError(f"{key} = {horizon:g} is too short to move schedule.t0 = {t0:g} in double precision")
 
 
-def default_fit_window(t0: float, horizon: float) -> Tuple[float, float]:
-    """The rate-fit window of a config without analysis.fit_window: the run's last 90%."""
-    return (t0 + 0.1 * horizon, t0 + horizon)
-
-
-def _check_fit_window(window, schedule: Schedule, horizon: float, dt: float, every: int) -> None:
-    """Refuse a fit window, the given one or (None) the default, outside the run, holding fewer samples than
-    the rate fit needs on integrate's grid, or, under an asymptotic schedule, across whose samples the power-law
-    fit's regressor log1p(beta (t - t0)) grows by less than MIN_FIT_LOG_GROWTH."""
+def _check_fit_window(window, schedule: Schedule, horizon: float, dt: float, every: int) -> Tuple[float, float]:
+    """The fit window, the given one or (None) the default, the run's last 90%; refused unless it is two values
+    inside the run holding as many samples on integrate's grid as the rate fit needs, across which, under an
+    asymptotic schedule, the power-law fit's regressor grows by at least MIN_FIT_LOG_GROWTH."""
+    if window is not None and (len(window) != 2 or window[1] <= window[0]):
+        raise ValueError("analysis.fit_window needs two values 'start, end' with end > start")
     key = "analysis.fit_window" if window else "the default analysis.fit_window"
     t0 = schedule.t0
-    window, t1 = window or default_fit_window(t0, horizon), t0 + horizon
+    window, t1 = tuple(window or (t0 + 0.1 * horizon, t0 + horizon)), t0 + horizon
     try:
         check_window(window, t0, t1)
     except ValueError as e:
@@ -184,13 +180,14 @@ def _check_fit_window(window, schedule: Schedule, horizon: float, dt: float, eve
         raise ValueError(f"{key} = {window[0]:g}, {window[1]:g} holds {end - start} recorded sample(s), "
                          f"one every {every} step(s) of dt = {dt:g}; the rate fit needs {MIN_WINDOW_SAMPLES}")
     if schedule.kind == ASYMPTOTIC:
-        beta, t_a = schedule.beta, time(start)  # log(s_b / s_a), s = 1 + beta (t - t0), as log1p((s_b - s_a) / s_a)
-        growth = math.log1p(beta * (time(end - 1) - t_a) / (1.0 + beta * (t_a - t0)))
+        beta = schedule.beta
+        growth = log_growth(beta, t0, time(start), time(end - 1))
         if growth < MIN_FIT_LOG_GROWTH:
             raise ValueError(f"schedule.beta = {beta:g} is too small for the power-law fit over {key} = "
                              f"{window[0]:g}, {window[1]:g}: log(1 + beta (t - t0)) grows by {growth:.4g} across "
                              f"its samples, under the {MIN_FIT_LOG_GROWTH:g} below which the schedule is "
                              "effectively nominal and has no power-law rate")
+    return window
 
 
 def config_from_text(text: str, name: str, source: str = "<config>") -> ExperimentConfig:
@@ -235,12 +232,8 @@ def _experiment(r: _Reader, name: str) -> ExperimentConfig:
         raise ValueError(f"sim.record_every must be >= 1, got {record_every}")
 
     window = r.get("analysis.fit_window", list, None)
-    if window is not None:
-        if len(window) != 2 or window[1] <= window[0]:
-            raise ValueError("analysis.fit_window needs two values 'start, end' with end > start")
-        window = tuple(window)
     if window is not None or schedule.kind != NOMINAL:  # given, or read by a rate fit
-        _check_fit_window(window, schedule, horizon, dt, record_every)
+        window = _check_fit_window(window, schedule, horizon, dt, record_every)
     tail_fraction = r.get("analysis.tail_fraction", float, 0.2)
     if not (0.0 < tail_fraction <= 1.0):
         raise ValueError(f"analysis.tail_fraction must lie in (0, 1], got {tail_fraction}")
@@ -251,8 +244,13 @@ def _experiment(r: _Reader, name: str) -> ExperimentConfig:
             require_averageable(params, map_)
         except CapabilityError as e:
             raise ValueError(f"schedule.kind = {schedule.kind} leaves the probe no averaged system: {e}") from None
-        fastest = float(np.max(params.with_omega(probe.omega_values[-1]).omegas))
-        _check_time_grid("probe.horizon", schedule, probe.horizon, dither_step_bound(fastest))
+        dts = [dither_step_bound(float(np.max(params.with_omega(w).omegas))) for w in probe.omega_values]
+        _check_time_grid("probe.horizon", schedule, probe.horizon, dts[-1])
+        # per trial, the averaged run at the smallest omega's step and one full-loop run per omega
+        per_trial = sum(step_count(schedule.t0, schedule.t0 + probe.horizon, dt) for dt in [dts[0]] + dts)
+        if probe.trials * per_trial > MAX_SWEEP_STEPS:
+            raise ValueError(f"probe.trials = {probe.trials} asks the sweep for {probe.trials * per_trial} RK4 steps, "
+                             f"{per_trial} per trial; at most {MAX_SWEEP_STEPS} are allowed")
     out_dir = r.get("out.dir", default="out")
     r.reject_unknown()
 

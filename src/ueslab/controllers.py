@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import textwrap
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -38,7 +37,7 @@ import numpy as np
 from .errors import AssemblyError, CapabilityError
 from .maps import CostMap
 from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Factors, Schedule
-from .sim import compiled, rk4_text
+from .sim import generated, rk4_text
 
 Array = np.ndarray
 
@@ -65,6 +64,7 @@ class EsParams:
     schedule     amplitude/gain schedule
     omega_hat    per-channel frequency ratios, pairwise distinct; defaults to
                  the geometric spacing of default_omega_hat
+    omegas       (set, not given) per-channel dither frequencies omega * omega_hat_i, positive and finite
 
     Cross-checks against a cost map (growth-order condition, exponential gain
     condition) happen in ``assemble``, which is the intended constructor for
@@ -99,17 +99,16 @@ class EsParams:
         if self.schedule.kind == EXPONENTIAL and self.omega_h <= 2.0 * self.schedule.lam:
             raise AssemblyError(f"exponential schedule needs es.omega_h > 2 lambda, got es.omega_h = {self.omega_h} "
                                 f"vs 2 lambda = {2.0 * self.schedule.lam} with schedule.lambda = {self.schedule.lam}")
-        object.__setattr__(self, "_omegas", self.omega * hat)
+        omegas = self.omega * hat
+        if not np.all(np.isfinite(omegas) & (omegas > 0.0)):
+            raise AssemblyError(f"dither frequencies omega * es.omega_hat must be positive and finite, got "
+                                f"{', '.join(map(format, omegas.tolist()))} at omega = {self.omega}")
+        object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "_amp", np.sqrt(alpha * self.omega * hat))
 
     @property
     def n(self) -> int:
         return self.alpha.size
-
-    @property
-    def omegas(self) -> Array:
-        """Per-channel dither frequencies omega * omega_hat_i."""
-        return self._omegas
 
     def with_omega(self, omega: float) -> "EsParams":
         return replace(self, omega=omega)
@@ -238,13 +237,12 @@ def _generated_loop(p: EsParams, label: str, stage, factor_text, names: dict):
     n = p.n
     names.update(p.schedule.text_names(), factors=p.schedule.factors, cos=math.cos, copysign=math.copysign,
                  log=math.log, exp=math.exp, nan=math.nan, TINY_ERR=TINY_ERR, omega_h=float(p.omega_h))
-    for name, values in (("w", p._omegas), ("amp", p._amp), ("k", p.k)):
+    for name, values in (("w", p.omegas), ("amp", p._amp), ("k", p.k)):
         names.update((f"{name}_{i}", v) for i, v in enumerate(values.tolist()))
     xs = [f"x_{i}" for i in range(n + 1)]
-    body = f"({', '.join(xs)},) = x\n" + factor_text("t", "0")[0] + stage(xs, "t", "0", "dx")
-    src = "def rhs(x, t):\n" + textwrap.indent(body + "return (" + "".join(f"dx_{i}, " for i in range(n + 1)) + ")\n", "    ")
-    exec(compiled(src, f"<{label} rhs over {n} channels>", "exec"), names)
-    rhs = names["rhs"]
+    body = (f"({', '.join(xs)},) = x\n" + factor_text("t", "0")[0] + stage(xs, "t", "0", "dx")
+            + "return (" + "".join(f"dx_{i}, " for i in range(n + 1)) + ")\n")
+    rhs = generated("rhs(x, t)", body, names, f"<{label} rhs over {n} channels>")
     rhs.rk4_loop = (rhs, rk4_text((n + 1,), stage, factor_text))
     return rhs
 
@@ -262,7 +260,7 @@ def es_closed_loop(p: EsParams, map: CostMap):
     _check_loop_map(p, map)
     stage = functools.partial(_deployed_stage, p.n, map.value_text[0])
     rhs = _generated_loop(p, "deployed loop", stage, p.schedule.factor_text, dict(map.value_text[1]))
-    rhs.dither_omega_max = float(np.max(p._omegas))
+    rhs.dither_omega_max = float(np.max(p.omegas))
     return rhs
 
 
@@ -290,7 +288,7 @@ def transformed_closed_loop(p: EsParams, map: CostMap):
     RK4 loop, as ``es_closed_loop``'s; an infinite phase gives NaN dither rates there too."""
     require_transformable(p, map)
     rhs = _frame_loop(p, map, averaged=False)
-    rhs.dither_omega_max = float(np.max(p._omegas))
+    rhs.dither_omega_max = float(np.max(p.omegas))
     return rhs
 
 

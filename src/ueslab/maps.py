@@ -8,10 +8,11 @@ empirical two-sided power-law envelopes of the cost, its gradient, and its
 Hessian on a ball around the minimizer.
 
 A map is built from the texts of its closed forms, each one expression with
-{i} for coordinate i: ``eval``, ``centered`` and ``grad`` are compiled from
-them, and the closed loops write the same texts into their generated RK4
-steps.  The compiled forms take theta as a sequence whose item i is
-coordinate i, n floats or an (n,) array for one input, or an (n, B) array
+{i} for coordinate i: the centered cost J - J*, and J* plus it as the cost,
+and the gradient.  ``eval``, ``centered`` and ``grad`` are compiled from them,
+and the closed loops write the same texts into their generated RK4 steps.
+The compiled forms take theta as a sequence whose item i is coordinate i,
+n floats or an (n,) array for one input, or an (n, B) array
 for B inputs at once; ``eval`` and ``centered`` return a scalar or a (B,)
 array, ``grad`` a sequence of n components of the same kind.  ``__call__``,
 ``centered_value`` and ``gradient`` validate single inputs.
@@ -19,13 +20,14 @@ array, ``grad`` a sequence of n components of the same kind.  ``__call__``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Tuple
 
 import numpy as np
 
 from .errors import AssumptionViolation
-from .sim import compiled
+from .sim import generated
 
 Array = np.ndarray
 
@@ -62,23 +64,21 @@ class CostMap:
 
     dim            input dimension n
     kappa          convexity order: 1 for strongly convex behavior, larger for flatter minima
-    value_text     (text, names): the cost as one expression with {i} for coordinate i, and the
-                   numbers it reads by name (q_i, star_i), which no loop text uses
-    centered_text  (text, names) of the cancellation-free value - optimal_value
+    centered_text  (text, names): the cancellation-free J - J*, which must vanish at the optimum, as one
+                   expression with {i} for coordinate i, and the numbers it reads by name (q_i, star_i)
     grad_text      (text, names) of the gradient, one tuple display of n components
     hess           closed-form Hessian
     optimum        minimizer theta*, at which the gradient must vanish
-    optimal_value  cost J* at the minimizer
+    optimal_value  cost J* at the minimizer, finite
     bounds         analytic PowerBounds
     name           the map's name, as configs address it
 
-    ``eval``, ``centered`` and ``grad`` are compiled from the texts when the map is built, and the closed
-    loops write the same texts inline.
+    The cost's ``value_text`` is derived, ``f"{J*!r} + ({centered})"`` or for J* = 0.0 the centered text, and
+    ``eval``, ``centered`` and ``grad`` are compiled when the map is built; the closed loops write the texts inline.
     """
 
     dim: int
     kappa: int
-    value_text: Tuple[str, Mapping[str, float]]
     centered_text: Tuple[str, Mapping[str, float]]
     grad_text: Tuple[str, Mapping[str, float]]
     hess: Callable[[Array], Array]
@@ -86,6 +86,7 @@ class CostMap:
     optimal_value: float
     bounds: PowerBounds
     name: str
+    value_text: Tuple[str, Mapping[str, float]] = field(init=False, repr=False, compare=False)
     eval: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
     centered: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
     grad: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
@@ -95,13 +96,19 @@ class CostMap:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
         if self.kappa < 1:
             raise ValueError(f"kappa must be a positive integer, got {self.kappa}")
-        for form, text in (("eval", self.value_text), ("centered", self.centered_text), ("grad", self.grad_text)):
-            object.__setattr__(self, form, form_function(self.dim, text))
+        centered, names, j_star = *self.centered_text, float(self.optimal_value)
+        object.__setattr__(self, "value_text", (f"{j_star!r} + ({centered})" if j_star else centered, names))
+        coords = [f"th_{i}" for i in range(self.dim)]  # theta unpacked into its dim coordinates
+        for form, (text, names) in (("eval", self.value_text), ("centered", self.centered_text), ("grad", self.grad_text)):
+            body = f"{', '.join(coords)}, = th\nreturn {text.format(*coords)}\n"
+            object.__setattr__(self, form, generated("form(th)", body, names, f"<map form over {self.dim} coordinates>"))
         star = np.asarray(self.optimum, dtype=float).reshape(self.dim)
         object.__setattr__(self, "optimum", star)
-        g = self.gradient(star)
+        g, jc = self.gradient(star), float(self.centered(star))
         if not np.all(np.isfinite(g)) or np.linalg.norm(g) >= 1e-8:
             raise ValueError(f"gradient at declared optimum must vanish, |grad| = {np.linalg.norm(g):g}")
+        if jc != 0.0 or not math.isfinite(j_star):
+            raise ValueError(f"need a finite J* and J - J* = 0 at the declared optimum, got J* = {j_star}, J - J* = {jc:g}")
 
     def _as_input(self, theta) -> Array:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -207,22 +214,11 @@ def verify_power_bounds(map: CostMap, radius: float, samples: int, seed: int) ->
     )
 
 
-def form_function(dim: int, form_text: Tuple[str, Mapping[str, float]]) -> Callable:
-    """The closed form compiled from one of a map's texts, theta unpacked into its dim coordinates."""
-    text, names = form_text
-    coords = [f"th_{i}" for i in range(dim)]
-    src = f"def form(th):\n    {', '.join(coords)}, = th\n    return {text.format(*coords)}\n"
-    namespace = dict(names)
-    exec(compiled(src, f"<map form over {dim} coordinates>", "exec"), namespace)
-    return namespace["form"]
-
-
 def quartic_paper() -> CostMap:
     """1-D quartic cost 1 + (theta - 2)^4 with a flat (order-2) minimum at 2."""
-    return CostMap(dim=1, kappa=2, value_text=("1.0 + ({0} - 2.0) ** 4", {}), centered_text=("({0} - 2.0) ** 4", {}),
-                   grad_text=("(4.0 * ({0} - 2.0) ** 3, )", {}), hess=lambda th: np.array([[12.0 * (th[0] - 2.0) ** 2]]),
-                   optimum=np.array([2.0]), optimal_value=1.0, bounds=PowerBounds(1.0, 1.0, 4.0, 4.0, 12.0, 12.0),
-                   name="quartic_paper")
+    return CostMap(dim=1, kappa=2, centered_text=("({0} - 2.0) ** 4", {}), grad_text=("(4.0 * ({0} - 2.0) ** 3, )", {}),
+                   hess=lambda th: np.array([[12.0 * (th[0] - 2.0) ** 2]]), optimum=np.array([2.0]), optimal_value=1.0,
+                   bounds=PowerBounds(1.0, 1.0, 4.0, 4.0, 12.0, 12.0), name="quartic_paper")
 
 
 def quadratic(q=1.0, theta_star=0.0) -> CostMap:
@@ -238,9 +234,9 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
     # adds for n < 8; the builtin sum() compensates its rounding from Python 3.12 on.  The first
     # term stands alone: with q_i > 0 no term is -0.0, so 0.0 + term would give the term's bits
     names = {f"q_{i}": q_i for i, q_i in enumerate(qv.tolist())} | {f"star_{i}": s_i for i, s_i in enumerate(star.tolist())}
-    value = (" + ".join(f"q_{i} * (({{{i}}} - star_{i}) * ({{{i}}} - star_{i}))" for i in range(n)), names)
+    centered = (" + ".join(f"q_{i} * (({{{i}}} - star_{i}) * ({{{i}}} - star_{i}))" for i in range(n)), names)
     grad = ("(" + "".join(f"2.0 * q_{i} * ({{{i}}} - star_{i}), " for i in range(n)) + ")", names)
-    return CostMap(dim=n, kappa=1, value_text=value, centered_text=value, grad_text=grad, hess=lambda th: np.diag(2.0 * qv),
+    return CostMap(dim=n, kappa=1, centered_text=centered, grad_text=grad, hess=lambda th: np.diag(2.0 * qv),
                    optimum=star.copy(), optimal_value=0.0, name="quadratic",
                    bounds=PowerBounds(qmin, qmax, 2.0 * qmin, 2.0 * qmax, 2.0 * qmax, 2.0 * qmax))
 

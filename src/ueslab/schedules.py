@@ -17,11 +17,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import textwrap
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from .sim import compiled
+from .sim import generated
 
 NOMINAL = "nominal"
 ASYMPTOTIC = "asymptotic"
@@ -101,9 +100,8 @@ class Schedule:
         """``factors(t)``, every time-only factor of one right-hand-side evaluation at t, compiled from
         ``frame_text`` once per schedule: log xi, log phi, nu and the growth drift g = d(log xi)/dt."""
         body = self.frame_text("t", "0")[0] + "return Factors(kind, t, lx_0, lp_0, nu_0, g_0)\n"
-        namespace = dict(self.text_names(), Factors=Factors, kind=self.kind)
-        exec(compiled("def factors(t):\n" + textwrap.indent(body, "    "), f"<{self.kind} schedule factors>", "exec"), namespace)
-        return namespace["factors"]
+        return generated("factors(t)", body, dict(self.text_names(), Factors=Factors, kind=self.kind),
+                         f"<{self.kind} schedule factors>")
 
     def __getstate__(self) -> dict:  # pickled without the compiled factors, which an unpickled schedule compiles again
         return {name: value for name, value in vars(self).items() if name != "factors"}

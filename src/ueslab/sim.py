@@ -7,11 +7,11 @@ and runs byte-for-byte reproducible.  Right-hand sides that carry a
 ``dither_step_bound``: 40 samples per fastest period.  A state is one
 float, or one tuple of floats, which a tuple, a list or a 1-D array start
 becomes; ``integrate`` integrates one state per call, in one RK4 loop that
-``rk4_text`` writes out per component and that is compiled once per distinct
-text.  Its stages call the rhs, or are inline text when that very function
-object carries its own loop (the deployed loop's ``rk4_loop`` tag).  A
-``Trajectory`` gives its CSV text in blocks of ``FORMAT_BLOCK`` rows, so a
-caller can write it to a file without holding the whole text.
+``rk4_text`` writes out per component and ``generated``, the compiler of all
+generated code, compiles once per text.  Its stages call the rhs, or are
+inline text when that very function object carries its own loop (the deployed
+loop's ``rk4_loop`` tag).  A ``Trajectory`` gives its CSV text in blocks of
+``FORMAT_BLOCK`` rows, so a caller can write it without holding the whole text.
 
 ``lemma1_rhs`` / ``lemma1_solution`` form a self-oracle pair: a scalar
 comparison ODE with a known closed-form solution, used to validate the
@@ -53,7 +53,7 @@ class Trajectory:
     """Time-indexed record of an integration run.
 
     times   (m,) strictly increasing sample times
-    states  (m, d) raw state record, one row per sample
+    states  (m, d) raw state record, one row per sample: [theta...] (d = n) or [theta..., eta] (d = n + 1)
     n       number of leading state columns holding the controller input
     y       optional (m,) measured cost when a map was in the loop
 
@@ -77,8 +77,7 @@ class Trajectory:
             raise ValueError(f"{len(self.times)} times vs {len(self.states)} state rows")
         if not np.all(self.times[1:] > self.times[:-1]):
             raise ValueError("sample times must be strictly increasing")
-        if not (0 < self.n <= self.states.shape[1]):
-            raise ValueError(f"n = {self.n} incompatible with state width {self.states.shape[1]}")
+        _check_width(self.n, self.states.shape[1])
         if not np.all(np.isfinite(self.states)):
             raise ValueError("recorded states contain non-finite values")
         if self.y is not None:
@@ -120,12 +119,32 @@ class Trajectory:
         return "".join(self.csv_blocks())
 
 
-# generated text, compiled once per distinct text
-compiled = functools.cache(compile)
+def _check_width(n: int, width: int) -> None:
+    """Refuse any state layout but [theta...] and [theta..., eta]: no CSV column would name the other columns."""
+    if not (n >= 1 and width - n in (0, 1)):
+        raise ValueError(f"n = {n} incompatible with state width {width}: a state is [theta...] or [theta..., eta]")
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of the header's names and the rows: floats with 17 significant digits, as csv_blocks, others by str."""
+    cell = lambda v: format(v, ".17g") if isinstance(v, float) else str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+@functools.cache
+def _code(signature: str, body: str, label: str):
+    return compile(f"def {signature}:\n" + textwrap.indent(body, "    "), label, "exec")
+
+
+def generated(signature: str, body: str, names: dict, label: str) -> Callable:
+    """``def <signature>:`` with body, run in a copy of names, its code compiled once per (signature, body, label)."""
+    namespace = dict(names)
+    exec(_code(signature, body, label), namespace)
+    return namespace[signature.partition("(")[0]]
 
 
 def rk4_text(shape: tuple, stage: Optional[Callable] = None, factors: Optional[Callable] = None) -> str:
-    """Text of ``run(x, t_start, t_end, dt, steps, every, times, rows)``, integrate's whole RK4 loop over a
+    """Body of ``run(x, t_start, t_end, dt, steps, every, times, rows)``, integrate's whole RK4 loop over a
     float (shape ``()``, left unpacked) or a tuple of d floats (``(d,)``), its sums per component.  times and
     rows are flat ``array('d')`` buffers: run appends each recorded sample's t to times and extends rows by
     its d components x_0..x_{d-1}, no object per row.  It returns None at t_end, else the message and the
@@ -148,32 +167,30 @@ def rk4_text(shape: tuple, stage: Optional[Callable] = None, factors: Optional[C
     step = [stage(xs, "t", "0", "k1"), "hh = 0.5 * h\nt_h = t + hh\n", mid, stage(at("hh", "k1"), "t_h", "1", "k2"),
             stage(at("hh", "k2"), "t_h", "1", "k3"), end, stage(at("h", "k3"), "t_next", "2", "k4"),
             f"h6 = h / 6.0\n{pack(xs)} = ({update})\n", f"{pack(at_t)} = {pack(at_next)}\n" if at_t else ""]
-    return f"""def run(x, t_start, t_end, dt, steps, every, times, rows):
-    {row(xs)} = x
-    t = t_start
-{textwrap.indent(now, "    ")}    for step in range(1, steps + 1):
-        t_next = t_end if step == steps else t_start + step * dt
-        h = t_next - t
-        try:
-{textwrap.indent("".join(step), "            ")}        except (OverflowError, FloatingPointError) as e:
-            return f"right-hand side failed in the step from t = {{t:g}}: {{e}}", e
-        t = t_next
-        if not ({" and ".join(f"isfinite({x})" for x in xs)}):
-            return f"state became non-finite at t = {{t:g}}", None
-        if step % every == 0 or step == steps:
-            times.append(t)
-            rows.extend({pack(xs)})
+    return f"""{row(xs)} = x
+t = t_start
+{now}for step in range(1, steps + 1):
+    t_next = t_end if step == steps else t_start + step * dt
+    h = t_next - t
+    try:
+{textwrap.indent("".join(step), "        ")}    except (OverflowError, FloatingPointError) as e:
+        return f"right-hand side failed in the step from t = {{t:g}}: {{e}}", e
+    t = t_next
+    if not ({" and ".join(f"isfinite({x})" for x in xs)}):
+        return f"state became non-finite at t = {{t:g}}", None
+    if step % every == 0 or step == steps:
+        times.append(t)
+        rows.extend({pack(xs)})
 """
 
 
 def rk4_loop(rhs: Callable, shape: tuple) -> Callable:
-    """``run`` for one integration over a state of ``shape``: when rhs's ``rk4_loop`` tag (rhs, text) names
-    that very function object, its own loop text run in a copy of its globals, else the generic loop."""
+    """``run`` for one integration over a state of ``shape``: when rhs's ``rk4_loop`` tag (rhs, body) names
+    that very function object, its own loop body run in a copy of its globals, else the generic loop."""
     own = getattr(rhs, "rk4_loop", None)
-    src, names = (own[1], rhs.__globals__) if own is not None and own[0] is rhs else (rk4_text(shape), {"rhs": rhs})
-    namespace = dict(names, isfinite=math.isfinite)
-    exec(compiled(src, f"<rk4 loop over shape {shape}>", "exec"), namespace)
-    return namespace["run"]
+    body, names = (own[1], rhs.__globals__) if own is not None and own[0] is rhs else (rk4_text(shape), {"rhs": rhs})
+    return generated("run(x, t_start, t_end, dt, steps, every, times, rows)", body, dict(names, isfinite=math.isfinite),
+                     f"<rk4 loop over shape {shape}>")
 
 
 def integrate(
@@ -191,11 +208,11 @@ def integrate(
     tuple of floats; a float is the loop's one-component case.  rhs(x, t) -> dx/dt returns a float for a
     float state and exactly d components for a tuple, or the first step raises ValueError, as does a
     TypeError from the loop when rhs at the start raises one too or returns another shape than x0's.
-    n, the number of leading state columns holding the controller input, defaults to d and must lie in
-    1..d.  Samples are recorded every ``record_every`` steps and at both ends, into two flat ``array('d')``
-    buffers that the Trajectory views without a copy: 8 (d + 1) bytes per recorded row.  A non-finite
-    state, or an OverflowError/FloatingPointError raised by rhs, aborts with IntegrationDiverged carrying
-    the trajectory recorded so far, viewed the same way.
+    n, the number of leading state columns holding the controller input, defaults to d and must be d or
+    d - 1, checked before the first step.  Samples are recorded every ``record_every`` steps and at both ends,
+    into two flat ``array('d')`` buffers that the Trajectory views without a copy: 8 (d + 1) bytes per
+    recorded row.  A non-finite state, or an OverflowError/FloatingPointError raised by rhs, aborts with
+    IntegrationDiverged carrying the trajectory recorded so far, viewed the same way.
     """
     if t1 <= t0:
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
@@ -219,8 +236,7 @@ def integrate(
     rows = array("d", x if shape else (x,))
     width = len(rows)
     n = width if n is None else n
-    if not 1 <= n <= width:
-        raise ValueError(f"n = {n} incompatible with state width {width}")
+    _check_width(n, width)
 
     times = array("d", (t0,))
     try:

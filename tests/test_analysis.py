@@ -36,6 +36,22 @@ def test_power_fit_constant_signal():
     assert fit.residual == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [1e-200, 1e-160, 1e-7])
+def test_power_fit_refuses_a_regressor_that_barely_grows(beta):
+    # across 0..100, log(1 + beta t) grows by under the 1e-3 floor: 1e-200 once gave estimate inf and residual nan
+    # through two RuntimeWarnings, 1e-160 an exponent of 5.18e158; the refusal comes before the division
+    traj = _traj((1.0 + 0.1 * T) ** -3.0)
+    with pytest.raises(ValueError, match=f"^beta = {beta:g} is too small for a power-law fit over \\(0, 100\\)"):
+        u.fit_power_rate(traj, [0.0], beta, 0.0, (0.0, 100.0))
+    assert u.fit_power_rate(traj, [0.0], 1.1e-5, 0.0, (0.0, 100.0)).estimate > 0.0  # grows by 1.0994e-3: fitted
+
+
+@pytest.mark.parametrize("estimate, residual", [(np.nan, np.nan), (np.inf, 0.1), (3.0, np.nan), (3.0, -1.0)])
+def test_rate_fit_refuses_non_finite_results(estimate, residual):
+    with pytest.raises(ValueError, match="finite"):
+        u.RateFit(POWER_LAW, estimate, residual, (0.0, 1.0))
+
+
 def test_exp_fit_exact_and_oscillating():
     fit = u.fit_exp_rate(_traj(1.0 + np.exp(-0.1 * T)), [1.0], (0.0, 100.0))
     assert fit.model == EXPONENTIAL_DECAY

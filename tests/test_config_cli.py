@@ -5,6 +5,7 @@ import dataclasses
 import re
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -171,6 +172,14 @@ def test_config_defaults():
         ("es.alpha = 1, 2\n", "^<config>: es.alpha must be a scalar or a length-1 list to match map 'quartic_paper'$"),
         ("es.omega = -1\n", "^<config>: es.omega must be positive, got -1.0$"),
         ("es.omega_h = -1\n", "^<config>: es.omega_h must be positive, got -1.0$"),
+        # omega * omega_hat underflowed to 0, and the step bound divided by it
+        ("es.omega = 1e-200\nes.omega_hat = 1e-200\n",
+         "^" + re.escape("<config>: dither frequencies omega * es.omega_hat must be positive and finite, got 0.0 "
+                         "at omega = 1e-200") + "$"),
+        # a sweep of 5.1e11 RK4 steps (510 per trial) once loaded, to run for hours
+        (PROBE_GROUP.replace("probe.trials = 1\n", "probe.trials = 1000000000\n"),
+         "^<config>: probe.trials = 1000000000 asks the sweep for 510000000000 RK4 steps, 510 per trial; "
+         "at most 100000000 are allowed$"),
         # a start whose cost leaves double range: `run` measured it only after the integration
         ("es.theta0 = 1e300\n", "^<config>: es.theta0 = 1e\\+300 has a cost J\\(theta0\\) out of double range$"),
         # the map's refusals name their keys
@@ -221,6 +230,25 @@ def test_power_fit_growth_floor_admits_what_clears_it():
     text = (SMALL_ASYMPTOTIC.replace("schedule.beta = 0.1\n", "schedule.beta = 1.1e-4\n")
             .replace("sim.horizon = 5\n", "sim.horizon = 10\nanalysis.fit_window = 0, 10\n"))
     assert config_from_text(text, name="slow").params.schedule.beta == 1.1e-4
+
+
+def test_sweep_step_budget_admits_what_fits():
+    # the bundled omega_sweep takes 40,746 RK4 steps per trial: 2,454 trials fit the 1e8 budget, 2,455 do not;
+    # these configs are only loaded, never swept
+    base = resources.files("ueslab").joinpath("configs", "omega_sweep.conf").read_text(encoding="utf-8")
+    sweep = lambda trials: re.sub(r"probe.trials = \d+", f"probe.trials = {trials}", base)
+    assert config_from_text(sweep(2454), name="omega_sweep").probe.trials == 2454
+    with pytest.raises(ConfigError, match="^<config>: probe.trials = 2455 asks the sweep for 100031430 RK4 steps, "
+                                          "40746 per trial; at most 100000000 are allowed$"):
+        config_from_text(sweep(2455), name="omega_sweep")
+
+
+def test_config_stores_the_fit_window_it_checked():
+    # the default window, the run's last 90%, where a rate fit reads it; a nominal run without one keeps None
+    assert config_from_text(SMALL_ASYMPTOTIC, name="fit").fit_window == (0.5, 5.0)
+    given = SMALL_ASYMPTOTIC + "analysis.fit_window = 1, 4\n"
+    assert config_from_text(given, name="fit").fit_window == (1.0, 4.0)
+    assert config_from_text(MINIMAL, name="nominal").fit_window is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -408,6 +436,7 @@ RUN_VALUES = BAD_VALUES + ["1e15", "1e20", "1e-200", "1, 2", "0.5", "3"]
 @example(kind="exponential", drawn={"map.q": "1e300"}, horizon="1.0")  # and here overflowed
 @example(kind="asymptotic", drawn={"schedule.beta": "1e-200"}, horizon="1.0")  # the rate fit's regressor squared to 0
 @example(kind="asymptotic", drawn={"schedule.beta": "1e-160"}, horizon="1.0")  # and spanned 1e-160: exponent -4e+158
+@example(kind="asymptotic", drawn={"es.omega": "1e-200", "es.omega_hat": "1e-200"}, horizon="1e300")  # a frequency of 0
 def test_cli_run_fuzzed_config_never_raises(tmp_path_factory, kind, drawn, horizon):
     # a config that loads is a config that runs: every input ends in exit 0, 2 or 3, and a run that ends in
     # exit 3 has written its partial artifacts
@@ -481,6 +510,16 @@ def test_cli_sweep(tmp_path, monkeypatch, capsys):
     conf.write_text(SMALL_PROBE.replace("probe.omegas = 10, 30", "probe.omegas = 10"))
     assert cli.main(["sweep", str(conf)]) == 0
     assert "; averaging order undefined (needs two omegas" in capsys.readouterr().out
+
+
+def test_cli_run_says_why_it_skips_the_amplitude(tmp_path, monkeypatch, capsys):
+    # 5 recorded samples leave the 20% tail 1: the nominal run says so, as a skipped rate fit does
+    conf = tmp_path / "sparse.conf"
+    conf.write_text(MINIMAL + "sim.record_every = 100\n")
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
+    assert cli.main(["run", str(conf)]) == 0
+    assert capsys.readouterr().out == (f"sparse: final |theta - theta*| = 0.393152; tail oscillation amplitude skipped "
+                                       f"(tail window holds 1 sample(s); need at least 20); artifacts in {tmp_path / 'o'}\n")
 
 
 def test_cli_run_prints_design_rate(tmp_path, monkeypatch, capsys):

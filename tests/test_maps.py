@@ -1,6 +1,7 @@
 """Cost maps: values, derivatives, validation, and envelope verification."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import ueslab as u
 from ueslab.errors import AssumptionViolation
+from ueslab.sim import generated
 
 
 def test_quartic_values():
@@ -103,11 +105,55 @@ def test_closed_forms_take_batches():
 
 def test_replacing_a_text_recompiles_its_form(fig3_params):
     # a map's forms are compiled from its texts, so its value is the one its loop text integrates
-    m = dataclasses.replace(u.quartic_paper(), value_text=("{0} * {0}", {}))
-    assert m([3.0]) == m.eval((3.0,)) == 9.0
-    assert u.es_closed_loop(fig3_params, m)((3.0, 0.0), 0.0)[1] == fig3_params.omega_h * 9.0
+    m = dataclasses.replace(u.quartic_paper(), centered_text=("({0} - 2.0) * ({0} - 2.0)", {}), optimal_value=0.0)
+    assert m([5.0]) == m.eval((5.0,)) == 9.0
+    assert u.es_closed_loop(fig3_params, m)((5.0, 0.0), 0.0)[1] == fig3_params.omega_h * 9.0
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(m, eval=lambda th: 0.0)
+
+
+_EDGES = [0.0, -0.0, 5e-324, -1e-160, 1e-8, 1e8, 1e77, -1e100, 2.0, 2.0 + 2e-16]
+
+
+@pytest.mark.parametrize("m", [u.quartic_paper(), u.quadratic(q=[1.0, 2.5, 1e-3], theta_star=[0.5, -1.0, 2.0])],
+                         ids=["quartic_paper", "quadratic"])
+def test_value_is_optimal_value_plus_centered(m):
+    # one cost text per map: eval is J* + centered bit for bit, on Python floats, seeded and at the edges, and on
+    # (n,) arrays; overflow to inf included
+    rng = np.random.default_rng(7)
+    points = [rng.uniform(-5.0, 5.0, m.dim).tolist() for _ in range(200)]
+    points += [[edge] * m.dim for edge in _EDGES] + [(m.optimum + 1e-9).tolist()]
+    with np.errstate(over="ignore"):
+        for th in points:
+            for x in (tuple(th), np.array(th)):
+                try:
+                    want = m.optimal_value + m.centered(x)
+                except OverflowError:  # ** on Python floats raises where numpy gives inf
+                    with pytest.raises(OverflowError):
+                        m.eval(x)
+                    continue
+                assert np.float64(m.eval(x)).tobytes() == np.float64(want).tobytes()
+
+
+def test_value_text_is_derived_from_the_centered_text():
+    # the quartic's derived text compiles to the code of the text it replaced; the quadratic's is its centered text
+    quartic, quadratic = u.quartic_paper(), u.quadratic(q=[1.0, 2.0], theta_star=[0.5, -1.0])
+    written = generated("form(th)", "th_0, = th\nreturn 1.0 + (th_0 - 2.0) ** 4\n", {}, "<the text it replaced>")
+    assert quartic.eval.__code__.co_code == written.__code__.co_code
+    assert quartic.eval.__code__.co_consts == written.__code__.co_consts
+    assert quadratic.value_text == quadratic.centered_text
+
+
+def test_map_texts_cannot_disagree():
+    # once a separate value text gave J(theta*) = 1.0625 against optimal_value 1.0 and built without complaint
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(u.quartic_paper(), value_text=("1.0 + ({0} - 2.5) ** 4", {}))
+    # a centered text must vanish at the optimum, where the gradient does too here
+    refusal = "need a finite J* and J - J* = 0 at the declared optimum, got J* = 1.0, J - J* = 0.0625"
+    with pytest.raises(ValueError, match="^" + re.escape(refusal) + "$"):
+        dataclasses.replace(u.quartic_paper(), centered_text=("({0} - 2.0) ** 4 + 0.0625", {}))
+    with pytest.raises(ValueError, match="need a finite J"):
+        dataclasses.replace(u.quartic_paper(), optimal_value=float("inf"))
 
 
 def test_declared_optimum_must_be_critical():
@@ -142,7 +188,6 @@ def test_verify_power_bounds_flags_maximum():
     # a critical point that is a maximum: centered cost is negative nearby
     m = dataclasses.replace(
         u.quadratic(),
-        value_text=("1.0 - {0} ** 2", {}),
         centered_text=("-{0} ** 2", {}),
         grad_text=("(-2.0 * {0}, )", {}),
         hess=lambda th: np.array([[-2.0]]),

@@ -417,6 +417,24 @@ def test_n_outside_state_width_is_refused_before_the_first_step(n):
     assert calls == []
 
 
+def test_state_neither_theta_nor_theta_eta_is_refused():
+    # a state is [theta...] (width n) or [theta..., eta] (width n + 1): a width-3 record with n = 1 once gave the CSV
+    # 't,theta_1\n0,1\n1,4\n', dropping two columns; integrate refuses it before the first step
+    with pytest.raises(ValueError, match=r"n = 1 incompatible with state width 3: a state is \[theta...\] or"):
+        u.Trajectory([0.0, 1.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 1)
+    calls = []
+
+    def rhs(x, t):
+        calls.append(t)
+        return (1.0, 2.0, 3.0)
+
+    with pytest.raises(ValueError, match="n = 1 incompatible with state width 3"):
+        u.integrate(rhs, (1.0, 2.0, 3.0), 0.0, 200.0, 1e-3, n=1)
+    assert calls == []
+    for n in (2, 3):
+        assert u.integrate(rhs, (1.0, 2.0, 3.0), 0.0, 0.01, 1e-3, n=n).to_csv().startswith("t,theta_1,theta_2,")
+
+
 def test_n_outside_state_width_is_refused_on_a_diverging_run():
     # dx/dt = x^2 leaves double range near t = 1: the bad n is named, not the divergence
     with pytest.raises(ValueError, match="n = 2 incompatible with state width 1"):
@@ -475,11 +493,11 @@ def _numpy_deployed_loop(p, cost):
         f = p.schedule.factors(t)
         err = cost(x[:n]) - x[n]
         out = np.empty_like(x)
-        out[:n] = f.nu * p._amp * np.cos(p._omegas * t + phase_error(f, err) * p.k)
+        out[:n] = f.nu * p._amp * np.cos(p.omegas * t + phase_error(f, err) * p.k)
         out[n] = p.omega_h * err
         return out
 
-    rhs.dither_omega_max = float(np.max(p._omegas))
+    rhs.dither_omega_max = float(np.max(p.omegas))
     return rhs
 
 
@@ -542,7 +560,7 @@ def _numpy_transformed_loop(p, map_):
     def rhs(x, t):
         f = p.schedule.factors(t)
         out, err = _numpy_transformed_drift(p, map_, x, f)
-        out[:n] += p._amp * np.cos(p._omegas * t + phase_error(f, err) * p.k)
+        out[:n] += p._amp * np.cos(p.omegas * t + phase_error(f, err) * p.k)
         return out
 
     return rhs
