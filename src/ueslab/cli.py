@@ -50,7 +50,7 @@ def bundled_config_names() -> List[str]:
 
 def resolve_config(arg: str) -> ExperimentConfig:
     path = Path(arg)
-    if path.exists():
+    if path.is_file():
         return load_config(path)
     name = arg[: -len(".conf")] if arg.endswith(".conf") else arg
     res = resources.files("ueslab").joinpath("configs", f"{name}.conf")
@@ -104,17 +104,28 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def deployed_run(cfg: ExperimentConfig) -> Trajectory:
+    """cfg's deployed loop integrated from (theta0, eta0) at the schedule's t0 over cfg.horizon, with cfg.dt and
+    cfg.record_every, and measured: the trajectory with its y column.  A run that diverges raises
+    IntegrationDiverged, whose partial trajectory carries its y column too."""
+    t0 = cfg.params.schedule.t0
+    rhs = es_closed_loop(cfg.params, cfg.map)
+    x0 = (*cfg.theta0.tolist(), cfg.eta0)
+    try:
+        return measured(integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, cfg.record_every, n=cfg.params.n), cfg.map)
+    except IntegrationDiverged as e:
+        e.trajectory = measured(e.trajectory, cfg.map)
+        raise
+
+
 def _run_one(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     p, map_ = cfg.params, cfg.map
     t0 = p.schedule.t0
-    rhs = es_closed_loop(p, map_)
-    x0 = (*cfg.theta0.tolist(), cfg.eta0)
-
     try:
-        traj = measured(integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, cfg.record_every, n=p.n), map_)
+        traj = deployed_run(cfg)
     except IntegrationDiverged as e:
-        _write_run_artifacts(cfg, out, measured(e.trajectory, map_), [])
+        _write_run_artifacts(cfg, out, e.trajectory, [])
         print(f"{cfg.name}: integration diverged at t = {e.t_last:g}; partial artifacts in {out}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import ueslab as u
 from ueslab import cli, controllers
 from ueslab.config import config_from_text, parse_kv_text
-from ueslab.errors import ConfigError
+from ueslab.errors import ConfigError, IntegrationDiverged
 
 MINIMAL = """
 map.name = quartic_paper
@@ -329,6 +329,19 @@ def test_resolve_config_unknown_lists_bundled():
         cli.resolve_config("no_such_experiment")
 
 
+def test_directory_does_not_shadow_a_bundled_config(tmp_path, monkeypatch, capsys):
+    # UESLAB_OUT named like a bundled config makes a directory of that name; only a file is read as a config path,
+    # so the bundled config still resolves and runs into it, and a directory of any other name is refused by name
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("UESLAB_OUT", "fig2_nominal_a")
+    (tmp_path / "fig2_nominal_a").mkdir()
+    (tmp_path / "not_a_config").mkdir()
+    assert cli.main(["run", "fig2_nominal_a"]) == 0
+    assert (tmp_path / "fig2_nominal_a" / "fig2_nominal_a.trajectory.csv").is_file()
+    assert cli.main(["run", "not_a_config"]) == 2
+    assert "'not_a_config'" in capsys.readouterr().err
+
+
 def test_cli_run_writes_artifacts(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_ASYMPTOTIC)
@@ -366,6 +379,17 @@ def test_cli_run_overflow_writes_partial_artifacts(tmp_path, monkeypatch):
     assert 0.5 < float(rows[-1].split(",")[0]) < 0.6
     for suffix in (".fits.csv", ".svg"):
         assert (tmp_path / "o" / f"overflow{suffix}").exists()
+
+
+def test_deployed_run_divergence_carries_the_measured_cost():
+    # the washout of the overflow run above: deployed_run raises, and the partial trajectory's y column is the
+    # cost at each recorded theta, bit for bit
+    cfg = config_from_text(MINIMAL.replace("es.omega_h = 3", "es.omega_h = 1e6"), name="overflow")
+    with pytest.raises(IntegrationDiverged) as info:
+        cli.deployed_run(cfg)
+    traj = info.value.trajectory
+    assert len(traj.times) > 1
+    assert traj.y.tobytes() == np.array([cfg.map.eval(tuple(theta)) for theta in traj.theta.tolist()]).tobytes()
 
 
 def test_interrupted_artifact_write_leaves_no_truncated_file(tmp_path):

@@ -38,6 +38,30 @@ def test_rk4_fourth_order_convergence():
     assert errs[0] / errs[1] >= 8.0
 
 
+# the bundled run configs whose deployed run is resolved at their dt.  Not yet: fig2_nominal_b, whose phase term
+# turns faster than its dt resolves, and fig3_asymptotic_ues, whose eta lies within ulps of J* = 1 late in the run
+_RESOLVED_RUNS = ["exponential_ues", "fig2_nominal_a"]
+
+
+@pytest.mark.parametrize("name", _RESOLVED_RUNS)
+def test_deployed_run_converges_under_step_refinement(name):
+    # the run at dt, dt/2 and dt/4, compared on the dt grid in 10 windows of the record.  (i) The dt run's error
+    # estimate e1 = max |theta(dt) - theta(dt/2)| is at most 1e-3 of the window's max |theta - theta*|, finer than
+    # the 4 digits run prints.  (ii) e1 / e2 >= 8, with e2 = max |theta(dt/2) - theta(dt/4)|: RK4 gives 16 per
+    # halving, and 8 leaves room for pre-asymptotic windows; or e2 <= 1e-12, about 2,000 ulps at |theta| = 2, where
+    # rounding accumulated over the run takes the place of truncation error
+    cfg = cli.resolve_config(name)
+    runs = [cli.deployed_run(dataclasses.replace(cfg, dt=cfg.dt / 2**k, record_every=2**k)) for k in range(3)]
+    assert all(run.times.tobytes() == runs[0].times.tobytes() for run in runs[1:])
+    for rows in np.array_split(np.arange(len(runs[0].times)), 10):
+        theta = [run.theta[rows] for run in runs]
+        e1, e2 = (float(np.abs(a - b).max()) for a, b in zip(theta, theta[1:]))
+        scale = float(np.abs(theta[0] - cfg.map.optimum).max())
+        where = f"t in [{runs[0].times[rows[0]]:g}, {runs[0].times[rows[-1]]:g}]: e1 {e1:.3g}, e2 {e2:.3g}"
+        assert e1 <= 1e-3 * scale, f"{where}, scale {scale:.3g}"
+        assert e1 >= 8.0 * e2 or e2 <= 1e-12, where
+
+
 def test_endpoints_always_recorded():
     traj = u.integrate(lambda x, t: -x, 1.0, 0.0, 1.0, 0.03, record_every=7)
     assert traj.times[0] == 0.0
@@ -282,8 +306,7 @@ def test_run_artifacts_and_cost_column_memory(tmp_path):
     # exponential_ues recorded at every step: run's y column costs about its 8 bytes a row, and the CSV and the
     # SVG go to their files a block at a time, so writing them holds far less than the text they make
     cfg = cli.resolve_config("exponential_ues")
-    rhs, x0, t0 = u.es_closed_loop(cfg.params, cfg.map), (*cfg.theta0.tolist(), cfg.eta0), cfg.params.schedule.t0
-    traj = u.integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, n=1)
+    traj = cli.deployed_run(cfg)
     traj, peak = _traced_peak(lambda: cli.measured(traj, cfg.map))
     assert peak <= 16 * len(traj.times)
     _, peak = _traced_peak(lambda: cli._write_run_artifacts(cfg, tmp_path, traj, []))
@@ -668,6 +691,11 @@ def test_readme_quick_start_runs():
     exec(snippet, ns)
     assert abs(ns["traj"].theta[-1, 0] - 2.0) < 1e-3
     assert ns["fit"].estimate == pytest.approx(2.8, abs=0.1)
+    # the bundled fig3 run from Python is the hand-assembled loop above, bit for bit
+    hand = ns["traj"]
+    exec(readme.split("starts and what it records.\n\n```python\n", 1)[1].split("```", 1)[0], ns)
+    assert ns["traj"].states.tobytes() == hand.states.tobytes()
+    assert ns["fine"].times.tobytes() == hand.times.tobytes()
 
 
 def test_list_and_array_starts_equal_tuple_start(quartic, fig3_params):

@@ -66,5 +66,10 @@ def test_traced_run_completes_and_counts_its_steps(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     assert code == 0
+    # one integration of the deployed rhs, reached through the names the tracer patches on cli
     t0 = cfg.params.schedule.t0
-    assert tracer.metrics()["sim.rk4_steps"] == step_count(t0, t0 + cfg.horizon, cfg.dt)
+    steps = step_count(t0, t0 + cfg.horizon, cfg.dt)
+    metrics = tracer.metrics()
+    assert metrics["sim.rk4_steps"] == steps
+    assert metrics["sim.integrate_calls"] == 1
+    assert metrics["controllers.rhs_evals"] == 4 * steps
