@@ -6,24 +6,25 @@ signal makes the estimate robust to the dither ripple, whose peaks follow the
 schedule while the troughs repeatedly touch zero.
 
 The log-domain line is fit in closed form, as the least-squares slope about
-the means from numpy reductions.  np.polyfit would reach the same line
-through LAPACK's dgelsd, whose first call pages in about 1 MiB that stays
-resident; a two-parameter line needs no factorization, so neither `run` nor
-`sweep` calls LAPACK.
+the means, on Python floats.  Every sum is a ``math.fsum``, correctly
+rounded, so a fit's bits depend neither on the order of its terms nor on
+the Python version (the builtin ``sum()`` compensates its rounding from
+Python 3.12 on).  A distance from theta* is ``math.hypot`` of the coordinate
+differences, the absolute difference for one coordinate.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import WindowTooLate
-from .sim import Trajectory, csv_text
-
-Array = np.ndarray
+from .sim import Trajectory, csv_text, floats
 
 NOISE_FLOOR = 1e-13
 MIN_ENVELOPE_POINTS = 10
@@ -58,11 +59,6 @@ class RateFit:
             raise ValueError(f"estimate must be finite and residual finite and >= 0, got {self.estimate}, {self.residual}")
 
 
-def _distance_series(traj: Trajectory, theta_star) -> Array:
-    star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    return np.linalg.norm(traj.theta - star, axis=1)
-
-
 def check_window(window, first: float, last: float) -> None:
     """Raise ValueError unless the window (t_a, t_b) has t_b > t_a and lies in [first, last], up to 1e-9 relative."""
     t_a, t_b = float(window[0]), float(window[1])
@@ -73,13 +69,14 @@ def check_window(window, first: float, last: float) -> None:
         raise ValueError(f"window ({t_a}, {t_b}) not contained in trajectory span ({first}, {last})")
 
 
-def _window_mask(times: Array, window) -> Array:
+def _window_span(times: array, window) -> Tuple[int, int]:
+    """Indices [start, end) of the samples with t_a <= t <= t_b, of the window (t_a, t_b) checked against times."""
     check_window(window, times[0], times[-1])
-    return (times >= window[0]) & (times <= window[1])
+    return bisect.bisect_left(times, window[0]), bisect.bisect_right(times, window[1])
 
 
-def _envelope(times: Array, dist: Array, window) -> Tuple[Array, Array]:
-    """Peak times/values of the distance signal inside the window.
+def _envelope(traj: Trajectory, theta_star, window) -> Tuple[array, array]:
+    """Peak times/values of the distance |theta - theta*| inside the window.
 
     Peaks are strict local maxima over a 3-sample stencil.  Signals without
     enough peaks (monotone or constant ones) fall back to all window samples.
@@ -87,29 +84,36 @@ def _envelope(times: Array, dist: Array, window) -> Tuple[Array, Array]:
     which fit no line, means the window starts after the signal has decayed
     into round-off.
     """
-    mask = _window_mask(times, window)
-    t_w, d_w = times[mask], dist[mask]
-    if len(t_w) < MIN_WINDOW_SAMPLES:
-        raise ValueError(f"window ({window[0]}, {window[1]}) holds {len(t_w)} samples; need at least {MIN_WINDOW_SAMPLES}")
-    interior = (d_w[1:-1] > d_w[:-2]) & (d_w[1:-1] > d_w[2:])
-    idx = np.flatnonzero(interior) + 1
-    if idx.size < MIN_ENVELOPE_POINTS:
-        idx = np.arange(len(t_w))
-    keep = d_w[idx] > NOISE_FLOOR
-    kept = np.count_nonzero(keep)
-    if kept < 2:
+    start, end = _window_span(traj.times, window)
+    if end - start < MIN_WINDOW_SAMPLES:
+        raise ValueError(f"window ({window[0]}, {window[1]}) holds {end - start} samples; need at least {MIN_WINDOW_SAMPLES}")
+    star = floats(theta_star)
+    if len(star) != traj.n:
+        raise ValueError(f"theta_star has {len(star)} coordinate(s), the trajectory {traj.n}")
+    offsets = [map(operator.sub, traj.column(j)[start:end], repeat(s)) for j, s in enumerate(star)]
+    t_w, d_w = traj.times[start:end], array("d", map(math.hypot, *offsets))
+    idx = [i for i, (a, b, c) in enumerate(zip(d_w, islice(d_w, 1, None), islice(d_w, 2, None)), 1) if a < b > c]
+    if len(idx) < MIN_ENVELOPE_POINTS:
+        idx = range(len(t_w))
+    kept = [i for i in idx if d_w[i] > NOISE_FLOOR]
+    if len(kept) < 2:
         raise WindowTooLate(
-            f"{kept} envelope value(s) in ({window[0]}, {window[1]}) lie above the "
+            f"{len(kept)} envelope value(s) in ({window[0]}, {window[1]}) lie above the "
             f"{NOISE_FLOOR:g} noise floor, and a rate fit needs 2; fit an earlier window"
         )
-    return t_w[idx[keep]], d_w[idx[keep]]
+    return array("d", (t_w[i] for i in kept)), array("d", (d_w[i] for i in kept))
 
 
-def _log_fit(x: Array, logd: Array) -> Tuple[float, float]:
-    """Least-squares slope of logd against x and the RMS of its residuals, from the line through the means."""
-    dx, dy = x - x.mean(), logd - logd.mean()
-    slope = np.sum(dx * dy) / np.sum(dx * dx)
-    return float(slope), math.sqrt(np.mean((dy - slope * dx) ** 2))
+def _log_fit(x: Sequence[float], logd: Sequence[float]) -> Tuple[float, float]:
+    """Least-squares slope of logd against x and the RMS of its residuals, from the line through the means;
+    every sum a math.fsum."""
+    m = len(x)
+    mean_x, mean_y = math.fsum(x) / m, math.fsum(logd) / m
+    dx = array("d", map(operator.sub, x, repeat(mean_x)))
+    dy = array("d", map(operator.sub, logd, repeat(mean_y)))
+    slope = math.fsum(map(operator.mul, dx, dy)) / math.fsum(map(operator.mul, dx, dx))
+    residuals = array("d", (b - slope * a for a, b in zip(dx, dy)))
+    return slope, math.sqrt(math.fsum(map(operator.mul, residuals, residuals)) / m)
 
 
 def log_growth(beta: float, t0: float, t_a: float, t_b: float) -> float:
@@ -122,20 +126,20 @@ def fit_power_rate(traj: Trajectory, theta_star, beta: float, t0: float, window)
     beta when the regressor grows by less than MIN_FIT_LOG_GROWTH across the window's samples."""
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    t_pk, d_pk = _envelope(traj.times, _distance_series(traj, theta_star), window)
-    t_w = traj.times[_window_mask(traj.times, window)]
-    growth = log_growth(beta, t0, float(t_w[0]), float(t_w[-1]))
+    t_pk, d_pk = _envelope(traj, theta_star, window)
+    start, end = _window_span(traj.times, window)
+    growth = log_growth(beta, t0, traj.times[start], traj.times[end - 1])
     if growth < MIN_FIT_LOG_GROWTH:
         raise ValueError(f"beta = {beta:g} is too small for a power-law fit over ({window[0]:g}, {window[1]:g}): "
                          f"log(1 + beta (t - t0)) grows by {growth:.4g} across its samples, under {MIN_FIT_LOG_GROWTH:g}")
-    slope, rms = _log_fit(np.log1p(beta * (t_pk - t0)), np.log(d_pk))
+    slope, rms = _log_fit([math.log1p(beta * (t - t0)) for t in t_pk], list(map(math.log, d_pk)))
     return RateFit(POWER_LAW, -slope, rms, (float(window[0]), float(window[1])))
 
 
 def fit_exp_rate(traj: Trajectory, theta_star, window) -> RateFit:
     """Rate of |theta - theta*| ~ exp(-estimate * t) on the peak envelope."""
-    t_pk, d_pk = _envelope(traj.times, _distance_series(traj, theta_star), window)
-    slope, rms = _log_fit(t_pk, np.log(d_pk))
+    t_pk, d_pk = _envelope(traj, theta_star, window)
+    slope, rms = _log_fit(t_pk, list(map(math.log, d_pk)))
     return RateFit(EXPONENTIAL_DECAY, -slope, rms, (float(window[0]), float(window[1])))
 
 
@@ -145,10 +149,10 @@ def fit_averaging_order(omegas: Sequence[float], gaps: Sequence[float]) -> Optio
     None when it is undefined: fewer than two omegas, or a gap that is not
     finite and positive.
     """
-    gaps = np.asarray(gaps, dtype=float)
-    if len(gaps) < 2 or not np.all(np.isfinite(gaps) & (gaps > 0.0)):
+    gaps = [float(g) for g in gaps]
+    if len(gaps) < 2 or not all(math.isfinite(g) and g > 0.0 for g in gaps):
         return None
-    slope, _ = _log_fit(np.log(np.asarray(omegas, dtype=float)), np.log(gaps))
+    slope, _ = _log_fit([math.log(w) for w in omegas], list(map(math.log, gaps)))
     return -slope
 
 
@@ -157,7 +161,7 @@ def fit_report_csv(fits: Sequence[RateFit]) -> str:
                     ((f.model, f.estimate, f.residual, *f.window) for f in fits))
 
 
-def oscillation_amplitude(traj: Trajectory, tail_fraction: float) -> Tuple[Array, float]:
+def oscillation_amplitude(traj: Trajectory, tail_fraction: float) -> Tuple[array, float]:
     """Tail-window mean of theta and its oscillation amplitude.
 
     The amplitude is half the peak-to-peak excursion about the mean, taken
@@ -168,15 +172,16 @@ def oscillation_amplitude(traj: Trajectory, tail_fraction: float) -> Tuple[Array
         raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     m = len(traj.times)
     start = min(m - int(math.ceil(m * tail_fraction)), m - 1)
-    tail = traj.theta[start:]
-    if len(tail) < 20:
-        raise ValueError(f"tail window holds {len(tail)} sample(s); need at least 20")
-    mean = tail.mean(axis=0)
-    half_p2p = 0.5 * (tail.max(axis=0) - tail.min(axis=0))
-    return mean, float(half_p2p.max())
+    if m - start < 20:
+        raise ValueError(f"tail window holds {m - start} sample(s); need at least 20")
+    tails = [traj.column(j)[start:] for j in range(traj.n)]
+    mean = array("d", (math.fsum(tail) / len(tail) for tail in tails))
+    return mean, max(0.5 * (max(tail) - min(tail)) for tail in tails)
 
 
 def window_slice(traj: Trajectory, t_a: float, t_b: float) -> Trajectory:
     """Sub-trajectory restricted to samples with t_a <= t <= t_b."""
-    mask = _window_mask(traj.times, (t_a, t_b))
-    return Trajectory(traj.times[mask], traj.states[mask], traj.n, None if traj.y is None else traj.y[mask])
+    start, end = _window_span(traj.times, (t_a, t_b))
+    w = traj.width
+    return Trajectory(traj.times[start:end], traj.rows[start * w : end * w], traj.n,
+                      None if traj.y is None else traj.y[start:end])

@@ -11,7 +11,9 @@ bracket sum, generated from the transformed frame's stage text; the numeric
 ``transformed_b_fields`` instead of trusting the algebra.
 
 Every right-hand side here takes one state, a sequence of d floats, and
-returns a tuple, as the deployed loop's does.  ``practical_stability_probe``
+returns a tuple, as the deployed loop's does; ``lie_bracket`` and its
+Jacobians are test oracles, which import numpy when called.
+``practical_stability_probe``
 integrates the averaged system once per trial, at the full loop's step for
 the smallest swept omega (it reads neither omega nor omega_hat), and the
 deployed loop once per (omega, trial).  The full-loop samples read the
@@ -19,34 +21,37 @@ averaged run through a cubic Hermite interpolant.  Those integrations share
 no state, so ``_run_jobs`` runs them as independent jobs in forked worker
 processes, one per available CPU.  Each worker inherits the job list of the
 call that forked it, takes each job by creating its result file, and writes
-the job's result there pickled; no module-level state holds the jobs.
+the job's result there pickled; no module-level state holds the jobs.  A
+result holds only floats and ``array('d')`` buffers, so reading it back
+loads no numpy.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import pickle
 import random
 import tempfile
+from array import array
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, List, Sequence, Tuple
-
-import numpy as np
 
 from .controllers import EsParams, averaged_closed_loop, es_closed_loop, phase_error, require_transformable
 from .errors import IntegrationDiverged, WorkerLost
 from .maps import CostMap
 from .sim import STEPS_PER_PERIOD, csv_text, dither_step_bound, integrate
 
-Array = np.ndarray
-
 JACOBIAN_STEP = 1e-6
 
 
-def _jacobian(field: Callable, x: Array, t: float) -> Array:
-    """Central-difference Jacobian d(field)/dx, column j with step JACOBIAN_STEP * max(1, |x_j|)."""
+def _jacobian(field: Callable, x, t: float):
+    """Central-difference Jacobian d(field)/dx of a numpy state x, column j with step JACOBIAN_STEP * max(1, |x_j|)."""
+    import numpy as np
+
     cols = []
     for j in range(x.size):
         hj = JACOBIAN_STEP * max(1.0, abs(x[j]))
@@ -56,8 +61,10 @@ def _jacobian(field: Callable, x: Array, t: float) -> Array:
     return np.column_stack(cols)
 
 
-def lie_bracket(f: Callable, g: Callable, x, t: float) -> Array:
-    """[f, g](x, t) = (dg/dx) f - (df/dx) g with finite-difference Jacobians."""
+def lie_bracket(f: Callable, g: Callable, x, t: float):
+    """[f, g](x, t) = (dg/dx) f - (df/dx) g with finite-difference Jacobians, as a numpy array."""
+    import numpy as np
+
     x = np.atleast_1d(np.asarray(x, dtype=float))
     fv = np.asarray(f(x, t), dtype=float)
     gv = np.asarray(g(x, t), dtype=float)
@@ -72,15 +79,17 @@ def lie_bracket(f: Callable, g: Callable, x, t: float) -> Array:
 def transformed_b_fields(p: EsParams, map: CostMap):
     """Decomposition of the transformed loop into (b0, [(b_c_i, b_s_i), ...]).
 
-    Fields act on the packed state z = [theta_f_1..theta_f_n, eta_f], a 1-D
-    array as ``lie_bracket`` passes it.  The dither-paired fields carry the
+    Fields act on the packed state z = [theta_f_1..theta_f_n, eta_f], a
+    sequence of floats or a 1-D array as ``lie_bracket`` passes it, and return
+    lists of n + 1 floats.  The dither-paired fields carry the
     cos/sin of the per-channel phase; only b0 touches eta_f.  Written per
     component, they are a reference for the generated loops, not a loop.
     """
     require_transformable(p, map)
-    n, kappa2, omega_h, star, sqrt_alpha = p.n, 2.0 * map.kappa, p.omega_h, map.optimum.tolist(), np.sqrt(p.alpha)
+    n, kappa2, omega_h, star = p.n, 2.0 * map.kappa, p.omega_h, map.optimum
+    sqrt_alpha = [math.sqrt(a) for a in p.alpha]
 
-    def drift(z: Array, t: float):
+    def drift(z, t: float):
         """b0 at (z, t), the schedule's factors at t, and the deployed loop's error J(theta) - eta."""
         f = p.schedule.factors(t)
         xi2k = math.exp(kappa2 * f.log_xi)
@@ -89,8 +98,8 @@ def transformed_b_fields(p: EsParams, map: CostMap):
         return b0, f, jf - z[n] / xi2k
 
     def dither_field(i: int, trig: Callable) -> Callable:
-        def b(z: Array, t: float) -> Array:
-            out = np.zeros(n + 1)
+        def b(z, t: float) -> list:
+            out = [0.0] * (n + 1)
             _, f, err = drift(z, t)
             out[i] = sqrt_alpha[i] * trig(phase_error(f, err) * p.k[i])
             return out
@@ -168,27 +177,23 @@ def probe_rows_csv(rows: Sequence[ProbeRow]) -> str:
                     ((r.omega, r.trial, r.entry_time, int(r.stayed), r.sup_gap) for r in rows))
 
 
-def _hermite(times: Array, values: Array, slopes: Array, at: Array) -> Array:
-    """Cubic Hermite interpolant through (times, values) with the given slopes, read at `at`.
+def _hermite(times: array, values: Sequence[array], slopes: Sequence[array], t: float) -> List[float]:
+    """The cubic Hermite interpolant through the samples (times, values) with the given slopes, read at t.
 
-    times (N,) ascending with N >= 2, values and slopes (N, n), at (m,) within [times[0], times[-1]];
-    the result is (m, n).  At a node it returns that node's values bit for bit.
+    times holds N >= 2 ascending samples, values and slopes one column of N floats per channel, and t lies
+    within [times[0], times[-1]]; the result is one float per channel.  At a node it returns that node's
+    values bit for bit.
     """
-    k = np.clip(np.searchsorted(times, at, side="right") - 1, 0, len(times) - 2)
+    k = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
     h = times[k + 1] - times[k]
-    s = (at - times[k]) / h
-    h, s = h[:, None], s[:, None]
+    s = (t - times[k]) / h
     r = 1.0 - s
-    return (
-        (1.0 + 2.0 * s) * r * r * values[k]
-        + s * r * r * h * slopes[k]
-        + s * s * (3.0 - 2.0 * s) * values[k + 1]
-        - s * s * r * h * slopes[k + 1]
-    )
+    return [(1.0 + 2.0 * s) * r * r * v[k] + s * r * r * h * m[k] + s * s * (3.0 - 2.0 * s) * v[k + 1]
+            - s * s * r * h * m[k + 1] for v, m in zip(values, slopes)]
 
 
-def _trial_starts(map: CostMap, cfg: ProbeConfig) -> Array:
-    """The probe's seeded starts x = [theta, J(theta)], shape (trials, n + 1),
+def _trial_starts(map: CostMap, cfg: ProbeConfig) -> List[tuple]:
+    """The probe's seeded starts x = (theta..., J(theta)), one tuple of n + 1 floats per trial,
     with theta uniform in the delta-ball around theta*; a start whose cost leaves double range raises.
 
     Every number comes from the standard library's `random.Random(cfg.seed)`,
@@ -197,22 +202,27 @@ def _trial_starts(map: CostMap, cfg: ProbeConfig) -> Array:
     draw u sets the radius delta * u^(1/n).
     """
     draw = random.Random(cfg.seed).random
-    star, n = map.optimum.tolist(), map.dim
+    star, n = map.optimum, map.dim
     starts = []
     for _ in range(cfg.trials):
         direction = [math.sqrt(-2.0 * math.log(1.0 - draw())) * math.cos(2.0 * math.pi * draw()) for _ in range(n)]
         scale = cfg.delta * draw() ** (1.0 / n) / math.hypot(*direction)
         theta = [s + scale * d for s, d in zip(star, direction)]
-        starts.append(theta + [map(theta)])
+        try:
+            cost = map(theta)
+        except OverflowError:  # a float ** out of range
+            cost = math.inf
+        starts.append((*theta, cost))
     if not all(math.isfinite(start[-1]) for start in starts):
         raise FloatingPointError(f"probe.delta = {cfg.delta:g} draws a start whose cost J(theta) is out of double range")
-    return np.array(starts)
+    return starts
 
 
 def _integrate_averaged(rhs: Callable, x0: tuple, t0: float, t1: float, dt: float, n: int):
-    """One averaged trial from x0, every step recorded, and its theta slopes at the samples."""
+    """One averaged trial from x0, every step recorded, and its theta slopes at the samples, row-major."""
     avg = integrate(rhs, x0, t0, t1, dt, n=n)
-    return avg, np.array([rhs(x, t)[:n] for x, t in zip(avg.states.tolist(), avg.times.tolist())])
+    states = zip(*[iter(avg.rows)] * avg.width)  # the recorded rows as tuples
+    return avg, array("d", chain.from_iterable(rhs(x, t)[:n] for x, t in zip(states, avg.times)))
 
 
 def _run_job(job: Callable[[], object]):
@@ -351,10 +361,10 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     full_rhss = [es_closed_loop(p.with_omega(omega), map) for omega in cfg.omega_values]
     dts = [dither_step_bound(full_rhs.dither_omega_max) for full_rhs in full_rhss]
     star, n, trials = map.optimum, map.dim, cfg.trials
-    x0s = _trial_starts(map, cfg)
-    starts = [tuple(x0) for x0 in x0s.tolist()]
+    starts = _trial_starts(map, cfg)
     # matched transformed starts: xi(t0) = 1, so theta_f = theta - theta* and eta_f = eta - J(theta*)
-    avg_starts = [tuple(z0) for z0 in (x0s - np.append(star, map.optimal_value)).tolist()]
+    offset = (*star, map.optimal_value)
+    avg_starts = [tuple(x - s for x, s in zip(x0, offset)) for x0 in starts]
     t0 = p.schedule.t0
     t1 = t0 + cfg.horizon
 
@@ -372,17 +382,20 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
         for trial, full in enumerate(fulls[i * trials : (i + 1) * trials]):
             entry_time, stayed, sup_gap = math.inf, False, math.inf
             if full is not None:
-                inside = np.linalg.norm(full.theta - star, axis=-1) <= cfg.epsilon
-                hits = np.flatnonzero(inside)
-                if hits.size:
-                    entry_time = float(full.times[hits[0]] - t0)
-                    stayed = bool(np.all(inside[hits[0] :]))
+                thetas = list(zip(*[full.column(j) for j in range(n)]))
+                inside = [math.hypot(*(a - s for a, s in zip(theta, star))) <= cfg.epsilon for theta in thetas]
+                if any(inside):
+                    first = inside.index(True)
+                    entry_time = full.times[first] - t0
+                    stayed = all(inside[first:])
                 if avgs[trial] is not None:
                     avg, slopes = avgs[trial]
                     if xi_vals is None:  # every trial of one omega has the same sample times
-                        xi_vals = np.array([p.schedule.xi(t) for t in full.times])
-                    theta_f = _hermite(avg.times, avg.theta, slopes, full.times)
-                    theta_bar = star + theta_f / xi_vals[:, None]
-                    sup_gap = float(np.max(np.linalg.norm(full.theta - theta_bar, axis=-1)))
+                        xi_vals = [p.schedule.xi(t) for t in full.times]
+                    nodes = (avg.times, [avg.column(j) for j in range(n)], [slopes[j::n] for j in range(n)])
+                    sup_gap = max(
+                        math.hypot(*(a - (s + f / xi) for a, s, f in zip(theta, star, _hermite(*nodes, t))))
+                        for theta, t, xi in zip(thetas, full.times, xi_vals)
+                    )
             rows.append(ProbeRow(omega, trial, entry_time, stayed, sup_gap))
     return rows

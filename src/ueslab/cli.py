@@ -20,12 +20,9 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, List, Optional
-
-import numpy as np
 
 from .analysis import fit_averaging_order, fit_exp_rate, fit_power_rate, fit_report_csv, oscillation_amplitude
 from .averaging import practical_stability_probe, probe_rows_csv
@@ -85,15 +82,15 @@ def _write_streamed(path: Path, blocks: Iterable[str]) -> None:
 def _write_run_artifacts(cfg: ExperimentConfig, out: Path, traj: Trajectory, fits) -> None:
     _write_streamed(out / f"{cfg.name}.trajectory.csv", traj.csv_blocks())
     (out / f"{cfg.name}.fits.csv").write_text(fit_report_csv(fits), encoding="utf-8")
-    series = [(traj.times, traj.theta[:, i], f"theta_{i + 1}") for i in range(traj.n)] + [(traj.times, traj.y, "y")]
+    series = [(traj.times, traj.column(i), f"theta_{i + 1}") for i in range(traj.n)] + [(traj.times, traj.y, "y")]
     _write_streamed(out / f"{cfg.name}.svg", line_plot_blocks(series, cfg.name))
 
 
 def measured(traj: Trajectory, map_) -> Trajectory:
-    """traj with its y column: the cost at each recorded theta, evaluated on Python floats (numpy's array **
-    can round differently) into a flat float buffer, one recorded row at a time."""
-    columns = map(memoryview, traj.theta.T)
-    return replace(traj, y=np.frombuffer(array("d", map(map_.eval, zip(*columns)))))
+    """traj, its y column set to the cost at each recorded theta: evaluated on Python floats into a flat
+    ``array('d')``, one recorded row at a time."""
+    traj.y = array("d", map(map_.eval, zip(*[traj.column(j) for j in range(traj.n)])))
+    return traj
 
 
 def cmd_run(args) -> int:
@@ -110,7 +107,7 @@ def deployed_run(cfg: ExperimentConfig) -> Trajectory:
     IntegrationDiverged, whose partial trajectory carries its y column too."""
     t0 = cfg.params.schedule.t0
     rhs = es_closed_loop(cfg.params, cfg.map)
-    x0 = (*cfg.theta0.tolist(), cfg.eta0)
+    x0 = (*cfg.theta0, cfg.eta0)
     try:
         return measured(integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, cfg.record_every, n=cfg.params.n), cfg.map)
     except IntegrationDiverged as e:
@@ -129,7 +126,7 @@ def _run_one(cfg: ExperimentConfig) -> int:
         print(f"{cfg.name}: integration diverged at t = {e.t_last:g}; partial artifacts in {out}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    gap = float(np.linalg.norm(traj.theta[-1] - map_.optimum))
+    gap = math.hypot(*(traj.column(j)[-1] - s for j, s in enumerate(map_.optimum)))
     bits = [f"{cfg.name}:", f"final |theta - theta*| = {gap:.6g};"]
 
     fits = []
@@ -201,9 +198,8 @@ def cmd_lemma_check(args) -> int:
     except ValueError as e:  # from lemma1_rhs: a stage left the domain V >= 0
         print(f"numeric failure: {e}; --dt = {args.dt:g} is too coarse", file=sys.stderr)
         return EXIT_NUMERIC
-    numeric = traj.states[:, 0]
-    exact = np.array([lemma1_solution(params, t) for t in traj.times])
-    rel = float(np.max(np.abs(numeric - exact) / exact))
+    exact = (lemma1_solution(params, t) for t in traj.times)
+    rel = max(abs(v - e) / e for v, e in zip(traj.rows, exact))
     verdict = "ok" if rel < LEMMA_TOL else "FAIL"
     print(f"comparison-ODE check: max relative error {rel:.3e} on [0, {args.t1:g}] with dt = {args.dt:g} ({verdict})")
     return EXIT_OK if rel < LEMMA_TOL else EXIT_NUMERIC
@@ -233,13 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a diverging state is reported once, as exit 3, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+        return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationDiverged, FloatingPointError, OverflowError) as e:
+    except (IntegrationDiverged, ArithmeticError) as e:  # a float's overflow, range or zero-division error
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except WorkerLost as e:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .analysis import MIN_FIT_LOG_GROWTH, MIN_WINDOW_SAMPLES, check_window, log_growth
 from .averaging import ProbeConfig
@@ -23,8 +22,6 @@ from .errors import CapabilityError, ConfigError
 from .maps import CostMap, named_map
 from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Schedule
 from .sim import STEPS_PER_PERIOD, dither_step_bound, step_count
-
-Array = np.ndarray
 
 # most RK4 steps a config may ask of one integration, so that every config that loads also ends
 MAX_STEPS = 10**7
@@ -102,7 +99,7 @@ class ExperimentConfig:
     name: str
     map: CostMap
     params: EsParams
-    theta0: Array
+    theta0: array
     eta0: float
     dt: float
     horizon: float
@@ -206,22 +203,22 @@ def _experiment(r: _Reader, name: str) -> ExperimentConfig:
                       omega=r.get("es.omega", float), omega_h=r.get("es.omega_h", float),
                       omega_hat=r.get("es.omega_hat", list, None))
 
-    theta0 = np.asarray(r.get("es.theta0", list, [0.0] * map_.dim), dtype=float)
-    if theta0.shape != (map_.dim,):
-        raise ValueError(f"es.theta0 must list {map_.dim} value(s), got {theta0.size}")
-    try:  # on Python floats, as `run` measures its cost column: there ** raises where numpy gives inf
-        finite = math.isfinite(map_.eval(theta0.tolist()))
+    theta0 = array("d", r.get("es.theta0", list, [0.0] * map_.dim))
+    if len(theta0) != map_.dim:
+        raise ValueError(f"es.theta0 must list {map_.dim} value(s), got {len(theta0)}")
+    try:  # as `run` measures its cost column, where a float ** out of range raises
+        finite = math.isfinite(map_.eval(theta0))
     except OverflowError:
         finite = False
     if not finite:
-        given = ", ".join(map(format, theta0.tolist()))
+        given = ", ".join(map(format, theta0))
         raise ValueError(f"es.theta0 = {given} has a cost J(theta0) out of double range")
     eta0 = r.get("es.eta0", float, 0.0)
 
     horizon = r.get("sim.horizon", float)
     if horizon <= 0.0:
         raise ValueError(f"sim.horizon must be positive, got {horizon}")
-    dt_max = dither_step_bound(float(np.max(params.omegas)))
+    dt_max = dither_step_bound(max(params.omegas))
     dt = r.get("sim.dt", float, dt_max)
     if dt <= 0.0 or dt > dt_max * (1.0 + 1e-12):
         raise ValueError(f"sim.dt = {dt:g} must lie in (0, {dt_max:g}] "
@@ -244,7 +241,7 @@ def _experiment(r: _Reader, name: str) -> ExperimentConfig:
             require_averageable(params, map_)
         except CapabilityError as e:
             raise ValueError(f"schedule.kind = {schedule.kind} leaves the probe no averaged system: {e}") from None
-        dts = [dither_step_bound(float(np.max(params.with_omega(w).omegas))) for w in probe.omega_values]
+        dts = [dither_step_bound(max(params.with_omega(w).omegas)) for w in probe.omega_values]
         _check_time_grid("probe.horizon", schedule, probe.horizon, dts[-1])
         # per trial, the averaged run at the smallest omega's step and one full-loop run per omega
         per_trial = sum(step_count(schedule.t0, schedule.t0 + probe.horizon, dt) for dt in [dts[0]] + dts)

@@ -15,9 +15,9 @@ x = [theta_f_1..theta_f_n, eta_f]; the two are related by exact algebra, which
 the test suite checks by chain rule.
 
 Each right-hand side takes one state, a sequence of d floats such as the
-tuple ``integrate`` keeps (or a 1-D array), and returns a tuple: at a few
-elements per state, a numpy call costs more than the arithmetic it does.
-Each loop is one stage text, its channels spelled out and the schedule's
+tuple ``integrate`` keeps, and returns a tuple of floats; the per-channel
+parameters are ``array('d')`` vectors, whose floats the generated texts read
+by name.  Each loop is one stage text, its channels spelled out and the schedule's
 factor text and the map's form texts inline: its callable rhs and its own
 RK4 loop, with all four stages inline, are generated from it by
 ``_generated_loop``.  The deployed loop's stage is ``_deployed_stage``; the
@@ -29,29 +29,26 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Optional
-
-import numpy as np
 
 from .errors import AssemblyError, CapabilityError
 from .maps import CostMap
 from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Factors, Schedule
-from .sim import generated, rk4_text
-
-Array = np.ndarray
+from .sim import floats, generated, rk4_text
 
 # below this, phi * err is evaluated in the log domain to dodge 0 * huge
 TINY_ERR = 1e-280
 
 
-def default_omega_hat(n: int) -> Array:
+def default_omega_hat(n: int) -> array:
     """Geometric frequency ratios 1, 1.5, 2.25, ...
 
     Pairwise distinct as required, and spaced so that low-order sums and
     differences w_i +/- w_j do not collide with any w_k.
     """
-    return 1.5 ** np.arange(n)
+    return array("d", (1.5**i for i in range(n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,44 +68,43 @@ class EsParams:
     closed-loop use.
     """
 
-    alpha: Array
-    k: Array
+    alpha: array
+    k: array
     omega: float
     omega_h: float
     schedule: Schedule
-    omega_hat: Optional[Array] = None
+    omega_hat: Optional[array] = None
 
     def __post_init__(self):
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        k = np.atleast_1d(np.asarray(self.k, dtype=float))
-        if alpha.shape != k.shape or alpha.ndim != 1:
-            raise AssemblyError(f"alpha and k must be 1-D with equal length, got {alpha.shape} and {k.shape}")
-        n = alpha.size
-        hat = default_omega_hat(n) if self.omega_hat is None else np.atleast_1d(np.asarray(self.omega_hat, dtype=float))
+        alpha, k = floats(self.alpha), floats(self.k)
+        hat = default_omega_hat(len(alpha)) if self.omega_hat is None else floats(self.omega_hat)
+        n = len(alpha)
+        if len(k) != n:
+            raise AssemblyError(f"alpha and k must have equal length, got {n} and {len(k)}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "omega_hat", hat)
-        if hat.shape != (n,):
-            raise AssemblyError(f"es.omega_hat must have one entry per channel, got shape {hat.shape} for n = {n}")
-        for key, values in (("es.alpha", alpha), ("es.k", k), ("es.omega", self.omega), ("es.omega_h", self.omega_h),
-                            ("es.omega_hat", hat)):
-            if np.any(np.asarray(values) <= 0.0):
-                raise AssemblyError(f"{key} must be positive, got {', '.join(map(format, np.atleast_1d(values).tolist()))}")
-        if len(set(hat.tolist())) != n:
+        if len(hat) != n:
+            raise AssemblyError(f"es.omega_hat must have one entry per channel, got {len(hat)} for n = {n}")
+        for key, values in (("es.alpha", alpha), ("es.k", k), ("es.omega", (self.omega,)),
+                            ("es.omega_h", (self.omega_h,)), ("es.omega_hat", hat)):
+            if any(v <= 0.0 for v in values):
+                raise AssemblyError(f"{key} must be positive, got {', '.join(map(format, values))}")
+        if len(set(hat)) != n:
             raise AssemblyError(f"frequency ratios es.omega_hat must be pairwise distinct, got {hat.tolist()}")
         if self.schedule.kind == EXPONENTIAL and self.omega_h <= 2.0 * self.schedule.lam:
             raise AssemblyError(f"exponential schedule needs es.omega_h > 2 lambda, got es.omega_h = {self.omega_h} "
                                 f"vs 2 lambda = {2.0 * self.schedule.lam} with schedule.lambda = {self.schedule.lam}")
-        omegas = self.omega * hat
-        if not np.all(np.isfinite(omegas) & (omegas > 0.0)):
+        omegas = array("d", (self.omega * h for h in hat))
+        if not all(math.isfinite(w) and w > 0.0 for w in omegas):
             raise AssemblyError(f"dither frequencies omega * es.omega_hat must be positive and finite, got "
-                                f"{', '.join(map(format, omegas.tolist()))} at omega = {self.omega}")
+                                f"{', '.join(map(format, omegas))} at omega = {self.omega}")
         object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "_amp", np.sqrt(alpha * self.omega * hat))
+        object.__setattr__(self, "_amp", array("d", (math.sqrt(a * self.omega * h) for a, h in zip(alpha, hat))))
 
     @property
     def n(self) -> int:
-        return self.alpha.size
+        return len(self.alpha)
 
     def with_omega(self, omega: float) -> "EsParams":
         return replace(self, omega=omega)
@@ -131,11 +127,14 @@ def assemble(
     schedules against a strongly convex map the gain condition
     k_i alpha_i > 2 lambda a2 (2 a2 + b2) / (a1 b1^2), from the map's bounds.
     """
-    def per_channel(key: str, values) -> Array:
+    def per_channel(key: str, values) -> array:
         try:
-            return np.broadcast_to(np.asarray(values, dtype=float), (map.dim,)).copy()
-        except ValueError:
-            raise AssemblyError(f"{key} must be a scalar or a length-{map.dim} list to match map '{map.name}'") from None
+            vector = floats(values)
+        except TypeError:
+            vector = None
+        if vector is None or len(vector) not in (1, map.dim):
+            raise AssemblyError(f"{key} must be a scalar or a length-{map.dim} list to match map '{map.name}'")
+        return vector * (map.dim // len(vector))
 
     p = EsParams(alpha=per_channel("es.alpha", alpha), k=per_channel("es.k", k), omega=omega, omega_h=omega_h,
                  schedule=schedule, omega_hat=omega_hat)
@@ -151,10 +150,10 @@ def assemble(
         b = map.bounds
         # by ratios, so that no product of bounds leaves double range on its own
         floor = 2.0 * schedule.lam * (b.a2 / b.a1) * (2.0 * b.a2 + b.b2) / b.b1 / b.b1
-        ka = p.k * p.alpha
-        if np.any(ka <= floor):
+        ka = min(k * a for k, a in zip(p.k, p.alpha))
+        if ka <= floor:
             raise AssemblyError(
-                f"exponential gain condition violated: es.k * es.alpha = {ka.min():g} on its smallest channel "
+                f"exponential gain condition violated: es.k * es.alpha = {ka:g} on its smallest channel "
                 f"must exceed 2 lambda a2 (2 a2 + b2) / (a1 b1^2) = {floor:g} with schedule.lambda = {schedule.lam} "
                 f"on map '{map.name}'"
             )
@@ -238,7 +237,7 @@ def _generated_loop(p: EsParams, label: str, stage, factor_text, names: dict):
     names.update(p.schedule.text_names(), factors=p.schedule.factors, cos=math.cos, copysign=math.copysign,
                  log=math.log, exp=math.exp, nan=math.nan, TINY_ERR=TINY_ERR, omega_h=float(p.omega_h))
     for name, values in (("w", p.omegas), ("amp", p._amp), ("k", p.k)):
-        names.update((f"{name}_{i}", v) for i, v in enumerate(values.tolist()))
+        names.update((f"{name}_{i}", v) for i, v in enumerate(values))
     xs = [f"x_{i}" for i in range(n + 1)]
     body = (f"({', '.join(xs)},) = x\n" + factor_text("t", "0")[0] + stage(xs, "t", "0", "dx")
             + "return (" + "".join(f"dx_{i}, " for i in range(n + 1)) + ")\n")
@@ -250,17 +249,17 @@ def _generated_loop(p: EsParams, label: str, stage, factor_text, names: dict):
 def es_closed_loop(p: EsParams, map: CostMap):
     """rhs(x, t) over one packed state x = (theta_1..theta_n, eta), returning a tuple.
 
-    x is a tuple of floats, as ``integrate`` keeps it, or a 1-D array.  The
+    x is a sequence of floats, such as the tuple ``integrate`` keeps.  The
     rhs and its own RK4 loop are generated from one stage text, the map's
     value text inline (``_generated_loop``).  An infinite phase,
-    where math.cos raises, gives NaN dither rates, as np.cos would, so the
+    where math.cos raises, gives NaN dither rates, so the
     integrator reports the divergence.  Tagged with the fastest dither
     frequency so the integrator can enforce its step bound.
     """
     _check_loop_map(p, map)
     stage = functools.partial(_deployed_stage, p.n, map.value_text[0])
     rhs = _generated_loop(p, "deployed loop", stage, p.schedule.factor_text, dict(map.value_text[1]))
-    rhs.dither_omega_max = float(np.max(p.omegas))
+    rhs.dither_omega_max = max(p.omegas)
     return rhs
 
 
@@ -277,8 +276,8 @@ def _frame_loop(p: EsParams, map: CostMap, averaged: bool):
     centered, names = map.centered_text
     grad, grad_names = map.grad_text if averaged else (None, {})
     names = dict(names, **grad_names, kappa2=2.0 * map.kappa)
-    names.update((f"opt_{i}", s) for i, s in enumerate(map.optimum.tolist()))
-    names.update((f"ka_{i}", 0.5 * k * a) for i, (k, a) in enumerate(zip(p.k.tolist(), p.alpha.tolist())))
+    names.update((f"opt_{i}", s) for i, s in enumerate(map.optimum))
+    names.update((f"ka_{i}", 0.5 * k * a) for i, (k, a) in enumerate(zip(p.k, p.alpha)))
     stage = functools.partial(_frame_stage, p.n, centered, grad)
     return _generated_loop(p, "averaged loop" if averaged else "transformed loop", stage, p.schedule.frame_text, names)
 
@@ -288,7 +287,7 @@ def transformed_closed_loop(p: EsParams, map: CostMap):
     RK4 loop, as ``es_closed_loop``'s; an infinite phase gives NaN dither rates there too."""
     require_transformable(p, map)
     rhs = _frame_loop(p, map, averaged=False)
-    rhs.dither_omega_max = float(np.max(p.omegas))
+    rhs.dither_omega_max = max(p.omegas)
     return rhs
 
 

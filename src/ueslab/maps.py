@@ -12,24 +12,24 @@ A map is built from the texts of its closed forms, each one expression with
 and the gradient.  ``eval``, ``centered`` and ``grad`` are compiled from them,
 and the closed loops write the same texts into their generated RK4 steps.
 The compiled forms take theta as a sequence whose item i is coordinate i,
-n floats or an (n,) array for one input, or an (n, B) array
-for B inputs at once; ``eval`` and ``centered`` return a scalar or a (B,)
-array, ``grad`` a sequence of n components of the same kind.  ``__call__``,
-``centered_value`` and ``gradient`` validate single inputs.
+n floats for one input, or n numpy arrays of B floats each for B inputs at
+once; ``eval`` and ``centered`` return a float or such an array, ``grad`` a
+sequence of n components of the same kind.  ``__call__``,
+``centered_value`` and ``gradient`` validate single inputs, and a map's
+vectors (its optimum, a gradient) are ``array('d')``.  The Hessians and the
+checks by finite differences and sampling are test oracles: they import
+numpy when called, so building and running a map never does.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Tuple
-
-import numpy as np
+from typing import Callable, Mapping, Sequence, Tuple
 
 from .errors import AssumptionViolation
-from .sim import generated
-
-Array = np.ndarray
+from .sim import floats, generated
 
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
@@ -67,7 +67,7 @@ class CostMap:
     centered_text  (text, names): the cancellation-free J - J*, which must vanish at the optimum, as one
                    expression with {i} for coordinate i, and the numbers it reads by name (q_i, star_i)
     grad_text      (text, names) of the gradient, one tuple display of n components
-    hess           closed-form Hessian
+    hess           closed-form Hessian: theta -> n rows of n floats
     optimum        minimizer theta*, at which the gradient must vanish
     optimal_value  cost J* at the minimizer, finite
     bounds         analytic PowerBounds
@@ -81,15 +81,15 @@ class CostMap:
     kappa: int
     centered_text: Tuple[str, Mapping[str, float]]
     grad_text: Tuple[str, Mapping[str, float]]
-    hess: Callable[[Array], Array]
-    optimum: Array
+    hess: Callable[[Sequence[float]], Sequence[Sequence[float]]]
+    optimum: array
     optimal_value: float
     bounds: PowerBounds
     name: str
     value_text: Tuple[str, Mapping[str, float]] = field(init=False, repr=False, compare=False)
-    eval: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
-    centered: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
-    grad: Callable[[Array], Array] = field(init=False, repr=False, compare=False)
+    eval: Callable = field(init=False, repr=False, compare=False)
+    centered: Callable = field(init=False, repr=False, compare=False)
+    grad: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -102,18 +102,21 @@ class CostMap:
         for form, (text, names) in (("eval", self.value_text), ("centered", self.centered_text), ("grad", self.grad_text)):
             body = f"{', '.join(coords)}, = th\nreturn {text.format(*coords)}\n"
             object.__setattr__(self, form, generated("form(th)", body, names, f"<map form over {self.dim} coordinates>"))
-        star = np.asarray(self.optimum, dtype=float).reshape(self.dim)
+        star = floats(self.optimum)
         object.__setattr__(self, "optimum", star)
         g, jc = self.gradient(star), float(self.centered(star))
-        if not np.all(np.isfinite(g)) or np.linalg.norm(g) >= 1e-8:
-            raise ValueError(f"gradient at declared optimum must vanish, |grad| = {np.linalg.norm(g):g}")
+        if not all(map(math.isfinite, g)) or math.hypot(*g) >= 1e-8:
+            raise ValueError(f"gradient at declared optimum must vanish, |grad| = {math.hypot(*g):g}")
         if jc != 0.0 or not math.isfinite(j_star):
             raise ValueError(f"need a finite J* and J - J* = 0 at the declared optimum, got J* = {j_star}, J - J* = {jc:g}")
 
-    def _as_input(self, theta) -> Array:
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if th.shape != (self.dim,):
-            raise ValueError(f"input has shape {th.shape}, map expects ({self.dim},)")
+    def _as_input(self, theta) -> array:
+        try:
+            th = floats(theta)
+        except TypeError:
+            th = None
+        if th is None or len(th) != self.dim:
+            raise ValueError(f"input {theta!r} does not have the shape ({self.dim},) the map expects")
         return th
 
     def __call__(self, theta) -> float:
@@ -124,16 +127,21 @@ class CostMap:
         """eval(theta) - optimal_value by the cancellation-free form."""
         return float(self.centered(self._as_input(theta)))
 
-    def gradient(self, theta) -> Array:
-        return np.asarray(self.grad(self._as_input(theta)), dtype=float).reshape(self.dim)
+    def gradient(self, theta) -> array:
+        return array("d", self.grad(self._as_input(theta)))
 
-    def hessian(self, theta) -> Array:
+    def hessian(self, theta):
+        """The (n, n) numpy array of the closed-form Hessian at theta."""
+        import numpy as np
+
         return np.asarray(self.hess(self._as_input(theta)), dtype=float).reshape(self.dim, self.dim)
 
 
-def grad_fd(map: CostMap, theta) -> Array:
-    """Central-difference gradient with per-component step GRAD_STEP * max(1, |theta_i|)."""
-    th = map._as_input(theta)
+def grad_fd(map: CostMap, theta):
+    """Central-difference gradient with per-component step GRAD_STEP * max(1, |theta_i|), as a numpy array."""
+    import numpy as np
+
+    th = np.asarray(map._as_input(theta))
     g = np.empty(map.dim)
     for i in range(map.dim):
         hi = GRAD_STEP * max(1.0, abs(th[i]))
@@ -143,9 +151,11 @@ def grad_fd(map: CostMap, theta) -> Array:
     return g
 
 
-def hess_fd(map: CostMap, theta) -> Array:
-    """Symmetric central-difference Hessian with per-component step HESS_STEP * max(1, |theta_i|)."""
-    th = map._as_input(theta)
+def hess_fd(map: CostMap, theta):
+    """Symmetric central-difference Hessian with per-component step HESS_STEP * max(1, |theta_i|), as a numpy array."""
+    import numpy as np
+
+    th = np.asarray(map._as_input(theta))
     n = map.dim
     steps = np.array([HESS_STEP * max(1.0, abs(th[i])) for i in range(n)])
     H = np.empty((n, n))
@@ -177,9 +187,10 @@ def verify_power_bounds(map: CostMap, radius: float, samples: int, seed: int) ->
         raise ValueError(f"radius must be positive, got {radius}")
     if samples < 2:
         raise ValueError(f"at least 2 samples required, got {samples}")
+    import numpy as np
 
     rng = np.random.default_rng(seed)
-    n, star, kap = map.dim, map.optimum, map.kappa
+    n, star, kap = map.dim, np.asarray(map.optimum), map.kappa
     dirs = rng.standard_normal((samples, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * rng.random(samples) ** (1.0 / n)
@@ -217,27 +228,27 @@ def verify_power_bounds(map: CostMap, radius: float, samples: int, seed: int) ->
 def quartic_paper() -> CostMap:
     """1-D quartic cost 1 + (theta - 2)^4 with a flat (order-2) minimum at 2."""
     return CostMap(dim=1, kappa=2, centered_text=("({0} - 2.0) ** 4", {}), grad_text=("(4.0 * ({0} - 2.0) ** 3, )", {}),
-                   hess=lambda th: np.array([[12.0 * (th[0] - 2.0) ** 2]]), optimum=np.array([2.0]), optimal_value=1.0,
+                   hess=lambda th: [[12.0 * (th[0] - 2.0) ** 2]], optimum=[2.0], optimal_value=1.0,
                    bounds=PowerBounds(1.0, 1.0, 4.0, 4.0, 12.0, 12.0), name="quartic_paper")
 
 
 def quadratic(q=1.0, theta_star=0.0) -> CostMap:
     """Diagonal quadratic cost sum_i q_i (theta_i - theta*_i)^2, strongly convex; centered is its value."""
-    qv = np.atleast_1d(np.asarray(q, dtype=float))
-    star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    if qv.shape != star.shape:
-        raise ValueError(f"map.q and map.theta_star must list equally many values, got {qv.size} and {star.size}")
-    if np.any(qv <= 0.0):
-        raise ValueError(f"map.q must be positive, got {', '.join(map(format, qv.tolist()))}")
-    n, qmin, qmax = qv.size, float(qv.min()), float(qv.max())
+    qv, star = floats(q), floats(theta_star)
+    if len(qv) != len(star):
+        raise ValueError(f"map.q and map.theta_star must list equally many values, got {len(qv)} and {len(star)}")
+    if any(q_i <= 0.0 for q_i in qv):
+        raise ValueError(f"map.q must be positive, got {', '.join(map(format, qv))}")
+    n, qmin, qmax = len(qv), min(qv), max(qv)
     # left to right over floats or (B,) arrays, as numpy's (qv * (th.T - star) ** 2).sum(axis=-1)
     # adds for n < 8; the builtin sum() compensates its rounding from Python 3.12 on.  The first
     # term stands alone: with q_i > 0 no term is -0.0, so 0.0 + term would give the term's bits
-    names = {f"q_{i}": q_i for i, q_i in enumerate(qv.tolist())} | {f"star_{i}": s_i for i, s_i in enumerate(star.tolist())}
+    names = {f"q_{i}": q_i for i, q_i in enumerate(qv)} | {f"star_{i}": s_i for i, s_i in enumerate(star)}
     centered = (" + ".join(f"q_{i} * (({{{i}}} - star_{i}) * ({{{i}}} - star_{i}))" for i in range(n)), names)
     grad = ("(" + "".join(f"2.0 * q_{i} * ({{{i}}} - star_{i}), " for i in range(n)) + ")", names)
-    return CostMap(dim=n, kappa=1, centered_text=centered, grad_text=grad, hess=lambda th: np.diag(2.0 * qv),
-                   optimum=star.copy(), optimal_value=0.0, name="quadratic",
+    hess = lambda th: [[2.0 * q_i if i == j else 0.0 for j in range(n)] for i, q_i in enumerate(qv)]
+    return CostMap(dim=n, kappa=1, centered_text=centered, grad_text=grad, hess=hess,
+                   optimum=star, optimal_value=0.0, name="quadratic",
                    bounds=PowerBounds(qmin, qmax, 2.0 * qmin, 2.0 * qmax, 2.0 * qmax, 2.0 * qmax))
 
 

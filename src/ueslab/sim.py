@@ -10,8 +10,10 @@ becomes; ``integrate`` integrates one state per call, in one RK4 loop that
 ``rk4_text`` writes out per component and ``generated``, the compiler of all
 generated code, compiles once per text.  Its stages call the rhs, or are
 inline text when that very function object carries its own loop (the deployed
-loop's ``rk4_loop`` tag).  A ``Trajectory`` gives its CSV text in blocks of
-``FORMAT_BLOCK`` rows, so a caller can write it without holding the whole text.
+loop's ``rk4_loop`` tag).  A ``Trajectory`` holds the loop's flat
+``array('d')`` buffers, read through its column accessors, and gives its CSV
+text in blocks of ``FORMAT_BLOCK`` rows, so a caller can write it without
+holding the whole text.
 
 ``lemma1_rhs`` / ``lemma1_solution`` form a self-oracle pair: a scalar
 comparison ODE with a known closed-form solution, used to validate the
@@ -22,16 +24,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import textwrap
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
 from .errors import IntegrationDiverged
-
-Array = np.ndarray
 
 STEPS_PER_PERIOD = 40
 # rows of a CSV or points of a polyline formatted at once, which bounds the Python floats held for its text
@@ -48,75 +48,90 @@ def step_count(t0: float, t1: float, dt: float) -> int:
     return max(1, math.ceil((t1 - t0) / dt - 1e-9))
 
 
+def floats(values) -> array:
+    """values as an ``array('d')``: values itself when it is one, else a new one of a float or a 1-D sequence of
+    floats; TypeError for anything else."""
+    if isinstance(values, array) and values.typecode == "d":
+        return values
+    return array("d", values if hasattr(values, "__len__") else (values,))
+
+
 @dataclass
 class Trajectory:
-    """Time-indexed record of an integration run.
+    """Time-indexed record of an integration run, in flat ``array('d')`` buffers.
 
-    times   (m,) strictly increasing sample times
-    states  (m, d) raw state record, one row per sample: [theta...] (d = n) or [theta..., eta] (d = n + 1)
+    times   m strictly increasing sample times, m >= 1
+    rows    the m recorded states, row-major: width floats per row, [theta...] (width n) or [theta..., eta]
+            (width n + 1)
     n       number of leading state columns holding the controller input
-    y       optional (m,) measured cost when a map was in the loop
+    y       optional m measured costs when a map was in the loop
+    width   (set, not given) len(rows) // m
 
-    ``integrate`` hands over its flat float buffers as times and states without a copy, so a recorded row
-    costs its d + 1 floats.  ``csv_blocks`` yields the CSV text FORMAT_BLOCK rows at a time, each block
-    stacked from its own slices of the columns, so writing it holds one block's floats and text, not the
-    record's; ``to_csv`` joins those blocks.
+    ``integrate`` hands over the buffers it filled without a copy, so a recorded row costs its width + 1
+    floats; other sequences of floats are copied into new buffers.  ``column`` reads one state column.
+    ``csv_blocks`` yields the CSV text FORMAT_BLOCK rows at a time, each block interleaved from its own slices
+    of the columns, so writing it holds one block's floats and text, not the record's; ``to_csv`` joins those
+    blocks.
     """
 
-    times: Array
-    states: Array
+    times: array
+    rows: array
     n: int
-    y: Optional[Array] = None
+    y: Optional[array] = None
+    width: int = field(init=False)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=float)
-        if self.states.ndim != 2 or self.times.ndim != 1:
-            raise ValueError("times must be 1-D and states (m, d)")
-        if len(self.times) != len(self.states):
-            raise ValueError(f"{len(self.times)} times vs {len(self.states)} state rows")
-        if not np.all(self.times[1:] > self.times[:-1]):
+        self.times = floats(self.times)
+        try:
+            self.rows = floats(self.rows)
+        except TypeError as e:
+            raise ValueError(f"rows must hold the states (m, d) as m * d floats, row-major: {e}") from None
+        m = len(self.times)
+        if m == 0 or len(self.rows) % m:
+            raise ValueError(f"{m} times vs {len(self.rows)} state values: need m >= 1 times and m rows of equal width")
+        self.width = len(self.rows) // m
+        if not all(map(operator.lt, self.times, islice(self.times, 1, None))):
             raise ValueError("sample times must be strictly increasing")
-        _check_width(self.n, self.states.shape[1])
-        if not np.all(np.isfinite(self.states)):
+        _check_width(self.n, self.width)
+        if not all(map(math.isfinite, self.rows)):
             raise ValueError("recorded states contain non-finite values")
         if self.y is not None:
-            self.y = np.asarray(self.y, dtype=float)
-            if self.y.shape != self.times.shape:
+            self.y = floats(self.y)
+            if len(self.y) != m:
                 raise ValueError("y must have one entry per sample")
 
-    @property
-    def theta(self) -> Array:
-        """(m, n) controller-input columns."""
-        return self.states[:, : self.n]
-
-    @property
-    def eta(self) -> Array:
-        """(m,) washout-filter column; requires state layout [theta..., eta]."""
-        if self.states.shape[1] != self.n + 1:
-            raise ValueError("trajectory has no washout-filter column")
-        return self.states[:, self.n]
+    def column(self, j: int) -> memoryview:
+        """State column j over the m samples, theta_{j+1} for j < n and eta for j = n: a strided view of rows,
+        no copy."""
+        return memoryview(self.rows)[j :: self.width]
 
     def csv_blocks(self) -> Iterator[str]:
         """CSV text in pieces: the header t,theta_1..theta_n,eta,y, then one string per FORMAT_BLOCK rows;
-        17 significant digits.  A block is stacked from that block's slices of the columns."""
-        cols = ["t"] + [f"theta_{i + 1}" for i in range(self.n)]
-        columns = [self.times[:, None], self.theta]
-        if self.states.shape[1] == self.n + 1:
-            cols.append("eta")
-            columns.append(self.states[:, self.n : self.n + 1])
-        if self.y is not None:
-            cols.append("y")
-            columns.append(self.y[:, None])
-        yield ",".join(cols) + "\n"
-        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        17 significant digits.  A block is interleaved from that block's slices of the columns."""
+        w = self.width
+        names = ["t"] + [f"theta_{i + 1}" for i in range(self.n)] + ["eta"] * (w - self.n) + ["y"] * (self.y is not None)
+        yield ",".join(names) + "\n"
+        row, k = ",".join(["%.17g"] * len(names)) + "\n", len(names)
         for i in range(0, len(self.times), FORMAT_BLOCK):
-            block = np.hstack([column[i : i + FORMAT_BLOCK] for column in columns])
-            yield (row * len(block)) % tuple(block.ravel().tolist())
+            j = min(i + FORMAT_BLOCK, len(self.times))
+            cells = [0.0] * ((j - i) * k)  # row-major: each column's slice fills every k-th cell
+            cells[0::k] = self.times[i:j]
+            for c in range(w):
+                cells[1 + c :: k] = self.rows[i * w + c : j * w : w]
+            if self.y is not None:
+                cells[k - 1 :: k] = self.y[i:j]
+            yield (row * (j - i)) % tuple(cells)
 
     def to_csv(self) -> str:
         """The whole CSV text of ``csv_blocks``."""
         return "".join(self.csv_blocks())
+
+
+def _shape(value) -> tuple:
+    """The shape numpy gives value, read along its first items: () for a float, (d,) for a sequence of d floats."""
+    if not hasattr(value, "__len__"):
+        return ()
+    return (len(value),) + (_shape(value[0]) if len(value) else ())
 
 
 def _check_width(n: int, width: int) -> None:
@@ -210,9 +225,9 @@ def integrate(
     TypeError from the loop when rhs at the start raises one too or returns another shape than x0's.
     n, the number of leading state columns holding the controller input, defaults to d and must be d or
     d - 1, checked before the first step.  Samples are recorded every ``record_every`` steps and at both ends,
-    into two flat ``array('d')`` buffers that the Trajectory views without a copy: 8 (d + 1) bytes per
+    into two flat ``array('d')`` buffers that the Trajectory keeps without a copy: 8 (d + 1) bytes per
     recorded row.  A non-finite state, or an OverflowError/FloatingPointError raised by rhs, aborts with
-    IntegrationDiverged carrying the trajectory recorded so far, viewed the same way.
+    IntegrationDiverged carrying the trajectory recorded so far, kept the same way.
     """
     if t1 <= t0:
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
@@ -229,7 +244,7 @@ def integrate(
                 f"({STEPS_PER_PERIOD} steps per fastest period)"
             )
 
-    shape = np.shape(x0)
+    shape = _shape(x0)
     if len(shape) > 1 or shape == (0,):
         raise ValueError(f"integrate takes one state, a float or a 1-D sequence of 1 or more, got shape {shape}")
     x = tuple(map(float, x0)) if shape else float(x0)
@@ -246,10 +261,10 @@ def integrate(
             rates = rhs(x, t0)
         except TypeError as e:
             raise ValueError(f"rhs cannot take a start of shape {shape}: {e}") from e
-        if np.shape(rates) != shape:
-            raise ValueError(f"rhs returns rates of shape {np.shape(rates)} for a start of shape {shape}") from error
+        if _shape(rates) != shape:
+            raise ValueError(f"rhs returns rates of shape {_shape(rates)} for a start of shape {shape}") from error
         raise
-    recorded = Trajectory(np.frombuffer(times), np.frombuffer(rows).reshape(-1, width), n)
+    recorded = Trajectory(times, rows, n)
     if stop is None:
         return recorded
     message, error = stop

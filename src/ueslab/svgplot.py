@@ -10,9 +10,8 @@ holding the whole text; ``line_plot`` joins the pieces.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterator, List, Sequence, Tuple
-
-import numpy as np
 
 from .sim import FORMAT_BLOCK
 
@@ -49,7 +48,7 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def line_plot_blocks(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str) -> Iterator[str]:
+def line_plot_blocks(series: Sequence[Tuple[Sequence[float], Sequence[float], str]], title: str) -> Iterator[str]:
     """SVG text in pieces for one WIDTH x HEIGHT axes, titled, with several labelled (x, y, label) polylines
     over x = t: one string per element, and each polyline's points FORMAT_BLOCK at a time.
 
@@ -62,20 +61,17 @@ def line_plot_blocks(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title
 
     prepared = []
     for x, y, label in series:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        keep = np.isfinite(x) & np.isfinite(y)
-        if not keep.all():  # a copy only when a sample is dropped
-            x, y = x[keep], y[keep]
-        if x.size:
+        if not (all(map(math.isfinite, x)) and all(map(math.isfinite, y))):  # a copy only when a sample is dropped
+            kept = [(a, b) for a, b in zip(x, y) if math.isfinite(a) and math.isfinite(b)]
+            x, y = array("d", (a for a, _ in kept)), array("d", (b for _, b in kept))
+        if len(x):
             prepared.append((x, y, label))
     if not prepared:
         raise ValueError("no finite data to plot")
 
-    x_lo = min(float(x.min()) for x, _, _ in prepared)
-    x_hi = max(float(x.max()) for x, _, _ in prepared)
-    y_lo = min(float(y.min()) for _, y, _ in prepared)
-    y_hi = max(float(y.max()) for _, y, _ in prepared)
+    distinct_x = {id(x): x for x, _, _ in prepared}.values()  # series often share one x: scan each once
+    x_lo, x_hi = min(map(min, distinct_x)), max(map(max, distinct_x))
+    y_lo, y_hi = min(min(y) for _, y, _ in prepared), max(max(y) for _, y, _ in prepared)
     # widen a flat axis far enough past the rounding of its values to tick it
     if _too_narrow(x_lo, x_hi):
         x_hi = x_lo + max(1.0, 1e-6 * abs(x_lo))
@@ -85,11 +81,13 @@ def line_plot_blocks(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+
     def px(v):
-        return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (v - x_lo) / x_span * plot_w
 
     def py(v):
-        return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + (y_hi - v) / y_span * plot_h
 
     yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -118,10 +116,13 @@ def line_plot_blocks(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title
         color = PALETTE[idx % len(PALETTE)]
         yield f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="'
         for i in range(0, len(x), FORMAT_BLOCK):
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass silently, as on Python floats
-                xy = np.column_stack([px(x[i : i + FORMAT_BLOCK]), py(y[i : i + FORMAT_BLOCK])])
+            # px and py inline, their operations in their order, and the coordinates interleaved x, y, x, y, ...
+            xs = [_MARGIN_L + (v - x_lo) / x_span * plot_w for v in x[i : i + FORMAT_BLOCK]]
+            points = xs * 2
+            points[0::2] = xs
+            points[1::2] = [_MARGIN_T + (y_hi - v) / y_span * plot_h for v in y[i : i + FORMAT_BLOCK]]
             # points are separated by one space, also across a block edge
-            yield (" " if i else "") + " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+            yield (" " if i else "") + " ".join(["%.2f,%.2f"] * len(xs)) % tuple(points)
         yield '"/>\n'
         Yl = _MARGIN_T + 14 + 14 * idx
         Xl = _MARGIN_L + plot_w - 10
@@ -131,7 +132,7 @@ def line_plot_blocks(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title
     yield "</svg>\n"
 
 
-def line_plot(series: Sequence[Tuple[np.ndarray, np.ndarray, str]], title: str) -> str:
+def line_plot(series: Sequence[Tuple[Sequence[float], Sequence[float], str]], title: str) -> str:
     """The whole SVG text of ``line_plot_blocks``."""
     return "".join(line_plot_blocks(series, title))
 

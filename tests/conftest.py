@@ -2,7 +2,9 @@
 the function behind `ueslab run`, and reused by the module tests and the acceptance suite."""
 
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import ueslab as u
@@ -17,6 +19,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def arrays(traj):
+    """traj's buffers as numpy arrays, views without a copy: times (m,), states (m, d) as
+    np.frombuffer(rows).reshape(-1, width), theta (m, n), eta (m,) when the state carries it, and y (m,) or None."""
+    states = np.frombuffer(traj.rows).reshape(-1, traj.width)
+    return SimpleNamespace(times=np.frombuffer(traj.times), states=states, theta=states[:, : traj.n],
+                           eta=states[:, traj.n] if traj.width > traj.n else None,
+                           y=None if traj.y is None else np.frombuffer(traj.y))
 
 
 @pytest.fixture(scope="session")

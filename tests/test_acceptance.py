@@ -9,6 +9,7 @@ stated does not hold, not that the computation crashed.
 import time
 
 import numpy as np
+from conftest import arrays
 
 import ueslab as u
 from ueslab import cli
@@ -28,7 +29,7 @@ def test_criterion_01_comparison_ode_oracle(acceptance_report):
     traj = u.integrate(lambda V, t: u.lemma1_rhs(p, V, t), p.v0, 0.0, 100.0, 1e-3, record_every=10)
     wall = time.perf_counter() - start
     exact = np.array([u.lemma1_solution(p, t) for t in traj.times])
-    rel = float(np.max(np.abs(traj.states[:, 0] - exact) / exact))
+    rel = float(np.max(np.abs(arrays(traj).states[:, 0] - exact) / exact))
     _verdict(
         acceptance_report, 1, "comparison-ODE closed form vs RK4",
         rel < 1e-6 and wall < 5.0, f"max rel err {rel:.3e}, {wall:.2f}s",
@@ -37,7 +38,7 @@ def test_criterion_01_comparison_ode_oracle(acceptance_report):
 
 def test_criterion_02_power_law_convergence(acceptance_report, fig3_timed):
     fig3_run, wall = fig3_timed
-    gap = abs(fig3_run.theta[-1, 0] - 2.0)
+    gap = abs(arrays(fig3_run).theta[-1, 0] - 2.0)
     fit = u.fit_power_rate(fig3_run, [2.0], 0.1, 0.0, (10.0, 100.0))
     ok = gap < 0.05 and abs(fit.estimate - 3.0) <= 0.6 and wall < 30.0
     _verdict(
@@ -52,8 +53,8 @@ def test_criterion_03_constant_gain_contrast(acceptance_report, fig2a_run, fig2b
         return a
 
     def early_min(traj):
-        mask = traj.times <= 10.0
-        return float(traj.theta[mask, 0].min())
+        mask = arrays(traj).times <= 10.0
+        return float(arrays(traj).theta[mask, 0].min())
 
     a_late, a_mid = amp(fig2a_run, 80.0, 100.0), amp(fig2a_run, 40.0, 60.0)
     b_late = amp(fig2b_run, 80.0, 100.0)
@@ -86,13 +87,14 @@ def test_criterion_05_averaging_gap_shrinks_with_frequency(acceptance_report, qu
     x0 = np.array([1.0, 0.0])
     averaged = u.averaged_closed_loop(fig3_params, quartic)
     avg = u.integrate(averaged, x0, 0.0, 20.0, u.dither_step_bound(10.0))
-    slopes = np.array([averaged(x, t) for x, t in zip(avg.states, avg.times)])
+    slopes = np.array([averaged(x, t) for x, t in zip(arrays(avg).states, avg.times)])
+    nodes = (avg.times, [avg.column(j) for j in range(2)], list(slopes.T))
     gaps = []
     for omega in (10.0, 50.0, 250.0):
         p = fig3_params.with_omega(omega)
         dt = u.dither_step_bound(omega)
-        full = u.integrate(u.transformed_closed_loop(p, quartic), x0, 0.0, 20.0, dt)
-        avg_states = _hermite(avg.times, avg.states, slopes, full.times)
+        full = arrays(u.integrate(u.transformed_closed_loop(p, quartic), x0, 0.0, 20.0, dt))
+        avg_states = np.array([_hermite(*nodes, t) for t in full.times])
         gaps.append(float(np.max(np.linalg.norm(full.states - avg_states, axis=1))))
     ok = gaps[0] > gaps[1] > gaps[2]
     _verdict(
@@ -125,6 +127,7 @@ def test_criterion_06_bracket_identity(acceptance_report, quartic, fig3_params):
 
 
 def test_criterion_07_gain_error_product_bounded(acceptance_report, fig3_run, fig3_params):
+    fig3_run = arrays(fig3_run)
     sched = fig3_params.schedule
     phi = np.array([sched.phi(t) for t in fig3_run.times])
     signal = np.abs(fig3_params.k[0] * phi * (fig3_run.y - fig3_run.eta))
@@ -168,7 +171,7 @@ def test_criterion_08_derivative_and_bound_checks(acceptance_report, quartic, ex
 
 
 def test_criterion_09_output_decay_rate(acceptance_report, fig3_run):
-    ytraj = u.Trajectory(fig3_run.times, fig3_run.y.reshape(-1, 1), 1)
+    ytraj = u.Trajectory(fig3_run.times, fig3_run.y, 1)
     fit = u.fit_power_rate(ytraj, [1.0], 0.1, 0.0, (2.0, 20.0))
     ok = fit.estimate >= 8.0
     _verdict(

@@ -1,5 +1,9 @@
 """Rate fits on synthetic signals with known decay, plus trace/stat helpers."""
 
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,7 @@ T = np.linspace(0.0, 100.0, 4001)
 
 
 def _traj(values):
-    return u.Trajectory(T, np.asarray(values).reshape(-1, 1), 1)
+    return u.Trajectory(T, np.asarray(values), 1)
 
 
 def test_power_fit_exact_signal():
@@ -81,7 +85,7 @@ def test_one_envelope_value_above_noise_floor_is_skipped():
     t = np.linspace(0.0, 10.0, 201)
     d = np.full_like(t, 1e-15)
     d[100] = 1e-3
-    traj = u.Trajectory(t, d.reshape(-1, 1), 1)
+    traj = u.Trajectory(t, d, 1)
     with pytest.raises(WindowTooLate, match=r"^1 envelope value\(s\) in \(0.0, 10.0\) lie above the 1e-13 noise floor"):
         u.fit_exp_rate(traj, [0.0], (0.0, 10.0))
     with pytest.raises(WindowTooLate, match=r"^1 envelope value\(s\)"):
@@ -107,6 +111,22 @@ def test_log_fit_against_polyfit(seed):
     assert fitted == pytest.approx(oracle_slope, rel=1e-9)
     assert residual == pytest.approx(np.sqrt(np.mean((logd - (oracle_slope * x + oracle_intercept)) ** 2)), rel=1e-9)
     assert residual >= 0.0
+
+
+def test_log_fit_sums_are_correctly_rounded():
+    # every sum of the fit is a math.fsum, so fits.csv does not depend on the Python version: the builtin sum()
+    # adds left to right up to Python 3.11 and compensates its rounding from 3.12 on.  On this input the two
+    # orders of rounding give different slopes and residuals
+    def fit_by(total):
+        mean_x, mean_y = total(x) / len(x), total(logd) / len(x)
+        dx, dy = [v - mean_x for v in x], [v - mean_y for v in logd]
+        slope = total([a * b for a, b in zip(dx, dy)]) / total([a * a for a in dx])
+        return slope, math.sqrt(total([(b - slope * a) * (b - slope * a) for a, b in zip(dx, dy)]) / len(x))
+
+    x, logd = [0.1, 0.2, 0.3, 0.4, 0.5], [1.1, 2.3, 2.9, 4.2, 4.8]
+    left_to_right = functools.partial(functools.reduce, operator.add)
+    assert fit_by(left_to_right) == (9.3, 0.15684387141358117)
+    assert _log_fit(x, logd) == fit_by(math.fsum) == (9.299999999999999, 0.1568438714135812)
 
 
 @pytest.mark.parametrize("scale", [0.1, 10.0])
@@ -138,13 +158,13 @@ def test_fit_report_csv_layout():
 def test_oscillation_amplitude_recovers_sine():
     t = np.linspace(0.0, 50.0, 2001)
     states = 2.0 + 0.3 * np.sin(4.0 * t)
-    mean, amp = u.oscillation_amplitude(u.Trajectory(t, states.reshape(-1, 1), 1), 0.5)
+    mean, amp = u.oscillation_amplitude(u.Trajectory(t, states, 1), 0.5)
     assert mean[0] == pytest.approx(2.0, abs=0.01)
     assert amp == pytest.approx(0.3, rel=0.01)
     with pytest.raises(ValueError):
-        u.oscillation_amplitude(u.Trajectory(t, states.reshape(-1, 1), 1), 0.0)
+        u.oscillation_amplitude(u.Trajectory(t, states, 1), 0.0)
     with pytest.raises(ValueError):
-        u.oscillation_amplitude(u.Trajectory(t, states.reshape(-1, 1), 1), 1.5)
+        u.oscillation_amplitude(u.Trajectory(t, states, 1), 1.5)
 
 
 def test_window_slice_preserves_layout(fig3_run):

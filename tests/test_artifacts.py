@@ -1,8 +1,11 @@
 """The bundled experiments' 13 artifacts, byte for byte against their reference sha256s.
 
-The references were taken on x86-64 with AVX-512, glibc, Python 3.11.7 and numpy 2.4.6.  The bytes depend
-on libm and on numpy's SIMD paths, so a mismatch on another platform is a finding to report.  A change that
-moves bytes on purpose changes the reference here, in the same diff, and argues the change.
+The references were taken on x86-64 with AVX-512, glibc, Python 3.11.7 and numpy 2.4.6.  The artifacts are
+computed on Python floats, without numpy: their bytes depend on libm and on Python's float arithmetic, so a
+mismatch on another platform is a finding to report.  Only the rendered reference below still goes through
+numpy's SIMD paths.  A change that moves bytes on purpose changes the reference here, in the same diff, and
+argues the change: exponential_ues.fits.csv's residual moved from 0.0089161492951842017 to
+0.0089161492951842034, one unit in the last place, when the fits' sums became math.fsum.
 
 On a mismatch the test names the file, its first differing line and the largest difference in any number,
 against a reference text: the fits and probe CSVs are kept here whole, and a run's trajectory and plot are
@@ -14,6 +17,7 @@ import hashlib
 import math
 import re
 
+from conftest import arrays
 from test_sim import _numpy_deployed_loop, _numpy_rk4
 
 import ueslab as u
@@ -33,7 +37,7 @@ SHA256 = {
     "fig3_asymptotic_ues.fits.csv": "3830a6a8bc54b7508b09642fb2646dc9ee172a14625b643fc6625ab63f56200f",
     "fig3_asymptotic_ues.svg": "9b9cd19ae8049bee8d09c194313fc7c9f1285588d60bf8efc35736408e7a8e4f",
     "exponential_ues.trajectory.csv": "dd3bd9235323677c9446c6898036aa86191dd112320602a6a83094b7a9b12f65",
-    "exponential_ues.fits.csv": "254538115343bd1fecf307a5e7c4551b6184acd45fb7fef31c4a63c874cf20eb",
+    "exponential_ues.fits.csv": "25905cefabb8f49faa3029f9658268a6704d50857b36d9eb13547641ac31b670",
     "exponential_ues.svg": "b3f5737919d3f9975bc67d432b11335dee634093f221dfce7cc7d51784bf260f",
     "omega_sweep.probe.csv": "30bc57ed784281f5992b52b5ff3065ec67a9936953ec72fccc728a37dd33330e",
 }
@@ -43,7 +47,7 @@ TEXT = {
     "fig2_nominal_a.fits.csv": _NO_FIT,
     "fig2_nominal_b.fits.csv": _NO_FIT,
     "fig3_asymptotic_ues.fits.csv": _NO_FIT + "power_law,2.8146186241567182,0.61629813896743879,10,100\n",
-    "exponential_ues.fits.csv": _NO_FIT + "exponential,0.099990250479542797,0.0089161492951842017,5,60\n",
+    "exponential_ues.fits.csv": _NO_FIT + "exponential,0.099990250479542797,0.0089161492951842034,5,60\n",
     "omega_sweep.probe.csv": """omega,trial,entry_time,stayed,sup_gap
 10,0,3.7699111843077522,1,0.021978712295061431
 10,1,3.1415926535897936,1,0.011796050613685383
@@ -72,9 +76,10 @@ def _rendered(name: str) -> dict:
     t0 = cfg.params.schedule.t0
     x0 = (*cfg.theta0.tolist(), cfg.eta0)
     times, states = _numpy_rk4(_numpy_deployed_loop(cfg.params, COSTS[name]), x0, t0, t0 + cfg.horizon, cfg.dt)
-    traj = u.Trajectory(times, states, cfg.params.n)
-    traj = dataclasses.replace(traj, y=[float(COSTS[name](theta)) for theta in traj.theta])
-    series = [(traj.times, traj.theta[:, i], f"theta_{i + 1}") for i in range(traj.n)] + [(traj.times, traj.y, "y")]
+    traj = u.Trajectory(times, states.ravel(), cfg.params.n)
+    theta = arrays(traj).theta
+    traj = dataclasses.replace(traj, y=[float(COSTS[name](th)) for th in theta])
+    series = [(traj.times, theta[:, i], f"theta_{i + 1}") for i in range(traj.n)] + [(traj.times, traj.y, "y")]
     return {f"{name}.trajectory.csv": traj.to_csv(), f"{name}.svg": line_plot(series, name)}
 
 

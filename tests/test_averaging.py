@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import arrays
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,9 +138,10 @@ def test_hermite_nodes_and_cubics():
     dpoly = lambda t: sum(j * coef[j] * t[:, None] ** (j - 1) for j in range(1, 4))
     values = poly(times)
     slopes = dpoly(times)
-    np.testing.assert_array_equal(_hermite(times, values, slopes, times), values)
+    read = lambda at: np.array([_hermite(times, list(values.T), list(slopes.T), t) for t in at])
+    np.testing.assert_array_equal(read(times), values)
     at = np.sort(rng.uniform(times[0], times[-1], 50))
-    np.testing.assert_allclose(_hermite(times, values, slopes, at), poly(at), rtol=1e-12)
+    np.testing.assert_allclose(read(at), poly(at), rtol=1e-12)
 
 
 @pytest.mark.parametrize("map_", [u.quartic_paper(), u.quadratic([1.0, 2.0, 3.0, 4.0], [0.5, -0.25, 1.0, -1.0])],
@@ -147,7 +149,7 @@ def test_hermite_nodes_and_cubics():
 def test_trial_starts_lie_in_the_delta_ball(map_):
     for seed in range(20):
         cfg = dataclasses.replace(PROBE_CFG, trials=8, seed=seed)
-        starts = averaging._trial_starts(map_, cfg)
+        starts = np.array(averaging._trial_starts(map_, cfg))
         assert starts.shape == (cfg.trials, map_.dim + 1)
         for start in starts:
             theta = start[:-1]
@@ -158,7 +160,7 @@ def test_trial_starts_lie_in_the_delta_ball(map_):
 def test_trial_starts_pin_the_bundled_sweep():
     # the standard library's stream for seed 7: two Box-Muller draws, then one radius draw, per trial
     cfg = cli.resolve_config("omega_sweep")
-    assert averaging._trial_starts(cfg.map, cfg.probe).tolist() == [
+    assert np.array(averaging._trial_starts(cfg.map, cfg.probe)).tolist() == [
         [2.6509344730398539, 1.1795349844197425],
         [1.6343110830874146, 1.0178832806746008],
     ]
@@ -167,7 +169,7 @@ def test_trial_starts_pin_the_bundled_sweep():
 def _per_omega_probe(p, map_, cfg):
     """The probe with the averaged system integrated per (omega, trial) at that omega's step."""
     star = map_.optimum
-    starts = averaging._trial_starts(map_, cfg).tolist()
+    starts = np.array(averaging._trial_starts(map_, cfg)).tolist()
     averaged = u.averaged_closed_loop(p, map_)
     t0 = p.schedule.t0
     rows = []
@@ -176,9 +178,9 @@ def _per_omega_probe(p, map_, cfg):
         dt = u.dither_step_bound(full_rhs.dither_omega_max)
         for trial, x0 in enumerate(starts):
             every = dict(record_every=STEPS_PER_PERIOD, n=map_.dim)
-            full = u.integrate(full_rhs, tuple(x0), t0, t0 + cfg.horizon, dt, **every)
-            avg = u.integrate(averaged, np.append(np.array(x0[:-1]) - star, x0[-1] - map_.optimal_value),
-                              t0, t0 + cfg.horizon, dt, **every)
+            full = arrays(u.integrate(full_rhs, tuple(x0), t0, t0 + cfg.horizon, dt, **every))
+            avg = arrays(u.integrate(averaged, np.append(np.array(x0[:-1]) - star, x0[-1] - map_.optimal_value),
+                                     t0, t0 + cfg.horizon, dt, **every))
             inside = np.linalg.norm(full.theta - star, axis=1) <= cfg.epsilon
             first = int(np.flatnonzero(inside)[0])
             xi_vals = np.array([p.schedule.xi(t) for t in avg.times])
@@ -223,7 +225,7 @@ def _counting_integrate(monkeypatch, fail_trial=None):
         kind = "averaged" if getattr(rhs, "dither_omega_max", None) is None else "full"  # only the averaged rhs is untagged
         calls.append((kind, np.shape(x0)))
         if kind == "averaged" and len(calls) - 1 == fail_trial:  # the averaged jobs come first, one per trial
-            raise IntegrationDiverged("forced", t_last=args[0], trajectory=u.Trajectory([args[0]], [x0], len(x0) - 1))
+            raise IntegrationDiverged("forced", t_last=args[0], trajectory=u.Trajectory([args[0]], x0, len(x0) - 1))
         return real(rhs, x0, *args, **kwargs)
 
     monkeypatch.setattr(averaging, "integrate", integrate)
@@ -254,7 +256,7 @@ def test_probe_averaged_divergence_marks_its_trial(quartic, fig3_params, monkeyp
 def test_probe_full_loop_divergence_marks_its_trial(quartic, fig3_params, monkeypatch):
     # trial 1's state goes non-finite in the first step of its full-loop integration at every omega
     clean = u.practical_stability_probe(fig3_params, quartic, PROBE_CFG)
-    start = tuple(averaging._trial_starts(quartic, PROBE_CFG)[1].tolist())
+    start = averaging._trial_starts(quartic, PROBE_CFG)[1]
     real = averaging.es_closed_loop
 
     def poisoned_loop(p, map_):
@@ -319,7 +321,7 @@ def test_run_jobs_pool_returns_results_in_job_order(monkeypatch, tmp_path):
             f.write(f"{i}\n")
         time.sleep(0.05)
         if i == 2:
-            raise IntegrationDiverged("forced", t_last=0.0, trajectory=u.Trajectory([0.0], [[1.0]], 1))
+            raise IntegrationDiverged("forced", t_last=0.0, trajectory=u.Trajectory([0.0], [1.0], 1))
         return i * i
 
     _pooled(monkeypatch)

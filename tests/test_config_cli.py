@@ -9,6 +9,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from conftest import arrays
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -389,7 +390,7 @@ def test_deployed_run_divergence_carries_the_measured_cost():
         cli.deployed_run(cfg)
     traj = info.value.trajectory
     assert len(traj.times) > 1
-    assert traj.y.tobytes() == np.array([cfg.map.eval(tuple(theta)) for theta in traj.theta.tolist()]).tobytes()
+    assert traj.y.tobytes() == np.array([cfg.map.eval(tuple(theta)) for theta in arrays(traj).theta.tolist()]).tobytes()
 
 
 def test_interrupted_artifact_write_leaves_no_truncated_file(tmp_path):
@@ -554,16 +555,28 @@ def test_cli_run_prints_design_rate(tmp_path, monkeypatch, capsys):
     assert "; exponential rate = 0.09999 (design 0.1; residual 0.00892);" in expo
 
 
-def test_cli_sweep_never_imports_numpy_random(tmp_path, monkeypatch):
-    # the probe draws its starts from the standard library's generator; numpy.random costs memory and start-up time
+def test_cli_verbs_never_import_numpy(tmp_path, monkeypatch):
+    # run, sweep and lemma-check need only the standard library: in a fresh interpreter that imports ueslab and runs
+    # `run` on the four bundled configs, `sweep` on two trials in two forked workers, whose pickled results the
+    # parent reads back, and `lemma-check`, each exits 0 and numpy is never imported
     conf = tmp_path / "probe.conf"
-    conf.write_text(SMALL_PROBE)
+    conf.write_text(SMALL_PROBE.replace("probe.trials = 1\n", "probe.trials = 2\n"))
     monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
-    script = (f"import sys; from ueslab import cli; code = cli.main(['sweep', {str(conf)!r}]); "
-              "print('numpy.random' in sys.modules); sys.exit(code)")
+    verbs = [["run", "fig2_nominal_a", "fig2_nominal_b", "fig3_asymptotic_ues", "exponential_ues"],
+             ["sweep", str(conf)],
+             ["lemma-check", "--beta", "0.5", "--eps1", "0.2", "--eps2", "0.3", "--p", "0.5", "--q", "2.0", "--v0", "1.0",
+              "--t1", "10", "--dt", "0.01"]]
+    script = "\n".join([
+        "import sys",
+        "import ueslab",
+        "from ueslab import averaging, cli",
+        "averaging._worker_count = lambda jobs: min(jobs, 2)  # forked workers, whatever the host's CPU count",
+        f"codes = [cli.main(argv) for argv in {verbs!r}]",
+        "print(codes, 'numpy' in sys.modules)",
+    ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 # numpy's least squares and numpy.linalg's LAPACK-backed entry points; np.linalg.norm of a vector reaches none

@@ -122,7 +122,7 @@ def test_value_is_optimal_value_plus_centered(m):
     # (n,) arrays; overflow to inf included
     rng = np.random.default_rng(7)
     points = [rng.uniform(-5.0, 5.0, m.dim).tolist() for _ in range(200)]
-    points += [[edge] * m.dim for edge in _EDGES] + [(m.optimum + 1e-9).tolist()]
+    points += [[edge] * m.dim for edge in _EDGES] + [(np.asarray(m.optimum) + 1e-9).tolist()]
     with np.errstate(over="ignore"):
         for th in points:
             for x in (tuple(th), np.array(th)):

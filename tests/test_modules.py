@@ -1,4 +1,5 @@
-"""Module boundaries inside the package: a module reaches another only through its public names."""
+"""Module boundaries inside the package: a module reaches another only through its public names, and none
+imports numpy when it is imported."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,23 @@ def test_no_module_binds_an_import_it_never_uses():
                 if name not in used:
                     unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def _run_at_import(node):
+    """The nodes under node that run when the module is imported: all but those inside a function's body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_at_import(child)
+
+
+def test_no_module_imports_numpy_at_module_level():
+    # `run`, `sweep` and `lemma-check` need only the standard library; the test oracles import numpy in their bodies
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _run_at_import(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}: import {alias.name}" for alias in node.names if alias.name.split(".")[0] == "numpy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                found.append(f"{path.name}: from {node.module} import ...")
+    assert found == []

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import arrays
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from ueslab.sim import FORMAT_BLOCK, rk4_loop, step_count
 
 def test_rk4_exact_on_cubic_time_polynomial():
     # RK4 integrates polynomials of degree <= 4 in t without truncation error
-    traj = u.integrate(lambda x, t: 3.0 * t**2, 0.0, 0.0, 2.0, 0.1)
+    traj = arrays(u.integrate(lambda x, t: 3.0 * t**2, 0.0, 0.0, 2.0, 0.1))
     np.testing.assert_allclose(traj.states[:, 0], traj.times**3, rtol=0, atol=1e-12)
 
 
@@ -32,7 +33,7 @@ def test_rk4_fourth_order_convergence():
     p = u.Lemma1Params(beta=0.5, eps1=0.2, eps2=0.3, p=0.5, q=2.0, v0=1.0)
     errs = []
     for dt in (0.25, 0.125):
-        traj = u.integrate(lambda V, t: u.lemma1_rhs(p, V, t), p.v0, 0.0, 50.0, dt)
+        traj = arrays(u.integrate(lambda V, t: u.lemma1_rhs(p, V, t), p.v0, 0.0, 50.0, dt))
         exact = np.array([u.lemma1_solution(p, t) for t in traj.times])
         errs.append(np.max(np.abs(traj.states[:, 0] - exact)))
     assert errs[0] / errs[1] >= 8.0
@@ -51,7 +52,7 @@ def test_deployed_run_converges_under_step_refinement(name):
     # halving, and 8 leaves room for pre-asymptotic windows; or e2 <= 1e-12, about 2,000 ulps at |theta| = 2, where
     # rounding accumulated over the run takes the place of truncation error
     cfg = cli.resolve_config(name)
-    runs = [cli.deployed_run(dataclasses.replace(cfg, dt=cfg.dt / 2**k, record_every=2**k)) for k in range(3)]
+    runs = [arrays(cli.deployed_run(dataclasses.replace(cfg, dt=cfg.dt / 2**k, record_every=2**k))) for k in range(3)]
     assert all(run.times.tobytes() == runs[0].times.tobytes() for run in runs[1:])
     for rows in np.array_split(np.arange(len(runs[0].times)), 10):
         theta = [run.theta[rows] for run in runs]
@@ -99,7 +100,7 @@ def _float_rk4(rhs, x0, t0, t1, dt):
 
     x, n_steps, t = float(x0), step_count(t0, t1, dt), t0
     times, rows = [t0], [[x]]
-    recorded = lambda: u.Trajectory(np.asarray(times), np.asarray(rows), 1)
+    recorded = lambda: u.Trajectory(np.asarray(times), np.ravel(rows), 1)
     for step in range(1, n_steps + 1):
         t_next = t1 if step == n_steps else t0 + step * dt
         h = t_next - t
@@ -163,7 +164,7 @@ def test_scalar_and_array_states_agree():
     scalar = u.integrate(lambda V, t: u.lemma1_rhs(p, V, t), p.v0, 0.0, 10.0, 1e-2)
     array = u.integrate(lambda V, t: (u.lemma1_rhs(p, V[0], t),), np.array([p.v0]), 0.0, 10.0, 1e-2)
     np.testing.assert_array_equal(scalar.times, array.times)
-    np.testing.assert_array_equal(scalar.states, array.states)
+    np.testing.assert_array_equal(arrays(scalar).states, arrays(array).states)
 
 
 def test_divergence_carries_partial_trajectory():
@@ -173,7 +174,7 @@ def test_divergence_carries_partial_trajectory():
     err = exc.value
     assert err.t_last < 2.0
     assert err.trajectory.times[-1] == err.t_last
-    assert np.all(np.isfinite(err.trajectory.states))
+    assert np.all(np.isfinite(arrays(err.trajectory).states))
 
 
 @pytest.mark.parametrize("i", range(3))
@@ -186,7 +187,7 @@ def test_divergence_in_any_component_stops_where_the_float_run_stops(i):
         u.integrate(rates, (1.0, 1.0, 1.0), 0.0, 2.0, 1e-3)
     assert str(exc.value) == str(scalar.value)
     assert exc.value.t_last == scalar.value.t_last
-    assert exc.value.trajectory.states[:, i].tobytes() == scalar.value.trajectory.states[:, 0].tobytes()
+    assert arrays(exc.value.trajectory).states[:, i].tobytes() == arrays(scalar.value.trajectory).states[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("error", [OverflowError, FloatingPointError])
@@ -204,7 +205,7 @@ def test_rhs_failure_carries_partial_trajectory(error):
     assert isinstance(err.__cause__, error)
     assert t_fail - dt < err.trajectory.times[-1] < t_fail
     assert err.trajectory.times[-1] == err.t_last
-    np.testing.assert_allclose(err.trajectory.states[:, 0], np.exp(-err.trajectory.times), rtol=1e-9)
+    np.testing.assert_allclose(arrays(err.trajectory).states[:, 0], np.exp(-arrays(err.trajectory).times), rtol=1e-9)
 
 
 def test_basic_argument_validation():
@@ -241,21 +242,21 @@ def test_late_type_error_from_rhs_stays_type_error():
 def test_trajectory_validation_and_views():
     t = np.array([0.0, 1.0, 2.0])
     s = np.array([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0]])
-    traj = u.Trajectory(t, s, 1)
-    np.testing.assert_array_equal(traj.theta[:, 0], [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(traj.eta, [5.0, 6.0, 7.0])
+    traj = u.Trajectory(t, s.ravel(), 1)
+    np.testing.assert_array_equal(arrays(traj).theta[:, 0], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(arrays(traj).eta, [5.0, 6.0, 7.0])
     with pytest.raises(ValueError):
-        u.Trajectory(t[:2], s, 1)
+        u.Trajectory(t[:2], s.ravel(), 1)
     with pytest.raises(ValueError):
-        u.Trajectory(t[::-1], s, 1)
+        u.Trajectory(t[::-1], s.ravel(), 1)
     with pytest.raises(ValueError):
-        u.Trajectory(t, s, 3)
+        u.Trajectory(t, s.ravel(), 3)
 
 
 def test_trajectory_csv_round_trip():
     t = np.array([0.0, 0.5])
     s = np.array([[0.1, 0.2], [0.3, 0.4]])
-    traj = u.Trajectory(t, s, 1, y=np.array([1.5, 2.5]))
+    traj = u.Trajectory(t, s.ravel(), 1, y=np.array([1.5, 2.5]))
     text = traj.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "t,theta_1,eta,y"
@@ -275,7 +276,7 @@ def test_csv_blocks_equal_one_shot_formatting(m, eta, y):
     cost = rng.standard_normal(m) if y else None
     data = np.hstack([times[:, None], states] + ([cost[:, None]] if y else []))
     row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    text = u.Trajectory(times, states, 2, cost).to_csv()
+    text = u.Trajectory(times, states.ravel(), 2, cost).to_csv()
     assert text.split("\n", 1)[1] == (row * len(data)) % tuple(data.ravel().tolist())
 
 
@@ -316,7 +317,7 @@ def test_run_artifacts_and_cost_column_memory(tmp_path):
     # all samples finite: the SVG alone may hold a one-byte finite mask per sample and one block's formatting, but
     # no copy of the samples, which at 16 bytes a point against about 13 bytes of text a point would alone exceed
     # the text's size
-    series = [(traj.times, traj.theta[:, 0], "theta_1"), (traj.times, traj.y, "y")]
+    series = [(traj.times, traj.column(0), "theta_1"), (traj.times, traj.y, "y")]
     svg = tmp_path / "alone.svg"
     _, peak = _traced_peak(lambda: cli._write_streamed(svg, svgplot.line_plot_blocks(series, cfg.name)))
     assert svg.read_bytes() == (tmp_path / "exponential_ues.svg").read_bytes()
@@ -342,7 +343,7 @@ def test_closed_form_satisfies_its_ode():
 
 def test_closed_form_matches_integration():
     p = u.Lemma1Params(beta=0.5, eps1=0.2, eps2=0.3, p=0.5, q=2.0, v0=1.0)
-    traj = u.integrate(lambda V, t: u.lemma1_rhs(p, V, t), p.v0, 0.0, 10.0, 1e-3, record_every=100)
+    traj = arrays(u.integrate(lambda V, t: u.lemma1_rhs(p, V, t), p.v0, 0.0, 10.0, 1e-3, record_every=100))
     exact = np.array([u.lemma1_solution(p, t) for t in traj.times])
     np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-10)
 
@@ -444,7 +445,7 @@ def test_state_neither_theta_nor_theta_eta_is_refused():
     # a state is [theta...] (width n) or [theta..., eta] (width n + 1): a width-3 record with n = 1 once gave the CSV
     # 't,theta_1\n0,1\n1,4\n', dropping two columns; integrate refuses it before the first step
     with pytest.raises(ValueError, match=r"n = 1 incompatible with state width 3: a state is \[theta...\] or"):
-        u.Trajectory([0.0, 1.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 1)
+        u.Trajectory([0.0, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 1)
     calls = []
 
     def rhs(x, t):
@@ -511,12 +512,13 @@ def _numpy_deployed_loop(p, cost):
     """The deployed loop's rhs as numpy code over a 1-D array state: the reference the float kernel
     must equal bit for bit.  cost is the map's value as numpy code."""
     n = p.n
+    amp, omegas, k = np.asarray(p._amp), np.asarray(p.omegas), np.asarray(p.k)
 
     def rhs(x, t):
         f = p.schedule.factors(t)
         err = cost(x[:n]) - x[n]
         out = np.empty_like(x)
-        out[:n] = f.nu * p._amp * np.cos(p.omegas * t + phase_error(f, err) * p.k)
+        out[:n] = f.nu * amp * np.cos(omegas * t + phase_error(f, err) * k)
         out[n] = p.omega_h * err
         return out
 
@@ -527,7 +529,7 @@ def _numpy_deployed_loop(p, cost):
 def _assert_kernel_equals_reference(kernel, reference, x0s, horizon, dt, n):
     for x0 in x0s:
         want_times, want_states = _numpy_rk4(reference, x0, 0.0, horizon, dt)
-        got = u.integrate(kernel, tuple(x0.tolist()), 0.0, horizon, dt, n=n)
+        got = arrays(u.integrate(kernel, tuple(x0.tolist()), 0.0, horizon, dt, n=n))
         np.testing.assert_array_equal(got.times, want_times)
         np.testing.assert_array_equal(got.states, want_states)
 
@@ -579,11 +581,12 @@ def _numpy_transformed_drift(p, map_, z, f):
 def _numpy_transformed_loop(p, map_):
     """The transformed loop's rhs as numpy code over a 1-D array state."""
     n = p.n
+    amp, omegas, k = np.asarray(p._amp), np.asarray(p.omegas), np.asarray(p.k)
 
     def rhs(x, t):
         f = p.schedule.factors(t)
         out, err = _numpy_transformed_drift(p, map_, x, f)
-        out[:n] += p._amp * np.cos(p.omegas * t + phase_error(f, err) * p.k)
+        out[:n] += amp * np.cos(omegas * t + phase_error(f, err) * k)
         return out
 
     return rhs
@@ -592,11 +595,12 @@ def _numpy_transformed_loop(p, map_):
 def _numpy_averaged_loop(p, map_, grad):
     """The averaged loop's rhs as numpy code over a 1-D array state; grad is the map's gradient as numpy code."""
     n = p.n
+    k, alpha = np.asarray(p.k), np.asarray(p.alpha)
 
     def rhs(x, t):
         f = p.schedule.factors(t)
         out = _numpy_transformed_drift(p, map_, x, f)[0]
-        out[:n] -= 0.5 * p.k * p.alpha * f.phi * (grad(map_.optimum + x[:n] / f.xi) / f.xi)
+        out[:n] -= 0.5 * k * alpha * f.phi * (grad(map_.optimum + x[:n] / f.xi) / f.xi)
         return out
 
     return rhs
@@ -646,7 +650,7 @@ def test_tuple_step_equals_array_step(d):
         return out
 
     x0 = rng.uniform(-1.0, 1.0, d)
-    got = u.integrate(lambda x, t: tuple(rates(x, t)), tuple(x0.tolist()), 0.0, 3.0, 0.01)
+    got = arrays(u.integrate(lambda x, t: tuple(rates(x, t)), tuple(x0.tolist()), 0.0, 3.0, 0.01))
     want_times, want_states = _numpy_rk4(lambda x, t: np.array(rates(x.tolist(), t)), x0, 0.0, 3.0, 0.01)
     np.testing.assert_array_equal(got.times, want_times)
     np.testing.assert_array_equal(got.states, want_states)
@@ -677,8 +681,9 @@ def test_csv_rows_equal_per_value_formatting(data):
     times = sorted(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=m, max_size=m, unique=True)))
     states = data.draw(st.lists(st.lists(_FINITE, min_size=d, max_size=d), min_size=m, max_size=m))
     y = data.draw(st.none() | st.lists(st.floats(), min_size=m, max_size=m))
-    traj = u.Trajectory(np.array(times), np.array(states), n, None if y is None else np.array(y))
-    columns = [traj.times[:, None], traj.states] + ([] if y is None else [traj.y[:, None]])
+    traj = u.Trajectory(np.array(times), np.ravel(states), n, None if y is None else np.array(y))
+    view = arrays(traj)
+    columns = [view.times[:, None], view.states] + ([] if y is None else [view.y[:, None]])
     want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in np.hstack(columns).tolist())
     assert traj.to_csv().split("\n", 1)[1] == want
 
@@ -689,12 +694,12 @@ def test_readme_quick_start_runs():
     snippet = readme.split("The same loop from Python:\n\n```python\n", 1)[1].split("```", 1)[0]
     ns = {}
     exec(snippet, ns)
-    assert abs(ns["traj"].theta[-1, 0] - 2.0) < 1e-3
+    assert abs(arrays(ns["traj"]).theta[-1, 0] - 2.0) < 1e-3
     assert ns["fit"].estimate == pytest.approx(2.8, abs=0.1)
     # the bundled fig3 run from Python is the hand-assembled loop above, bit for bit
     hand = ns["traj"]
     exec(readme.split("starts and what it records.\n\n```python\n", 1)[1].split("```", 1)[0], ns)
-    assert ns["traj"].states.tobytes() == hand.states.tobytes()
+    assert ns["traj"].rows.tobytes() == hand.rows.tobytes()
     assert ns["fine"].times.tobytes() == hand.times.tobytes()
 
 
@@ -705,7 +710,7 @@ def test_list_and_array_starts_equal_tuple_start(quartic, fig3_params):
     for x0 in ([0.5, 17.0], np.array([0.5, 17.0])):
         got = u.integrate(rhs, x0, 0.0, 5.0, dt, n=quartic.dim)
         np.testing.assert_array_equal(got.times, want.times)
-        np.testing.assert_array_equal(got.states, want.states)
+        np.testing.assert_array_equal(arrays(got).states, arrays(want).states)
 
 
 def _fused_and_called(rhs, x0, t0, t1, dt, n):
@@ -731,7 +736,7 @@ def _fused_and_called(rhs, x0, t0, t1, dt, n):
 
 def _assert_same_bits(a, b):
     assert a.times.tobytes() == b.times.tobytes()
-    assert a.states.tobytes() == b.states.tobytes()
+    assert a.rows.tobytes() == b.rows.tobytes()
 
 
 def _assert_fused_equals_called(rhs, x0, t0, t1, dt, n):
@@ -764,7 +769,7 @@ def _frame_loops(cfg):
     loops = [u.averaged_closed_loop(cfg.params, cfg.map)]
     if cfg.params.schedule.kind != "nominal":
         loops.append(u.transformed_closed_loop(cfg.params, cfg.map))
-    return loops, (*(cfg.theta0 - cfg.map.optimum).tolist(), cfg.eta0 - cfg.map.optimal_value)
+    return loops, (*(np.asarray(cfg.theta0) - cfg.map.optimum).tolist(), cfg.eta0 - cfg.map.optimal_value)
 
 
 @pytest.mark.parametrize("name", _RUNS)
