@@ -20,8 +20,8 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
-from typing import Optional, Sequence, Tuple
+from itertools import compress, count, islice, repeat
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import WindowTooLate
 from .sim import Trajectory, csv_text, floats
@@ -75,6 +75,14 @@ def _window_span(times: array, window) -> Tuple[int, int]:
     return bisect.bisect_left(times, window[0]), bisect.bisect_right(times, window[1])
 
 
+def _strict_peaks(d: Sequence[float]) -> List[int]:
+    """The i with d[i-1] < d[i] > d[i+1], in order, found by iterators without a Python-level loop.  A NaN is no
+    peak and makes neither neighbour one."""
+    rising = map(operator.lt, d, islice(d, 1, None))
+    falling = map(operator.gt, islice(d, 1, None), islice(d, 2, None))
+    return list(compress(count(1), map(operator.and_, rising, falling)))
+
+
 def _envelope(traj: Trajectory, theta_star, window) -> Tuple[array, array]:
     """Peak times/values of the distance |theta - theta*| inside the window.
 
@@ -91,8 +99,8 @@ def _envelope(traj: Trajectory, theta_star, window) -> Tuple[array, array]:
     if len(star) != traj.n:
         raise ValueError(f"theta_star has {len(star)} coordinate(s), the trajectory {traj.n}")
     offsets = [map(operator.sub, traj.column(j)[start:end], repeat(s)) for j, s in enumerate(star)]
-    t_w, d_w = traj.times[start:end], array("d", map(math.hypot, *offsets))
-    idx = [i for i, (a, b, c) in enumerate(zip(d_w, islice(d_w, 1, None), islice(d_w, 2, None)), 1) if a < b > c]
+    t_w, d_w = memoryview(traj.times)[start:end], array("d", map(math.hypot, *offsets))  # t_w a view, not a copy
+    idx = _strict_peaks(d_w)
     if len(idx) < MIN_ENVELOPE_POINTS:
         idx = range(len(t_w))
     kept = [i for i in idx if d_w[i] > NOISE_FLOOR]

@@ -34,8 +34,9 @@ from typing import Callable, Iterator, Optional
 from .errors import IntegrationDiverged
 
 STEPS_PER_PERIOD = 40
-# rows of a CSV or points of a polyline formatted at once, which bounds the Python floats held for its text
-FORMAT_BLOCK = 2048
+# rows of a CSV or points of a polyline formatted at once, which bounds the Python floats held for its text;
+# at 256 a block holds less than the rate fit's one distance per window sample, and at 512 the CSV's matches it
+FORMAT_BLOCK = 256
 
 
 def dither_step_bound(omega_max: float) -> float:

@@ -10,7 +10,9 @@ holding the whole text; ``line_plot`` joins the pieces.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
+from itertools import compress
 from typing import Iterator, List, Sequence, Tuple
 
 from .sim import FORMAT_BLOCK
@@ -59,11 +61,13 @@ def line_plot_blocks(series: Sequence[Tuple[Sequence[float], Sequence[float], st
     plot_w = WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = HEIGHT - _MARGIN_T - _MARGIN_B
 
+    columns = {id(c): c for x, y, _ in series for c in (x, y)}  # series often share one x: scan each column once
+    finite = {key: all(map(math.isfinite, c)) for key, c in columns.items()}
     prepared = []
     for x, y, label in series:
-        if not (all(map(math.isfinite, x)) and all(map(math.isfinite, y))):  # a copy only when a sample is dropped
-            kept = [(a, b) for a, b in zip(x, y) if math.isfinite(a) and math.isfinite(b)]
-            x, y = array("d", (a for a, _ in kept)), array("d", (b for _, b in kept))
+        if not (finite[id(x)] and finite[id(y)]):  # a copy only when a sample is dropped, through a one-byte mask
+            keep = bytes(map(operator.and_, map(math.isfinite, x), map(math.isfinite, y)))
+            x, y = array("d", compress(x, keep)), array("d", compress(y, keep))
         if len(x):
             prepared.append((x, y, label))
     if not prepared:

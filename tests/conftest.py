@@ -2,6 +2,7 @@
 the function behind `ueslab run`, and reused by the module tests and the acceptance suite."""
 
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,16 @@ def arrays(traj):
     return SimpleNamespace(times=np.frombuffer(traj.times), states=states, theta=states[:, : traj.n],
                            eta=states[:, traj.n] if traj.width > traj.n else None,
                            y=None if traj.y is None else np.frombuffer(traj.y))
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
-from ueslab.analysis import EXPONENTIAL_DECAY, POWER_LAW, _log_fit
+from ueslab.analysis import EXPONENTIAL_DECAY, MIN_ENVELOPE_POINTS, POWER_LAW, _envelope, _log_fit, _strict_peaks
 from ueslab.errors import WindowTooLate
 
 T = np.linspace(0.0, 100.0, 4001)
@@ -90,6 +90,54 @@ def test_one_envelope_value_above_noise_floor_is_skipped():
         u.fit_exp_rate(traj, [0.0], (0.0, 10.0))
     with pytest.raises(WindowTooLate, match=r"^1 envelope value\(s\)"):
         u.fit_power_rate(traj, [0.0], 0.1, 0.0, (0.0, 10.0))
+
+
+def _stencil_peaks(d):
+    return [i for i in range(1, len(d) - 1) if d[i - 1] < d[i] > d[i + 1]]
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        [],
+        [1.0],
+        [1.0, 2.0],
+        [0.0, 1.0, 0.0],
+        [0.0, 1.0, 1.0, 0.0],  # a plateau is no strict peak
+        [1.0, 1.0, 1.0],
+        [0.0, np.nan, 0.0],
+        [0.0, 1.0, np.nan, 1.0, 0.0],  # a NaN makes neither neighbour a peak
+        [np.nan, 1.0, 0.0, 1.0, np.nan],
+        [0.0, 2.0, 1.0, 2.0, 0.0, -np.inf, np.inf, 0.0],
+    ],
+)
+def test_strict_peaks_of_edge_cases(d):
+    assert _strict_peaks(d) == _stencil_peaks(d)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_envelope_peaks_are_the_three_sample_stencil(seed):
+    # a few small integer levels give many plateaus and ties; every value sits above the noise floor, so the envelope
+    # keeps every strict peak and the distance to theta* = 0 is the value itself
+    rng = np.random.default_rng(seed)
+    t = np.arange(400.0)
+    d = 1.0 + rng.integers(0, 3 + seed, t.size).astype(float)
+    d[rng.integers(0, t.size, 20)] = d[0]
+    want = _stencil_peaks(d.tolist())
+    assert len(want) >= MIN_ENVELOPE_POINTS
+    t_pk, d_pk = _envelope(u.Trajectory(t, d, 1), [0.0], (0.0, t[-1]))
+    assert list(t_pk) == t[want].tolist() and list(d_pk) == d[want].tolist()
+    d[rng.integers(0, t.size, 3)] = np.nan
+    assert _strict_peaks(d.tolist()) == _stencil_peaks(d.tolist())
+
+
+def test_envelope_of_too_few_peaks_falls_back_to_every_sample():
+    t = np.linspace(0.0, 10.0, 101)
+    d = np.exp(-t)
+    d[[20, 50, 80]] *= 1.5  # three strict peaks on a decaying signal, under MIN_ENVELOPE_POINTS
+    assert len(_stencil_peaks(d.tolist())) == 3 < MIN_ENVELOPE_POINTS
+    t_pk, d_pk = _envelope(u.Trajectory(t, d, 1), [0.0], (2.0, 8.0))
+    assert list(t_pk) == t[20:81].tolist() and list(d_pk) == d[20:81].tolist()
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -3,17 +3,17 @@
 import dataclasses
 import functools
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import arrays
+from conftest import arrays, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ueslab as u
 from ueslab import cli, svgplot
+from ueslab.analysis import _window_span
 from ueslab.averaging import _trial_starts
 from ueslab.config import config_from_text
 from ueslab.controllers import phase_error
@@ -253,6 +253,13 @@ def test_trajectory_validation_and_views():
         u.Trajectory(t, s.ravel(), 3)
 
 
+def test_step_below_the_time_resolution_is_refused_by_the_record():
+    # at t = 1e17 a double moves in steps of 16, so 64 steps of 1.0 record repeated times; the generated loop checks
+    # states, not times, and the record's order scan is the only guard against such a call
+    with pytest.raises(ValueError, match="^sample times must be strictly increasing$"):
+        u.integrate(lambda x, t: -x, 1.0, 1e17, 1e17 + 64.0, 1.0)
+
+
 def test_trajectory_csv_round_trip():
     t = np.array([0.0, 0.5])
     s = np.array([[0.1, 0.2], [0.3, 0.4]])
@@ -280,48 +287,43 @@ def test_csv_blocks_equal_one_shot_formatting(m, eta, y):
     assert text.split("\n", 1)[1] == (row * len(data)) % tuple(data.ravel().tolist())
 
 
-def _traced_peak(fn):
-    """fn's result and the peak of the memory tracemalloc traced while it ran."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_recording_and_csv_memory_per_row():
     # exponential_ues recorded at every step: a row of the record costs about its 24 bytes of floats, not a list
     # of float objects, and the CSV text is built without holding several copies of itself
     cfg = cli.resolve_config("exponential_ues")
     rhs, x0, t0 = u.es_closed_loop(cfg.params, cfg.map), (*cfg.theta0.tolist(), cfg.eta0), cfg.params.schedule.t0
     u.integrate(rhs, x0, t0, t0 + 1.0, cfg.dt, n=1)  # compiles the loop before the traced run
-    traj, peak = _traced_peak(lambda: u.integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, n=1))
+    traj, peak = traced_peak(lambda: u.integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, n=1))
     assert len(traj.times) == step_count(t0, t0 + cfg.horizon, cfg.dt) + 1
     assert peak <= 64 * len(traj.times)
-    text, peak = _traced_peak(cli.measured(traj, cfg.map).to_csv)
+    text, peak = traced_peak(cli.measured(traj, cfg.map).to_csv)
     assert peak <= 3 * len(text)
 
 
 def test_run_artifacts_and_cost_column_memory(tmp_path):
-    # exponential_ues recorded at every step: run's y column costs about its 8 bytes a row, and the CSV and the
-    # SVG go to their files a block at a time, so writing them holds far less than the text they make
+    # exponential_ues recorded at every step: run's y column costs about its 8 bytes a row, the rate fit holds one
+    # distance per window sample, and the CSV and the SVG go to their files FORMAT_BLOCK rows at a time, so every
+    # stage holds the record and little more
     cfg = cli.resolve_config("exponential_ues")
     traj = cli.deployed_run(cfg)
-    traj, peak = _traced_peak(lambda: cli.measured(traj, cfg.map))
+    traj, peak = traced_peak(lambda: cli.measured(traj, cfg.map))
     assert peak <= 16 * len(traj.times)
-    _, peak = _traced_peak(lambda: cli._write_run_artifacts(cfg, tmp_path, traj, []))
+    # the window's distances are 8 bytes a sample and its times a view of the record's: 1.46x measured
+    start, end = _window_span(traj.times, cfg.fit_window)
+    _, peak = traced_peak(lambda: u.fit_exp_rate(traj, cfg.map.optimum, cfg.fit_window))
+    assert peak <= 1.8 * 8 * (end - start)
+    # one 256-row block's floats and text at a time: 0.039x the bytes written measured
+    _, peak = traced_peak(lambda: cli._write_run_artifacts(cfg, tmp_path, traj, []))
     names = [f"exponential_ues{suffix}" for suffix in (".fits.csv", ".svg", ".trajectory.csv")]
     assert sorted(path.name for path in tmp_path.iterdir()) == names
-    assert peak <= 0.5 * sum(path.stat().st_size for path in tmp_path.iterdir())
-    # all samples finite: the SVG alone may hold a one-byte finite mask per sample and one block's formatting, but
-    # no copy of the samples, which at 16 bytes a point against about 13 bytes of text a point would alone exceed
-    # the text's size
+    assert peak <= 0.08 * sum(path.stat().st_size for path in tmp_path.iterdir())
+    # all samples finite: the SVG alone holds one block's formatting and no copy of the samples, 0.083x its size
+    # measured
     series = [(traj.times, traj.column(0), "theta_1"), (traj.times, traj.y, "y")]
     svg = tmp_path / "alone.svg"
-    _, peak = _traced_peak(lambda: cli._write_streamed(svg, svgplot.line_plot_blocks(series, cfg.name)))
+    _, peak = traced_peak(lambda: cli._write_streamed(svg, svgplot.line_plot_blocks(series, cfg.name)))
     assert svg.read_bytes() == (tmp_path / "exponential_ues.svg").read_bytes()
-    assert peak <= 0.75 * svg.stat().st_size
+    assert peak <= 0.15 * svg.stat().st_size
 
 
 def test_comparison_ode_closed_form():
