@@ -20,7 +20,7 @@ from .averaging import ProbeConfig
 from .controllers import EsParams, assemble, require_averageable
 from .errors import CapabilityError, ConfigError
 from .maps import CostMap, named_map
-from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Schedule
+from .schedules import ASYMPTOTIC, NOMINAL, PARAMETERS, Schedule
 from .sim import STEPS_PER_PERIOD, dither_step_bound, step_count
 
 # most RK4 steps a config may ask of one integration, so that every config that loads also ends
@@ -34,9 +34,6 @@ MAX_ULP_PER_STEP = 1e-6
 _REQUIRED = object()
 # what _Reader.get refuses a value for not being, by its parse
 _NUMBERS = {int: "an integer", float: "a finite number", list: "a comma-separated list of finite numbers"}
-# the Schedule argument each key of a schedule kind sets
-_SCHEDULE_KEYS = {NOMINAL: {}, ASYMPTOTIC: {"beta": "schedule.beta", "v": "schedule.v", "r": "schedule.r"},
-                  EXPONENTIAL: {"lam": "schedule.lambda"}}
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict:
@@ -112,10 +109,10 @@ class ExperimentConfig:
 
 def _build_schedule(r: _Reader) -> Schedule:
     kind = r.get("schedule.kind")
-    if kind not in _SCHEDULE_KEYS:
+    if kind not in PARAMETERS:
         raise ValueError(f"schedule.kind must be nominal, asymptotic, or exponential, got '{kind}'")
     t0 = r.get("schedule.t0", float, 0.0)
-    return Schedule(kind, t0, **{arg: r.get(key, float) for arg, key in _SCHEDULE_KEYS[kind].items()})
+    return Schedule(kind, t0, **{arg: r.get(key, float) for arg, key, _ in PARAMETERS[kind]})
 
 
 def _build_map(r: _Reader) -> CostMap:

@@ -55,11 +55,11 @@ def default_omega_hat(n: int) -> array:
 class EsParams:
     """Controller parameters for an n-channel loop.
 
-    alpha, k     per-channel dither amplitude and gain, all > 0
-    omega        base dither frequency > 0
-    omega_h      washout filter frequency > 0
+    alpha, k     per-channel dither amplitude and gain, all finite and > 0
+    omega        base dither frequency, finite and > 0
+    omega_h      washout filter frequency, finite and > 0
     schedule     amplitude/gain schedule
-    omega_hat    per-channel frequency ratios, pairwise distinct; defaults to
+    omega_hat    per-channel frequency ratios, finite, > 0 and pairwise distinct; defaults to
                  the geometric spacing of default_omega_hat
     omegas       (set, not given) per-channel dither frequencies omega * omega_hat_i, positive and finite
 
@@ -88,7 +88,7 @@ class EsParams:
             raise AssemblyError(f"es.omega_hat must have one entry per channel, got {len(hat)} for n = {n}")
         for key, values in (("es.alpha", alpha), ("es.k", k), ("es.omega", (self.omega,)),
                             ("es.omega_h", (self.omega_h,)), ("es.omega_hat", hat)):
-            if any(v <= 0.0 for v in values):
+            if not all(math.isfinite(v) and v > 0.0 for v in values):
                 raise AssemblyError(f"{key} must be positive, got {', '.join(map(format, values))}")
         if len(set(hat)) != n:
             raise AssemblyError(f"frequency ratios es.omega_hat must be pairwise distinct, got {hat.tolist()}")

@@ -4,6 +4,8 @@ Three kinds.  Nominal keeps nu = phi = 1 (the constant-gain baseline).
 Asymptotic decays the amplitude like a power law and grows the gain like
 xi(t)^r with xi(t) = (1 + beta (t - t0))^(1/v).  Exponential decays like
 exp(-lambda t) and grows the gain like xi(t)^2 with xi = exp(lambda t).
+``PARAMETERS`` is the one home of the parameters each kind reads, their
+config keys and bounds: ``Schedule`` and the config reader both read it.
 All evaluations go through the log domain so phi stays accurate and overflow
 surfaces as an explicit error instead of inf.  The closed forms are text:
 ``Schedule.factor_text`` sets nu, log phi and phi at one time, reading
@@ -25,9 +27,15 @@ from .sim import generated
 NOMINAL = "nominal"
 ASYMPTOTIC = "asymptotic"
 EXPONENTIAL = "exponential"
-KINDS = (NOMINAL, ASYMPTOTIC, EXPONENTIAL)
 
 _LOG_MAX = math.log(sys.float_info.max)
+
+# what each kind reads, its one home: (Schedule argument, config key, must exceed 0 rather than reach it)
+PARAMETERS = {
+    NOMINAL: (),
+    ASYMPTOTIC: (("beta", "schedule.beta", True), ("v", "schedule.v", True), ("r", "schedule.r", False)),
+    EXPONENTIAL: (("lam", "schedule.lambda", True),),
+}
 
 # nu_{f}, lp_{f} and ph_{f} (nu, log phi, phi) at time {t}, ph_{f} by the operation of Factors.phi; r_v = r / v
 # and lam2 = 2.0 * lam round as the products they stand for.  Past double range phi reads inf: text that needs
@@ -52,9 +60,9 @@ class Schedule:
     """Amplitude/gain schedule selecting nominal, asymptotic, or exponential behavior.
 
     kind   one of "nominal", "asymptotic", "exponential"
-    t0     start time of the schedule, >= 0
-    beta, v, r   asymptotic shape parameters (beta > 0, v > 0, r >= 0)
-    lam    exponential rate (> 0)
+    t0     start time of the schedule, finite and >= 0
+    beta, v, r, lam   asymptotic shape and exponential rate: the kind's ``PARAMETERS`` are
+                      required, finite and bounded there, and a kind refuses any other
 
     The coupled condition v > 2*kappa - r >= 0 depends on the cost map and is
     checked at controller-parameter assembly, not here.
@@ -68,32 +76,18 @@ class Schedule:
     lam: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown schedule kind '{self.kind}'; expected one of {KINDS}")
-        if self.t0 < 0.0:
+        if self.kind not in PARAMETERS:
+            raise ValueError(f"unknown schedule kind '{self.kind}'; expected one of {tuple(PARAMETERS)}")
+        if not (math.isfinite(self.t0) and self.t0 >= 0.0):
             raise ValueError(f"schedule.t0 must be >= 0, got {self.t0}")
-        if self.kind == ASYMPTOTIC:
-            if self.beta is None or self.beta <= 0.0:
-                raise ValueError(f"asymptotic schedule needs schedule.beta > 0, got {self.beta}")
-            if self.v is None or self.v <= 0.0:
-                raise ValueError(f"asymptotic schedule needs schedule.v > 0, got {self.v}")
-            if self.r is None or self.r < 0.0:
-                raise ValueError(f"asymptotic schedule needs schedule.r >= 0, got {self.r}")
-        elif self.kind == EXPONENTIAL:
-            if self.lam is None or self.lam <= 0.0:
-                raise ValueError(f"exponential schedule needs schedule.lambda > 0, got {self.lam}")
-
-    @classmethod
-    def nominal(cls, t0: float = 0.0) -> "Schedule":
-        return cls(kind=NOMINAL, t0=t0)
-
-    @classmethod
-    def asymptotic(cls, beta: float, v: float, r: float, t0: float = 0.0) -> "Schedule":
-        return cls(kind=ASYMPTOTIC, t0=t0, beta=beta, v=v, r=r)
-
-    @classmethod
-    def exponential(cls, lam: float, t0: float = 0.0) -> "Schedule":
-        return cls(kind=EXPONENTIAL, t0=t0, lam=lam)
+        reads = PARAMETERS[self.kind]
+        for arg, key, positive in (param for params in PARAMETERS.values() for param in params):
+            value = getattr(self, arg)
+            if (arg, key, positive) not in reads:
+                if value is not None:
+                    raise ValueError(f"{self.kind} schedule does not read {key}, got {arg} = {value}")
+            elif value is None or not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+                raise ValueError(f"{self.kind} schedule needs {key} {'>' if positive else '>='} 0, got {value}")
 
     @functools.cached_property
     def factors(self) -> Callable[[float], "Factors"]:

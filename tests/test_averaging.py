@@ -82,13 +82,13 @@ def test_averaged_rhs_pinned_values(quartic, fig3_params, exp_map, exp_params):
 
 def test_averaged_rhs_kind_checks(quartic):
     # the exponential-schedule averaged system is only defined for kappa = 1
-    p_flat = u.assemble(quartic, u.Schedule.exponential(lam=0.1), alpha=1.0, k=1.0, omega=50.0, omega_h=3.0)
+    p_flat = u.assemble(quartic, u.Schedule("exponential", lam=0.1), alpha=1.0, k=1.0, omega=50.0, omega_h=3.0)
     with pytest.raises(CapabilityError, match="kappa"):
         u.averaged_closed_loop(p_flat, quartic)
 
 
 def test_averaged_loop_nominal_degenerates(quartic):
-    p = u.assemble(quartic, u.Schedule.nominal(), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
+    p = u.assemble(quartic, u.Schedule("nominal"), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
     rhs = u.averaged_closed_loop(p, quartic)
     out = rhs(np.array([1.0, 0.0]), 0.0)
     # constant-gain averaged loop: theta_f_dot = -(k alpha / 2) dJ/dtheta

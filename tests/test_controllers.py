@@ -21,45 +21,51 @@ def test_default_frequency_ratios():
 def test_params_reject_duplicate_ratios(quartic):
     m2 = u.quadratic(q=[1.0, 1.0], theta_star=[0.0, 0.0])
     with pytest.raises(AssemblyError, match="distinct"):
-        u.assemble(m2, u.Schedule.nominal(), alpha=1.0, k=1.0, omega=5.0, omega_h=3.0, omega_hat=[2.0, 2.0])
+        u.assemble(m2, u.Schedule("nominal"), alpha=1.0, k=1.0, omega=5.0, omega_h=3.0, omega_hat=[2.0, 2.0])
 
 
 def test_params_reject_nonpositive_entries():
-    s = u.Schedule.nominal()
+    s = u.Schedule("nominal")
     with pytest.raises(AssemblyError):
         u.EsParams(alpha=[-1.0], k=[1.0], omega=5.0, omega_h=3.0, schedule=s)
     with pytest.raises(AssemblyError):
         u.EsParams(alpha=[1.0], k=[1.0], omega=0.0, omega_h=3.0, schedule=s)
+    # and non-finite ones: NaN fails `v <= 0`, which let it through, and an infinite alpha made an infinite amplitude
+    cases = ((dict(alpha=[math.inf]), "es.alpha", "inf"), (dict(k=[math.nan]), "es.k", "nan"),
+             (dict(omega_h=math.nan), "es.omega_h", "nan"), (dict(omega_h=math.inf), "es.omega_h", "inf"))
+    for change, key, shown in cases:
+        with pytest.raises(AssemblyError, match=rf"^{key} must be positive, got {shown}$"):
+            u.EsParams(**{**dict(alpha=[1.0], k=[1.0], omega=5.0, omega_h=3.0, schedule=s), **change})
 
 
 def test_washout_must_outrun_exponential_growth():
-    s = u.Schedule.exponential(lam=2.0)
+    s = u.Schedule("exponential", lam=2.0)
     with pytest.raises(AssemblyError, match="2 lambda"):
         u.EsParams(alpha=[1.0], k=[1.0], omega=5.0, omega_h=3.0, schedule=s)
 
 
 def test_assemble_broadcasts_scalars():
     m = u.quadratic(q=[1.0, 2.0], theta_star=[0.0, 0.0])
-    p = u.assemble(m, u.Schedule.nominal(), alpha=0.5, k=2.0, omega=5.0, omega_h=3.0)
+    p = u.assemble(m, u.Schedule("nominal"), alpha=0.5, k=2.0, omega=5.0, omega_h=3.0)
     assert p.n == 2
     np.testing.assert_allclose(p.alpha, [0.5, 0.5])
     np.testing.assert_allclose(p.omegas, [5.0, 7.5])
     with pytest.raises(AssemblyError, match="length-2"):
-        u.assemble(m, u.Schedule.nominal(), alpha=[1.0, 1.0, 1.0], k=1.0, omega=5.0, omega_h=3.0)
+        u.assemble(m, u.Schedule("nominal"), alpha=[1.0, 1.0, 1.0], k=1.0, omega=5.0, omega_h=3.0)
 
 
 def test_growth_order_condition(quartic):
     # quartic has kappa = 2: r = 4 makes 2 kappa - r = 0, any v > 0 works
-    ok = u.Schedule.asymptotic(beta=0.1, v=1.0 / 3.0, r=4.0)
+    ok = u.Schedule("asymptotic", beta=0.1, v=1.0 / 3.0, r=4.0)
     u.assemble(quartic, ok, alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
     with pytest.raises(AssemblyError, match="2 kappa - r >= 0"):
-        u.assemble(quartic, u.Schedule.asymptotic(beta=0.1, v=1.0, r=5.0), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
+        u.assemble(quartic, u.Schedule("asymptotic", beta=0.1, v=1.0, r=5.0), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
     with pytest.raises(AssemblyError, match="v > 2 kappa - r"):
-        u.assemble(quartic, u.Schedule.asymptotic(beta=0.1, v=0.3, r=3.5), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
+        u.assemble(quartic, u.Schedule("asymptotic", beta=0.1, v=0.3, r=3.5), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
 
 
 def test_exponential_gain_condition(exp_map):
-    s = u.Schedule.exponential(lam=0.1)
+    s = u.Schedule("exponential", lam=0.1)
     # floor is 2*0.1*1*(2+2)/(1*4) = 0.2
     u.assemble(exp_map, s, alpha=1.0, k=0.21, omega=50.0, omega_h=3.0)
     with pytest.raises(AssemblyError, match="gain condition"):
@@ -69,7 +75,7 @@ def test_exponential_gain_condition(exp_map):
 
 
 def test_deployed_rhs_pinned_value(quartic):
-    p = u.assemble(quartic, u.Schedule.nominal(), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0, omega_hat=[1.0])
+    p = u.assemble(quartic, u.Schedule("nominal"), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0, omega_hat=[1.0])
     theta_dot, eta_dot = u.es_closed_loop(p, quartic)(np.array([0.0, 0.0]), 0.0)
     assert theta_dot == pytest.approx(math.sqrt(5.0) * math.cos(0.3 * 17.0), rel=1e-12)
     assert eta_dot == pytest.approx(3.0 * 17.0, rel=1e-12)
@@ -78,14 +84,14 @@ def test_deployed_rhs_pinned_value(quartic):
 def _loop_pair(case):
     """Two loops of one map kind, schedule kind and channel count that differ in every number."""
     if case == "quadratic":
-        sched = (u.Schedule.exponential(lam=0.1), u.Schedule.exponential(lam=0.2, t0=2.0))
+        sched = (u.Schedule("exponential", lam=0.1), u.Schedule("exponential", lam=0.2, t0=2.0))
         maps = (u.quadratic(q=[1.0, 2.0], theta_star=[0.5, -0.25]), u.quadratic(q=[3.0, 5.0], theta_star=[1.5, 2.0]))
         gains = ((1.0, 4.0, 50.0, 3.0), (2.0, 6.0, 70.0, 4.0))
     else:
         maps = (u.quartic_paper(),) * 2
-        sched = {"asymptotic": (u.Schedule.asymptotic(beta=0.1, v=1.0 / 3.0, r=4.0),
-                                u.Schedule.asymptotic(beta=0.2, v=0.6, r=3.5, t0=1.5)),
-                 "nominal": (u.Schedule.nominal(), u.Schedule.nominal(t0=3.0))}[case]
+        sched = {"asymptotic": (u.Schedule("asymptotic", beta=0.1, v=1.0 / 3.0, r=4.0),
+                                u.Schedule("asymptotic", beta=0.2, v=0.6, r=3.5, t0=1.5)),
+                 "nominal": (u.Schedule("nominal"), u.Schedule("nominal", t0=3.0))}[case]
         gains = ((1.0, 0.3, 5.0, 3.0), (2.0, 0.7, 9.0, 4.0))
     return [(m, u.assemble(m, s, alpha=a, k=k, omega=w, omega_h=wh)) for m, s, (a, k, w, wh) in zip(maps, sched, gains)]
 
@@ -130,15 +136,15 @@ def test_closed_loop_packing(quartic, fig3_params):
 
 
 def test_growth_drift_values():
-    assert u.Schedule.nominal().factors(3.0).g == 0.0
-    s = u.Schedule.asymptotic(beta=0.1, v=1.0 / 3.0, r=4.0)
+    assert u.Schedule("nominal").factors(3.0).g == 0.0
+    s = u.Schedule("asymptotic", beta=0.1, v=1.0 / 3.0, r=4.0)
     assert s.factors(0.0).g == pytest.approx(0.3, rel=1e-12)
     assert s.factors(10.0).g == pytest.approx(0.3 / 2.0, rel=1e-12)
-    assert u.Schedule.exponential(lam=0.25).factors(7.0).g == 0.25
+    assert u.Schedule("exponential", lam=0.25).factors(7.0).g == 0.25
 
 
 def test_gain_error_term_log_domain():
-    s = u.Schedule.exponential(lam=1.0)
+    s = u.Schedule("exponential", lam=1.0)
     k = np.array([2.0])
     # at t = 400 the gain multiplier alone overflows ...
     with pytest.raises(OverflowError):
@@ -193,7 +199,7 @@ def test_transformed_loop_at_origin(quartic, fig3_params):
 
 
 def test_transformed_frame_needs_growth_and_optimum(quartic):
-    p_nom = u.assemble(quartic, u.Schedule.nominal(), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
+    p_nom = u.assemble(quartic, u.Schedule("nominal"), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
     with pytest.raises(CapabilityError, match="nominal"):
         u.transformed_closed_loop(p_nom, quartic)
     # the vector-field decomposition checks the frame when it is assembled

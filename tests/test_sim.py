@@ -804,7 +804,7 @@ def test_frame_loops_diverge_alike_on_both_paths():
     # tested; with omega_h < 1 and k_i alpha_i / 2 < 1 no product overflows first: a run from 3548.8
     # raises in a step past its start, one from 3549 in its first step
     m = u.quadratic(q=[1.0, 2.0], theta_star=[0.5, -0.25])
-    p = u.assemble(m, u.Schedule.exponential(lam=0.1), alpha=1.0, k=1.0, omega=50.0, omega_h=0.5)
+    p = u.assemble(m, u.Schedule("exponential", lam=0.1), alpha=1.0, k=1.0, omega=50.0, omega_h=0.5)
     dt = u.dither_step_bound(float(np.max(p.omegas)))
     for rhs in (u.averaged_closed_loop(p, m), u.transformed_closed_loop(p, m)):
         for t_start in (3548.8, 3549.0):
@@ -815,9 +815,9 @@ def test_frame_loops_diverge_alike_on_both_paths():
 
 
 @pytest.mark.parametrize("schedule", [
-    u.Schedule.nominal(t0=1.5),
-    u.Schedule.asymptotic(beta=0.1, v=1.0 / 3.0, r=4.0, t0=1.5),
-    u.Schedule.exponential(lam=0.1, t0=1.5),
+    u.Schedule("nominal", t0=1.5),
+    u.Schedule("asymptotic", beta=0.1, v=1.0 / 3.0, r=4.0, t0=1.5),
+    u.Schedule("exponential", lam=0.1, t0=1.5),
 ], ids=lambda s: s.kind)
 def test_fused_step_equals_call_path_after_schedule_start(schedule, quartic):
     # the loop's start time is its own, not the schedule's t0
@@ -836,7 +836,7 @@ def test_fused_step_equals_call_path_on_probe_omegas(omega):
 
 def _quadratic_loop(lam, t0=0.0):
     m = u.quadratic(q=[1.0, 2.0], theta_star=[0.5, -0.25])
-    p = u.assemble(m, u.Schedule.exponential(lam=lam, t0=t0), alpha=1.0, k=10.0, omega=50.0, omega_h=3.0)
+    p = u.assemble(m, u.Schedule("exponential", lam=lam, t0=t0), alpha=1.0, k=10.0, omega=50.0, omega_h=3.0)
     return m, p, u.es_closed_loop(p, m)
 
 
