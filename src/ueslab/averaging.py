@@ -135,15 +135,15 @@ class ProbeConfig:
         object.__setattr__(self, "omega_values", vals)
         if len(vals) == 0:
             raise ValueError("probe.omegas must not be empty")
-        if any(w <= 0.0 for w in vals) or any(a >= b for a, b in zip(vals, vals[1:])):
+        if not all(math.isfinite(w) and w > 0.0 for w in vals) or any(a >= b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"probe.omegas must be ascending and positive, got {', '.join(map(format, vals))}")
-        if self.epsilon <= 0.0:
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"probe.epsilon must be positive, got {self.epsilon}")
-        if self.delta <= 0.0:
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"probe.delta must be positive, got {self.delta}")
         if self.epsilon > self.delta:
             raise ValueError(f"probe.epsilon = {self.epsilon} must not exceed probe.delta = {self.delta}")
-        if self.horizon <= 0.0:
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"probe.horizon must be positive, got {self.horizon}")
         if self.trials < 1:
             raise ValueError(f"probe.trials must be >= 1, got {self.trials}")

@@ -10,7 +10,10 @@ Configs are file paths or bundled names (see ueslab/configs/).  The env var
 UESLAB_OUT overrides the output directory.  The trajectory CSV and the SVG are
 written piece by piece to <file>.part, which replaces <file> once complete.
 Exit codes: 0 ok, 2 config error, 3 numeric failure (for sweep, also a probe in which every
-trial diverged) or a probe worker that died.
+trial diverged) or a probe worker that died.  A verb refuses an input by raising: each number is
+checked once, by the object that owns it (a config key at load, a ``lemma-check`` flag by
+``Lemma1Params`` or the verb's step-grid check), and ``main`` alone turns a ``ConfigError`` into
+exit 2 and a numeric error into exit 3, with one line on stderr.
 """
 
 from __future__ import annotations
@@ -178,26 +181,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    for flag in ("beta", "eps1", "eps2", "p", "q", "v0", "t1", "dt"):
-        if not math.isfinite(getattr(args, flag)):
-            print(f"config error: --{flag} must be finite, got {getattr(args, flag)}", file=sys.stderr)
-            return EXIT_CONFIG
     values = {flag: getattr(args, flag) for flag in ("beta", "eps1", "eps2", "p", "q", "v0")}
     try:
         params = Lemma1Params(**values)
     except ValueError as e:
         given = ", ".join(f"--{flag} {value}" for flag, value in values.items())
-        print(f"config error: {e}; given {given}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.t1 <= 0.0 or args.dt <= 0.0 or args.t1 / args.dt > MAX_STEPS:
-        print(f"config error: need --t1 > 0, --dt > 0 and at most {MAX_STEPS:g} RK4 steps, "
-              f"got --t1 = {args.t1}, --dt = {args.dt}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{e}; given {given}") from None
+    if not (math.isfinite(args.t1) and math.isfinite(args.dt) and args.t1 > 0.0 and args.dt > 0.0
+            and args.t1 / args.dt <= MAX_STEPS):
+        raise ConfigError(f"need --t1 > 0, --dt > 0 and at most {MAX_STEPS:g} RK4 steps, "
+                          f"got --t1 = {args.t1}, --dt = {args.dt}")
     try:
         traj = integrate(lambda V, t: lemma1_rhs(params, V, t), params.v0, 0.0, args.t1, args.dt)
     except ValueError as e:  # from lemma1_rhs: a stage left the domain V >= 0
-        print(f"numeric failure: {e}; --dt = {args.dt:g} is too coarse", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise FloatingPointError(f"{e}; --dt = {args.dt:g} is too coarse") from None
     exact = (lemma1_solution(params, t) for t in traj.times)
     rel = max(abs(v - e) / e for v, e in zip(traj.rows, exact))
     verdict = "ok" if rel < LEMMA_TOL else "FAIL"

@@ -77,7 +77,7 @@ class Schedule:
 
     def __post_init__(self):
         if self.kind not in PARAMETERS:
-            raise ValueError(f"unknown schedule kind '{self.kind}'; expected one of {tuple(PARAMETERS)}")
+            raise ValueError(f"schedule.kind must be nominal, asymptotic, or exponential, got '{self.kind}'")
         if not (math.isfinite(self.t0) and self.t0 >= 0.0):
             raise ValueError(f"schedule.t0 must be >= 0, got {self.t0}")
         reads = PARAMETERS[self.kind]

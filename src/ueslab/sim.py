@@ -230,9 +230,9 @@ def integrate(
     recorded row.  A non-finite state, or an OverflowError/FloatingPointError raised by rhs, aborts with
     IntegrationDiverged carrying the trajectory recorded so far, kept the same way.
     """
-    if t1 <= t0:
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
-    if dt <= 0.0:
+    if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
@@ -284,13 +284,13 @@ class Lemma1Params:
     v0: float
 
     def __post_init__(self):
-        if self.beta <= 0.0 or self.eps1 <= 0.0 or self.eps2 <= 0.0:
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.beta, self.eps1, self.eps2)):
             raise ValueError("beta, eps1, eps2 must all be positive")
-        if self.p >= 1.0:
+        if not (math.isfinite(self.p) and self.p < 1.0):
             raise ValueError(f"p < 1 required, got {self.p}")
-        if self.q <= 1.0:
+        if not (math.isfinite(self.q) and self.q > 1.0):
             raise ValueError(f"q > 1 required, got {self.q}")
-        if self.v0 <= 0.0:
+        if not (math.isfinite(self.v0) and self.v0 > 0.0):
             raise ValueError(f"v0 > 0 required, got {self.v0}")
         if not (math.isfinite(self.eps3) and self.eps3 > 0.0):
             raise ValueError(

@@ -5,6 +5,7 @@ import functools
 import math
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -106,6 +107,14 @@ def test_probe_config_validation():
         u.ProbeConfig(**{**ok, "trials": 0})
     with pytest.raises(ValueError):
         u.ProbeConfig(**{**ok, "epsilon": -0.1})
+    # NaN fails every comparison and inf passes `> 0`, so each field also asks for a finite value
+    for change, message in ((dict(epsilon=math.nan), "probe.epsilon must be positive, got nan"),
+                            (dict(horizon=math.inf), "probe.horizon must be positive, got inf"),
+                            (dict(omega_values=(math.nan,)), "probe.omegas must be ascending and positive, got nan"),
+                            (dict(omega_values=(10.0, math.inf)),
+                             "probe.omegas must be ascending and positive, got 10.0, inf")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            u.ProbeConfig(**{**ok, **change})
 
 
 def test_probe_smoke_and_determinism(quartic, fig3_params):

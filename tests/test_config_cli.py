@@ -168,6 +168,7 @@ def test_config_defaults():
          "^<config>: probe.trials must be >= 1, got 0$"),
         ("schedule.kind = exponential\nschedule.lambda = -1\n", "^<config>: .* needs schedule.lambda > 0, got -1.0$"),
         ("schedule.t0 = -1\n", "^<config>: schedule.t0 must be >= 0, got -1.0$"),
+        ("schedule.kind = linear\n", "^<config>: schedule.kind must be nominal, asymptotic, or exponential, got 'linear'$"),
         ("es.alpha = -1\n", "^<config>: es.alpha must be positive, got -1.0$"),
         ("es.k = -1\n", "^<config>: es.k must be positive, got -1.0$"),
         ("es.alpha = 1, 2\n", "^<config>: es.alpha must be a scalar or a length-1 list to match map 'quartic_paper'$"),
@@ -362,6 +363,14 @@ def test_cli_run_stops_at_first_failing_config(tmp_path, monkeypatch, capsys):
     assert "no config file" in capsys.readouterr().err
     for suffix in (".trajectory.csv", ".fits.csv", ".svg"):
         assert (tmp_path / "o" / f"fig2_nominal_a{suffix}").exists()
+    # a config whose run returns 3 (the overflow run below) stops the ones after it as a refused config does
+    conf = tmp_path / "overflow.conf"
+    conf.write_text(MINIMAL.replace("es.omega_h = 3", "es.omega_h = 1e6"))
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o3"))
+    assert cli.main(["run", str(conf), "fig2_nominal_a"]) == 3
+    assert "overflow: integration diverged at t = 0.565" in capsys.readouterr().err
+    assert sorted(path.name for path in (tmp_path / "o3").iterdir()) == [
+        "overflow.fits.csv", "overflow.svg", "overflow.trajectory.csv"]
 
 
 def test_cli_run_overflow_writes_partial_artifacts(tmp_path, monkeypatch):
@@ -380,6 +389,19 @@ def test_cli_run_overflow_writes_partial_artifacts(tmp_path, monkeypatch):
     assert 0.5 < float(rows[-1].split(",")[0]) < 0.6
     for suffix in (".fits.csv", ".svg"):
         assert (tmp_path / "o" / f"overflow{suffix}").exists()
+
+
+def test_cli_run_skips_a_rate_fit_past_the_decay(tmp_path, monkeypatch, capsys):
+    # the exponential quadratic has decayed under the 1e-13 noise floor by t = 35: the run prints why it fits no
+    # rate, exits 0 and writes a fits.csv that holds only its header
+    conf = tmp_path / "late.conf"
+    conf.write_text("map.name = quadratic\nschedule.kind = exponential\nschedule.lambda = 1\nes.k = 4\nes.omega = 50\n"
+                    "es.omega_h = 3\nes.theta0 = 1\nsim.horizon = 40\nanalysis.fit_window = 35, 40\n")
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path / "o"))
+    assert cli.main(["run", str(conf)]) == 0
+    assert ("; rate fit skipped (0 envelope value(s) in (35.0, 40.0) lie above the 1e-13 noise floor, "
+            in capsys.readouterr().out)
+    assert (tmp_path / "o" / "late.fits.csv").read_text() == "model,estimate,residual,window_start,window_end\n"
 
 
 def test_deployed_run_divergence_carries_the_measured_cost():

@@ -52,6 +52,9 @@ def test_assemble_broadcasts_scalars():
     np.testing.assert_allclose(p.omegas, [5.0, 7.5])
     with pytest.raises(AssemblyError, match="length-2"):
         u.assemble(m, u.Schedule("nominal"), alpha=[1.0, 1.0, 1.0], k=1.0, omega=5.0, omega_h=3.0)
+    # assemble broadcasts both to the map's dimension; EsParams built directly refuses unequal lengths itself
+    with pytest.raises(AssemblyError, match="^alpha and k must have equal length, got 2 and 1$"):
+        u.EsParams(alpha=[1.0, 1.0], k=[1.0], omega=5.0, omega_h=3.0, schedule=u.Schedule("nominal"))
 
 
 def test_growth_order_condition(quartic):

@@ -38,6 +38,19 @@ def test_quartic_analytic_derivatives():
     np.testing.assert_allclose(u.hess_fd(m, [3.0]), [[12.0]], rtol=1e-6)
 
 
+def test_hess_fd_cross_terms_match_the_closed_form():
+    # the 1-D maps of criterion 08 leave hess_fd's off-diagonal loop unrun; a coupled quadratic J = x^2 + x y + y^2
+    # has off-diagonal entries 1
+    diagonal = [u.quadratic(q=[1.0, 2.0], theta_star=[0.5, -1.0]),
+                u.quadratic(q=[1.0, 2.0, 3.0], theta_star=[0.5, -1.0, 2.0])]
+    coupled = dataclasses.replace(diagonal[0], centered_text=("{0} * {0} + {0} * {1} + {1} * {1}", {}),
+                                  grad_text=("(2.0 * {0} + {1}, {0} + 2.0 * {1})", {}),
+                                  hess=lambda th: [[2.0, 1.0], [1.0, 2.0]], optimum=[0.0, 0.0])
+    for m, theta in ((diagonal[0], [1.5, 0.25]), (diagonal[1], [1.5, 0.25, -3.0]), (coupled, [1.5, 0.25])):
+        np.testing.assert_allclose(u.hess_fd(m, theta), m.hessian(theta), rtol=1e-6, atol=1e-6)
+    assert u.hess_fd(coupled, [1.5, 0.25])[0, 1] == pytest.approx(1.0, rel=1e-6)
+
+
 def test_quadratic_vector_case():
     m = u.quadratic(q=[1.0, 2.0], theta_star=[0.0, 1.0])
     assert m.dim == 2

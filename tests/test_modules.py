@@ -57,3 +57,14 @@ def test_no_module_imports_numpy_at_module_level():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
                 found.append(f"{path.name}: from {node.module} import ...")
     assert found == []
+
+
+def test_cli_maps_a_config_error_to_its_exit_code_in_main_alone():
+    # a verb raises ConfigError and `main` turns it into exit 2, so no other function of cli reads EXIT_CONFIG
+    readers = []
+    for node in ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "main":
+            continue
+        readers += [f"{getattr(node, 'name', type(node).__name__)}: line {name.lineno}" for name in ast.walk(node)
+                    if isinstance(name, ast.Name) and name.id == "EXIT_CONFIG" and isinstance(name.ctx, ast.Load)]
+    assert readers == []

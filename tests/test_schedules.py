@@ -73,8 +73,8 @@ def test_parameter_validation():
         Schedule("asymptotic", beta=0.1, v=0.5, r=-0.1)
     with pytest.raises(ValueError):
         Schedule("exponential", lam=0.0)
-    with pytest.raises(ValueError, match="kind"):
-        Schedule(kind="linear")
+    with pytest.raises(ValueError, match=r"^schedule\.kind must be nominal, asymptotic, or exponential, got 'linear'$"):
+        Schedule("linear")
     # NaN fails every comparison, so `x <= 0` let it through: each bound also asks for a finite value
     with pytest.raises(ValueError, match=r"^asymptotic schedule needs schedule\.beta > 0, got nan$"):
         Schedule("asymptotic", beta=math.nan, v=1.0, r=0.0)

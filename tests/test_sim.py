@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,15 @@ def test_basic_argument_validation():
         u.integrate(lambda x, t: x, 1.0, 0.0, 1.0, -0.1)
     with pytest.raises(ValueError):
         u.integrate(lambda x, t: x, 1.0, 0.0, 1.0, 0.1, record_every=0)
+    # a non-finite t0, t1 or dt is refused before the step count, where t1 = inf overflows, a NaN fails to become
+    # an int and dt = inf makes one step
+    for t0, t1, dt, message in ((0.0, math.inf, 0.1, "t1 = inf must exceed t0 = 0.0"),
+                                (math.nan, 1.0, 0.1, "t1 = 1.0 must exceed t0 = nan"),
+                                (0.0, math.nan, 0.1, "t1 = nan must exceed t0 = 0.0"),
+                                (0.0, 1.0, math.nan, "dt must be positive, got nan"),
+                                (0.0, 1.0, math.inf, "dt must be positive, got inf")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            u.integrate(lambda x, t: x, 1.0, t0, t1, dt)
 
 
 @pytest.mark.parametrize("rhs,x0,message", [
@@ -368,6 +378,9 @@ def test_comparison_ode_parameter_validation():
     for beta, eps1 in ((1e-320, 0.2), (1.0, 1e308)):  # eps3 = inf / inf, and eps3 = inf
         with pytest.raises(ValueError, match="eps3 .* must be finite and positive"):
             u.Lemma1Params(beta=beta, eps1=eps1, eps2=0.3, p=0.5, q=3.0, v0=1.0)
+    for v0 in ("nan", "inf"):  # neither enters eps3, and NaN fails `v0 <= 0`
+        with pytest.raises(ValueError, match=f"^v0 > 0 required, got {v0}$"):
+            u.Lemma1Params(beta=0.5, eps1=0.2, eps2=0.3, p=0.5, q=2.0, v0=float(v0))
 
 
 def test_closed_form_refuses_values_out_of_double_range():
