@@ -42,12 +42,11 @@ from .errors import (
     WindowTooLate,
 )
 from .maps import (
-    BUILTIN_MAPS,
+    MAPS,
     CostMap,
     PowerBounds,
     grad_fd,
     hess_fd,
-    named_map,
     quadratic,
     quartic_paper,
     verify_power_bounds,

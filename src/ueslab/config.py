@@ -19,7 +19,7 @@ from .analysis import MIN_FIT_LOG_GROWTH, MIN_WINDOW_SAMPLES, check_window, log_
 from .averaging import ProbeConfig
 from .controllers import EsParams, assemble, require_averageable
 from .errors import CapabilityError, ConfigError
-from .maps import CostMap, named_map
+from .maps import MAPS, CostMap
 from .schedules import ASYMPTOTIC, NOMINAL, PARAMETERS, Schedule
 from .sim import STEPS_PER_PERIOD, dither_step_bound, step_count
 
@@ -115,10 +115,10 @@ def _build_schedule(r: _Reader) -> Schedule:
 
 def _build_map(r: _Reader) -> CostMap:
     name = r.get("map.name")
-    kwargs = {key.removeprefix("map."): r.get(key, list) for key in ("map.q", "map.theta_star") if key in r.data}
-    if kwargs and name != "quadratic":
-        raise ValueError(f"key 'map.{next(iter(kwargs))}' only applies to the quadratic map")
-    return named_map(name, **kwargs)
+    if name not in MAPS:
+        raise ValueError(f"map.name = '{name}' is not a known map; available: {', '.join(sorted(MAPS))}")
+    builder, keys = MAPS[name]
+    return builder(**{arg: r.get(key, list) for arg, key in keys if key in r.data})
 
 
 def _build_probe(r: _Reader) -> Optional[ProbeConfig]:

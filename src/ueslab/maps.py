@@ -237,8 +237,10 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
     qv, star = floats(q), floats(theta_star)
     if len(qv) != len(star):
         raise ValueError(f"map.q and map.theta_star must list equally many values, got {len(qv)} and {len(star)}")
-    if any(q_i <= 0.0 for q_i in qv):
+    if not all(math.isfinite(q_i) and q_i > 0.0 for q_i in qv):
         raise ValueError(f"map.q must be positive, got {', '.join(map(format, qv))}")
+    if not all(map(math.isfinite, star)):
+        raise ValueError(f"map.theta_star must be finite, got {', '.join(map(format, star))}")
     n, qmin, qmax = len(qv), min(qv), max(qv)
     # left to right over floats or (B,) arrays, as numpy's (qv * (th.T - star) ** 2).sum(axis=-1)
     # adds for n < 8; the builtin sum() compensates its rounding from Python 3.12 on.  The first
@@ -252,13 +254,5 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
                    bounds=PowerBounds(qmin, qmax, 2.0 * qmin, 2.0 * qmax, 2.0 * qmax, 2.0 * qmax))
 
 
-BUILTIN_MAPS = {"quartic_paper": quartic_paper, "quadratic": quadratic}
-
-
-def named_map(name: str, **kwargs) -> CostMap:
-    """Build one of the named maps addressable from experiment configs."""
-    try:
-        builder = BUILTIN_MAPS[name]
-    except KeyError:
-        raise ValueError(f"map.name = '{name}' is not a known map; available: {', '.join(sorted(BUILTIN_MAPS))}") from None
-    return builder(**kwargs)
+# the maps configs address, their one home: name -> (builder, its (argument, config key) pairs)
+MAPS = {"quartic_paper": (quartic_paper, ()), "quadratic": (quadratic, (("q", "map.q"), ("theta_star", "map.theta_star")))}

@@ -6,6 +6,7 @@ criteria are intentionally strict; a red line here means the property as
 stated does not hold, not that the computation crashed.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -146,12 +147,15 @@ def test_criterion_07_gain_error_product_bounded(acceptance_report, fig3_run, fi
     )
 
 
-def test_criterion_08_derivative_and_bound_checks(acceptance_report, quartic, exp_map):
+def test_criterion_08_derivative_and_bound_checks(acceptance_report):
+    # every map of the table, built at its builder's defaults and sampled in optimum +- 3
     rng = np.random.default_rng(0)
-    worst = 0.0
-    for m, lo, hi in ((quartic, -1.0, 5.0), (exp_map, -4.0, 6.0)):
+    worst = bound_err = 0.0
+    for builder, _ in u.MAPS.values():
+        m = builder()
+        star = np.asarray(m.optimum)
         for _ in range(100):
-            th = rng.uniform(lo, hi, m.dim)
+            th = rng.uniform(star - 3.0, star + 3.0, m.dim)
             g, gf = m.gradient(th), u.grad_fd(m, th)
             h, hf = m.hessian(th), u.hess_fd(m, th)
             worst = max(
@@ -159,14 +163,14 @@ def test_criterion_08_derivative_and_bound_checks(acceptance_report, quartic, ex
                 float(np.max(np.abs(gf - g)) / max(1.0, float(np.max(np.abs(g))))),
                 float(np.max(np.abs(hf - h)) / max(1.0, float(np.max(np.abs(h))))),
             )
-    b = u.verify_power_bounds(quartic, radius=1.0, samples=200, seed=0)
-    got = np.array([b.a1, b.a2, b.b1, b.b2, b.c1, b.c2])
-    want = np.array([1.0, 1.0, 4.0, 4.0, 12.0, 12.0])
-    bound_err = float(np.max(np.abs(got - want) / want))
+        b = u.verify_power_bounds(m, radius=1.0, samples=200, seed=0)
+        got = np.array(dataclasses.astuple(b))
+        want = np.array(dataclasses.astuple(m.bounds))
+        bound_err = max(bound_err, float(np.max(np.abs(got - want) / want)))
     ok = worst < 1e-5 and bound_err < 0.01
     _verdict(
         acceptance_report, 8, "finite differences confirm closed forms and growth envelopes",
-        ok, f"worst derivative rel err {worst:.3e}, envelope constants off by {bound_err:.2e}",
+        ok, f"{len(u.MAPS)} maps; worst derivative rel err {worst:.3e}, envelope constants off by {bound_err:.2e}",
     )
 
 

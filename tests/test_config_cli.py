@@ -100,7 +100,9 @@ def test_config_defaults():
     [
         ("mystery.key = 1\n", "unknown key"),
         ("sim.dt = 0.5\n", "steps per"),
-        ("map.q = 2\n", "only applies"),
+        # a map key the chosen map does not read is never read, so it is refused as unknown
+        ("map.q = 2\n", "^<config>: unknown key\\(s\\): map.q$"),
+        ("map.theta_star = 1\n", "^<config>: unknown key\\(s\\): map.theta_star$"),
         ("es.omega_hat = 2, 2\n", "one entry per channel"),
         ("analysis.fit_window = 9\n", "fit_window"),
         # a window past the horizon, and one that holds 2 recorded samples, both failed after the integration

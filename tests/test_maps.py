@@ -175,6 +175,20 @@ def test_declared_optimum_must_be_critical():
         dataclasses.replace(u.quartic_paper(), optimum=[0.0])
 
 
+@pytest.mark.parametrize(
+    "kwargs,refusal",
+    [
+        ({"q": float("nan")}, "map.q must be positive, got nan"),
+        ({"q": float("inf")}, "map.q must be positive, got inf"),
+        ({"theta_star": float("inf")}, "map.theta_star must be finite, got inf"),
+        ({"theta_star": float("nan")}, "map.theta_star must be finite, got nan"),
+    ],
+)
+def test_quadratic_refuses_non_finite_parameters(kwargs, refusal):
+    with pytest.raises(ValueError, match="^" + re.escape(refusal) + "$"):
+        u.quadratic(**kwargs)
+
+
 def test_input_dimension_validated():
     m = u.quartic_paper()
     with pytest.raises(ValueError, match="shape"):
@@ -216,14 +230,6 @@ def test_verify_power_bounds_deterministic():
     b1 = u.verify_power_bounds(m, radius=2.0, samples=64, seed=11)
     b2 = u.verify_power_bounds(m, radius=2.0, samples=64, seed=11)
     assert b1 == b2
-
-
-def test_named_map_registry():
-    m = u.named_map("quadratic", q=2.0, theta_star=1.0)
-    assert m.dim == 1 and m([1.0]) == 0.0
-    assert u.named_map("quartic_paper").name == "quartic_paper"
-    with pytest.raises(ValueError, match="available"):
-        u.named_map("does_not_exist")
 
 
 @settings(max_examples=50, deadline=None)

@@ -68,3 +68,15 @@ def test_cli_maps_a_config_error_to_its_exit_code_in_main_alone():
         readers += [f"{getattr(node, 'name', type(node).__name__)}: line {name.lineno}" for name in ast.walk(node)
                     if isinstance(name, ast.Name) and name.id == "EXIT_CONFIG" and isinstance(name.ctx, ast.Load)]
     assert readers == []
+
+
+def test_map_config_keys_live_in_the_maps_table_alone():
+    # maps.MAPS names each map's config keys; any other module names only map.name, so a new map is one row there
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "maps.py":
+            continue
+        found += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.startswith("map.") and not node.value.startswith("map.name")]
+    assert found == []
