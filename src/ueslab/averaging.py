@@ -40,7 +40,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, List, Sequence, Tuple
 
-from .controllers import EsParams, averaged_closed_loop, es_closed_loop, phase_error, require_transformable
+from .controllers import EsParams, averaged_closed_loop, es_closed_loop, require_transformable
 from .errors import IntegrationDiverged, WorkerLost
 from .maps import CostMap
 from .sim import STEPS_PER_PERIOD, csv_text, dither_step_bound, integrate
@@ -101,7 +101,7 @@ def transformed_b_fields(p: EsParams, map: CostMap):
         def b(z, t: float) -> list:
             out = [0.0] * (n + 1)
             _, f, err = drift(z, t)
-            out[i] = sqrt_alpha[i] * trig(phase_error(f, err) * p.k[i])
+            out[i] = sqrt_alpha[i] * trig(f.phi * err * p.k[i])
             return out
 
         return b

@@ -35,11 +35,8 @@ from typing import Optional
 
 from .errors import AssemblyError, CapabilityError
 from .maps import CostMap
-from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Factors, Schedule
+from .schedules import ASYMPTOTIC, EXPONENTIAL, NOMINAL, Schedule
 from .sim import floats, generated, rk4_text
-
-# below this, phi * err is evaluated in the log domain to dodge 0 * huge
-TINY_ERR = 1e-280
 
 
 def default_omega_hat(n: int) -> array:
@@ -160,41 +157,22 @@ def assemble(
     return p
 
 
-def phase_error(f: Factors, err: float) -> float:
-    """phi(t) err for one error, with f the schedule's factors at t.
-
-    An error with |err| below TINY_ERR takes the product in the log domain,
-    exp(log phi + log |err|), and a zero error gives zero, so a huge phi
-    against a denormal error cannot round through inf * 0, and phi is only
-    needed, and can only overflow, for the other errors.  The loops' stage
-    text writes this rule inline; the b-field decomposition calls it.
-    """
-    if abs(err) < TINY_ERR:
-        return math.copysign(math.exp(f.log_phi + math.log(abs(err))), err) if err else 0.0
-    return f.phi * err
-
-
 def _check_loop_map(p: EsParams, map: CostMap) -> None:
     """Check once, when a loop is assembled, that the map has the dimension its rhs reads."""
     if map.dim != p.n:
         raise AssemblyError(f"map '{map.name}' has dimension {map.dim}, the controller has {p.n} channels")
 
 
-# phi(t) err by phase_error's rule in its test order: phi's range is tested, and Factors.phi raises, only where
-# phi is needed
-_PHI_RAISES = "lp_{f} > LOG_MAX:\n    factors({t}).phi  # raises OverflowError\n"
-_PHASE_TEXT = """if abs(err) < TINY_ERR:
-    pe = copysign(exp(lp_{f} + log(abs(err))), err) if err else 0.0
-elif """ + _PHI_RAISES + """else:
-    pe = ph_{f} * err
-"""
+# phi's range test, before every product with phi: past double range Factors.phi raises, whatever phi multiplies
+_PHI_RAISES = "if lp_{f} > LOG_MAX:\n    factors({t}).phi  # raises OverflowError\n"
 
 
 def _dithered(n: int, t: str, f: str, k: str, drift: str) -> str:
-    """Text setting k_0..k_{n-1} to drift (with {i} for the channel) plus the dither, with the phase of err."""
+    """Text setting k_0..k_{n-1} to drift (with {i} for the channel) plus the dither, its phase pe = phi err."""
     rates = "".join(f"    {k}_{i} = {drift.format(i=i)}amp_{i} * cos(w_{i} * {t} + pe * k_{i})\n" for i in range(n))
     nans = "".join(f"    {k}_{i} = nan\n" for i in range(n))
-    return _PHASE_TEXT.format(t=t, f=f) + f"try:\n{rates}except ValueError:  # cos(+-inf): the phase left double range\n{nans}"
+    phase = _PHI_RAISES.format(t=t, f=f) + f"pe = ph_{f} * err\n"
+    return phase + f"try:\n{rates}except ValueError:  # cos(+-inf): the phase left double range\n{nans}"
 
 
 def _deployed_stage(n: int, value: str, inputs, t: str, f: str, k: str) -> str:
@@ -225,7 +203,7 @@ def _frame_stage(n: int, centered: str, grad: Optional[str], inputs, t: str, f: 
         at = "".join(f"d_{i} = opt_{i} + s_{i} / xi\n" for i in range(n))
         grads = "(" + "".join(f"gr_{i}, " for i in range(n)) + f") = {grad.format(*[f'd_{i}' for i in range(n)])}\n"
         rates = "".join(f"{k}_{i} = g_{f} * s_{i} - ka_{i} * ph_{f} * (gr_{i} / xi)\n" for i in range(n))
-        text += "if " + _PHI_RAISES.format(t=t, f=f) + f"xi = exp(lx_{f})\n" + at + grads + rates
+        text += _PHI_RAISES.format(t=t, f=f) + f"xi = exp(lx_{f})\n" + at + grads + rates
     return text + f"{k}_{n} = (kappa2 * g_{f} - omega_h) * s_{n} + omega_h * xi2k * jf\n"
 
 
@@ -234,8 +212,8 @@ def _generated_loop(p: EsParams, label: str, stage, factor_text, names: dict):
     function object), from stage and factor_text; the texts read names, with the schedule's, the channels' and
     the math functions added to it, never the loop's numbers, and each distinct text is compiled once."""
     n = p.n
-    names.update(p.schedule.text_names(), factors=p.schedule.factors, cos=math.cos, copysign=math.copysign,
-                 log=math.log, exp=math.exp, nan=math.nan, TINY_ERR=TINY_ERR, omega_h=float(p.omega_h))
+    names.update(p.schedule.text_names(), factors=p.schedule.factors, cos=math.cos, nan=math.nan,
+                 omega_h=float(p.omega_h))
     for name, values in (("w", p.omegas), ("amp", p._amp), ("k", p.k)):
         names.update((f"{name}_{i}", v) for i, v in enumerate(values))
     xs = [f"x_{i}" for i in range(n + 1)]

@@ -237,6 +237,8 @@ def quadratic(q=1.0, theta_star=0.0) -> CostMap:
     qv, star = floats(q), floats(theta_star)
     if len(qv) != len(star):
         raise ValueError(f"map.q and map.theta_star must list equally many values, got {len(qv)} and {len(star)}")
+    if not qv:
+        raise ValueError("map.q and map.theta_star must list at least one value, got none")
     if not all(math.isfinite(q_i) and q_i > 0.0 for q_i in qv):
         raise ValueError(f"map.q must be positive, got {', '.join(map(format, qv))}")
     if not all(map(math.isfinite, star)):

@@ -545,6 +545,29 @@ def test_cli_unusable_out_dir_exits_2(tmp_path, monkeypatch, capfd, verb, text, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb, config, blocked", [
+    ("run", "fig2_nominal_a", "fig2_nominal_a.trajectory.csv.part"),
+    ("run", "fig2_nominal_a", "fig2_nominal_a.svg"),
+    ("sweep", "omega_sweep", "omega_sweep.probe.csv"),
+])
+def test_cli_unwritable_artifact_exits_2(tmp_path, monkeypatch, capfd, verb, config, blocked):
+    # a directory where an artifact or its part goes: a config error naming the artifact, one line and no
+    # traceback, an earlier trajectory keeps its bytes and no part is left behind
+    monkeypatch.setenv("UESLAB_OUT", str(tmp_path))
+    (tmp_path / blocked).mkdir()
+    earlier = tmp_path / f"{config}.trajectory.csv"
+    if blocked.endswith(".part"):
+        earlier.write_text("earlier\n")
+    assert cli.main([verb, config]) == 2
+    artifact = tmp_path / blocked.removesuffix(".part")
+    err = capfd.readouterr().err
+    assert err.startswith(f"config error: artifact '{artifact}' cannot be written (IsADirectoryError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if blocked.endswith(".part"):
+        assert earlier.read_text() == "earlier\n"
+    assert [path.name for path in tmp_path.iterdir() if path.name.endswith(".part") and path.is_file()] == []
+
+
 def test_cli_sweep(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "probe.conf"
     conf.write_text(SMALL_PROBE)

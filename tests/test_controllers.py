@@ -1,17 +1,18 @@
 """Controller dynamics in both frames, parameter assembly, and coupled checks."""
 
+import ast
 import math
+import textwrap
 
 import numpy as np
 import pytest
 from conftest import arrays
 
 import ueslab as u
-from ueslab.controllers import phase_error
 from ueslab.errors import AssemblyError, CapabilityError, IntegrationDiverged
 from ueslab.sim import rk4_loop
 
-from test_sim import _quadratic_config
+from test_sim import _quadratic_config, _quadratic_loop
 
 
 def test_default_frequency_ratios():
@@ -146,23 +147,68 @@ def test_growth_drift_values():
     assert u.Schedule("exponential", lam=0.25).factors(7.0).g == 0.25
 
 
-def test_gain_error_term_log_domain():
-    s = u.Schedule("exponential", lam=1.0)
-    k = np.array([2.0])
-    # at t = 400 the gain multiplier alone overflows ...
+def test_phase_is_phi_times_error_in_range():
+    # in phi's range the deployed rhs's phase is Factors.phi * err bit for bit: against zero, signed and
+    # denormal errors, and at t = 350, where phi = e^700 turns a denormal error into a phase cos can see
+    m, p, rhs = _quadratic_loop(1.0)
+    for t in (0.3, 350.0):
+        f = p.schedule.factors(t)
+        for eta in (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324):
+            err = m([0.5, -0.25]) - eta
+            pe = f.phi * err
+            want = [f.nu * a * math.cos(w * t + pe * k) for a, w, k in zip(p._amp, p.omegas, p.k)] + [p.omega_h * err]
+            assert np.array(rhs((0.5, -0.25, eta), t)).tobytes() == np.array(want).tobytes()
+
+
+def _diverges_from(rhs, x, t):
+    """The OverflowError that ended an integration of rhs from x at t, as IntegrationDiverged's cause."""
+    with pytest.raises(IntegrationDiverged) as exc:
+        u.integrate(rhs, x, t, t + 0.01, 1e-3)
+    assert isinstance(exc.value.__cause__, OverflowError) and exc.value.t_last == t
+    return exc.value.__cause__
+
+
+def test_phase_past_phi_range_raises_whatever_the_error():
+    # past phi's double range (lambda = 1 at t = 400) every loop raises, a zero error included, and an
+    # integration from there ends in IntegrationDiverged caused by that error
+    m, p, deployed = _quadratic_loop(1.0)
     with pytest.raises(OverflowError):
-        s.phi(400.0)
-    # ... but against a denormal error the product is finite and signed
-    expected = 2.0 * math.exp(s.log_phi(400.0) + math.log(1e-300))
-    f = s.factors(400.0)
-    # the transformed loop's gain-error term k_i phi err is phase_error(f, err) * k_i
-    np.testing.assert_allclose(phase_error(f, 1e-300) * k, [expected])
-    np.testing.assert_allclose(phase_error(f, -1e-300) * k, [-expected])
-    np.testing.assert_array_equal(phase_error(f, 0.0) * k, [0.0])
-    # the deployed loop's float kernel takes the same rule for its one error
-    assert phase_error(f, 1e-300) == expected / 2.0
-    assert phase_error(f, -1e-300) == -expected / 2.0
-    assert phase_error(f, 0.0) == 0.0
+        p.schedule.phi(400.0)
+    for eta in (0.0, -0.0, 1e-300, -1e-300, 5e-324):
+        with pytest.raises(OverflowError, match="phi exceeds double range"):
+            deployed((0.5, -0.25, eta), 400.0)
+    assert "phi exceeds double range" in str(_diverges_from(deployed, (0.5, -0.25, 0.0), 400.0))
+    # the frame loops compute xi^(2 kappa) first, which for kappa = 1 under this schedule is phi itself
+    for frame in (u.transformed_closed_loop(p, m), u.averaged_closed_loop(p, m)):
+        with pytest.raises(OverflowError):
+            frame((0.0, 0.0, 0.0), 400.0)
+        _diverges_from(frame, (0.0, 0.0, 0.0), 400.0)
+    # phi grows past xi^(2 kappa) only where r > 2 kappa, which assemble refuses: built directly, phi = s^8
+    # leaves double range at log s > 88.8 while xi^2 = s^2 stays finite, and the frame loops' own range test
+    # raises, at a zero error too
+    fast = u.EsParams(alpha=[1.0, 1.0], k=[10.0, 10.0], omega=50.0, omega_h=3.0,
+                      schedule=u.Schedule("asymptotic", beta=1.0, v=1.0, r=8.0))
+    for frame in (u.transformed_closed_loop(fast, m), u.averaged_closed_loop(fast, m)):
+        with pytest.raises(OverflowError, match="phi exceeds double range"):
+            frame((0.0, 0.0, 0.0), 1e39)
+
+
+# every function an RK4 body calls: the start check's ValueError, the factor texts' exp and log1p, phi's range
+# test through factors, the dither's cos, and the loop's own range, isfinite and record
+_LOOP_CALLS = {"ValueError", "exp", "log1p", "factors", "cos", "range", "isfinite", "times.append", "rows.extend"}
+
+
+def test_generated_loops_take_phi_times_error_in_every_stage(quartic, fig3_params):
+    # the phase is one product after phi's range test: no RK4 body calls more than _LOOP_CALLS (no abs or log
+    # of the error), and the deployed and transformed bodies take pe = phi * err once in each of their four stages
+    quad = _quadratic_config(2)
+    for map_, p in ((quartic, fig3_params), (quad.map, quad.params)):
+        for build, products in ((u.es_closed_loop, 4), (u.transformed_closed_loop, 4), (u.averaged_closed_loop, 0)):
+            body = build(p, map_).rk4_loop[1]
+            tree = ast.parse("def run():\n" + textwrap.indent(body, "    "))
+            calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            assert calls - _LOOP_CALLS == set(), build.__name__
+            assert body.count("pe = ph_") == products, build.__name__
 
 
 def test_infinite_phase_diverges_cleanly(quartic, fig3_params):

@@ -182,6 +182,7 @@ def test_declared_optimum_must_be_critical():
         ({"q": float("inf")}, "map.q must be positive, got inf"),
         ({"theta_star": float("inf")}, "map.theta_star must be finite, got inf"),
         ({"theta_star": float("nan")}, "map.theta_star must be finite, got nan"),
+        ({"q": [], "theta_star": []}, "map.q and map.theta_star must list at least one value, got none"),
     ],
 )
 def test_quadratic_refuses_non_finite_parameters(kwargs, refusal):

@@ -17,7 +17,6 @@ from ueslab import cli, svgplot
 from ueslab.analysis import _window_span
 from ueslab.averaging import _trial_starts
 from ueslab.config import config_from_text
-from ueslab.controllers import phase_error
 from ueslab.errors import IntegrationDiverged
 from ueslab.sim import FORMAT_BLOCK, rk4_loop, step_count
 
@@ -533,7 +532,7 @@ def _numpy_deployed_loop(p, cost):
         f = p.schedule.factors(t)
         err = cost(x[:n]) - x[n]
         out = np.empty_like(x)
-        out[:n] = f.nu * amp * np.cos(omegas * t + phase_error(f, err) * k)
+        out[:n] = f.nu * amp * np.cos(omegas * t + f.phi * err * k)
         out[n] = p.omega_h * err
         return out
 
@@ -601,7 +600,7 @@ def _numpy_transformed_loop(p, map_):
     def rhs(x, t):
         f = p.schedule.factors(t)
         out, err = _numpy_transformed_drift(p, map_, x, f)
-        out[:n] += amp * np.cos(omegas * t + phase_error(f, err) * k)
+        out[:n] += amp * np.cos(omegas * t + f.phi * err * k)
         return out
 
     return rhs
@@ -861,7 +860,7 @@ def test_fused_step_equals_call_path_on_edge_branches(quartic, fig3_params):
     # err == 0 exactly at the first stage: theta = theta*, eta = J(theta*)
     for rhs, x0, dt in ((fig3, (2.0, 1.0), dt3), (quad, (0.5, -0.25, 0.0), dtq)):
         assert isinstance(_assert_fused_equals_called(rhs, x0, 0.0, 2.0, dt, len(x0) - 1), u.Trajectory)
-    # tiny errors, which take the log domain
+    # tiny errors
     for eta in (-1e-300, 5e-324, -2.2e-308):
         assert isinstance(_assert_fused_equals_called(quad, (0.5, -0.25, eta), 0.0, 0.5, dtq, 2), u.Trajectory)
     # phi = e^(2 t) leaves double range at t = 354.89, where phi * err with err near 1e-250 is still
@@ -880,14 +879,15 @@ def test_fused_step_equals_call_path_on_edge_branches(quartic, fig3_params):
     assert isinstance(out, ValueError) and "precedes schedule start" in str(out)
 
 
-def test_deployed_rhs_takes_phase_error_rule_on_edge_branches():
-    # the stage text's phase against phase_error, through the numpy reference: zero and tiny errors, and a
-    # tiny error while phi is past double range, where only the log domain is taken
+def test_deployed_rhs_takes_phi_times_error_on_edge_branches():
+    # the stage text's phase against f.phi * err, through the numpy reference: zero and tiny errors in
+    # phi's range, and past it, where every error meets the range test's OverflowError
     m, p, rhs = _quadratic_loop(1.0)
     reference = _numpy_deployed_loop(p, lambda th: (np.array([1.0, 2.0]) * (th - [0.5, -0.25]) ** 2).sum())
-    for t in (0.3, 400.0):
-        for eta in (0.0, -0.0, -1e-300, 1e-300, 5e-324):
-            x = (0.5, -0.25, eta)
-            assert np.array(rhs(x, t)).tobytes() == reference(np.array(x), t).tobytes()
+    for eta in (0.0, -0.0, -1e-300, 1e-300, 5e-324):
+        x = (0.5, -0.25, eta)
+        assert np.array(rhs(x, 0.3)).tobytes() == reference(np.array(x), 0.3).tobytes()
+        with pytest.raises(OverflowError, match="phi exceeds double range"):
+            rhs(x, 400.0)
     with pytest.raises(OverflowError, match="phi exceeds double range"):
         rhs((1.0, 0.0, 0.0), 400.0)
