@@ -141,14 +141,15 @@ def fit_power_rate(traj: Trajectory, theta_star, beta: float, t0: float, window)
         raise ValueError(f"beta = {beta:g} is too small for a power-law fit over ({window[0]:g}, {window[1]:g}): "
                          f"log(1 + beta (t - t0)) grows by {growth:.4g} across its samples, under {MIN_FIT_LOG_GROWTH:g}")
     slope, rms = _log_fit([math.log1p(beta * (t - t0)) for t in t_pk], list(map(math.log, d_pk)))
-    return RateFit(POWER_LAW, -slope, rms, (float(window[0]), float(window[1])))
+    # 0.0 - slope, here and below, so that a flat envelope fits +0, not -0
+    return RateFit(POWER_LAW, 0.0 - slope, rms, (float(window[0]), float(window[1])))
 
 
 def fit_exp_rate(traj: Trajectory, theta_star, window) -> RateFit:
     """Rate of |theta - theta*| ~ exp(-estimate * t) on the peak envelope."""
     t_pk, d_pk = _envelope(traj, theta_star, window)
     slope, rms = _log_fit(t_pk, list(map(math.log, d_pk)))
-    return RateFit(EXPONENTIAL_DECAY, -slope, rms, (float(window[0]), float(window[1])))
+    return RateFit(EXPONENTIAL_DECAY, 0.0 - slope, rms, (float(window[0]), float(window[1])))
 
 
 def fit_averaging_order(omegas: Sequence[float], gaps: Sequence[float]) -> Optional[float]:
@@ -161,7 +162,7 @@ def fit_averaging_order(omegas: Sequence[float], gaps: Sequence[float]) -> Optio
     if len(gaps) < 2 or not all(math.isfinite(g) and g > 0.0 for g in gaps):
         return None
     slope, _ = _log_fit([math.log(w) for w in omegas], list(map(math.log, gaps)))
-    return -slope
+    return 0.0 - slope  # a flat fit reads +0, not -0
 
 
 def fit_report_csv(fits: Sequence[RateFit]) -> str:

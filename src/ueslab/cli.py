@@ -7,8 +7,8 @@ Verbs:
     lemma-check ...   compare the comparison-ODE closed form against RK4
 
 Configs are file paths or bundled names (see ueslab/configs/).  The env var
-UESLAB_OUT overrides the output directory.  The trajectory CSV and the SVG are
-written piece by piece to <file>.part, which replaces <file> once complete.
+UESLAB_OUT overrides the output directory.  Every artifact (the trajectory CSV,
+fits.csv, the SVG and probe.csv) is written to <file>.part, which replaces <file> once complete.
 Exit codes: 0 ok, 2 config error (also an output directory or artifact that cannot be written), 3 numeric
 failure (for sweep, also a probe in which every trial diverged) or a probe worker that died.  A verb
 refuses an input by raising: each number is checked once, by the object that owns it (a config key at
@@ -70,21 +70,10 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _unwritable(path: Path, e: OSError) -> ConfigError:
-    return ConfigError(f"artifact '{path}' cannot be written ({type(e).__name__}: {e})")
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as e:
-        raise _unwritable(path, e) from e
-
-
 def _write_streamed(path: Path, blocks: Iterable[str]) -> None:
     """Write the text blocks to a sibling ``<file>.part`` and move it onto path once complete, so an interrupted
     write leaves no truncated file under path, and an earlier one there as it was.  The cleanup of the part
-    never replaces the error that stopped the write."""
+    never replaces the error that stopped the write; an OSError becomes the ConfigError naming the artifact."""
     part = path.with_name(path.name + ".part")
     try:
         with part.open("w", encoding="utf-8") as f:
@@ -94,13 +83,13 @@ def _write_streamed(path: Path, blocks: Iterable[str]) -> None:
         with contextlib.suppress(OSError):
             part.unlink(missing_ok=True)
         if isinstance(e, OSError):
-            raise _unwritable(path, e) from e
+            raise ConfigError(f"artifact '{path}' cannot be written ({type(e).__name__}: {e})") from e
         raise
 
 
 def _write_run_artifacts(cfg: ExperimentConfig, out: Path, traj: Trajectory, fits) -> None:
     _write_streamed(out / f"{cfg.name}.trajectory.csv", traj.csv_blocks())
-    _write_text(out / f"{cfg.name}.fits.csv", fit_report_csv(fits))
+    _write_streamed(out / f"{cfg.name}.fits.csv", [fit_report_csv(fits)])
     series = [(traj.times, traj.column(i), f"theta_{i + 1}") for i in range(traj.n)] + [(traj.times, traj.y, "y")]
     _write_streamed(out / f"{cfg.name}.svg", line_plot_blocks(series, cfg.name))
 
@@ -181,7 +170,7 @@ def cmd_sweep(args) -> int:
                           "probe.epsilon, probe.delta, probe.horizon, probe.trials")
     out = _out_dir(cfg)
     rows = practical_stability_probe(cfg.params, cfg.map, cfg.probe)
-    _write_text(out / f"{cfg.name}.probe.csv", probe_rows_csv(rows))
+    _write_streamed(out / f"{cfg.name}.probe.csv", [probe_rows_csv(rows)])
     worst = {}
     for row in rows:
         worst[row.omega] = max(worst.get(row.omega, 0.0), row.sup_gap)

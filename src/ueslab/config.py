@@ -256,7 +256,7 @@ def _experiment(r: _Reader, name: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")  # an editor's byte-order mark
     except OSError as e:
         raise ConfigError(f"cannot read config '{path}': {e.strerror or e}") from None
     except UnicodeDecodeError as e:

@@ -163,7 +163,8 @@ def _check_loop_map(p: EsParams, map: CostMap) -> None:
         raise AssemblyError(f"map '{map.name}' has dimension {map.dim}, the controller has {p.n} channels")
 
 
-# phi's range test, before every product with phi: past double range Factors.phi raises, whatever phi multiplies
+# phi's range test, first in every stage after its binds: past double range Factors.phi raises its named error,
+# whatever phi multiplies, before any other operation of the stage can overflow
 _PHI_RAISES = "if lp_{f} > LOG_MAX:\n    factors({t}).phi  # raises OverflowError\n"
 
 
@@ -171,14 +172,13 @@ def _dithered(n: int, t: str, f: str, k: str, drift: str) -> str:
     """Text setting k_0..k_{n-1} to drift (with {i} for the channel) plus the dither, its phase pe = phi err."""
     rates = "".join(f"    {k}_{i} = {drift.format(i=i)}amp_{i} * cos(w_{i} * {t} + pe * k_{i})\n" for i in range(n))
     nans = "".join(f"    {k}_{i} = nan\n" for i in range(n))
-    phase = _PHI_RAISES.format(t=t, f=f) + f"pe = ph_{f} * err\n"
-    return phase + f"try:\n{rates}except ValueError:  # cos(+-inf): the phase left double range\n{nans}"
+    return f"pe = ph_{f} * err\ntry:\n{rates}except ValueError:  # cos(+-inf): the phase left double range\n{nans}"
 
 
 def _deployed_stage(n: int, value: str, inputs, t: str, f: str, k: str) -> str:
     """The deployed loop's rates at one state, as text: k_0..k_n at the state of the n + 1 expressions
     inputs, the time named t and the schedule's factors suffixed f; value is J's text, {i} for coordinate i."""
-    bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs))
+    bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs)) + _PHI_RAISES.format(t=t, f=f)
     err = f"err = ({value.format(*[f's_{i}' for i in range(n)])}) - s_{n}\n"
     return bind + err + _dithered(n, t, f, k, f"nu_{f} * ") + f"{k}_{n} = omega_h * err\n"
 
@@ -191,10 +191,10 @@ def _frame_stage(n: int, centered: str, grad: Optional[str], inputs, t: str, f: 
     xi2k = xi^(2 kappa) and jf = J(theta* + nu theta_f) - J(theta*), the text centered.  With grad None,
     the transformed loop adds the dither, its phase that of err = jf - eta_f / xi2k by the deployed
     stage's rule.  Otherwise the averaged loop subtracts the bracket term (1/2) k_i alpha_i phi
-    dJ/dtheta_i (theta* + theta_f / xi) / xi, grad the text of dJ/dtheta as one tuple.  The raising
-    operations keep their order: xi2k, centered, then phi's range, xi and grad.
+    dJ/dtheta_i (theta* + theta_f / xi) / xi, grad the text of dJ/dtheta as one tuple.  What can raise
+    comes in this order: phi's range test, xi2k, centered, xi and grad.
     """
-    bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs))
+    bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs)) + _PHI_RAISES.format(t=t, f=f)
     jf = "".join(f"c_{i} = opt_{i} + s_{i} * nu_{f}\n" for i in range(n)) + f"jf = {centered.format(*[f'c_{i}' for i in range(n)])}\n"
     text = bind + f"xi2k = exp(kappa2 * lx_{f})\n" + jf
     if grad is None:
@@ -203,7 +203,7 @@ def _frame_stage(n: int, centered: str, grad: Optional[str], inputs, t: str, f: 
         at = "".join(f"d_{i} = opt_{i} + s_{i} / xi\n" for i in range(n))
         grads = "(" + "".join(f"gr_{i}, " for i in range(n)) + f") = {grad.format(*[f'd_{i}' for i in range(n)])}\n"
         rates = "".join(f"{k}_{i} = g_{f} * s_{i} - ka_{i} * ph_{f} * (gr_{i} / xi)\n" for i in range(n))
-        text += _PHI_RAISES.format(t=t, f=f) + f"xi = exp(lx_{f})\n" + at + grads + rates
+        text += f"xi = exp(lx_{f})\n" + at + grads + rates
     return text + f"{k}_{n} = (kappa2 * g_{f} - omega_h) * s_{n} + omega_h * xi2k * jf\n"
 
 

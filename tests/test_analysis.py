@@ -35,9 +35,20 @@ def test_power_fit_oscillating_signal():
 
 
 def test_power_fit_constant_signal():
+    # a flat envelope fits +0: minus a zero slope once gave -0, printed and written as "-0"
     fit = u.fit_power_rate(_traj(np.full_like(T, 5.0)), [4.0], 0.1, 0.0, (0.0, 100.0))
-    assert fit.estimate == pytest.approx(0.0, abs=1e-12)
+    assert fit.estimate == pytest.approx(0.0, abs=1e-12) and math.copysign(1.0, fit.estimate) == 1.0
     assert fit.residual == pytest.approx(0.0, abs=1e-12)
+
+
+def test_exp_fit_constant_signal():
+    fit = u.fit_exp_rate(_traj(np.full_like(T, 5.0)), [4.0], (0.0, 100.0))
+    assert fit.estimate == 0.0 and math.copysign(1.0, fit.estimate) == 1.0
+
+
+def test_averaging_order_of_equal_gaps():
+    order = u.fit_averaging_order([10.0, 50.0, 250.0], [0.1, 0.1, 0.1])
+    assert order == 0.0 and math.copysign(1.0, order) == 1.0
 
 
 @pytest.mark.parametrize("beta", [1e-200, 1e-160, 1e-7])

@@ -346,6 +346,27 @@ def test_directory_does_not_shadow_a_bundled_config(tmp_path, monkeypatch, capsy
     assert "'not_a_config'" in capsys.readouterr().err
 
 
+def test_config_file_with_a_byte_order_mark_loads_alike(tmp_path):
+    # an editor's UTF-8 byte-order mark once became part of the first line: a comment there was refused as
+    # malformed, a first key '\ufeffmap.name' as a missing map.name; a byte that is not UTF-8 is still
+    # reported at its offset in the file, the mark counted
+    text = resources.files("ueslab").joinpath("configs", "omega_sweep.conf").read_text(encoding="utf-8")
+    plain, marked = tmp_path / "plain" / "omega_sweep.conf", tmp_path / "marked" / "omega_sweep.conf"
+    for path, prefix in ((plain, ""), (marked, "\ufeff")):
+        path.parent.mkdir()
+        path.write_text(prefix + text, encoding="utf-8")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+
+    def values(cfg):
+        own = [getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name not in ("map", "params")]
+        return own + [cfg.map.name, cfg.map.optimum] + [getattr(cfg.params, f.name) for f in dataclasses.fields(cfg.params)]
+
+    assert values(u.load_config(marked)) == values(u.load_config(plain))
+    marked.write_bytes(b"\xef\xbb\xbf# caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"not UTF-8 text \(invalid continuation byte at byte 8\)$"):
+        u.load_config(marked)
+
+
 def test_cli_run_writes_artifacts(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_ASYMPTOTIC)
@@ -547,24 +568,25 @@ def test_cli_unusable_out_dir_exits_2(tmp_path, monkeypatch, capfd, verb, text, 
 
 @pytest.mark.parametrize("verb, config, blocked", [
     ("run", "fig2_nominal_a", "fig2_nominal_a.trajectory.csv.part"),
+    ("run", "fig2_nominal_a", "fig2_nominal_a.fits.csv.part"),
     ("run", "fig2_nominal_a", "fig2_nominal_a.svg"),
     ("sweep", "omega_sweep", "omega_sweep.probe.csv"),
+    ("sweep", "omega_sweep", "omega_sweep.probe.csv.part"),
 ])
 def test_cli_unwritable_artifact_exits_2(tmp_path, monkeypatch, capfd, verb, config, blocked):
     # a directory where an artifact or its part goes: a config error naming the artifact, one line and no
-    # traceback, an earlier trajectory keeps its bytes and no part is left behind
+    # traceback, an earlier file of that artifact keeps its bytes and no part is left behind
     monkeypatch.setenv("UESLAB_OUT", str(tmp_path))
     (tmp_path / blocked).mkdir()
-    earlier = tmp_path / f"{config}.trajectory.csv"
-    if blocked.endswith(".part"):
-        earlier.write_text("earlier\n")
-    assert cli.main([verb, config]) == 2
     artifact = tmp_path / blocked.removesuffix(".part")
+    if blocked.endswith(".part"):
+        artifact.write_text("earlier\n")
+    assert cli.main([verb, config]) == 2
     err = capfd.readouterr().err
     assert err.startswith(f"config error: artifact '{artifact}' cannot be written (IsADirectoryError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     if blocked.endswith(".part"):
-        assert earlier.read_text() == "earlier\n"
+        assert artifact.read_text() == "earlier\n"
     assert [path.name for path in tmp_path.iterdir() if path.name.endswith(".part") and path.is_file()] == []
 
 

@@ -178,9 +178,10 @@ def test_phase_past_phi_range_raises_whatever_the_error():
         with pytest.raises(OverflowError, match="phi exceeds double range"):
             deployed((0.5, -0.25, eta), 400.0)
     assert "phi exceeds double range" in str(_diverges_from(deployed, (0.5, -0.25, 0.0), 400.0))
-    # the frame loops compute xi^(2 kappa) first, which for kappa = 1 under this schedule is phi itself
+    # the frame loops test phi's range first too, before xi^(2 kappa), which for kappa = 1 under this schedule
+    # is phi itself
     for frame in (u.transformed_closed_loop(p, m), u.averaged_closed_loop(p, m)):
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="phi exceeds double range"):
             frame((0.0, 0.0, 0.0), 400.0)
         _diverges_from(frame, (0.0, 0.0, 0.0), 400.0)
     # phi grows past xi^(2 kappa) only where r > 2 kappa, which assemble refuses: built directly, phi = s^8
