@@ -163,11 +163,6 @@ def _check_loop_map(p: EsParams, map: CostMap) -> None:
         raise AssemblyError(f"map '{map.name}' has dimension {map.dim}, the controller has {p.n} channels")
 
 
-# phi's range test, first in every stage after its binds: past double range Factors.phi raises its named error,
-# whatever phi multiplies, before any other operation of the stage can overflow
-_PHI_RAISES = "if lp_{f} > LOG_MAX:\n    factors({t}).phi  # raises OverflowError\n"
-
-
 def _dithered(n: int, t: str, f: str, k: str, drift: str) -> str:
     """Text setting k_0..k_{n-1} to drift (with {i} for the channel) plus the dither, its phase pe = phi err."""
     rates = "".join(f"    {k}_{i} = {drift.format(i=i)}amp_{i} * cos(w_{i} * {t} + pe * k_{i})\n" for i in range(n))
@@ -178,7 +173,7 @@ def _dithered(n: int, t: str, f: str, k: str, drift: str) -> str:
 def _deployed_stage(n: int, value: str, inputs, t: str, f: str, k: str) -> str:
     """The deployed loop's rates at one state, as text: k_0..k_n at the state of the n + 1 expressions
     inputs, the time named t and the schedule's factors suffixed f; value is J's text, {i} for coordinate i."""
-    bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs)) + _PHI_RAISES.format(t=t, f=f)
+    bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs))
     err = f"err = ({value.format(*[f's_{i}' for i in range(n)])}) - s_{n}\n"
     return bind + err + _dithered(n, t, f, k, f"nu_{f} * ") + f"{k}_{n} = omega_h * err\n"
 
@@ -191,12 +186,12 @@ def _frame_stage(n: int, centered: str, grad: Optional[str], inputs, t: str, f: 
     xi2k = xi^(2 kappa) and jf = J(theta* + nu theta_f) - J(theta*), the text centered.  With grad None,
     the transformed loop adds the dither, its phase that of err = jf - eta_f / xi2k by the deployed
     stage's rule.  Otherwise the averaged loop subtracts the bracket term (1/2) k_i alpha_i phi
-    dJ/dtheta_i (theta* + theta_f / xi) / xi, grad the text of dJ/dtheta as one tuple.  What can raise
-    comes in this order: phi's range test, xi2k, centered, xi and grad.
+    dJ/dtheta_i (theta* + theta_f / xi) / xi, grad the text of dJ/dtheta as one tuple.  Phi's range is
+    tested by the factor text, once per step time, before any stage reads phi; in the stage what can raise
+    comes in this order: xi2k, centered, xi and grad.
     """
-    bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs)) + _PHI_RAISES.format(t=t, f=f)
     jf = "".join(f"c_{i} = opt_{i} + s_{i} * nu_{f}\n" for i in range(n)) + f"jf = {centered.format(*[f'c_{i}' for i in range(n)])}\n"
-    text = bind + f"xi2k = exp(kappa2 * lx_{f})\n" + jf
+    text = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs)) + f"xi2k = exp(kappa2 * lx_{f})\n" + jf
     if grad is None:
         text += f"err = jf - s_{n} / xi2k\n" + _dithered(n, t, f, k, f"g_{f} * s_{{i}} + ")
     else:

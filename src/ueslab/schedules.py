@@ -10,8 +10,8 @@ All evaluations go through the log domain so phi stays accurate and overflow
 surfaces as an explicit error instead of inf.  The closed forms are text:
 ``Schedule.factor_text`` sets nu, log phi and phi at one time, reading
 ``text_names``, and ``Schedule.frame_text`` adds log xi and the growth drift
-g.  The loops write these texts into their generated code, and
-``Schedule.factors`` is the function compiled from the frame text.
+g.  The loops write these texts into their generated code, the factor text the
+one place that tests phi's range; ``Schedule.factors`` compiles them without phi.
 """
 
 from __future__ import annotations
@@ -37,16 +37,16 @@ PARAMETERS = {
     EXPONENTIAL: (("lam", "schedule.lambda", True),),
 }
 
-# nu_{f}, lp_{f} and ph_{f} (nu, log phi, phi) at time {t}, ph_{f} by the operation of Factors.phi; r_v = r / v
-# and lam2 = 2.0 * lam round as the products they stand for.  Past double range phi reads inf: text that needs
-# it tests lp_{f} > LOG_MAX and raises through factors(t).phi.
+# nu_{f} and lp_{f} (nu and log phi) at time {t}, nominal's ph_{f} = phi too; r_v = r / v and lam2 = 2.0 * lam
+# round as the products they stand for
 _START_TEXT = 'if {t} < t0:\n    raise ValueError(f"t = {{{t}}} precedes schedule start t0 = {{t0}}")\n'
-_PHI_TEXT = "ph_{f} = inf if lp_{f} > LOG_MAX else exp(lp_{f})\n"
 _FACTOR_TEXT = {
     NOMINAL: _START_TEXT + "nu_{f}, lp_{f}, ph_{f} = 1.0, 0.0, 1.0\n",
-    ASYMPTOTIC: _START_TEXT + "l1p = log1p(beta * ({t} - t0))\nnu_{f} = exp(-(l1p / v))\nlp_{f} = r_v * l1p\n" + _PHI_TEXT,
-    EXPONENTIAL: _START_TEXT + "tau = {t} - t0\nnu_{f} = exp(-(lam * tau))\nlp_{f} = lam2 * tau\n" + _PHI_TEXT,
+    ASYMPTOTIC: _START_TEXT + "l1p = log1p(beta * ({t} - t0))\nnu_{f} = exp(-(l1p / v))\nlp_{f} = r_v * l1p\n",
+    EXPONENTIAL: _START_TEXT + "tau = {t} - t0\nnu_{f} = exp(-(lam * tau))\nlp_{f} = lam2 * tau\n",
 }
+# a growing kind's ph_{f}, as Factors.phi computes it, raising phi's named error past double range before a stage reads it
+_PHI_TEXT = "if lp_{f} > LOG_MAX:\n    factors({t}).phi  # raises OverflowError\nph_{f} = exp(lp_{f})\n"
 # lx_{f} and g_{f} (log xi and g) at time {t}, after the factor text of that time
 _DRIFT_TEXT = {
     NOMINAL: "lx_{f} = g_{f} = 0.0\n",
@@ -91,9 +91,10 @@ class Schedule:
 
     @functools.cached_property
     def factors(self) -> Callable[[float], "Factors"]:
-        """``factors(t)``, every time-only factor of one right-hand-side evaluation at t, compiled from
-        ``frame_text`` once per schedule: log xi, log phi, nu and the growth drift g = d(log xi)/dt."""
-        body = self.frame_text("t", "0")[0] + "return Factors(kind, t, lx_0, lp_0, nu_0, g_0)\n"
+        """``factors(t)``, every time-only factor of one right-hand-side evaluation at t, compiled from the kind's
+        factor and drift texts once per schedule: log xi, log phi, nu and g = d(log xi)/dt, phi left to ``Factors``."""
+        body = (_FACTOR_TEXT[self.kind] + _DRIFT_TEXT[self.kind]).format(t="t", f="0")
+        body += "return Factors(kind, t, lx_0, lp_0, nu_0, g_0)\n"
         return generated("factors(t)", body, dict(self.text_names(), Factors=Factors, kind=self.kind),
                          f"<{self.kind} schedule factors>")
 
@@ -101,8 +102,10 @@ class Schedule:
         return {name: value for name, value in vars(self).items() if name != "factors"}
 
     def factor_text(self, t: str, f: str) -> Tuple[str, Tuple[str, ...]]:
-        """Text that sets nu, log phi and phi at the time named t, reading ``text_names``, and the names it sets."""
-        return _FACTOR_TEXT[self.kind].format(t=t, f=f), (f"nu_{f}", f"lp_{f}", f"ph_{f}")
+        """Text that sets nu, log phi and phi at the time named t, reading ``text_names`` and ``factors``, and the names it
+        sets; past phi's range it raises ``Factors.phi``'s OverflowError, a nominal text never."""
+        text = _FACTOR_TEXT[self.kind] + ("" if self.kind == NOMINAL else _PHI_TEXT)
+        return text.format(t=t, f=f), (f"nu_{f}", f"lp_{f}", f"ph_{f}")
 
     def frame_text(self, t: str, f: str) -> Tuple[str, Tuple[str, ...]]:
         """``factor_text`` followed by log xi and the growth drift g at the same time, and the names it sets."""
@@ -110,8 +113,8 @@ class Schedule:
         return text + _DRIFT_TEXT[self.kind].format(t=t, f=f), names + (f"lx_{f}", f"g_{f}")
 
     def text_names(self) -> dict:
-        """The names ``factor_text`` reads: this schedule's numbers and the functions its text calls."""
-        names = dict(t0=self.t0, exp=math.exp, log1p=math.log1p, inf=math.inf, LOG_MAX=_LOG_MAX)
+        """The names ``factor_text`` reads, ``factors`` aside: this schedule's numbers and the functions its text calls."""
+        names = dict(t0=self.t0, exp=math.exp, log1p=math.log1p, LOG_MAX=_LOG_MAX)
         if self.kind == ASYMPTOTIC:
             names.update(beta=self.beta, v=self.v, r_v=self.r / self.v)
         elif self.kind == EXPONENTIAL:

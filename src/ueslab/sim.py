@@ -169,7 +169,8 @@ def rk4_text(shape: tuple, stage: Optional[Callable] = None, factors: Optional[C
     ``stage(inputs, t, f, k)`` is text setting k_0..k_{d-1} to the rates at the state of the d expressions
     inputs and time t; the default calls rhs.  ``factors(t, f)`` gives the text setting the time-only values
     the stages read, suffixed f, and their names: set at t_start, then per step at t + h/2 and at t_next,
-    whose values become plain locals that the next step reads as its t values.
+    whose values become plain locals that the next step reads as its t values.  One ``try`` holds the start's
+    factor text and every step, so an error the factor text raises at t_start ends the step from t_start.
     """
     d = shape[0] if shape else 1
     pack = lambda names: "(" + "".join(f"{name}, " for name in names) + ")"
@@ -185,18 +186,18 @@ def rk4_text(shape: tuple, stage: Optional[Callable] = None, factors: Optional[C
             f"h6 = h / 6.0\n{pack(xs)} = ({update})\n", f"{pack(at_t)} = {pack(at_next)}\n" if at_t else ""]
     return f"""{row(xs)} = x
 t = t_start
-{now}for step in range(1, steps + 1):
-    t_next = t_end if step == steps else t_start + step * dt
-    h = t_next - t
-    try:
-{textwrap.indent("".join(step), "        ")}    except (OverflowError, FloatingPointError) as e:
-        return f"right-hand side failed in the step from t = {{t:g}}: {{e}}", e
-    t = t_next
-    if not ({" and ".join(f"isfinite({x})" for x in xs)}):
-        return f"state became non-finite at t = {{t:g}}", None
-    if step % every == 0 or step == steps:
-        times.append(t)
-        rows.extend({pack(xs)})
+try:
+{textwrap.indent(now, "    ")}    for step in range(1, steps + 1):
+        t_next = t_end if step == steps else t_start + step * dt
+        h = t_next - t
+{textwrap.indent("".join(step), "        ")}        t = t_next
+        if not ({" and ".join(f"isfinite({x})" for x in xs)}):
+            return f"state became non-finite at t = {{t:g}}", None
+        if step % every == 0 or step == steps:
+            times.append(t)
+            rows.extend({pack(xs)})
+except (OverflowError, FloatingPointError) as e:
+    return f"right-hand side failed in the step from t = {{t:g}}: {{e}}", e
 """
 
 

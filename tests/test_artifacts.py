@@ -5,7 +5,10 @@ computed on Python floats, without numpy: their bytes depend on libm and on Pyth
 mismatch on another platform is a finding to report.  Only the rendered reference below still goes through
 numpy's SIMD paths.  A change that moves bytes on purpose changes the reference here, in the same diff, and
 argues the change: exponential_ues.fits.csv's residual moved from 0.0089161492951842017 to
-0.0089161492951842034, one unit in the last place, when the fits' sums became math.fsum.
+0.0089161492951842034, one unit in the last place, when the fits' sums became math.fsum.  fig2_nominal_b's
+trajectory CSV and plot moved when its step became a quarter of the bundled one, recorded on the same grid:
+at the bundled step its phase turned up to 5.64 rad per step and the run was no solution of its ODE.  The
+largest change was theta 2.944 at t = 21.74, eta 101.9 and y 104.9 near t = 20.6.
 
 On a mismatch the test names the file, its first differing line and the largest difference in any number,
 against a reference text: the fits and probe CSVs are kept here whole, and a run's trajectory and plot are
@@ -17,6 +20,7 @@ import hashlib
 import math
 import re
 
+import numpy as np
 from conftest import arrays
 from test_sim import _numpy_deployed_loop, _numpy_rk4
 
@@ -30,9 +34,9 @@ SHA256 = {
     "fig2_nominal_a.trajectory.csv": "2415d27d89a7536652baf59b227e523cba881e2da7cabe3881bf47378d2b9dcd",
     "fig2_nominal_a.fits.csv": "f319c3ecff2a3982ef5490a0b8c0400dde0e0791a66f122736253243ba4b6424",
     "fig2_nominal_a.svg": "18b4208d9a20a41efe5d05c3f8b56cd05af9d6d5b42782abfa7ad27e422529db",
-    "fig2_nominal_b.trajectory.csv": "ba1575affb7622b3b01f82d37269f0ac04c1e104f7a7499648c5cefd50a192c6",
+    "fig2_nominal_b.trajectory.csv": "91cb157eb3ccb8dd731d99bafe5465864df054e20344450a7c7fd8a94b1dbb45",
     "fig2_nominal_b.fits.csv": "f319c3ecff2a3982ef5490a0b8c0400dde0e0791a66f122736253243ba4b6424",
-    "fig2_nominal_b.svg": "8a0701379540903463074574fa8ff15b7f9e5ffef6ea28ad47326c3dfa7d8725",
+    "fig2_nominal_b.svg": "3a266d2953be9ac717a5a23bcb1364b83348e394d96bccbd9e2b8932804494d7",
     "fig3_asymptotic_ues.trajectory.csv": "8d6b17d81d9eca088b6cec03525fd85c712842fdd82a8a99b44947762bea164d",
     "fig3_asymptotic_ues.fits.csv": "3830a6a8bc54b7508b09642fb2646dc9ee172a14625b643fc6625ab63f56200f",
     "fig3_asymptotic_ues.svg": "9b9cd19ae8049bee8d09c194313fc7c9f1285588d60bf8efc35736408e7a8e4f",
@@ -71,11 +75,14 @@ def _sha256(text: str) -> str:
 
 
 def _rendered(name: str) -> dict:
-    """The trajectory CSV and the plot of bundled run `name`, rendered from the numpy reference loop."""
+    """The trajectory CSV and the plot of bundled run `name`, rendered from the numpy reference loop and kept, as
+    ``integrate`` records, at every ``record_every``-th step and the end."""
     cfg = cli.resolve_config(name)
     t0 = cfg.params.schedule.t0
     x0 = (*cfg.theta0.tolist(), cfg.eta0)
     times, states = _numpy_rk4(_numpy_deployed_loop(cfg.params, COSTS[name]), x0, t0, t0 + cfg.horizon, cfg.dt)
+    kept = np.r_[0 : len(times) - 1 : cfg.record_every, len(times) - 1]
+    times, states = times[kept], states[kept]
     traj = u.Trajectory(times, states.ravel(), cfg.params.n)
     theta = arrays(traj).theta
     traj = dataclasses.replace(traj, y=[float(COSTS[name](th)) for th in theta])
@@ -124,9 +131,11 @@ def test_bundled_artifacts_match_their_reference_bytes(tmp_path, monkeypatch, ca
 
 
 def test_rendered_reference_gives_the_pinned_bytes():
-    # the diagnosis's reference path for a run's trajectory and plot, checked on the shortest run
-    for name, text in _rendered("fig3_asymptotic_ues").items():
-        assert _sha256(text) == SHA256[name], name
+    # the diagnosis's reference path for a run's trajectory and plot, checked on the shortest run and on the run
+    # recorded every fourth step
+    for run in ("fig3_asymptotic_ues", "fig2_nominal_b"):
+        for name, text in _rendered(run).items():
+            assert _sha256(text) == SHA256[name], name
 
 
 def test_diagnosis_names_line_and_largest_difference():

@@ -178,8 +178,8 @@ def test_phase_past_phi_range_raises_whatever_the_error():
         with pytest.raises(OverflowError, match="phi exceeds double range"):
             deployed((0.5, -0.25, eta), 400.0)
     assert "phi exceeds double range" in str(_diverges_from(deployed, (0.5, -0.25, 0.0), 400.0))
-    # the frame loops test phi's range first too, before xi^(2 kappa), which for kappa = 1 under this schedule
-    # is phi itself
+    # the frame loops raise it too, from the factor text, before the stage's xi^(2 kappa), which for kappa = 1
+    # under this schedule is phi itself
     for frame in (u.transformed_closed_loop(p, m), u.averaged_closed_loop(p, m)):
         with pytest.raises(OverflowError, match="phi exceeds double range"):
             frame((0.0, 0.0, 0.0), 400.0)
@@ -200,8 +200,10 @@ _LOOP_CALLS = {"ValueError", "exp", "log1p", "factors", "cos", "range", "isfinit
 
 
 def test_generated_loops_take_phi_times_error_in_every_stage(quartic, fig3_params):
-    # the phase is one product after phi's range test: no RK4 body calls more than _LOOP_CALLS (no abs or log
-    # of the error), and the deployed and transformed bodies take pe = phi * err once in each of their four stages
+    # the phase is one product: no RK4 body calls more than _LOOP_CALLS (no abs or log of the error), and the
+    # deployed and transformed bodies take pe = phi * err once in each of their four stages.  Phi's range is
+    # tested where the schedule's factor text computes phi, at t + h/2 and t_next in each step, never in a stage,
+    # and a nominal phi is never tested
     quad = _quadratic_config(2)
     for map_, p in ((quartic, fig3_params), (quad.map, quad.params)):
         for build, products in ((u.es_closed_loop, 4), (u.transformed_closed_loop, 4), (u.averaged_closed_loop, 0)):
@@ -210,6 +212,11 @@ def test_generated_loops_take_phi_times_error_in_every_stage(quartic, fig3_param
             calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
             assert calls - _LOOP_CALLS == set(), build.__name__
             assert body.count("pe = ph_") == products, build.__name__
+            step_loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
+            assert ast.unparse(step_loop).count("LOG_MAX") == 2, build.__name__
+    nominal = u.assemble(quartic, u.Schedule("nominal"), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0)
+    for build in (u.es_closed_loop, u.averaged_closed_loop):
+        assert "LOG_MAX" not in build(nominal, quartic).rk4_loop[1], build.__name__
 
 
 def test_infinite_phase_diverges_cleanly(quartic, fig3_params):

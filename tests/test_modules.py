@@ -80,3 +80,14 @@ def test_map_config_keys_live_in_the_maps_table_alone():
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and node.value.startswith("map.") and not node.value.startswith("map.name")]
     assert found == []
+
+
+def test_phi_range_rule_lives_in_schedules_alone():
+    # the schedule's factor text tests phi's range where it computes phi; no other module's text reads LOG_MAX
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "schedules.py":
+            continue
+        found += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and "LOG_MAX" in node.value]
+    assert found == []

@@ -131,7 +131,7 @@ def test_amplitude_decays_gain_grows(s, t1, t2):
 
 
 def _python_factors(s, t):
-    """Schedule.factors as per-kind Python, the reference its compiled frame text must equal bit for bit."""
+    """Schedule.factors as per-kind Python, the reference its compiled factor and drift texts must equal bit for bit."""
     if t < s.t0:
         raise ValueError(f"t = {t} precedes schedule start t0 = {s.t0}")
     tau = t - s.t0
