@@ -193,7 +193,7 @@ def _hermite(times: array, values: Sequence[array], slopes: Sequence[array], t: 
 
 
 def _trial_starts(map: CostMap, cfg: ProbeConfig) -> List[tuple]:
-    """The probe's seeded starts x = (theta..., J(theta)), one tuple of n + 1 floats per trial,
+    """The probe's seeded starts x = (theta..., J(theta) - J*), one tuple of n + 1 floats per trial,
     with theta uniform in the delta-ball around theta*; a start whose cost leaves double range raises.
 
     Every number comes from the standard library's `random.Random(cfg.seed)`,
@@ -209,7 +209,7 @@ def _trial_starts(map: CostMap, cfg: ProbeConfig) -> List[tuple]:
         scale = cfg.delta * draw() ** (1.0 / n) / math.hypot(*direction)
         theta = [s + scale * d for s, d in zip(star, direction)]
         try:
-            cost = map(theta)
+            cost = map.centered_value(theta)
         except OverflowError:  # a float ** out of range
             cost = math.inf
         starts.append((*theta, cost))
@@ -362,8 +362,8 @@ def practical_stability_probe(p: EsParams, map: CostMap, cfg: ProbeConfig) -> Li
     dts = [dither_step_bound(full_rhs.dither_omega_max) for full_rhs in full_rhss]
     star, n, trials = map.optimum, map.dim, cfg.trials
     starts = _trial_starts(map, cfg)
-    # matched transformed starts: xi(t0) = 1, so theta_f = theta - theta* and eta_f = eta - J(theta*)
-    offset = (*star, map.optimal_value)
+    # matched transformed starts: xi(t0) = 1, so theta_f = theta - theta*, and eta_f = eta - J(theta*) is x0's own
+    offset = (*star, 0.0)
     avg_starts = [tuple(x - s for x, s in zip(x0, offset)) for x0 in starts]
     t0 = p.schedule.t0
     t1 = t0 + cfg.horizon

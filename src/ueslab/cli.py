@@ -95,8 +95,10 @@ def _write_run_artifacts(cfg: ExperimentConfig, out: Path, traj: Trajectory, fit
 
 
 def measured(traj: Trajectory, map_) -> Trajectory:
-    """traj, its y column set to the cost at each recorded theta: evaluated on Python floats into a flat
-    ``array('d')``, one recorded row at a time."""
+    """traj of the deployed loop, J* added back in place to the eta - J* it carries, its y column set to the cost at
+    each recorded theta: evaluated on Python floats into a flat ``array('d')``, one recorded row at a time."""
+    if map_.optimal_value:
+        traj.rows[traj.n :: traj.width] = array("d", map(float(map_.optimal_value).__add__, traj.column(traj.n)))
     traj.y = array("d", map(map_.eval, zip(*[traj.column(j) for j in range(traj.n)])))
     return traj
 
@@ -110,12 +112,12 @@ def cmd_run(args) -> int:
 
 
 def deployed_run(cfg: ExperimentConfig) -> Trajectory:
-    """cfg's deployed loop integrated from (theta0, eta0) at the schedule's t0 over cfg.horizon, with cfg.dt and
-    cfg.record_every, and measured: the trajectory with its y column.  A run that diverges raises
-    IntegrationDiverged, whose partial trajectory carries its y column too."""
+    """cfg's deployed loop integrated from (theta0, eta0 - J*) at the schedule's t0 over cfg.horizon, with cfg.dt
+    and cfg.record_every, and measured: the trajectory with its eta column and its y column.  A run that diverges
+    raises IntegrationDiverged, whose partial trajectory is measured too."""
     t0 = cfg.params.schedule.t0
     rhs = es_closed_loop(cfg.params, cfg.map)
-    x0 = (*cfg.theta0, cfg.eta0)
+    x0 = (*cfg.theta0, cfg.eta0 - cfg.map.optimal_value)
     try:
         return measured(integrate(rhs, x0, t0, t0 + cfg.horizon, cfg.dt, cfg.record_every, n=cfg.params.n), cfg.map)
     except IntegrationDiverged as e:

@@ -8,11 +8,12 @@ x = [theta_1..theta_n, eta]:
     eta_dot     = -omega_h eta + omega_h J(theta)
 
 with w_i = omega * omega_hat_i and the washout state eta tracking the DC
-component of the measured cost.  ``transformed_closed_loop`` is the same loop
-in the scaled error coordinates theta_f = xi(theta - theta*),
-eta_f = xi^(2 kappa) (eta - J(theta*)) used by the stability analysis, over
-x = [theta_f_1..theta_f_n, eta_f]; the two are related by exact algebra, which
-the test suite checks by chain rule.
+component of the measured cost.  The state carries eta - J*, J* = J(theta*),
+and the stage J - J*, so the error keeps the digits J* cancels near theta*.
+``transformed_closed_loop`` is the same loop in the scaled error coordinates
+theta_f = xi(theta - theta*), eta_f = xi^(2 kappa) (eta - J(theta*)) used by
+the stability analysis, over x = [theta_f_1..theta_f_n, eta_f]; the two are
+related by exact algebra, which the test suite checks by chain rule.
 
 Each right-hand side takes one state, a sequence of d floats such as the
 tuple ``integrate`` keeps, and returns a tuple of floats; the per-channel
@@ -171,8 +172,8 @@ def _dithered(n: int, t: str, f: str, k: str, drift: str) -> str:
 
 
 def _deployed_stage(n: int, value: str, inputs, t: str, f: str, k: str) -> str:
-    """The deployed loop's rates at one state, as text: k_0..k_n at the state of the n + 1 expressions
-    inputs, the time named t and the schedule's factors suffixed f; value is J's text, {i} for coordinate i."""
+    """The deployed loop's rates at one state, as text: k_0..k_n at the state of the n + 1 expressions inputs,
+    the time named t and the schedule's factors suffixed f; value is the text of J - J*, {i} for coordinate i."""
     bind = "".join(f"s_{i} = {x}\n" for i, x in enumerate(inputs))
     err = f"err = ({value.format(*[f's_{i}' for i in range(n)])}) - s_{n}\n"
     return bind + err + _dithered(n, t, f, k, f"nu_{f} * ") + f"{k}_{n} = omega_h * err\n"
@@ -220,18 +221,18 @@ def _generated_loop(p: EsParams, label: str, stage, factor_text, names: dict):
 
 
 def es_closed_loop(p: EsParams, map: CostMap):
-    """rhs(x, t) over one packed state x = (theta_1..theta_n, eta), returning a tuple.
+    """rhs(x, t) over one packed state x = (theta_1..theta_n, eta - J*), returning a tuple.
 
     x is a sequence of floats, such as the tuple ``integrate`` keeps.  The
     rhs and its own RK4 loop are generated from one stage text, the map's
-    value text inline (``_generated_loop``).  An infinite phase,
+    centered text inline (``_generated_loop``).  An infinite phase,
     where math.cos raises, gives NaN dither rates, so the
     integrator reports the divergence.  Tagged with the fastest dither
     frequency so the integrator can enforce its step bound.
     """
     _check_loop_map(p, map)
-    stage = functools.partial(_deployed_stage, p.n, map.value_text[0])
-    rhs = _generated_loop(p, "deployed loop", stage, p.schedule.factor_text, dict(map.value_text[1]))
+    stage = functools.partial(_deployed_stage, p.n, map.centered_text[0])
+    rhs = _generated_loop(p, "deployed loop", stage, p.schedule.factor_text, dict(map.centered_text[1]))
     rhs.dither_omega_max = max(p.omegas)
     return rhs
 

@@ -8,9 +8,9 @@ empirical two-sided power-law envelopes of the cost, its gradient, and its
 Hessian on a ball around the minimizer.
 
 A map is built from the texts of its closed forms, each one expression with
-{i} for coordinate i: the centered cost J - J*, and J* plus it as the cost,
-and the gradient.  ``eval``, ``centered`` and ``grad`` are compiled from them,
-and the closed loops write the same texts into their generated RK4 steps.
+{i} for coordinate i: the centered cost J - J* and the gradient.  ``centered``
+and ``grad`` are compiled from them, and ``eval`` from J* plus the centered
+text; the closed loops write the same texts into their generated RK4 steps.
 The compiled forms take theta as a sequence whose item i is coordinate i,
 n floats for one input, or n numpy arrays of B floats each for B inputs at
 once; ``eval`` and ``centered`` return a float or such an array, ``grad`` a
@@ -73,8 +73,8 @@ class CostMap:
     bounds         analytic PowerBounds
     name           the map's name, as configs address it
 
-    The cost's ``value_text`` is derived, ``f"{J*!r} + ({centered})"`` or for J* = 0.0 the centered text, and
-    ``eval``, ``centered`` and ``grad`` are compiled when the map is built; the closed loops write the texts inline.
+    ``eval`` is compiled from ``f"{J*!r} + ({centered})"``, or for J* = 0.0 from the centered text, and
+    ``centered`` and ``grad`` from their texts, when the map is built; the closed loops write the texts inline.
     """
 
     dim: int
@@ -86,7 +86,6 @@ class CostMap:
     optimal_value: float
     bounds: PowerBounds
     name: str
-    value_text: Tuple[str, Mapping[str, float]] = field(init=False, repr=False, compare=False)
     eval: Callable = field(init=False, repr=False, compare=False)
     centered: Callable = field(init=False, repr=False, compare=False)
     grad: Callable = field(init=False, repr=False, compare=False)
@@ -97,9 +96,9 @@ class CostMap:
         if self.kappa < 1:
             raise ValueError(f"kappa must be a positive integer, got {self.kappa}")
         centered, names, j_star = *self.centered_text, float(self.optimal_value)
-        object.__setattr__(self, "value_text", (f"{j_star!r} + ({centered})" if j_star else centered, names))
+        value_text = (f"{j_star!r} + ({centered})" if j_star else centered, names)
         coords = [f"th_{i}" for i in range(self.dim)]  # theta unpacked into its dim coordinates
-        for form, (text, names) in (("eval", self.value_text), ("centered", self.centered_text), ("grad", self.grad_text)):
+        for form, (text, names) in (("eval", value_text), ("centered", self.centered_text), ("grad", self.grad_text)):
             body = f"{', '.join(coords)}, = th\nreturn {text.format(*coords)}\n"
             object.__setattr__(self, form, generated("form(th)", body, names, f"<map form over {self.dim} coordinates>"))
         star = floats(self.optimum)

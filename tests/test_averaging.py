@@ -163,15 +163,16 @@ def test_trial_starts_lie_in_the_delta_ball(map_):
         for start in starts:
             theta = start[:-1]
             assert np.linalg.norm(theta - map_.optimum) <= cfg.delta
-            assert start[-1] == map_(theta)
+            assert start[-1] == map_.centered_value(theta)
 
 
 def test_trial_starts_pin_the_bundled_sweep():
-    # the standard library's stream for seed 7: two Box-Muller draws, then one radius draw, per trial
+    # the standard library's stream for seed 7: two Box-Muller draws, then one radius draw, per trial; each start's
+    # eta is J(theta) - J*, as the deployed loop carries it
     cfg = cli.resolve_config("omega_sweep")
     assert np.array(averaging._trial_starts(cfg.map, cfg.probe)).tolist() == [
-        [2.6509344730398539, 1.1795349844197425],
-        [1.6343110830874146, 1.0178832806746008],
+        [2.6509344730398539, 0.17953498441974242],
+        [1.6343110830874146, 0.0178832806746007],
     ]
 
 
@@ -188,7 +189,7 @@ def _per_omega_probe(p, map_, cfg):
         for trial, x0 in enumerate(starts):
             every = dict(record_every=STEPS_PER_PERIOD, n=map_.dim)
             full = arrays(u.integrate(full_rhs, tuple(x0), t0, t0 + cfg.horizon, dt, **every))
-            avg = arrays(u.integrate(averaged, np.append(np.array(x0[:-1]) - star, x0[-1] - map_.optimal_value),
+            avg = arrays(u.integrate(averaged, np.append(np.array(x0[:-1]) - star, x0[-1]),
                                      t0, t0 + cfg.horizon, dt, **every))
             inside = np.linalg.norm(full.theta - star, axis=1) <= cfg.epsilon
             first = int(np.flatnonzero(inside)[0])

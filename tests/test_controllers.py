@@ -80,7 +80,8 @@ def test_exponential_gain_condition(exp_map):
 
 def test_deployed_rhs_pinned_value(quartic):
     p = u.assemble(quartic, u.Schedule("nominal"), alpha=1.0, k=0.3, omega=5.0, omega_h=3.0, omega_hat=[1.0])
-    theta_dot, eta_dot = u.es_closed_loop(p, quartic)(np.array([0.0, 0.0]), 0.0)
+    # the state carries eta - J*: theta = 0 and eta = 0 is (0, -1) for J* = 1, where J(theta) - eta = 17
+    theta_dot, eta_dot = u.es_closed_loop(p, quartic)(np.array([0.0, -1.0]), 0.0)
     assert theta_dot == pytest.approx(math.sqrt(5.0) * math.cos(0.3 * 17.0), rel=1e-12)
     assert eta_dot == pytest.approx(3.0 * 17.0, rel=1e-12)
 
@@ -121,10 +122,10 @@ def test_deployed_rhs_code_holds_no_loop_constant():
 
 def test_phase_term_vanishes_at_optimum(quartic, fig3_params):
     # at theta = theta*, eta = J(theta*) the feedback phase is zero: pure
-    # dither at the scheduled amplitude, and no washout drift
+    # dither at the scheduled amplitude, and no washout drift; the state carries eta - J* = 0
     rhs = u.es_closed_loop(fig3_params, quartic)
     for t in (0.0, 3.7, 12.0):
-        td, ed = rhs(np.array([2.0, 1.0]), t)
+        td, ed = rhs(np.array([2.0, 0.0]), t)
         s = fig3_params.schedule
         expected = s.nu(t) * math.sqrt(5.0) * math.cos(5.0 * t)
         assert td == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -134,8 +135,8 @@ def test_phase_term_vanishes_at_optimum(quartic, fig3_params):
 def test_closed_loop_packing(quartic, fig3_params):
     rhs = u.es_closed_loop(fig3_params, quartic)
     assert rhs.dither_omega_max == 5.0
-    out = rhs(np.array([0.0, 0.0]), 0.0)
-    # x = [theta, eta]: at t = 0, nu = phi = 1 and J(0) = 17
+    out = rhs(np.array([0.0, -1.0]), 0.0)
+    # x = [theta, eta - J*], here theta = eta = 0: at t = 0, nu = phi = 1 and J(0) - eta = 17
     np.testing.assert_allclose(out, [math.sqrt(5.0) * math.cos(0.3 * 17.0), 3.0 * 17.0], rtol=1e-12)
 
 
@@ -278,13 +279,13 @@ def _chain_rule_worst_error(map_, params, schedule, rng, trials=50):
         xi = schedule.xi(t)
         x2k = math.exp(2.0 * map_.kappa * schedule.log_xi(t))
         theta = map_.optimum + theta_f / xi
-        eta = map_.optimal_value + eta_f / x2k
+        eta = eta_f / x2k  # the deployed state carries eta - J(theta*)
         dx = np.asarray(deployed(np.append(theta, eta), t))
         td, ed = dx[:n], dx[n]
         h = 1e-5 * max(1.0, abs(t))
         dlogxi = (schedule.log_xi(t + h) - schedule.log_xi(t - h)) / (2.0 * h)
         td_ref = dlogxi * xi * (theta - map_.optimum) + xi * td
-        ed_ref = 2.0 * map_.kappa * dlogxi * x2k * (eta - map_.optimal_value) + x2k * ed
+        ed_ref = 2.0 * map_.kappa * dlogxi * x2k * eta + x2k * ed
         dz = scaled(np.append(theta_f, eta_f), t)
         tf, ef = dz[:n], dz[n]
         worst = max(worst, float(np.max(np.abs(tf - td_ref))), abs(ef - ed_ref))

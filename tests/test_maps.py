@@ -149,17 +149,20 @@ def test_value_is_optimal_value_plus_centered(m):
 
 
 def test_value_text_is_derived_from_the_centered_text():
-    # the quartic's derived text compiles to the code of the text it replaced; the quadratic's is its centered text
+    # eval is compiled from J* plus the centered text: the quartic's compiles to the code of the text it replaced;
+    # the quadratic's, with J* = 0.0, to the code of its centered form
     quartic, quadratic = u.quartic_paper(), u.quadratic(q=[1.0, 2.0], theta_star=[0.5, -1.0])
     written = generated("form(th)", "th_0, = th\nreturn 1.0 + (th_0 - 2.0) ** 4\n", {}, "<the text it replaced>")
     assert quartic.eval.__code__.co_code == written.__code__.co_code
     assert quartic.eval.__code__.co_consts == written.__code__.co_consts
-    assert quadratic.value_text == quadratic.centered_text
+    assert quadratic.eval.__code__.co_code == quadratic.centered.__code__.co_code
+    assert quadratic.eval.__code__.co_consts == quadratic.centered.__code__.co_consts
 
 
 def test_map_texts_cannot_disagree():
-    # once a separate value text gave J(theta*) = 1.0625 against optimal_value 1.0 and built without complaint
-    with pytest.raises(ValueError, match="init=False"):
+    # once a separate value text gave J(theta*) = 1.0625 against optimal_value 1.0 and built without complaint;
+    # a map takes no such text
+    with pytest.raises(TypeError, match="unexpected keyword argument 'value_text'"):
         dataclasses.replace(u.quartic_paper(), value_text=("1.0 + ({0} - 2.5) ** 4", {}))
     # a centered text must vanish at the optimum, where the gradient does too here
     refusal = "need a finite J* and J - J* = 0 at the declared optimum, got J* = 1.0, J - J* = 0.0625"

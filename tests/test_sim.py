@@ -39,10 +39,9 @@ def test_rk4_fourth_order_convergence():
     assert errs[0] / errs[1] >= 8.0
 
 
-# the bundled run configs whose deployed run is resolved at their dt, fig2_nominal_b at a quarter of the bundled
-# step, where its phase term turns up to 5.64 rad per step.  Not yet: fig3_asymptotic_ues, whose eta lies within
-# ulps of J* = 1 late in the run
-_RESOLVED_RUNS = ["exponential_ues", "fig2_nominal_a", "fig2_nominal_b"]
+# the bundled run configs, each resolved at its dt; fig2_nominal_b steps at a quarter of the bundled step, where
+# its phase term turns up to 5.64 rad per step
+_RESOLVED_RUNS = ["exponential_ues", "fig2_nominal_a", "fig2_nominal_b", "fig3_asymptotic_ues"]
 
 
 @pytest.mark.parametrize("name", _RESOLVED_RUNS)
@@ -524,8 +523,8 @@ sim.horizon = 1
 
 
 def _numpy_deployed_loop(p, cost):
-    """The deployed loop's rhs as numpy code over a 1-D array state: the reference the float kernel
-    must equal bit for bit.  cost is the map's value as numpy code."""
+    """The deployed loop's rhs as numpy code over a 1-D array state (theta..., eta - J*): the reference the float
+    kernel must equal bit for bit.  cost is the map's centered value J - J* as numpy code."""
     n = p.n
     amp, omegas, k = np.asarray(p._amp), np.asarray(p.omegas), np.asarray(p.k)
 
@@ -552,9 +551,10 @@ def _assert_kernel_equals_reference(kernel, reference, x0s, horizon, dt, n):
 @pytest.mark.parametrize("omega,horizon", [(10.0, 20.0), (250.0, 1.0)])
 def test_float_kernel_equals_numpy_reference_on_sweep_starts(omega, horizon):
     # the float kernel keeps numpy's expressions and their order; math.cos and np.cos, and
-    # Python's scalar ** and numpy's float64 scalar **, must also round alike, which is checked
+    # Python's scalar ** and numpy's float64 scalar **, must also round alike, which is checked.
+    # The loop and its starts carry eta - J*, so the reference takes the centered cost
     cfg, x0s = _sweep_starts()
-    quartic = lambda th: 1.0 + (th[0] - 2.0) ** 4
+    quartic = lambda th: (th[0] - 2.0) ** 4
     p = cfg.params.with_omega(omega)
     dt = u.dither_step_bound(omega)
     _assert_kernel_equals_reference(u.es_closed_loop(p, cfg.map), _numpy_deployed_loop(p, quartic), x0s, horizon, dt, 1)
@@ -711,10 +711,12 @@ def test_readme_quick_start_runs():
     exec(snippet, ns)
     assert abs(arrays(ns["traj"]).theta[-1, 0] - 2.0) < 1e-3
     assert ns["fit"].estimate == pytest.approx(2.8, abs=0.1)
-    # the bundled fig3 run from Python is the hand-assembled loop above, bit for bit
-    hand = ns["traj"]
+    # the bundled fig3 run from Python is the hand-assembled loop above, bit for bit, once both record alike:
+    # the hand trajectory measured as deployed_run measures its own, J* back in the eta column and y set
+    hand = cli.measured(ns["traj"], ns["m"])
     exec(readme.split("starts and what it records.\n\n```python\n", 1)[1].split("```", 1)[0], ns)
     assert ns["traj"].rows.tobytes() == hand.rows.tobytes()
+    assert ns["traj"].y.tobytes() == hand.y.tobytes()
     assert ns["fine"].times.tobytes() == hand.times.tobytes()
 
 
